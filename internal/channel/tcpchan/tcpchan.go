@@ -44,14 +44,50 @@
 // dialer by its Redial budget, the acceptor by an equivalent re-accept
 // budget, after which the transport goes down instead of waiting
 // forever for a peer that crashed.
+//
+// The end-of-run digest exchange is acknowledged. A transport that sent
+// its digest stays up in Close, for at most RecvTimeout, until the peer
+// confirms receipt. A peer whose connection died during the exchange
+// can then still resume and fetch the digest.
+//
+// # Threading model
+//
+// One goroutine at a time reads the socket, and while the engine runs
+// it is the engine's own. Recv in the peer direction and ExchangeSum
+// read and handle frames on the calling goroutine until their packet or
+// sum has arrived. Every frame kind (data, ack, resync, ping, pong,
+// sum, sum ack, bye, and frames failing their checksum) goes through one
+// handler under the transport mutex, and delivered packets wait in a
+// FIFO under that mutex. A receive therefore costs no goroutine hop and
+// no timer.
+//
+// Each endpoint runs one background keeper goroutine on one ticker,
+// whose period is ResyncEvery (or PingEvery, if shorter). On every tick
+// the keeper:
+//
+//   - watches a blocked receive: it re-sends the resync request on the
+//     backoff schedule, and past the receive timeout it fails the
+//     receive, kicking the engine out of its blocked read by setting
+//     the read deadline to the past;
+//   - reads the socket itself when the engine has not received for a
+//     whole tick, so pings, resyncs and acks keep being answered for an
+//     idle or send-only engine. An engine entering a receive kicks this
+//     read the same way and takes the socket over;
+//   - heals a dead connection by redial or bounded re-accept;
+//   - sends pings and refreshes the write deadline.
+//
+// A kick can land mid-frame. The frame reader keeps the partial frame
+// in its buffer, so the next reader resumes it where the last one
+// stopped, with no resync and no reconnect.
 package tcpchan
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -91,10 +127,18 @@ func (r Role) dir() channel.Dir {
 	return channel.SimToAcc
 }
 
+// peerDir returns the direction the peer is authoritative for.
+func (r Role) peerDir() channel.Dir {
+	if r == RoleAcc {
+		return channel.SimToAcc
+	}
+	return channel.AccToSim
+}
+
 // Wire protocol constants.
 const (
 	protocolMagic   = "coemu-tcpchan"
-	protocolVersion = 1
+	protocolVersion = 2
 
 	kindHello   = 1
 	kindHelloOK = 2
@@ -109,6 +153,10 @@ const (
 	// immediately instead of burning redial attempts against a peer
 	// that is gone on purpose.
 	kindBye = 9
+	// kindSumAck confirms receipt of the peer's sum frame. A transport
+	// that sent a sum stays up in Close until it is confirmed, so a peer
+	// whose connection died during the exchange can resume and fetch it.
+	kindSumAck = 10
 
 	// frameHeadBytes is the fixed frame body overhead after the length
 	// prefix: kind, dir, two reserved bytes, seq, ack.
@@ -118,6 +166,9 @@ const (
 	// maxFrameBytes bounds a frame body; a longer length prefix means
 	// the stream is corrupt beyond resync and kills the connection.
 	maxFrameBytes = 16 << 20
+	// readBufBytes is the frame reader's initial buffer; it grows to fit
+	// a larger frame.
+	readBufBytes = 64 << 10
 
 	// ackEvery bounds how many delivered frames may go unacknowledged
 	// before a standalone ack is emitted (piggybacked acks usually get
@@ -143,6 +194,10 @@ const windowMax = 8192
 // maxResyncWait caps the exponential backoff between successive
 // resync requests within one blocked Recv.
 const maxResyncWait = time.Second
+
+// kickDeadline is a read deadline in the past: setting it makes a
+// blocked read on the connection return at once.
+var kickDeadline = time.Unix(1, 0)
 
 // Options configures one endpoint.
 type Options struct {
@@ -171,7 +226,8 @@ type Options struct {
 	// ResyncEvery is the floor of the interval at which a blocked
 	// receiver re-sends its resync request: the actual wait starts at
 	// max(ResyncEvery, 2×measured RTT) and backs off exponentially up
-	// to maxResyncWait while the receiver stays blocked.
+	// to maxResyncWait while the receiver stays blocked. It is also the
+	// keeper's tick (see the package doc).
 	ResyncEvery time.Duration
 
 	// InjectRTT simulates link latency: every authoritative data send
@@ -183,8 +239,8 @@ type Options struct {
 	// ARQ layer must heal all of them; reports are unaffected.
 	Faults    *faultplan.ChannelFault
 	FaultSeed uint64
-	// PingEvery, when positive, runs a background ping/pong loop
-	// sampling round-trip latency into Stats.
+	// PingEvery, when positive, makes the keeper ping the peer at this
+	// cadence, sampling round-trip latency into Stats.
 	PingEvery time.Duration
 }
 
@@ -208,6 +264,15 @@ func (o Options) withDefaults() Options {
 		o.ResyncEvery = DefaultResyncEvery
 	}
 	return o
+}
+
+// tick is the keeper's period: the resync floor, or the ping cadence
+// when that is shorter.
+func (o Options) tick() time.Duration {
+	if o.PingEvery > 0 && o.PingEvery < o.ResyncEvery {
+		return o.PingEvery
+	}
+	return o.ResyncEvery
 }
 
 // reacceptBudget is how long the acceptor side waits for a crashed
@@ -246,6 +311,15 @@ type winFrame struct {
 	payload []amba.Word
 }
 
+// want is what a blocked engine call waits for.
+type want uint8
+
+const (
+	wantPacket want = iota // a peer-direction packet (Recv)
+	wantSum                // the peer's report digest (ExchangeSum)
+	wantSumAck             // the peer's receipt of our digest (Close)
+)
+
 // helloMsg is the JSON handshake exchanged on connect and resume.
 type helloMsg struct {
 	Magic   string `json:"magic"`
@@ -261,58 +335,87 @@ type helloMsg struct {
 }
 
 // Transport is one endpoint of the mirrored TCP channel. It implements
-// channel.Transport. The engine thread calls Send/Recv/Release; a
-// background reader goroutine feeds the receive queue and answers
-// protocol frames; mu orders the two.
+// channel.Transport. The engine thread calls Send/Recv/Release and
+// reads the socket itself while it waits; the keeper goroutine covers
+// for it in between (see the package doc). mu orders the two.
 type Transport struct {
 	role Role
 	opts Options
 	hash string
 
-	// echo mirrors authoritative sends back to the local engine;
-	// engine-thread only.
-	echo *channel.Queues
+	// q holds the packets delivered to the local engine: authoritative
+	// sends echoed in their direction, peer packets in the other. Guarded
+	// by mu.
+	q *channel.Queues
 
-	// rxq delivers in-order peer-direction payloads from the reader to
-	// Recv.
-	rxq chan []amba.Word
-	// sumq delivers the peer's ExchangeSum payload.
-	sumq chan []byte
-	// stop is closed exactly once when the transport shuts down
-	// (Close, or reconnect exhaustion).
-	stop     chan struct{}
-	stopOnce sync.Once
-	// readerDone is closed when the reader goroutine exits.
-	readerDone chan struct{}
+	// stop is closed by Close; keeperDone when the keeper exits.
+	stop       chan struct{}
+	keeperDone chan struct{}
+	// wake prompts the keeper to heal a connection found dead between
+	// ticks.
+	wake chan struct{}
 
 	// Dialer-side reconnect target; acceptor-side listener to
 	// re-accept on.
 	addr string
 	ln   *Listener
 
-	mu       sync.Mutex
-	conn     net.Conn
-	dialing  net.Conn // in-flight redial, closable by Close
-	dead     bool     // conn present but known broken
-	closed   bool
-	peerBye  bool  // peer announced a deliberate shutdown
+	mu sync.Mutex
+	// cond announces changes to reading, dead, down, closed and
+	// timedOut to an engine waiting for the socket.
+	cond    *sync.Cond
+	conn    net.Conn
+	fr      *frameReader // conn's frame reader
+	dialing net.Conn     // in-flight redial, closable by Close
+	dead    bool         // conn present but known broken
+	closed  bool
+	// down means no packet will ever arrive again: the peer said bye,
+	// or healing ran out of budget.
+	down bool
+	// reading is set while a goroutine holds the socket for reading.
+	reading bool
+	// deadlineSet records a read deadline left on conn by a kick or by
+	// the keeper's idle read; the engine clears it before reading.
+	deadlineSet bool
+
+	// The engine's receive wait, which the keeper watches: recvs counts
+	// peer-direction receive calls (seenRecvs is its value at the last
+	// tick); waitSeq numbers waits (watchSeq is the one the keeper last
+	// saw).
+	recvs, seenRecvs  uint64
+	waiting           bool
+	waitSeq, watchSeq uint64
+	waitWant          want
+	waitLimit         time.Duration
+	timedOut          bool
+	waitStart         time.Time
+	resyncGap         time.Duration
+	resyncAt          time.Time
+	pingAt            time.Time
+
 	gen      int64 // connection generation, for trace/debug
 	sendSeq  uint32
 	recvNext uint32 // next expected peer data seq
+	// rxWords is the scratch buffer a data frame's payload is decoded
+	// into on its way into q.
+	rxWords []amba.Word
 	// pendingSum is this side's ExchangeSum blob; sum frames live
-	// outside the data window, so a reconnect re-sends it explicitly
-	// (the receiver drops duplicates via its one-slot queue).
+	// outside the data window, so a reconnect re-sends it explicitly.
 	pendingSum []byte
-	window     []winFrame
-	wfree      [][]amba.Word
-	unacked    int // delivered frames since last ack we sent
-	wbuf       []byte
-	frng       *rng.Source
-	st         Stats
-	rtt        *stats.Hist // microseconds
-	pingSeq    uint32
-	pingT0     time.Time
-	trc        *trace.Recorder
+	// peerSum is the peer's blob, kept from its first arrival.
+	peerSum []byte
+	// sumAcked records that the peer confirmed it holds pendingSum.
+	sumAcked bool
+	window   []winFrame
+	wfree    [][]amba.Word
+	unacked  int // delivered frames since last ack we sent
+	wbuf     []byte
+	frng     *rng.Source
+	st       Stats
+	rtt      *stats.Hist // microseconds
+	pingSeq  uint32
+	pingT0   time.Time
+	trc      *trace.Recorder
 
 	killed int64 // test hook: connections killed via Kill
 }
@@ -322,28 +425,27 @@ func newTransport(role Role, opts Options, hash string) *Transport {
 		role:       role,
 		opts:       opts,
 		hash:       hash,
-		echo:       channel.NewQueues(),
-		rxq:        make(chan []amba.Word, 1024),
-		sumq:       make(chan []byte, 1),
+		q:          channel.NewQueues(),
 		stop:       make(chan struct{}),
-		readerDone: make(chan struct{}),
+		keeperDone: make(chan struct{}),
+		wake:       make(chan struct{}, 1),
 		recvNext:   1,
 		rtt:        stats.NewHist(),
 		trc:        trace.NewRecorder(4096),
 	}
+	t.cond = sync.NewCond(&t.mu)
 	if opts.Faults != nil {
 		t.frng = rng.New(opts.FaultSeed)
 	}
 	return t
 }
 
-// start launches the background goroutines once the first connection
-// is installed.
-func (t *Transport) start() {
-	go t.run()
-	if t.opts.PingEvery > 0 {
-		go t.pinger()
-	}
+// start installs the first connection and launches the keeper.
+func (t *Transport) start(conn net.Conn) {
+	t.conn, t.fr = conn, newFrameReader(conn)
+	conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
+	t.traceLocked(trace.Event{Kind: trace.EvTransportConnect, Domain: uint8(t.role)})
+	go t.keep()
 }
 
 // Dial connects to a listening endpoint, performs the handshake
@@ -354,26 +456,24 @@ func Dial(addr string, o Options) (*Transport, error) {
 	o = o.withDefaults()
 	t := newTransport(o.Role, o, o.Hash)
 	t.addr = addr
-	conn, err := t.dialOnce(false)
+	conn, _, err := t.dialOnce(false)
 	if err != nil {
 		return nil, err
 	}
-	t.conn = conn
-	t.traceLocked(trace.Event{Kind: trace.EvTransportConnect, Domain: uint8(t.role)})
-	t.start()
+	t.start(conn)
 	return t, nil
 }
 
-// dialOnce dials and handshakes one connection. With resume set it
-// announces the transport's current receive position and retransmits
-// the window from the peer's; the caller holds no lock.
-func (t *Transport) dialOnce(resume bool) (net.Conn, error) {
+// dialOnce dials and handshakes one connection, returning it with the
+// peer's next expected sequence. With resume set it announces the
+// transport's current receive position; the caller holds no lock.
+func (t *Transport) dialOnce(resume bool) (net.Conn, uint32, error) {
 	t.mu.Lock()
 	expect := t.recvNext
 	t.mu.Unlock()
 	conn, err := net.DialTimeout("tcp", t.addr, t.opts.DialTimeout)
 	if err != nil {
-		return nil, fmt.Errorf("tcpchan: dial %s: %w", t.addr, err)
+		return nil, 0, fmt.Errorf("tcpchan: dial %s: %w", t.addr, err)
 	}
 	// Expose the half-open connection so a concurrent Close can cut the
 	// handshake short instead of waiting out its deadline.
@@ -381,7 +481,7 @@ func (t *Transport) dialOnce(resume bool) (net.Conn, error) {
 	if t.closed {
 		t.mu.Unlock()
 		conn.Close()
-		return nil, fmt.Errorf("tcpchan: transport closed during redial")
+		return nil, 0, fmt.Errorf("tcpchan: transport closed during redial")
 	}
 	t.dialing = conn
 	t.mu.Unlock()
@@ -402,26 +502,25 @@ func (t *Transport) dialOnce(resume bool) (net.Conn, error) {
 	ok, err := handshake(conn, h, t.opts.DialTimeout)
 	if err != nil {
 		conn.Close()
-		return nil, err
+		return nil, 0, err
 	}
 	if ok.Role == t.role.String() {
 		conn.Close()
-		return nil, fmt.Errorf("tcpchan: peer claims our role %q (two %ss on one link)", ok.Role, ok.Role)
+		return nil, 0, fmt.Errorf("tcpchan: peer claims our role %q (two %ss on one link)", ok.Role, ok.Role)
 	}
 	if t.hash != "" && ok.Hash != t.hash {
 		conn.Close()
-		return nil, fmt.Errorf("tcpchan: spec hash mismatch: ours %s, peer %s", t.hash, ok.Hash)
+		return nil, 0, fmt.Errorf("tcpchan: spec hash mismatch: ours %s, peer %s", t.hash, ok.Hash)
 	}
 	t.mu.Lock()
 	t.addSampleLocked(time.Since(t0))
-	if resume {
-		t.ackWindowLocked(ok.Expect - 1)
-	}
 	t.mu.Unlock()
-	return conn, nil
+	return conn, ok.Expect, nil
 }
 
 // handshake writes h and reads the peer's reply frame within timeout.
+// It reads no byte past the reply: a resuming acceptor retransmits
+// right behind it, and those frames belong to the transport's reader.
 func handshake(conn net.Conn, h helloMsg, timeout time.Duration) (helloMsg, error) {
 	deadline := time.Now().Add(timeout)
 	conn.SetDeadline(deadline)
@@ -434,10 +533,11 @@ func handshake(conn net.Conn, h helloMsg, timeout time.Duration) (helloMsg, erro
 	if _, err := conn.Write(frame); err != nil {
 		return helloMsg{}, fmt.Errorf("tcpchan: handshake write: %w", err)
 	}
-	k, _, _, _, payload, err := readFrame(conn)
+	body, err := (&frameReader{src: conn, exact: true}).next()
 	if err != nil {
 		return helloMsg{}, fmt.Errorf("tcpchan: handshake read: %w", err)
 	}
+	k, _, _, _, payload := decodeFrame(body)
 	if k != kindHelloOK && k != kindHello {
 		return helloMsg{}, fmt.Errorf("tcpchan: handshake got frame kind %d", k)
 	}
@@ -486,9 +586,7 @@ func (l *Listener) Accept(o Options) (*Transport, []byte, error) {
 	}
 	t := newTransport(o.Role, o, h.Hash)
 	t.ln = l
-	t.conn = conn
-	t.traceLocked(trace.Event{Kind: trace.EvTransportConnect, Domain: uint8(t.role)})
-	t.start()
+	t.start(conn)
 	return t, h.Meta, nil
 }
 
@@ -527,9 +625,11 @@ func (l *Listener) acceptConn(o Options) (net.Conn, helloMsg, error) {
 // Only resume hellos matching the session are admitted; fresh sessions
 // are dropped until the next Accept. Unlike the fresh accept this wait
 // must not wedge the process: it is chunked by listener deadlines so a
-// concurrent Close (t.stop / t.closed) aborts it promptly, and bounded
+// concurrent Close aborts it promptly, and bounded
 // by the re-accept budget so a peer that crashed without a bye takes
-// the session down instead of squatting on the listener forever.
+// the session down instead of squatting on the listener forever. Each
+// chunk also runs the keeper's watch, so a blocked receive still times
+// out on schedule.
 func (l *Listener) acceptResume(t *Transport) (net.Conn, helloMsg, error) {
 	deadline := time.Now().Add(reacceptBudget(t.opts))
 	dl, chunked := l.ln.(deadlineListener)
@@ -537,15 +637,7 @@ func (l *Listener) acceptResume(t *Transport) (net.Conn, helloMsg, error) {
 		defer dl.SetDeadline(time.Time{})
 	}
 	for {
-		select {
-		case <-t.stop:
-			return nil, helloMsg{}, fmt.Errorf("tcpchan: transport closed during re-accept")
-		default:
-		}
-		t.mu.Lock()
-		closed := t.closed
-		t.mu.Unlock()
-		if closed {
+		if !t.watch() {
 			return nil, helloMsg{}, fmt.Errorf("tcpchan: transport closed during re-accept")
 		}
 		now := time.Now()
@@ -580,8 +672,12 @@ func (l *Listener) admit(conn net.Conn, o Options, resumeFor *Transport) (helloM
 	deadline := time.Now().Add(o.DialTimeout)
 	conn.SetDeadline(deadline)
 	defer conn.SetDeadline(time.Time{})
-	k, _, _, _, payload, err := readFrame(conn)
-	if err != nil || k != kindHello {
+	body, err := (&frameReader{src: conn, exact: true}).next()
+	if err != nil {
+		return helloMsg{}, false
+	}
+	k, _, _, _, payload := decodeFrame(body)
+	if k != kindHello {
 		return helloMsg{}, false
 	}
 	var h helloMsg
@@ -636,7 +732,7 @@ func (t *Transport) Send(d channel.Dir, payload []amba.Word) error {
 		time.Sleep(t.opts.InjectRTT / 2)
 	}
 	// Wire-fault dice roll before the lock: delay must not stall the
-	// reader's protocol responses.
+	// protocol responses of whoever is reading.
 	var dup, corrupt, corrupt2 bool
 	if t.frng != nil {
 		p := t.opts.Faults
@@ -650,12 +746,11 @@ func (t *Transport) Send(d channel.Dir, payload []amba.Word) error {
 		}
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.closed {
-		t.mu.Unlock()
 		return fmt.Errorf("tcpchan: send on closed transport: %w", channel.ErrChannelDown)
 	}
 	if len(t.window) >= windowMax {
-		t.mu.Unlock()
 		return fmt.Errorf("tcpchan: %d unacknowledged frames (peer gone?): %w", windowMax, channel.ErrChannelDown)
 	}
 	t.sendSeq++
@@ -680,16 +775,13 @@ func (t *Transport) Send(d channel.Dir, payload []amba.Word) error {
 	if corrupt || corrupt2 {
 		t.st.WireFaults++
 	}
-	t.mu.Unlock()
-
 	// Local echo: the engine on this side receives its own
 	// contribution exactly as an in-process transport would deliver it.
-	t.echo.Send(d, payload)
-	return nil
+	return t.q.Send(d, payload)
 }
 
 // writeDataLocked encodes and writes one data frame. A write failure
-// marks the connection dead (the reader heals it); the frame stays in
+// marks the connection dead (the keeper heals it); the frame stays in
 // the window either way.
 func (t *Transport) writeDataLocked(seq uint32, payload []amba.Word, corrupt bool) {
 	t.wbuf = appendDataFrame(t.wbuf[:0], byte(t.role.dir()), seq, t.recvNext-1, payload)
@@ -708,69 +800,128 @@ func (t *Transport) writeCtrlLocked(kind byte, seq, ack uint32, payload []byte) 
 }
 
 // writeRawLocked ships pre-encoded bytes on the live connection, if
-// any. Errors mark the connection dead and close it, which unblocks
-// the reader into its reconnect path.
+// any. The write deadline is the keeper's, refreshed every tick. Errors
+// mark the connection dead and close it, which fails any blocked read
+// and sends the keeper into its reconnect path.
 func (t *Transport) writeRawLocked(b []byte) {
 	if t.conn == nil || t.dead {
 		return
 	}
-	t.conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
 	if _, err := t.conn.Write(b); err != nil {
-		t.dead = true
-		t.conn.Close()
+		t.markDeadLocked()
 	}
+}
+
+// markDeadLocked closes a broken connection and wakes the keeper to
+// heal it.
+func (t *Transport) markDeadLocked() {
+	t.dead = true
+	t.conn.Close()
+	select {
+	case t.wake <- struct{}{}:
+	default:
+	}
+	t.cond.Broadcast()
 }
 
 // Recv implements channel.Transport. The authoritative direction pops
 // the local echo — empty means the engine broke its own exchange
-// protocol, reported immediately. The peer direction blocks on the
-// socket-fed queue up to RecvTimeout, re-requesting a resync while it
-// waits (harmless when nothing was lost: a resync for a sequence the
-// peer has not produced retransmits nothing). The resync cadence
-// starts at resyncWait — never faster than the measured round trip —
-// and backs off exponentially, because each resync makes the peer
-// retransmit its whole in-flight window: a fixed short cadence would
-// amplify traffic on exactly the high-latency links this transport
-// targets.
+// protocol, reported immediately. The peer direction reads the socket
+// on the calling goroutine until a packet is delivered, up to
+// RecvTimeout. While it waits the keeper re-requests a resync (harmless
+// when nothing was lost: a resync for a sequence the peer has not
+// produced retransmits nothing). The resync cadence starts at
+// resyncWait — never faster than the measured round trip — and backs
+// off exponentially, because each resync makes the peer retransmit its
+// whole in-flight window: a fixed short cadence would amplify traffic
+// on exactly the high-latency links this transport targets.
 func (t *Transport) Recv(d channel.Dir) ([]amba.Word, error) {
-	if d == t.role.dir() {
-		return t.echo.Recv(d)
-	}
-	select {
-	case pkt := <-t.rxq:
-		return pkt, nil
-	default:
-	}
-	timer := time.NewTimer(t.opts.RecvTimeout)
-	defer timer.Stop()
-	wait := t.resyncWait()
-	resync := time.NewTimer(wait)
-	defer resync.Stop()
-	for {
-		select {
-		case pkt := <-t.rxq:
-			return pkt, nil
-		case <-resync.C:
-			t.mu.Lock()
-			t.sendResyncLocked()
-			t.mu.Unlock()
-			if wait *= 2; wait > maxResyncWait {
-				wait = maxResyncWait
-			}
-			resync.Reset(wait)
-		case <-timer.C:
-			return nil, fmt.Errorf("tcpchan: recv %v timed out after %v: %w", d, t.opts.RecvTimeout, channel.ErrChannelDown)
-		case <-t.stop:
-			// A shutdown racing already-delivered data must not eat the
-			// packet: drain the receive queue before reporting down.
-			select {
-			case pkt := <-t.rxq:
-				return pkt, nil
-			default:
-			}
-			return nil, fmt.Errorf("tcpchan: transport stopped: %w", channel.ErrChannelDown)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if d != t.role.dir() {
+		t.recvs++
+		if err := t.awaitLocked(wantPacket, t.opts.RecvTimeout); err != nil {
+			return nil, fmt.Errorf("tcpchan: recv %v: %w", d, err)
 		}
 	}
+	return t.q.Recv(d)
+}
+
+// readyLocked reports whether what w waits for has arrived.
+func (t *Transport) readyLocked(w want) bool {
+	switch w {
+	case wantSum:
+		return t.peerSum != nil
+	case wantSumAck:
+		return t.sumAcked
+	}
+	return t.q.Pending(t.role.peerDir()) > 0
+}
+
+// awaitLocked reads and handles frames on the calling goroutine until
+// what w waits for has arrived, the keeper declares the wait timed out
+// after limit, or the transport goes down. An idle read by the keeper
+// is kicked, and the engine takes the socket over once the keeper
+// yields it.
+func (t *Transport) awaitLocked(w want, limit time.Duration) error {
+	if t.readyLocked(w) {
+		return nil
+	}
+	t.waiting = true
+	t.waitSeq++
+	t.waitWant, t.waitLimit, t.timedOut = w, limit, false
+	defer func() { t.waiting = false }()
+	if t.reading {
+		t.kickLocked()
+	}
+	for !t.readyLocked(w) {
+		switch {
+		case t.closed || t.down:
+			return fmt.Errorf("tcpchan: transport stopped: %w", channel.ErrChannelDown)
+		case t.timedOut:
+			return fmt.Errorf("timed out after %v: %w", limit, channel.ErrChannelDown)
+		case t.reading || t.dead:
+			// The keeper is yielding the socket or healing the
+			// connection; either way it broadcasts when done.
+			t.cond.Wait()
+			continue
+		}
+		if t.deadlineSet {
+			t.conn.SetReadDeadline(time.Time{})
+			t.deadlineSet = false
+		}
+		t.readLocked()
+	}
+	return nil
+}
+
+// kickLocked makes a blocked read on the live connection return now.
+func (t *Transport) kickLocked() {
+	if t.conn != nil && !t.dead {
+		t.conn.SetReadDeadline(kickDeadline)
+		t.deadlineSet = true
+	}
+}
+
+// readLocked holds the socket for one frame: it reads it with mu
+// released and handles it under mu. It reports whether a frame was
+// handled; a failed read is either a kick (the caller re-checks why it
+// is reading) or a dead connection.
+func (t *Transport) readLocked() bool {
+	t.reading = true
+	fr := t.fr
+	t.mu.Unlock()
+	body, err := fr.next()
+	t.mu.Lock()
+	t.reading = false
+	if err != nil {
+		if fr == t.fr && !t.dead && !t.closed && !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.markDeadLocked()
+		}
+		return false
+	}
+	t.handleFrameLocked(body)
+	return true
 }
 
 // sendResyncLocked asks the peer to retransmit from recvNext.
@@ -780,13 +931,11 @@ func (t *Transport) sendResyncLocked() {
 	t.writeCtrlLocked(kindResync, t.recvNext, t.recvNext-1, nil)
 }
 
-// resyncWait is the initial resync interval for one blocked Recv: at
-// least ResyncEvery, and at least two measured mean round trips, so a
-// healthy link whose genuine RTT exceeds ResyncEvery is not flooded
-// with redundant retransmission requests.
-func (t *Transport) resyncWait() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// resyncWaitLocked is the initial resync interval for one blocked
+// Recv: at least ResyncEvery, and at least two measured mean round
+// trips, so a healthy link whose genuine RTT exceeds ResyncEvery is not
+// flooded with redundant retransmission requests.
+func (t *Transport) resyncWaitLocked() time.Duration {
 	w := t.opts.ResyncEvery
 	if t.rtt.N() > 0 {
 		if m := time.Duration(2 * t.rtt.Mean() * float64(time.Microsecond)); m > w {
@@ -799,23 +948,31 @@ func (t *Transport) resyncWait() time.Duration {
 	return w
 }
 
-// Release implements channel.Transport. Echo buffers recycle through
-// the echo queue's pool; reader-allocated receive buffers retire the
-// same way and are reused by future echo sends.
-func (t *Transport) Release(pkt []amba.Word) { t.echo.Release(pkt) }
+// Release implements channel.Transport. Echo and receive buffers share
+// the local queues' free-list.
+func (t *Transport) Release(pkt []amba.Word) {
+	t.mu.Lock()
+	t.q.Release(pkt)
+	t.mu.Unlock()
+}
 
 // Pending implements channel.Transport.
 func (t *Transport) Pending(d channel.Dir) int {
-	if d == t.role.dir() {
-		return t.echo.Pending(d)
-	}
-	return len(t.rxq)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.q.Pending(d)
 }
 
 // Close shuts the transport down: no reconnects, blocked receivers
-// fail, the reader exits.
+// fail, the keeper exits. After a completed ExchangeSum it first waits,
+// up to RecvTimeout, for the peer to confirm it holds this side's digest: the
+// peer may have lost it with a connection that died at the end of the
+// exchange, and can only resume and fetch it while this side is up.
 func (t *Transport) Close() error {
 	t.mu.Lock()
+	if !t.closed && t.pendingSum != nil && t.peerSum != nil {
+		t.awaitLocked(wantSumAck, t.opts.RecvTimeout) // best effort
+	}
 	alreadyClosed := t.closed
 	t.closed = true
 	if t.conn != nil && !t.dead {
@@ -830,24 +987,24 @@ func (t *Transport) Close() error {
 	if t.dialing != nil {
 		t.dialing.Close()
 	}
+	t.cond.Broadcast()
 	t.mu.Unlock()
-	t.stopOnce.Do(func() { close(t.stop) })
 	if !alreadyClosed {
-		<-t.readerDone
+		close(t.stop)
+		<-t.keeperDone
 	}
 	return nil
 }
 
 // Kill severs the current connection without closing the transport —
-// a test hook standing in for a mid-run network failure. The reader
+// a test hook standing in for a mid-run network failure. The keeper
 // notices and heals via the reconnect path.
 func (t *Transport) Kill() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.conn != nil && !t.dead {
 		t.killed++
-		t.dead = true
-		t.conn.Close()
+		t.markDeadLocked()
 	}
 }
 
@@ -856,28 +1013,19 @@ func (t *Transport) Kill() {
 // digests. Symmetric: both sides call it.
 func (t *Transport) ExchangeSum(blob []byte, timeout time.Duration) ([]byte, error) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.recvs++
 	// Sum frames live outside the data window, so keep the blob for
 	// explicit re-send on reconnect — otherwise a connection that is
 	// dead right now (write silently dropped) or dies in flight would
 	// strand both mirrors in the exchange timeout.
 	t.pendingSum = append([]byte(nil), blob...)
+	t.sumAcked = false
 	t.writeCtrlLocked(kindSum, 0, t.recvNext-1, t.pendingSum)
-	t.mu.Unlock()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case peer := <-t.sumq:
-		return peer, nil
-	case <-timer.C:
-		return nil, fmt.Errorf("tcpchan: sum exchange timed out after %v: %w", timeout, channel.ErrChannelDown)
-	case <-t.stop:
-		select {
-		case peer := <-t.sumq:
-			return peer, nil
-		default:
-		}
-		return nil, fmt.Errorf("tcpchan: transport stopped: %w", channel.ErrChannelDown)
+	if err := t.awaitLocked(wantSum, timeout); err != nil {
+		return nil, fmt.Errorf("tcpchan: sum exchange: %w", err)
 	}
+	return t.peerSum, nil
 }
 
 // Stats returns a snapshot of the endpoint's wire counters.
@@ -932,58 +1080,109 @@ func (t *Transport) ackWindowLocked(ack uint32) {
 	}
 }
 
-// pinger samples link RTT in the background.
-func (t *Transport) pinger() {
-	tk := time.NewTicker(t.opts.PingEvery)
+// keep is the keeper goroutine: one ticker, plus a wake-up when a
+// connection dies between ticks.
+func (t *Transport) keep() {
+	defer close(t.keeperDone)
+	tk := time.NewTicker(t.opts.tick())
 	defer tk.Stop()
 	for {
 		select {
 		case <-t.stop:
 			return
+		case <-t.wake:
 		case <-tk.C:
-			t.mu.Lock()
-			t.pingSeq++
-			t.pingT0 = time.Now()
-			t.writeCtrlLocked(kindPing, t.pingSeq, t.recvNext-1, nil)
-			t.mu.Unlock()
+		}
+		if !t.keepOnce() {
+			return
 		}
 	}
 }
 
-// run is the reader goroutine: it drains the live connection and heals
-// dead ones until the transport closes or reconnection is exhausted.
-func (t *Transport) run() {
-	defer close(t.readerDone)
-	for {
-		t.mu.Lock()
-		conn, dead, closed := t.conn, t.dead, t.closed
+// keepOnce runs one round of the keeper's duties. It reports false
+// once the transport is closed or down for good.
+func (t *Transport) keepOnce() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.dead && !t.closed && !t.down {
 		t.mu.Unlock()
-		if closed {
-			return
-		}
-		if conn == nil || dead {
-			if !t.reestablish() {
-				// Permanently down: wake blocked receivers.
-				t.stopOnce.Do(func() { close(t.stop) })
-				return
-			}
-			continue
-		}
-		t.readLoop(conn)
+		healed := t.reestablish()
 		t.mu.Lock()
-		bye := t.peerBye
-		if t.conn == conn && !t.closed {
-			t.dead = true
-			conn.Close()
-		}
-		t.mu.Unlock()
-		if bye {
-			// Deliberate peer shutdown: the link is down for good, not
-			// broken. Wake blocked receivers instead of reconnecting.
-			t.stopOnce.Do(func() { close(t.stop) })
-			return
+		if !healed {
+			// Permanently down: wake a blocked receiver.
+			t.down = true
+			t.cond.Broadcast()
 		}
 	}
+	if t.closed || t.down {
+		return false
+	}
+	now := time.Now()
+	t.watchLocked(now)
+	idle := !t.waiting && !t.reading && t.recvs == t.seenRecvs
+	t.seenRecvs = t.recvs
+	if idle && !t.dead {
+		t.idleReadLocked(now)
+	}
+	return true
+}
+
+// watch runs watchLocked between healing attempts. It reports false
+// once the transport is closed.
+func (t *Transport) watch() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.watchLocked(time.Now())
+	return !t.closed
+}
+
+// watchLocked runs the keeper's timed duties: the resync cadence and
+// the timeout of a blocked engine wait, pings, and the write deadline.
+// A wait is timed from the first tick that sees it.
+func (t *Transport) watchLocked(now time.Time) {
+	live := t.conn != nil && !t.dead
+	if t.waiting {
+		if t.watchSeq != t.waitSeq {
+			t.watchSeq = t.waitSeq
+			t.waitStart = now
+			t.resyncGap = t.resyncWaitLocked()
+			t.resyncAt = now.Add(t.resyncGap)
+		}
+		switch {
+		case now.Sub(t.waitStart) >= t.waitLimit:
+			t.timedOut = true
+			if t.reading {
+				t.kickLocked()
+			}
+			t.cond.Broadcast()
+		case t.waitWant == wantPacket && !now.Before(t.resyncAt):
+			t.sendResyncLocked()
+			if t.resyncGap *= 2; t.resyncGap > maxResyncWait {
+				t.resyncGap = maxResyncWait
+			}
+			t.resyncAt = now.Add(t.resyncGap)
+		}
+	}
+	if live && t.opts.PingEvery > 0 && !now.Before(t.pingAt) {
+		t.pingAt = now.Add(t.opts.PingEvery)
+		t.pingSeq++
+		t.pingT0 = now
+		t.writeCtrlLocked(kindPing, t.pingSeq, t.recvNext-1, nil)
+	}
+	if live {
+		t.conn.SetWriteDeadline(now.Add(t.opts.WriteTimeout))
+	}
+}
+
+// idleReadLocked reads the socket on the engine's behalf for at most
+// one tick. It stops as soon as the engine waits to receive (the
+// engine's arrival kicks the read), and hands the socket back.
+func (t *Transport) idleReadLocked(now time.Time) {
+	t.conn.SetReadDeadline(now.Add(t.opts.tick()))
+	t.deadlineSet = true
+	for !t.waiting && !t.dead && !t.closed && !t.down && t.readLocked() {
+	}
+	t.cond.Broadcast()
 }
 
 // reestablish replaces a dead connection: the dialer side redials with
@@ -996,8 +1195,7 @@ func (t *Transport) reestablish() bool {
 		if err != nil {
 			return false
 		}
-		t.installConn(conn, h.Expect)
-		return true
+		return t.adopt(conn, h.Expect)
 	}
 	for attempt := 0; attempt < t.opts.Redial; attempt++ {
 		if attempt > 0 {
@@ -1007,64 +1205,44 @@ func (t *Transport) reestablish() bool {
 			case <-time.After(time.Duration(attempt) * t.opts.RedialWait):
 			}
 		}
-		t.mu.Lock()
-		closed := t.closed
-		t.mu.Unlock()
-		if closed {
+		if !t.watch() {
 			return false
 		}
-		conn, err := t.dialOnce(true)
+		conn, expect, err := t.dialOnce(true)
 		if err != nil {
 			continue
 		}
-		t.mu.Lock()
-		if t.closed {
-			t.mu.Unlock()
-			conn.Close()
-			return false
-		}
-		t.mu.Unlock()
-		// dialOnce already pruned the window to the peer's expect; the
-		// peer told us where to resume via helloOK.Expect handled there.
-		t.installConnRetransmit(conn)
-		return true
+		return t.adopt(conn, expect)
 	}
 	return false
 }
 
-// installConn adopts a resumed connection and retransmits the window
-// from the peer's next expected sequence.
-func (t *Transport) installConn(conn net.Conn, peerExpect uint32) {
+// adopt installs a healed connection, drops the window frames the peer
+// already has (everything before peerExpect) and replays the rest in
+// order. It reports false, dropping conn, if the transport closed
+// meanwhile.
+func (t *Transport) adopt(conn net.Conn, peerExpect uint32) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.ackWindowLocked(peerExpect - 1)
-	t.adoptLocked(conn)
-}
-
-// installConnRetransmit adopts a redialed connection (window already
-// pruned during the resume handshake) and retransmits what remains.
-func (t *Transport) installConnRetransmit(conn net.Conn) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.adoptLocked(conn)
-}
-
-// adoptLocked installs a healed connection and replays the
-// un-acknowledged window in order.
-func (t *Transport) adoptLocked(conn net.Conn) {
-	if t.conn != nil {
-		t.conn.Close()
+	if t.closed {
+		conn.Close()
+		return false
 	}
-	t.conn = conn
-	t.dead = false
+	t.ackWindowLocked(peerExpect - 1)
+	t.conn.Close()
+	t.conn, t.fr = conn, newFrameReader(conn)
+	t.dead, t.deadlineSet = false, false
+	conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
 	t.gen++
 	t.st.Reconnects++
 	t.traceLocked(trace.Event{Kind: trace.EvTransportReconnect, Domain: uint8(t.role), Arg: t.gen})
 	t.retransmitLocked(0)
-	if t.pendingSum != nil {
-		// The peer drops a duplicate via its one-slot sum queue.
+	if t.pendingSum != nil && !t.sumAcked {
+		// The peer keeps the first copy and confirms every copy.
 		t.writeCtrlLocked(kindSum, 0, t.recvNext-1, t.pendingSum)
 	}
+	t.cond.Broadcast()
+	return true
 }
 
 // retransmitLocked re-sends every window frame with seq >= from (0
@@ -1085,81 +1263,66 @@ func (t *Transport) retransmitLocked(from uint32) {
 	}
 }
 
-// readLoop drains one connection until it errors.
-func (t *Transport) readLoop(conn net.Conn) {
-	br := bufio.NewReaderSize(conn, 64<<10)
-	for {
-		kind, _, seq, ack, payload, err := readFrame(br)
-		if err != nil {
-			return
+// handleFrameLocked runs the protocol for one received frame, whoever
+// read it.
+func (t *Transport) handleFrameLocked(body []byte) {
+	kind, _, seq, ack, payload := decodeFrame(body)
+	switch kind {
+	case kindData:
+		t.handleDataLocked(seq, ack, payload)
+	case kindResync:
+		t.ackWindowLocked(seq - 1)
+		t.retransmitLocked(seq)
+	case kindAck:
+		t.ackWindowLocked(ack)
+	case kindPing:
+		t.writeCtrlLocked(kindPong, seq, t.recvNext-1, nil)
+	case kindPong:
+		if seq == t.pingSeq && !t.pingT0.IsZero() {
+			t.addSampleLocked(time.Since(t.pingT0))
+			t.pingT0 = time.Time{}
 		}
-		switch kind {
-		case kindData:
-			t.handleData(seq, ack, payload)
-		case kindResync:
-			t.mu.Lock()
-			t.ackWindowLocked(seq - 1)
-			t.retransmitLocked(seq)
-			t.mu.Unlock()
-		case kindAck:
-			t.mu.Lock()
-			t.ackWindowLocked(ack)
-			t.mu.Unlock()
-		case kindPing:
-			t.mu.Lock()
-			t.writeCtrlLocked(kindPong, seq, t.recvNext-1, nil)
-			t.mu.Unlock()
-		case kindPong:
-			t.mu.Lock()
-			if seq == t.pingSeq && !t.pingT0.IsZero() {
-				t.addSampleLocked(time.Since(t.pingT0))
-				t.pingT0 = time.Time{}
-			}
-			t.mu.Unlock()
-		case kindSum:
-			blob := append([]byte(nil), payload...)
-			select {
-			case t.sumq <- blob:
-			default:
-			}
-		case kindBye:
-			t.mu.Lock()
-			t.peerBye = true
-			t.mu.Unlock()
-			return
-		case frameCorrupt:
-			// readFrame verified the stream framing but the checksum
-			// failed: request retransmission of everything undelivered.
-			t.mu.Lock()
-			t.st.CorruptFrames++
-			t.sendResyncLocked()
-			t.mu.Unlock()
-		default:
-			// Unknown control frame: ignore (forward compatibility).
+	case kindSum:
+		if t.peerSum == nil {
+			t.peerSum = append([]byte{}, payload...)
 		}
+		// Confirm every copy: the first confirmation may have died with
+		// a connection.
+		t.writeCtrlLocked(kindSumAck, 0, t.recvNext-1, nil)
+	case kindSumAck:
+		t.sumAcked = true
+	case kindBye:
+		// Deliberate peer shutdown: the link is down for good, not
+		// broken. Wake a blocked receiver instead of reconnecting.
+		t.down, t.dead = true, true
+		t.conn.Close()
+		t.cond.Broadcast()
+	case frameCorrupt:
+		// The stream framing held but the checksum failed: request
+		// retransmission of everything undelivered.
+		t.st.CorruptFrames++
+		t.sendResyncLocked()
+	default:
+		// Unknown control frame: ignore (forward compatibility).
 	}
 }
 
-// handleData runs the receive side of the ARQ for one data frame.
-func (t *Transport) handleData(seq, ack uint32, payload []byte) {
+// handleDataLocked runs the receive side of the ARQ for one data
+// frame, queueing an in-order payload for the engine.
+func (t *Transport) handleDataLocked(seq, ack uint32, payload []byte) {
 	if len(payload)%amba.WordBytes != 0 {
-		t.mu.Lock()
 		t.st.CorruptFrames++
 		t.sendResyncLocked()
-		t.mu.Unlock()
 		return
 	}
-	t.mu.Lock()
 	t.ackWindowLocked(ack)
 	switch {
 	case seq < t.recvNext:
 		t.st.Dups++
-		t.mu.Unlock()
 		return
 	case seq > t.recvNext:
 		t.st.Gaps++
 		t.sendResyncLocked()
-		t.mu.Unlock()
 		return
 	}
 	t.recvNext++
@@ -1169,21 +1332,16 @@ func (t *Transport) handleData(seq, ack uint32, payload []byte) {
 		t.unacked = 0
 		t.writeCtrlLocked(kindAck, 0, t.recvNext-1, nil)
 	}
-	t.mu.Unlock()
-
-	words := make([]amba.Word, 0, len(payload)/amba.WordBytes)
+	t.rxWords = t.rxWords[:0]
 	for i := 0; i < len(payload); i += amba.WordBytes {
-		words = append(words, amba.GetWord(payload[i:]))
+		t.rxWords = append(t.rxWords, amba.GetWord(payload[i:]))
 	}
-	select {
-	case t.rxq <- words:
-	case <-t.stop:
-	}
+	t.q.Send(t.role.peerDir(), t.rxWords)
 }
 
-// frameCorrupt is the in-band kind readFrame returns for a frame whose
-// stream framing held but whose checksum failed: the connection is
-// still usable, the frame is not.
+// frameCorrupt is the in-band kind decodeFrame returns for a frame
+// whose stream framing held but whose checksum failed: the connection
+// is still usable, the frame is not.
 const frameCorrupt = 0xFF
 
 // appendFrame encodes one frame with a byte payload:
@@ -1221,32 +1379,82 @@ func appendDataFrame(dst []byte, dir byte, seq, ack uint32, payload []amba.Word)
 	return le32(dst, byteSum(dst[start:]))
 }
 
-// readFrame reads one frame off the stream. A checksum mismatch
-// returns kind frameCorrupt with no error: the stream framing is
-// intact, only the frame content is untrusted. Framing-level damage
-// (absurd length) returns an error, killing the connection.
-func readFrame(r io.Reader) (kind, dir byte, seq, ack uint32, payload []byte, err error) {
-	var head [4]byte
-	if _, err = io.ReadFull(r, head[:]); err != nil {
-		return 0, 0, 0, 0, nil, err
+// frameReader cuts frames out of one connection's byte stream. It owns
+// its buffer, so a read cut short by a deadline kick keeps every byte
+// received so far, and the next call resumes the same frame.
+type frameReader struct {
+	src  io.Reader
+	buf  []byte
+	r, w int // unread bytes are buf[r:w]
+	// exact reads no byte past the current frame, for the handshake,
+	// after which the connection passes to the transport's own reader.
+	exact bool
+}
+
+func newFrameReader(src io.Reader) *frameReader {
+	return &frameReader{src: src, buf: make([]byte, readBufBytes)}
+}
+
+// next returns the body of the next frame (kind through checksum),
+// valid until the following call. A read error returns with any
+// partial frame kept. A length prefix outside the protocol bounds is
+// stream damage beyond resync and returns an error, killing the
+// connection.
+func (fr *frameReader) next() ([]byte, error) {
+	need := 4
+	for {
+		if avail := fr.w - fr.r; avail >= 4 {
+			n := int(getLE32(fr.buf[fr.r:]))
+			if n < frameHeadBytes+frameSumBytes || n > maxFrameBytes {
+				return nil, fmt.Errorf("tcpchan: frame length %d out of range", n)
+			}
+			if avail >= 4+n {
+				body := fr.buf[fr.r+4 : fr.r+4+n]
+				fr.r += 4 + n
+				return body, nil
+			}
+			need = 4 + n
+		}
+		fr.reserve(need)
+		end := len(fr.buf)
+		if fr.exact {
+			end = fr.r + need
+		}
+		m, err := fr.src.Read(fr.buf[fr.w:end])
+		fr.w += m
+		if m == 0 && err != nil {
+			return nil, err
+		}
 	}
-	n := int(getLE32(head[:]))
-	if n < frameHeadBytes+frameSumBytes || n > maxFrameBytes {
-		return 0, 0, 0, 0, nil, fmt.Errorf("tcpchan: frame length %d out of range", n)
+}
+
+// reserve makes room for need bytes from the read position, moving the
+// unread bytes to the front of the buffer (or into a larger one).
+func (fr *frameReader) reserve(need int) {
+	if fr.r == fr.w {
+		fr.r, fr.w = 0, 0
 	}
-	body := make([]byte, n)
-	if _, err = io.ReadFull(r, body); err != nil {
-		return 0, 0, 0, 0, nil, err
+	if fr.r+need <= len(fr.buf) {
+		return
 	}
-	sum := getLE32(body[n-frameSumBytes:])
-	if byteSum(body[:n-frameSumBytes]) != sum {
-		return frameCorrupt, 0, 0, 0, nil, nil
+	buf := fr.buf
+	if need > len(buf) {
+		buf = make([]byte, need)
 	}
-	kind, dir = body[0], body[1]
-	seq = getLE32(body[4:])
-	ack = getLE32(body[8:])
-	payload = body[frameHeadBytes : n-frameSumBytes]
-	return kind, dir, seq, ack, payload, nil
+	fr.w = copy(buf, fr.buf[fr.r:fr.w])
+	fr.r = 0
+	fr.buf = buf
+}
+
+// decodeFrame splits a frame body from frameReader.next. A checksum
+// mismatch returns kind frameCorrupt: the stream framing is intact,
+// only the frame content is untrusted.
+func decodeFrame(body []byte) (kind, dir byte, seq, ack uint32, payload []byte) {
+	n := len(body)
+	if byteSum(body[:n-frameSumBytes]) != getLE32(body[n-frameSumBytes:]) {
+		return frameCorrupt, 0, 0, 0, nil
+	}
+	return body[0], body[1], getLE32(body[4:]), getLE32(body[8:]), body[frameHeadBytes : n-frameSumBytes]
 }
 
 // byteSum is FNV-1a with the channel.FrameSum constants, over bytes.

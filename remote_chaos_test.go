@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -139,8 +140,20 @@ func TestChaosRemoteKillMidRunBitIdentical(t *testing.T) {
 
 	res, err := remote.Pair(context.Background(), v,
 		remote.RunOptions{OnTransport: func(tr *tcpchan.Transport) {
-			time.AfterFunc(3*time.Millisecond, tr.Kill)
-			time.AfterFunc(9*time.Millisecond, tr.Kill)
+			// Kill by frame progress, not by wall clock: the capped run
+			// sends about 445 frames, and a fast link finishes it before
+			// a timer (which can fire milliseconds late on a busy host)
+			// would land. The poll yields instead of sleeping for the
+			// same reason.
+			go func() {
+				deadline := time.Now().Add(10 * time.Second)
+				for _, at := range []int64{100, 300} {
+					for tr.Stats().Sent < at && time.Now().Before(deadline) {
+						runtime.Gosched()
+					}
+					tr.Kill()
+				}
+			}()
 		}},
 		remote.ServeOptions{})
 	if err != nil {
