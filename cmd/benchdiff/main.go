@@ -13,20 +13,10 @@
 //
 //	benchdiff -update -baseline BENCH_baseline.json bench.out
 //
-// rewrites the baseline from the given output instead of comparing
-// (the baseline's scaling rules are preserved).
+// rewrites the baseline from the given output instead of comparing.
 //
-// Besides the absolute comparison, the baseline may carry "scaling"
-// rules — intra-run ratio gates of the form
-// current[bench] >= floor * current[base]. Both sides come from the
-// same run, so the rules assert machine-independent properties like
-// parallel speedup (a workers=4 benchmark beating its workers=1
-// sibling). -scaling=false skips them, e.g. on a single-core host
-// where no speedup is possible.
-//
-// Exit status: 0 on success, 1 on regressions, baseline benchmarks
-// missing from the current run, or failed scaling rules; 2 on
-// usage/parse errors.
+// Exit status: 0 on success, 1 on regressions or baseline benchmarks
+// missing from the current run; 2 on usage/parse errors.
 package main
 
 import (
@@ -49,30 +39,12 @@ type Results struct {
 	// Benchmarks maps the benchmark name (without the "Benchmark"
 	// prefix and the -procs suffix) to its best observed metric value.
 	Benchmarks map[string]float64 `json:"benchmarks"`
-	// Scaling holds intra-run ratio assertions: each rule requires the
-	// CURRENT run's Bench value to reach at least Floor times the
-	// CURRENT run's Base value. Unlike the baseline comparison, both
-	// sides come from the same run on the same machine, so the rules
-	// gate relative properties (e.g. parallel speedup) that absolute
-	// baselines cannot: a workers=4 benchmark must beat its workers=1
-	// sibling by the floor wherever the gate runs, regardless of how
-	// fast the machine is. Rules ride in the baseline file and are
-	// preserved by -update.
-	Scaling []ScalingRule `json:"scaling,omitempty"`
 	// Comparison is only present in -out files: the per-benchmark
 	// verdicts against the baseline.
 	Comparison []Verdict `json:"comparison,omitempty"`
 	// MaxRegress is only present in -out files: the allowed fractional
 	// regression the run was gated on.
 	MaxRegress float64 `json:"max_regress,omitempty"`
-}
-
-// ScalingRule is one intra-run ratio gate: current[Bench] must be at
-// least current[Base] * Floor.
-type ScalingRule struct {
-	Bench string  `json:"bench"`
-	Base  string  `json:"base"`
-	Floor float64 `json:"floor"`
 }
 
 // Verdict is one benchmark's comparison against the baseline.
@@ -92,7 +64,6 @@ func main() {
 	metric := flag.String("metric", "target-cyc/s", "bench metric unit to extract")
 	maxRegress := flag.Float64("max-regress", 0.10, "allowed fractional regression before failing")
 	update := flag.Bool("update", false, "rewrite -baseline from the parsed output instead of comparing")
-	scaling := flag.Bool("scaling", true, "evaluate the baseline's intra-run scaling rules (disable on single-core hosts)")
 	flag.Parse()
 
 	if flag.NArg() > 1 {
@@ -119,11 +90,6 @@ func main() {
 	if *update {
 		if *baseline == "" {
 			fatalf(2, "-update requires -baseline")
-		}
-		// Re-baselining refreshes the measured values; the scaling rules
-		// are policy, not measurement, and carry over unchanged.
-		if prev, err := readResults(*baseline); err == nil {
-			current.Scaling = prev.Scaling
 		}
 		if err := writeResults(*baseline, current); err != nil {
 			fatalf(2, "%v", err)
@@ -170,49 +136,11 @@ func main() {
 		fmt.Printf("%-60s missing from the current run\n", name)
 		failed = true
 	}
-	if *scaling {
-		for _, rule := range base.Scaling {
-			ok, msg := checkScaling(rule, current.Benchmarks)
-			fmt.Println(msg)
-			if !ok {
-				failed = true
-			}
-		}
-	} else if len(base.Scaling) > 0 {
-		fmt.Printf("scaling rules skipped (-scaling=false): %d rules not evaluated\n", len(base.Scaling))
-	}
 	if failed {
 		fatalf(1, "benchmark gate failed (allowed regression %.0f%%)", *maxRegress*100)
 	}
 	fmt.Printf("benchmark gate passed: %d benchmarks within %.0f%% of baseline (%d new)\n",
 		len(verdicts), *maxRegress*100, len(news))
-}
-
-// checkScaling evaluates one intra-run ratio rule. A rule whose
-// benchmarks are absent from the current run fails — like a missing
-// baseline benchmark, a scaling gate that silently stops measuring is
-// no gate.
-func checkScaling(rule ScalingRule, current map[string]float64) (bool, string) {
-	bench, okB := current[rule.Bench]
-	base, okA := current[rule.Base]
-	switch {
-	case !okB || !okA:
-		which := rule.Bench
-		if okB {
-			which = rule.Base
-		}
-		return false, fmt.Sprintf("scaling %s >= %.2fx %-30s SKIPPED: %s missing from the current run",
-			rule.Bench, rule.Floor, rule.Base, which)
-	case base <= 0:
-		return false, fmt.Sprintf("scaling %s >= %.2fx %-30s FAILED: base value %.0f", rule.Bench, rule.Floor, rule.Base, base)
-	}
-	ratio := bench / base
-	if ratio < rule.Floor {
-		return false, fmt.Sprintf("scaling %-40s %.3fx of %s  (floor %.2fx) FAILED",
-			rule.Bench, ratio, rule.Base, rule.Floor)
-	}
-	return true, fmt.Sprintf("scaling %-40s %.3fx of %s  (floor %.2fx) ok",
-		rule.Bench, ratio, rule.Base, rule.Floor)
 }
 
 // parseBench extracts the chosen metric from `go test -bench` output,

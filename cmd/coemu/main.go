@@ -59,7 +59,6 @@ func main() {
 	predictIdle := flag.Bool("predict-idle", false, "extension: predict idle continuation of remote masters")
 	predictStarts := flag.Bool("predict-starts", false, "extension: predict burst starts by stride")
 	adaptive := flag.Bool("adaptive", false, "extension: adaptive conservative fallback governor")
-	workers := flag.Int("workers", 0, "engine worker goroutines (0 = spec/default, 1 = sequential; reports are bit-identical at any width)")
 	specPath := flag.String("spec", "", "run a declarative JSON spec file (ignores the scenario flags)")
 	remoteDomain := flag.String("remote-domain", "", "dial a `coemud -domain-serve` accelerator-domain host at this TCP address and run -spec cross-process")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event file (Perfetto-loadable) of the run's protocol events")
@@ -117,9 +116,6 @@ func main() {
 			os.Exit(2)
 		}
 		cfg.Tracer = rec
-		if *workers > 0 {
-			cfg.Workers = *workers
-		}
 		rep, err := coemu.Run(d, cfg, s.Run.Cycles)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -164,7 +160,6 @@ func main() {
 		PredictIdle:  *predictIdle, PredictBurstStarts: *predictStarts,
 		Adaptive: *adaptive,
 		Tracer:   rec,
-		Workers:  *workers,
 	}
 	rep, err := coemu.Run(design, cfg, *cycles)
 	if err != nil {

@@ -178,16 +178,6 @@ type Bus struct {
 	// construction; recomputing it per cycle showed in profiles).
 	localReq uint32
 
-	// lane, when non-nil, fans the Evaluate master-drive loop out
-	// across the lane and the calling goroutine (SetEvalLane). laneIdx
-	// and inlineIdx partition the local master indices between the
-	// two; laneTask is the prebuilt lane closure so the per-cycle
-	// dispatch never allocates.
-	lane      EvalLane
-	laneIdx   []int
-	inlineIdx []int
-	laneTask  func()
-
 	// saved/clean implement compare-on-save dirty tracking
 	// (rollback.DeltaSnapshotter); busState is a small value struct.
 	saved busState
@@ -360,57 +350,6 @@ func (b *Bus) Arbitrate(req uint32) int {
 	return b.st.Grant // every master split-masked: bus idles
 }
 
-// EvalLane is a worker lane the bus fans its Evaluate master-drive
-// loop out to: Dispatch hands the lane a task, Wait joins it. The
-// caller of Evaluate owns the lane for the duration of the call (the
-// engine's worker pool provides one dedicated lane per bus).
-type EvalLane interface {
-	Dispatch(fn func())
-	Wait()
-}
-
-// SetEvalLane installs (nil removes) a worker lane for the Evaluate
-// master-drive fan-out. Master Drive calls touch only that master's
-// own state, so they may run concurrently; the request-bit merge stays
-// on the calling goroutine in master-index order after the join, so
-// the evaluated contribution is byte-stable regardless of completion
-// order. With fewer than two local masters the lane is ignored — there
-// is nothing to overlap.
-func (b *Bus) SetEvalLane(l EvalLane) {
-	b.lane = nil
-	b.laneTask = nil
-	b.laneIdx = b.laneIdx[:0]
-	b.inlineIdx = b.inlineIdx[:0]
-	if l == nil {
-		return
-	}
-	local := 0
-	for i, m := range b.masters {
-		if m == nil {
-			continue
-		}
-		// Interleave the split so heterogeneous masters spread across
-		// both sides instead of clustering on one.
-		if local%2 == 1 {
-			b.laneIdx = append(b.laneIdx, i)
-		} else {
-			b.inlineIdx = append(b.inlineIdx, i)
-		}
-		local++
-	}
-	if local < 2 {
-		b.laneIdx = b.laneIdx[:0]
-		b.inlineIdx = b.inlineIdx[:0]
-		return
-	}
-	b.lane = l
-	b.laneTask = func() {
-		for _, i := range b.laneIdx {
-			b.drives[i] = b.masters[i].Drive()
-		}
-	}
-}
-
 // Evaluate computes everything this bus's local components drive in the
 // upcoming cycle and returns it as a partial MSABS contribution. It must
 // be followed by exactly one Commit. Calling Evaluate twice without a
@@ -441,31 +380,13 @@ func (b *Bus) EvaluateInto(dst *amba.PartialState) {
 	local := &b.eval.local
 	*local = amba.PartialState{ReqMask: b.localReq, IRQMask: b.irqMask}
 
-	if b.lane != nil {
-		// Fan the drive loop out: the lane runs its half of the local
-		// masters while this goroutine runs the other. Each Drive
-		// writes only its own drives slot and its own master's state;
-		// the deterministic request-bit merge below happens after the
-		// join, in master-index order.
-		b.lane.Dispatch(b.laneTask)
-		for _, i := range b.inlineIdx {
-			drives[i] = b.masters[i].Drive()
+	for i, m := range b.masters {
+		if m == nil {
+			continue
 		}
-		b.lane.Wait()
-		for i := range drives {
-			if drives[i].Req {
-				local.Req |= 1 << uint(i)
-			}
-		}
-	} else {
-		for i, m := range b.masters {
-			if m == nil {
-				continue
-			}
-			drives[i] = m.Drive()
-			if drives[i].Req {
-				local.Req |= 1 << uint(i)
-			}
+		drives[i] = m.Drive()
+		if drives[i].Req {
+			local.Req |= 1 << uint(i)
 		}
 	}
 

@@ -75,69 +75,6 @@ func allocDesign() Design {
 	}
 }
 
-// TestParallelPathsAllocFree extends the zero-alloc guard to the
-// Workers>1 steady state: the parallel conservative cycle, the
-// pipelined run-ahead/follow-up transition with its worker-side
-// quiescence batches, and (at Workers>=4) the per-bus master-drive
-// fan-out. AllocsPerRun counts mallocs across all goroutines, so the
-// worker lanes are held to the same zero as the coordinator.
-func TestParallelPathsAllocFree(t *testing.T) {
-	for _, workers := range []int{2, 4} {
-		for _, mode := range []Mode{ALS, Conservative} {
-			t.Run(fmt.Sprintf("workers=%d/%v", workers, mode), func(t *testing.T) {
-				d := allocDesign()
-				d.Masters[0].NewGen = func() ip.Generator {
-					return workload.NewStream(workload.Window{Lo: 0, Hi: 0x4000}, true,
-						amba.BurstIncr8, amba.Size32, 0, 48, 0)
-				}
-				// A second accelerator-side master gives that bus two
-				// local masters, so Workers>=4 really exercises the
-				// drive fan-out lanes.
-				d.Masters = append(d.Masters, MasterSpec{
-					Name:   "dma2",
-					Domain: AccDomain,
-					NewGen: func() ip.Generator { return &zeroStream{lo: 0x4000, hi: 0x8000, cursor: 0x4000} },
-				})
-				e, err := NewEngine(d, Config{Mode: mode, Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				e.done = ctx.Done()
-				e.startWorkers()
-				defer e.stopWorkers()
-				step := func() {
-					leader, decl := e.pickLeader()
-					e.recordDeclines(decl, 1)
-					if leader == nil {
-						if err := e.conservativeCycle(); err != nil {
-							t.Fatal(err)
-						}
-						if err := e.batchConservative(1<<30, decl); err != nil {
-							t.Fatal(err)
-						}
-						return
-					}
-					if _, err := e.transition(leader, 1<<30); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for i := 0; i < 500; i++ {
-					step()
-				}
-				if mode == ALS && e.stats.Transitions == 0 {
-					t.Fatal("no transitions; the pipelined path never ran")
-				}
-				allocs := testing.AllocsPerRun(20, step)
-				if allocs != 0 {
-					t.Fatalf("parallel %v step with %d workers allocated %.1f objects, want 0", mode, workers, allocs)
-				}
-			})
-		}
-	}
-}
-
 func TestConservativeCycleAllocFree(t *testing.T) {
 	e, err := NewEngine(allocDesign(), Config{Mode: Conservative})
 	if err != nil {

@@ -11,11 +11,8 @@
 // one by one (cost linear in the variable count). Both cost models come
 // from fitting the paper's Table 2 and SLA figures; see DESIGN.md §5.
 //
-// Registries are not safe for concurrent use, and the engine's parallel
-// cycle loop (core.Config.Workers) never needs them to be: each domain
-// owns its registry exclusively, and the coordinating goroutine joins
-// every worker lane before a Save, Restore or roll-forth touches one —
-// the join is the rollback fence (see core/parallel.go).
+// Registries are not safe for concurrent use: each domain owns its
+// registry exclusively, and the engine drives it from one goroutine.
 package rollback
 
 import (

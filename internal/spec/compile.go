@@ -62,7 +62,6 @@ func (s *Spec) Compile() (core.Design, core.Config, error) {
 		RollbackVars:           n.Run.RollbackVars,
 		CycleBatch:             n.Run.CycleBatch,
 		DeltaCadence:           n.Run.DeltaCadence,
-		Workers:                n.Run.Workers,
 		PredictIdle:            n.Run.PredictIdle,
 		PredictBurstStarts:     n.Run.PredictBurstStarts,
 		Adaptive:               n.Run.Adaptive,

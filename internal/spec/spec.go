@@ -179,11 +179,10 @@ type Run struct {
 	// bit-identical for every setting). 0 selects the engine default
 	// (16); 1 forces full snapshots every transition.
 	DeltaCadence int `json:"delta_cadence,omitempty"`
-	// Workers sets the engine's host parallelism (goroutines in the
-	// cycle loop; host-side fast path; reports are bit-identical for
-	// every setting, pinned by the workers differential suite). 0 and
-	// 1 both run sequentially. Excluded from the canonical hash like
-	// CycleBatch/DeltaCadence.
+	// Workers is accepted and ignored: the engine is sequential. It
+	// stays in the schema for one release so existing specs and sweep
+	// documents still parse under strict decoding, and will then be
+	// removed. Negative values are still rejected.
 	Workers int `json:"workers,omitempty"`
 
 	PredictIdle        bool    `json:"predict_idle,omitempty"`
@@ -481,10 +480,7 @@ func (s *Spec) CanonicalHash() (string, error) {
 	// from before the knob existed.
 	n.Run.CycleBatch = core.DefaultCycleBatch
 	n.Run.DeltaCadence = 0
-	// Workers parallelizes the host cycle loop; reports are
-	// bit-identical at every width (pinned by the workers differential
-	// suite), so it hashes as absent (zero + omitempty) and canonical
-	// hashes are unchanged from before the knob existed.
+	// Workers is ignored, so it hashes as absent (zero + omitempty).
 	n.Run.Workers = 0
 	// Timeout and FaultPlan are host-side too: a deadline bounds host
 	// execution without touching modeled results, and fault injection

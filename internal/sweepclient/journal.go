@@ -14,7 +14,10 @@ package sweepclient
 // crash loses at most the record being written. A torn final record —
 // the half-line a kill mid-append leaves — is detected on open and
 // truncated away, and its point simply re-runs; the journal never
-// invents a completion.
+// invents a completion. A tail is only treated as torn when the file
+// is provably a journal: an intact record precedes it, or it is a
+// byte-prefix of a record line. Anything else is a foreign file and is
+// left untouched.
 
 import (
 	"bytes"
@@ -40,9 +43,9 @@ type journalRecord struct {
 
 // OpenJournal opens (creating if needed) a journal file and loads the
 // hashes it already holds. A torn trailing record from a crashed
-// writer is truncated away; any other malformed content is an error —
-// the file is probably not a journal, and appending to it would
-// destroy whatever it is.
+// writer is truncated away; any other malformed content is an error
+// that leaves the file as it was — the file is probably not a journal,
+// and appending to it would destroy whatever it is.
 func OpenJournal(path string) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -102,6 +105,12 @@ func (j *Journal) load() (int64, error) {
 		j.seen[rec.Hash] = struct{}{}
 		good = end
 	}
+	// Drop a torn tail only when it is provably crash debris: a record
+	// was intact before it, or it is the start of a record line. A lone
+	// line of anything else is a foreign file, not a torn journal.
+	if good < int64(len(data)) && len(j.seen) == 0 && !recordPrefix(data[good:]) {
+		return 0, fmt.Errorf("sweepclient: %s does not look like a resume journal (bad record at byte %d)", j.path, good)
+	}
 	return good, nil
 }
 
@@ -159,10 +168,39 @@ func validHash(h string) bool {
 		return false
 	}
 	for i := 0; i < len(h); i++ {
-		c := h[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+		if !isLowerHex(h[i]) {
 			return false
 		}
 	}
 	return true
+}
+
+// recordPrefix reports whether b is a byte-prefix of a record line as
+// Record writes it: {"hash":"<64 lowercase hex digits>"} and a newline.
+func recordPrefix(b []byte) bool {
+	const head, tail = `{"hash":"`, "\"}\n"
+	if len(b) > len(head)+64+len(tail) {
+		return false
+	}
+	for i, c := range b {
+		switch {
+		case i < len(head):
+			if c != head[i] {
+				return false
+			}
+		case i < len(head)+64:
+			if !isLowerHex(c) {
+				return false
+			}
+		default:
+			if c != tail[i-len(head)-64] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func isLowerHex(c byte) bool {
+	return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')
 }
