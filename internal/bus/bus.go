@@ -135,9 +135,8 @@ type busState struct {
 
 // evalState holds the outputs of Evaluate until the matching Commit.
 type evalState struct {
-	valid  bool
-	drives []MasterDrive
-	local  amba.PartialState
+	valid bool
+	local amba.PartialState
 }
 
 // Bus is a single AHB layer. Construct with New, attach components with
@@ -425,7 +424,6 @@ func (b *Bus) EvaluateInto(dst *amba.PartialState) {
 	local.Split &= local.SplitMask
 
 	b.eval.valid = true
-	b.eval.drives = drives
 	*dst = *local
 }
 
@@ -460,7 +458,6 @@ func (b *Bus) CommitFrom(remote *amba.PartialState) *StepResult {
 	if !b.eval.valid {
 		panic(fmt.Sprintf("bus %s: Commit without Evaluate", b.name))
 	}
-	drives := b.eval.drives
 	b.eval.valid = false
 
 	res := &b.res
@@ -534,7 +531,6 @@ func (b *Bus) CommitFrom(remote *amba.PartialState) *StepResult {
 	if dp.Valid && dp.Slave != DefaultSlaveIndex && b.slaves[dp.Slave] != nil {
 		b.slaves[dp.Slave].Commit(reply.Ready)
 	}
-	_ = drives
 	return res
 }
 

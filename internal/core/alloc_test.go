@@ -13,15 +13,12 @@ import (
 
 // Allocation-regression guards for the engine hot path. The steady-state
 // cycle loop — bus evaluate/commit, channel pack/send/recv/unpack, LOB
-// deposit and flush, and the once-per-transition rollback store — must
-// not allocate: every buffer is engine-, bus-, channel- or
-// registry-owned scratch reused across cycles. These tests pin that
-// property so it cannot silently rot.
-//
-// The only allocations tolerated are amortized container growth that is
-// not on the per-cycle path: the master's append-only beat log doubles
-// its capacity O(log n) times per run. The warm-up loops below grow
-// those containers past what the measured window needs, so the asserted
+// deposit and flush, and the once-per-transition rollback store and
+// restore — must not allocate: every buffer is engine-, bus-, channel-,
+// component- or registry-owned scratch reused across cycles. These
+// tests pin that property so it cannot silently rot. The warm-up loops
+// below fill every reusable buffer (snapshot ring slots, page stashes,
+// generator data pools) before the measured window, so the asserted
 // bound is exactly zero.
 
 // zeroStream is a write-burst generator with no per-transfer heap state:
@@ -267,5 +264,102 @@ func TestALSTransitionAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, transition)
 	if allocs != 0 {
 		t.Fatalf("clean ALS transition allocated %.1f objects, want 0", allocs)
+	}
+}
+
+// touched returns a memory slave whose pages in [lo, hi) already exist,
+// so lazily allocated pages stay out of a measured window.
+func touched(m *ip.Memory, lo, hi amba.Addr) *ip.Memory {
+	for a := lo; a < hi; a += 0x1000 {
+		m.PokeWord(a, 0)
+	}
+	return m
+}
+
+// multimasterAllocDesign is the auto-mode multimaster topology of
+// examples/multimaster in compact windows: a write stream, a DMA copy
+// engine, a scratchpad and an IRQ timer on the accelerator; a CPU
+// generator and a waited DRAM on the simulator. Either domain leads, so
+// the rb_stores and rb_restores cover a CPU generator, a DMA, an IRQ
+// peripheral, Memory slaves and the predictors' remote wait models.
+func multimasterAllocDesign() Design {
+	return Design{
+		Masters: []MasterSpec{
+			{Name: "vdma", Domain: AccDomain, NewGen: func() ip.Generator {
+				return workload.NewStream(workload.Window{Lo: 0, Hi: 0x2000}, true,
+					amba.BurstIncr8, amba.Size32, 0, 4, 0)
+			}},
+			{Name: "cpu", Domain: SimDomain, NewGen: func() ip.Generator {
+				return workload.NewCPU([]workload.Window{{Lo: 0, Hi: 0x2000}, {Lo: 0x10000, Hi: 0x11000}},
+					0.6, 5, 0, 2024)
+			}},
+			{Name: "pdma", Domain: AccDomain, NewGen: func() ip.Generator {
+				return workload.NewDMACopy(workload.Window{Lo: 0, Hi: 0x1000},
+					workload.Window{Lo: 0x10000, Hi: 0x11000}, amba.BurstIncr4, 6, 0)
+			}},
+		},
+		Slaves: []SlaveSpec{
+			{Name: "dram", Domain: SimDomain, Region: bus.Region{Lo: 0, Hi: 0x10000},
+				New:       func() bus.Slave { return touched(ip.NewMemory("dram", 2, 1), 0, 0x2000) },
+				WaitFirst: 2, WaitNext: 1},
+			{Name: "spm", Domain: AccDomain, Region: bus.Region{Lo: 0x10000, Hi: 0x14000},
+				New: func() bus.Slave { return touched(ip.NewSRAM("spm"), 0x10000, 0x11000) }},
+			{Name: "timer", Domain: AccDomain, Region: bus.Region{Lo: 0x20000, Hi: 0x20100},
+				New:     func() bus.Slave { return ip.NewIRQPeriph("timer", 0x1) },
+				IRQMask: 0x1, WaitFirst: 1, WaitNext: 1},
+		},
+	}
+}
+
+// TestMultimasterAutoAllocFree pins the zero-alloc property on the
+// auto-mode multimaster topology, the rollback-heaviest built-in
+// design: once warm, a window of transitions that stores, restores and
+// rolls forth in both domains allocates nothing.
+func TestMultimasterAutoAllocFree(t *testing.T) {
+	e, err := NewEngine(multimasterAllocDesign(), Config{Mode: Auto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e.done = ctx.Done()
+	step := func() {
+		leader, decl := e.pickLeader()
+		e.recordDeclines(decl, 1)
+		if leader == nil {
+			if err := e.conservativeCycle(); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.batchConservative(1<<30, decl); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		if _, err := e.transition(leader, 1<<30); err != nil {
+			t.Fatal(err)
+		}
+	}
+	window := func() {
+		for i := 0; i < 50; i++ {
+			step()
+		}
+	}
+	for i := 0; i < 4000; i++ {
+		step()
+	}
+	before := e.stats
+	allocs := testing.AllocsPerRun(10, window)
+	st := e.stats
+	for id, led := range st.TransitionsByLead {
+		if led == before.TransitionsByLead[id] {
+			t.Fatalf("%v never led in the measured window; the guard would prove nothing", DomainID(id))
+		}
+	}
+	if st.Stores == before.Stores || st.Restores == before.Restores {
+		t.Fatalf("measured window stored %d and restored %d times; the guard needs both",
+			st.Stores-before.Stores, st.Restores-before.Restores)
+	}
+	if allocs != 0 {
+		t.Fatalf("multimaster auto window allocated %.1f objects, want 0", allocs)
 	}
 }

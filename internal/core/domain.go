@@ -8,6 +8,7 @@ import (
 	"coemu/internal/amba"
 	"coemu/internal/bus"
 	"coemu/internal/ip"
+	"coemu/internal/predict"
 	"coemu/internal/rollback"
 	"coemu/internal/sim"
 	"coemu/internal/vclock"
@@ -34,6 +35,13 @@ type Domain struct {
 
 	evaluated bool
 
+	// leads reports whether the engine's mode ever lets this domain
+	// lead a transition. A domain that never leads never has its
+	// predictions consumed, so its predictor stays frozen: CommitFrom
+	// and AdvanceQuiescent skip the per-cycle observation bookkeeping,
+	// and PredictionStableCycles places no bound.
+	leads bool
+
 	// snap is the domain's reusable transition snapshot. The engine
 	// keeps at most one snapshot live per domain (rb_store at the start
 	// of each transition, rb_restore at most once before the next
@@ -43,13 +51,15 @@ type Domain struct {
 
 // buildDomain constructs one half of the split system. deltaCadence
 // configures the registry's incremental snapshot ring (1 = full saves
-// every transition, the pre-delta behavior).
-func buildDomain(d Design, id DomainID, cycleCost time.Duration, costModel rollback.CostModel, opts predictorOptions, deltaCadence int) *Domain {
+// every transition, the pre-delta behavior); leads reports whether the
+// engine's mode ever lets the domain lead.
+func buildDomain(d Design, id DomainID, cycleCost time.Duration, costModel rollback.CostModel, opts predictorOptions, deltaCadence int, leads bool) *Domain {
 	dom := &Domain{
 		id:        id,
 		bus:       bus.New(id.String()),
 		cycleCost: cycleCost,
 		costModel: costModel,
+		leads:     leads,
 	}
 	dom.reg.SetDeltaCadence(deltaCadence)
 	if id == SimDomain {
@@ -162,8 +172,8 @@ func (d *Domain) EvaluateInto(ledger *vclock.Ledger, dst *amba.PartialState) {
 
 // Commit completes the cycle with the given remote contribution (real or
 // predicted), ticks the domain's clocked components, advances the
-// predictor's observation stream, and returns the full merged MSABS
-// record.
+// predictor's observation stream (in a domain that may lead), and
+// returns the full merged MSABS record.
 func (d *Domain) Commit(remote amba.PartialState) amba.CycleState {
 	return *d.CommitFrom(&remote)
 }
@@ -176,19 +186,25 @@ func (d *Domain) CommitFrom(remote *amba.PartialState) *amba.CycleState {
 		panic(fmt.Sprintf("core: domain %s: Commit without Evaluate", d.id))
 	}
 	d.evaluated = false
-	d.pred.StashDataPhase()
+	if d.leads {
+		d.pred.StashDataPhase()
+	}
 	res := d.bus.CommitFrom(remote)
 	cycle := d.clock.Advance()
 	for _, t := range d.tickers {
 		t.Tick(cycle)
 	}
-	d.pred.Observe(&res.State, remote)
+	if d.leads {
+		d.pred.Observe(&res.State, remote)
+	}
 	return &res.State
 }
 
 // Predict returns the predicted remote contribution for the upcoming
 // cycle, or the reason no prediction is possible. Predict is legal both
-// before and after Evaluate: it touches only registered bus state.
+// before and after Evaluate: it touches only registered bus state. A
+// domain that never leads observes nothing, so its predictions rest on
+// no history.
 func (d *Domain) Predict() (amba.PartialState, DeclineReason) {
 	return d.pred.Predict()
 }
@@ -275,8 +291,13 @@ func (d *Domain) QuiescentCycles() int64 {
 
 // PredictionStableCycles reports for how many upcoming cycles the
 // domain's remote predictor keeps its current Predict outcome, given
-// only idle observations (see remotePredictor.PredictStableFor).
+// only idle observations (see remotePredictor.PredictStableFor). A
+// domain that never leads is never asked for a prediction, so it
+// places no bound.
 func (d *Domain) PredictionStableCycles() int64 {
+	if !d.leads {
+		return predict.Unbounded
+	}
 	return d.pred.PredictStableFor()
 }
 
@@ -297,5 +318,7 @@ func (d *Domain) AdvanceQuiescent(ledger *vclock.Ledger, n int64) {
 	}
 	d.clock.AdvanceN(n)
 	d.bus.SkipQuiescent(n)
-	d.pred.SkipIdle(n)
+	if d.leads {
+		d.pred.SkipIdle(n)
+	}
 }

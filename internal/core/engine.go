@@ -82,6 +82,22 @@ func (m Mode) String() string {
 	}
 }
 
+// mayLead reports whether the mode ever lets domain id lead a
+// transition: the simulator under SLA, the accelerator under ALS,
+// either under Auto, and neither under Conservative.
+func (m Mode) mayLead(id DomainID) bool {
+	switch m {
+	case SLA:
+		return id == SimDomain
+	case ALS:
+		return id == AccDomain
+	case Auto:
+		return true
+	default:
+		return false
+	}
+}
+
 // Config parameterizes an engine run.
 type Config struct {
 	// Mode selects the synchronization scheme. Default Conservative.
@@ -337,10 +353,9 @@ type Engine struct {
 	// Scratch buffers reused across cycles and transitions so the
 	// steady-state loop is allocation-free. packBuf backs every outbound
 	// Pack (the channel copies payloads into its own pooled buffers, so
-	// one scratch serves all sends); preds and flushEnt are live only
-	// within a single transition.
+	// one scratch serves all sends); flushEnt is live only within a
+	// single transition.
 	packBuf  []amba.Word
-	preds    []amba.PartialState
 	flushEnt []Entry
 
 	// rxBuf holds the decoded payload of the most recent wire-codec
@@ -451,8 +466,8 @@ func NewEngine(d Design, cfg Config) (*Engine, error) {
 	simCyc := time.Duration(1e9 / cfg.SimSpeed)
 	accCyc := time.Duration(1e9 / cfg.AccSpeed)
 	opts := predictorOptions{Idle: cfg.PredictIdle, Starts: cfg.PredictBurstStarts}
-	e.domains[SimDomain] = buildDomain(d, SimDomain, simCyc, *cfg.SimCost, opts, cfg.DeltaCadence)
-	e.domains[AccDomain] = buildDomain(d, AccDomain, accCyc, *cfg.AccCost, opts, cfg.DeltaCadence)
+	e.domains[SimDomain] = buildDomain(d, SimDomain, simCyc, *cfg.SimCost, opts, cfg.DeltaCadence, cfg.Mode.mayLead(SimDomain))
+	e.domains[AccDomain] = buildDomain(d, AccDomain, accCyc, *cfg.AccCost, opts, cfg.DeltaCadence, cfg.Mode.mayLead(AccDomain))
 	if cfg.Accuracy < 1 {
 		e.inject = predict.NewFaultInjector(cfg.Accuracy, cfg.FaultSeed)
 	}
@@ -856,8 +871,6 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 	// stop — by then the cycle is already evaluated. The entry is
 	// reused across iterations (Push copies it into the buffer); only
 	// its size memo needs an explicit reset.
-	preds := e.preds[:0]
-	defer func() { e.preds = preds[:0] }()
 	var entry Entry
 	entry.HasPred = true
 	for {
@@ -882,7 +895,6 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 			break
 		}
 		e.lob.Push(&entry)
-		preds = append(preds, entry.Pred)
 		leader.CommitFrom(&entry.Pred)
 		e.stats.RunAheadCycles++
 
@@ -898,7 +910,6 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 			}
 			for k := int64(0); k < n; k++ {
 				e.lob.Push(&entry)
-				preds = append(preds, entry.Pred)
 			}
 			leader.AdvanceQuiescent(&e.ledger, n)
 			e.stats.RunAheadCycles += n
@@ -1035,8 +1046,9 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 		}
 
 		// RollBack (S-6) + Roll-Forth (F-path): restore, then replay to
-		// the lagger's progress point using recorded predictions (all
-		// correct before i) and the reported actual for cycle i.
+		// the lagger's progress point using the predictions recorded in
+		// the leader's own LOB (all correct before i) and the reported
+		// actual for cycle i.
 		leader.Rollback(&e.ledger, e.vars(leader), snap)
 		e.stats.Rollbacks++
 		e.stats.Restores++
@@ -1053,7 +1065,7 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 			}
 			remote := &actual
 			if r < i {
-				remote = &preds[r]
+				remote = &entries[r].Pred
 			}
 			leader.CommitFrom(remote)
 			e.stats.RollForthCycles++

@@ -110,3 +110,42 @@ func TestTrafficMasterQuiescentCycles(t *testing.T) {
 		t.Fatalf("exhausted generator: QuiescentCycles = %d, want forever", got)
 	}
 }
+
+// TestRegisterSlavesSaveInPlace pins the in-place snapshot protocol on
+// the IRQ peripheral and the error slave: SaveInto recycles its
+// previous buffer without allocating, and Restore rewinds every
+// register.
+func TestRegisterSlavesSaveInPlace(t *testing.T) {
+	p := NewIRQPeriph("p", 0x1)
+	p.WriteCommit(ctrlWrite(PeriphCtrl), 3)
+	p.WriteCommit(ctrlWrite(PeriphScratch), 0x55)
+	e := NewErrorSlave("e")
+	e.Respond(amba.AddrPhase{})
+	wantP, wantE := *p, *e
+	snapP, snapE := p.SaveInto(nil), e.SaveInto(nil)
+	allocs := testing.AllocsPerRun(10, func() {
+		snapP = p.SaveInto(snapP)
+		snapE = e.SaveInto(snapE)
+	})
+	if allocs != 0 {
+		t.Fatalf("recycled saves allocated %.1f objects, want 0", allocs)
+	}
+	for i := int64(0); i < 5; i++ {
+		p.Tick(i)
+	}
+	p.WriteCommit(ctrlWrite(PeriphScratch), 0xAA)
+	e.Commit(false)
+	e.Commit(true)
+	e.Respond(amba.AddrPhase{})
+	if *p == wantP || *e == wantE {
+		t.Fatal("the mutations did not move the slaves; the restore check would prove nothing")
+	}
+	p.Restore(snapP)
+	e.Restore(snapE)
+	if *p != wantP {
+		t.Fatalf("peripheral restored to %+v, want %+v", *p, wantP)
+	}
+	if *e != wantE {
+		t.Fatalf("error slave restored to %+v, want %+v", *e, wantE)
+	}
+}

@@ -98,3 +98,31 @@ func TestJournalModeOffKeepsValueSemantics(t *testing.T) {
 		t.Fatal("restore s2 failed")
 	}
 }
+
+// TestMemoryPageCacheDroppedOnFullCopyRestore pins the last-page cache
+// against the one path that deletes page pointers: a full-copy Restore
+// drops pages created after the save, so neither a read nor a write
+// may reach the deleted page the cache last held.
+func TestMemoryPageCacheDroppedOnFullCopyRestore(t *testing.T) {
+	m := NewSRAM("m")
+	m.PokeWord(0x100, 1)
+	snap := m.Save()
+	m.PokeWord(0x2100, 2) // a fresh page, now the cached one
+	m.Restore(snap)
+	if got := m.PeekWord(0x2100); got != 0 {
+		t.Fatalf("restored 0x2100 = %08x, want pristine 0", uint32(got))
+	}
+	m.PokeWord(0x2104, 3)
+	after := m.Save()
+	m.PokeWord(0x2104, 4)
+	m.Restore(after)
+	if got := m.PeekWord(0x2104); got != 3 {
+		t.Fatalf("0x2104 = %08x after a save/restore round trip, want 3", uint32(got))
+	}
+	if got := m.PeekWord(0x2100); got != 0 {
+		t.Fatalf("deleted page came back: 0x2100 = %08x", uint32(got))
+	}
+	if got := m.PeekWord(0x100); got != 1 {
+		t.Fatalf("0x100 = %08x, want 1", uint32(got))
+	}
+}

@@ -45,16 +45,6 @@ type Generator interface {
 	Next() (x Xfer, ok bool)
 }
 
-// BeatResult records one completed (or failed) beat, the master-side
-// ground truth used by data-integrity tests.
-type BeatResult struct {
-	Addr  amba.Addr
-	Write bool
-	Size  amba.Size
-	Data  amba.Word // low-bit normalized: write data sent or read data received
-	Resp  amba.Resp
-}
-
 // activeXfer is the in-flight transfer with its issue bookkeeping. Beat
 // addresses are derived on demand so the state is fully value-typed:
 // snapshots are plain struct copies with nothing to alias.
@@ -113,7 +103,6 @@ type masterState struct {
 	Masked    bool // split-masked: present IDLE until HSPLITx releases us
 	NeedNS    bool // next issued beat must be NONSEQ
 	Done      bool // generator exhausted
-	LogLen    int
 	Retries   int64
 	Errors    int64
 	BeatsDone int64
@@ -133,8 +122,7 @@ type TrafficMaster struct {
 	gen       Generator
 	busyEvery int
 
-	st  masterState
-	log []BeatResult
+	st masterState
 
 	// dirty tracks mutation since the last MarkClean
 	// (rollback.DeltaSnapshotter). Commit sets it unconditionally (it
@@ -164,9 +152,6 @@ func NewTrafficMaster(name string, gen Generator, busyEvery int) *TrafficMaster 
 
 // Name implements bus.Master.
 func (m *TrafficMaster) Name() string { return m.name }
-
-// Log returns the completed-beat log.
-func (m *TrafficMaster) Log() []BeatResult { return m.log }
 
 // Stats returns beats completed, retries absorbed and error responses.
 func (m *TrafficMaster) Stats() (beats, retries, errors int64) {
@@ -352,14 +337,12 @@ func (m *TrafficMaster) Commit(fb bus.MasterFeedback) {
 	if fb.OwnsData && completed >= 0 && cur.Valid {
 		switch fb.Resp {
 		case amba.RespOkay:
-			m.logBeat(completed, fb.RData, amba.RespOkay)
 			m.st.BeatsDone++
 			if completed == cur.Beats-1 {
 				m.finish()
 				newData = -1
 			}
 		case amba.RespError:
-			m.logBeat(completed, fb.RData, amba.RespError)
 			m.st.Errors++
 			m.finish()
 			newData = -1
@@ -393,23 +376,6 @@ func (m *TrafficMaster) finish() {
 	m.fetch()
 }
 
-// logBeat appends the result of beat i.
-func (m *TrafficMaster) logBeat(i int, rdata amba.Word, resp amba.Resp) {
-	cur := &m.st.Cur
-	a := cur.addr(i)
-	sz := cur.X.Size
-	var data amba.Word
-	if cur.X.Write {
-		if i < len(cur.X.Data) {
-			data = cur.X.Data[i] & (laneMask(0, sz))
-		}
-	} else {
-		data = ExtractLanes(rdata, a, sz) >> laneShift(a, sz)
-	}
-	m.log = append(m.log, BeatResult{Addr: a, Write: cur.X.Write, Size: sz, Data: data, Resp: resp})
-	m.st.LogLen = len(m.log)
-}
-
 // masterSnap freezes a TrafficMaster. masterState is fully value-typed
 // apart from Xfer.Data, which generators never mutate after handing the
 // transfer out, so a struct copy is a deep copy.
@@ -439,11 +405,6 @@ func (m *TrafficMaster) Restore(v any) {
 	}
 	m.st = s.St
 	m.dirty = true
-	// The log is append-only; rolling back means truncating to the
-	// recorded length.
-	if m.st.LogLen <= len(m.log) {
-		m.log = m.log[:m.st.LogLen]
-	}
 }
 
 // Dirty implements rollback.DeltaSnapshotter.

@@ -155,13 +155,22 @@ type periphSnap struct {
 }
 
 // Save implements rollback.Snapshotter.
-func (p *IRQPeriph) Save() any {
-	return periphSnap{Countdown: p.countdown, Pending: p.pending, Scratch: p.scratch, Raised: p.raised, WaitLeft: p.waitLeft}
+func (p *IRQPeriph) Save() any { return p.SaveInto(nil) }
+
+// SaveInto implements rollback.InPlaceSnapshotter, recycling prev when
+// it came from an earlier Save/SaveInto of a peripheral.
+func (p *IRQPeriph) SaveInto(prev any) any {
+	s, ok := prev.(*periphSnap)
+	if !ok {
+		s = new(periphSnap)
+	}
+	*s = periphSnap{Countdown: p.countdown, Pending: p.pending, Scratch: p.scratch, Raised: p.raised, WaitLeft: p.waitLeft}
+	return s
 }
 
 // Restore implements rollback.Snapshotter.
 func (p *IRQPeriph) Restore(v any) {
-	s, ok := v.(periphSnap)
+	s, ok := v.(*periphSnap)
 	if !ok {
 		panic(fmt.Sprintf("ip: periph %s: bad snapshot %T", p.name, v))
 	}

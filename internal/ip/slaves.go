@@ -45,7 +45,14 @@ type Memory struct {
 	firstWait int
 	nextWait  int
 
-	pages    map[amba.Addr]*memPage // key: addr >> pageShift
+	pages map[amba.Addr]*memPage // key: addr >> pageShift
+	// lastKey/lastPage cache the most recent page lookup: a burst or
+	// stream stays on one page for many beats in a row, so most beats
+	// skip the map. lastPage is nil when the cache is empty; every path
+	// that replaces or deletes a page pointer drops it.
+	lastKey  amba.Addr
+	lastPage *memPage
+
 	waitLeft int
 	inBurst  bool
 	reads    int64
@@ -123,11 +130,19 @@ func (s *Memory) Stats() (reads, writes int64) { return s.reads, s.writes }
 // pageFor returns the page containing a, lazily allocating it when
 // create is set (nil otherwise).
 func (s *Memory) pageFor(a amba.Addr, create bool) *memPage {
-	p := s.pages[a>>pageShift]
-	if p == nil && create {
-		p = new(memPage)
-		s.pages[a>>pageShift] = p
+	key := a >> pageShift
+	if s.lastPage != nil && s.lastKey == key {
+		return s.lastPage
 	}
+	p := s.pages[key]
+	if p == nil {
+		if !create {
+			return nil
+		}
+		p = new(memPage)
+		s.pages[key] = p
+	}
+	s.lastKey, s.lastPage = key, p
 	return p
 }
 
@@ -352,7 +367,9 @@ func (s *Memory) Restore(v any) {
 		}
 		s.recycleUndo()
 	} else {
+		// copyPages deletes pages created since the save.
 		copyPages(s.pages, snap.Mem)
+		s.lastPage = nil
 	}
 	s.waitLeft = snap.WaitLeft
 	s.inBurst = snap.InBurst
@@ -506,18 +523,34 @@ func (e *ErrorSlave) WriteCommit(amba.AddrPhase, amba.Word) {}
 // Commit implements bus.Slave.
 func (e *ErrorSlave) Commit(ready bool) { e.second = !ready }
 
+// errorSnap freezes an ErrorSlave.
+type errorSnap struct {
+	Second bool
+	Errors int64
+}
+
 // Save implements rollback.Snapshotter.
-func (e *ErrorSlave) Save() any { return *e }
+func (e *ErrorSlave) Save() any { return e.SaveInto(nil) }
+
+// SaveInto implements rollback.InPlaceSnapshotter, recycling prev when
+// it came from an earlier Save/SaveInto of an error slave.
+func (e *ErrorSlave) SaveInto(prev any) any {
+	s, ok := prev.(*errorSnap)
+	if !ok {
+		s = new(errorSnap)
+	}
+	*s = errorSnap{Second: e.second, Errors: e.errors}
+	return s
+}
 
 // Restore implements rollback.Snapshotter.
 func (e *ErrorSlave) Restore(v any) {
-	s, ok := v.(ErrorSlave)
+	s, ok := v.(*errorSnap)
 	if !ok {
 		panic(fmt.Sprintf("ip: error slave: bad snapshot %T", v))
 	}
-	name := e.name
-	*e = s
-	e.name = name
+	e.second = s.Second
+	e.errors = s.Errors
 }
 
 // RetryMemory wraps a Memory and issues a two-cycle RETRY for the first

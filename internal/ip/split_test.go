@@ -8,13 +8,15 @@ import (
 )
 
 // runSplit steps a bus whose slaves include SplitMemory instances,
-// ticking them each cycle (the engine/reference runner does the same).
-func runSplit(t *testing.T, b *bus.Bus, tickers []*SplitMemory, n int) []amba.CycleState {
+// ticking them each cycle (the engine/reference runner does the same),
+// and returns the cycle trace and the finished beats.
+func runSplit(t *testing.T, b *bus.Bus, tickers []*SplitMemory, n int) ([]amba.CycleState, beats) {
 	t.Helper()
 	var k amba.Checker
 	var trace []amba.CycleState
+	log := beats{}
 	for i := 0; i < n; i++ {
-		res := b.Step()
+		res := log.step(b)
 		for _, s := range tickers {
 			s.Tick(int64(i))
 		}
@@ -23,7 +25,7 @@ func runSplit(t *testing.T, b *bus.Bus, tickers []*SplitMemory, n int) []amba.Cy
 		}
 		trace = append(trace, res.State)
 	}
-	return trace
+	return trace, log
 }
 
 func TestSplitMemoryCompletesTransfer(t *testing.T) {
@@ -36,7 +38,7 @@ func TestSplitMemoryCompletesTransfer(t *testing.T) {
 	b.AddMaster(m)
 	b.MapSlave(mem, bus.Region{Lo: 0, Hi: 0x1000}, 0)
 
-	trace := runSplit(t, b, []*SplitMemory{mem}, 120)
+	trace, bl := runSplit(t, b, []*SplitMemory{mem}, 120)
 
 	if mem.Splits() == 0 {
 		t.Fatal("no SPLIT responses issued")
@@ -44,7 +46,7 @@ func TestSplitMemoryCompletesTransfer(t *testing.T) {
 	if !m.Idle() {
 		t.Fatal("master did not finish")
 	}
-	log := m.Log()
+	log := bl[0]
 	if len(log) != 8 {
 		t.Fatalf("%d beats, want 8", len(log))
 	}

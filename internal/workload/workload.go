@@ -152,15 +152,26 @@ func (s *Sequence) Next() (ip.Xfer, bool) {
 }
 
 // Save implements rollback.Snapshotter.
-func (s *Sequence) Save() any { return s.i }
+func (s *Sequence) Save() any { return s.SaveInto(nil) }
+
+// SaveInto implements rollback.InPlaceSnapshotter, recycling prev when
+// it came from an earlier Save/SaveInto of a sequence.
+func (s *Sequence) SaveInto(prev any) any {
+	i, ok := prev.(*int)
+	if !ok {
+		i = new(int)
+	}
+	*i = s.i
+	return i
+}
 
 // Restore implements rollback.Snapshotter.
 func (s *Sequence) Restore(v any) {
-	i, ok := v.(int)
+	i, ok := v.(*int)
 	if !ok {
 		panic(fmt.Sprintf("workload: sequence: bad snapshot %T", v))
 	}
-	s.i = i
+	s.i = *i
 }
 
 // Stream emits an endless (or bounded) run of same-direction bursts
@@ -463,14 +474,26 @@ type cpuSnap struct {
 }
 
 // Save implements rollback.Snapshotter.
-func (c *CPU) Save() any {
+func (c *CPU) Save() any { return c.SaveInto(nil) }
+
+// SaveInto implements rollback.InPlaceSnapshotter, recycling prev (and
+// the PRNG state boxed inside it) when it came from an earlier
+// Save/SaveInto of a CPU generator.
+func (c *CPU) SaveInto(prev any) any {
+	s, ok := prev.(*cpuSnap)
+	if !ok {
+		s = new(cpuSnap)
+	}
+	s.Rng = c.r.SaveInto(s.Rng)
+	s.Issued = c.issued
+	s.Beat = c.beat
 	c.pool.saved(c.issued)
-	return cpuSnap{Rng: c.r.Save(), Issued: c.issued, Beat: c.beat}
+	return s
 }
 
 // Restore implements rollback.Snapshotter.
 func (c *CPU) Restore(v any) {
-	s, ok := v.(cpuSnap)
+	s, ok := v.(*cpuSnap)
 	if !ok {
 		panic(fmt.Sprintf("workload: cpu: bad snapshot %T", v))
 	}

@@ -184,6 +184,40 @@ func TestCPUSnapshot(t *testing.T) {
 	}
 }
 
+// TestGeneratorsSaveInPlace pins the in-place snapshot protocol on the
+// Sequence and CPU generators: SaveInto recycles its previous buffer
+// (the CPU's PRNG state included) without allocating, and a restore
+// from the recycled buffer replays the same transfers.
+func TestGeneratorsSaveInPlace(t *testing.T) {
+	s := NewSequence(ip.Xfer{Addr: 4}, ip.Xfer{Addr: 8}, ip.Xfer{Addr: 12})
+	c := NewCPU([]Window{{0, 0x1000}}, 0.3, 2, 0, 4)
+	s.Next()
+	c.Next()
+	snapS, snapC := s.SaveInto(nil), c.SaveInto(nil)
+	allocs := testing.AllocsPerRun(10, func() {
+		snapS = s.SaveInto(snapS)
+		snapC = c.SaveInto(snapC)
+	})
+	if allocs != 0 {
+		t.Fatalf("recycled saves allocated %.1f objects, want 0", allocs)
+	}
+	var first []ip.Xfer
+	for i := 0; i < 2; i++ {
+		x, _ := s.Next()
+		y, _ := c.Next()
+		first = append(first, x, y)
+	}
+	s.Restore(snapS)
+	c.Restore(snapC)
+	for i := 0; i < 2; i++ {
+		x, _ := s.Next()
+		y, _ := c.Next()
+		if x.Addr != first[2*i].Addr || y.Addr != first[2*i+1].Addr || y.Write != first[2*i+1].Write {
+			t.Fatalf("replay from a recycled snapshot diverged at %d", i)
+		}
+	}
+}
+
 func TestWindowSpan(t *testing.T) {
 	if (Window{0x100, 0x180}).Span() != 0x80 {
 		t.Fatal("span wrong")
