@@ -6,179 +6,148 @@ import (
 	"coemu"
 )
 
-// Differential tests for the dirty-delta incremental snapshots. The
-// contract under test: every modeled metric — the virtual-time ledger
-// with its per-category charge counts (Store and Restore included),
-// all behavioral counters, channel statistics, histograms and traces —
-// is bit-identical whatever the delta cadence, and cadence 1
-// reproduces the pre-delta full-save path exactly. Comparison is byte
-// equality of the service's deterministic JSON report view, exactly as
-// in the cycle-batching differential suite.
+// Rollback-heavy runs checked cycle for cycle against the monolithic
+// reference model (RunReference). Every store and restore goes through
+// the one snapshot protocol (rollback.Registry.SaveInto/Restore), so a
+// capture that misses state, or a restore that rewinds it wrongly,
+// shows up as a diverging committed cycle. The names date from the
+// delta-snapshot cadence these tests once swept; canonical report bytes
+// are pinned across builds by TestReportDigestsPinned.
 
-// deltaSweep is the cadence grid the acceptance criteria name: 1
-// (every save full — the pre-delta reference), a short ring, and the
-// default.
-var deltaSweep = []int{1, 4, 16}
+// runAgainstReference runs d under cfg with the trace and the protocol
+// checker on and fails on the first committed cycle that differs from
+// the reference model's.
+func runAgainstReference(t *testing.T, d coemu.Design, cfg coemu.Config, cycles int64) *coemu.Report {
+	t.Helper()
+	want, err := coemu.RunReference(d, cycles)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	cfg.KeepTrace = true
+	cfg.CheckProtocol = true
+	rep, err := coemu.Run(d, cfg, cycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Trace) != len(want) {
+		t.Fatalf("%d trace records, reference has %d", len(rep.Trace), len(want))
+	}
+	for i := range want {
+		if !rep.Trace[i].Equal(want[i]) {
+			t.Fatalf("trace diverges from the reference at cycle %d:\nref:   %s\nsplit: %s", i, want[i], rep.Trace[i])
+		}
+	}
+	return rep
+}
 
-// TestDeltaSweepBitIdentical sweeps the snapshot cadence over every
-// example spec and asserts bit-identical reports — and, explicitly,
-// identical store/restore charge counts — against the full-save
-// reference (DeltaCadence=1).
+// runSpecAgainstReference compiles sp, applies mutate, and checks the
+// run against the reference model.
+func runSpecAgainstReference(t *testing.T, sp *coemu.Spec, mutate func(*coemu.Config)) *coemu.Report {
+	t.Helper()
+	d, cfg, err := sp.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	return runAgainstReference(t, d, cfg, sp.Run.Cycles)
+}
+
+// TestDeltaSweepBitIdentical checks every example spec at its own
+// config against the reference model.
 func TestDeltaSweepBitIdentical(t *testing.T) {
 	for name, sp := range exampleSpecs(t) {
 		t.Run(name, func(t *testing.T) {
-			want, wantRep := runSpec(t, sp, func(c *coemu.Config) { c.DeltaCadence = 1 })
-			for _, k := range deltaSweep[1:] {
-				got, gotRep := runSpec(t, sp, func(c *coemu.Config) { c.DeltaCadence = k })
-				if gotRep.Stats.Stores != wantRep.Stats.Stores ||
-					gotRep.Stats.Restores != wantRep.Stats.Restores {
-					t.Errorf("cadence=%d: %d stores/%d restores, full-save has %d/%d",
-						k, gotRep.Stats.Stores, gotRep.Stats.Restores,
-						wantRep.Stats.Stores, wantRep.Stats.Restores)
-				}
-				if string(got) != string(want) {
-					t.Errorf("cadence=%d report differs from full-save:\ncadence=%d: %s\ncadence=1: %s", k, k, got, want)
-				}
-			}
+			runSpecAgainstReference(t, sp, nil)
 		})
 	}
 }
 
-// TestDeltaSweepUnderInjectedFaultStorm repeats the sweep under a
+// TestDeltaSweepUnderInjectedFaultStorm repeats the check under a
 // pinned-accuracy rollback storm on every example spec: with every
 // other check injected wrong, each transition's snapshot is restored
-// almost as often as it is taken, so the delta ring's save, clean-skip
-// and restore paths all run hot. The storm must change nothing.
+// almost as often as it is taken.
 func TestDeltaSweepUnderInjectedFaultStorm(t *testing.T) {
 	for name, sp := range exampleSpecs(t) {
 		t.Run(name, func(t *testing.T) {
-			inject := func(c *coemu.Config) { c.Accuracy = 0.5; c.FaultSeed = 3 }
-			want, wantRep := runSpec(t, sp, func(c *coemu.Config) { inject(c); c.DeltaCadence = 1 })
-			for _, k := range deltaSweep[1:] {
-				got, gotRep := runSpec(t, sp, func(c *coemu.Config) { inject(c); c.DeltaCadence = k })
-				if gotRep.Stats.Rollbacks != wantRep.Stats.Rollbacks {
-					t.Errorf("cadence=%d: %d rollbacks, full-save has %d",
-						k, gotRep.Stats.Rollbacks, wantRep.Stats.Rollbacks)
-				}
-				if string(got) != string(want) {
-					t.Errorf("cadence=%d report differs from full-save under the fault storm", k)
-				}
+			rep := runSpecAgainstReference(t, sp, stormConfig)
+			if rep.Stats.Rollbacks == 0 {
+				t.Fatal("the storm produced no rollbacks; the check would prove nothing")
 			}
 		})
 	}
 }
 
-// TestDeltaSweepOrganicStorm pins the cadence sweep on the
-// rollback-storm workload: a jittery slave the wait model cannot
-// track, so the leader rolls back organically and rollback distances
-// vary with the jitter PRNG.
+// TestDeltaSweepOrganicStorm runs the rollback-storm workload: a
+// jittery slave the wait model cannot track, so the leader rolls back
+// organically and rollback distances vary with the jitter PRNG.
 func TestDeltaSweepOrganicStorm(t *testing.T) {
 	const cycles = 20000
-	jitter := func() coemu.Design {
-		return coemu.Design{
-			Masters: []coemu.MasterSpec{{
-				Name:   "dma",
-				Domain: coemu.AccDomain,
-				NewGen: func() coemu.Generator {
-					return coemu.NewStream(coemu.Window{Lo: 0, Hi: 0x40000}, true,
-						coemu.BurstIncr8, coemu.Size32, 0, 0, 0)
-				},
-			}},
-			Slaves: []coemu.SlaveSpec{{
-				Name:      "flaky",
-				Domain:    coemu.SimDomain,
-				Region:    coemu.Region{Lo: 0, Hi: 0x80000},
-				New:       func() coemu.Slave { return coemu.NewJitterMemory("flaky", 1, 2, 7) },
-				WaitFirst: 1, WaitNext: 1,
-			}},
-		}
+	jitter := coemu.Design{
+		Masters: []coemu.MasterSpec{{
+			Name:   "dma",
+			Domain: coemu.AccDomain,
+			NewGen: func() coemu.Generator {
+				return coemu.NewStream(coemu.Window{Lo: 0, Hi: 0x40000}, true,
+					coemu.BurstIncr8, coemu.Size32, 0, 0, 0)
+			},
+		}},
+		Slaves: []coemu.SlaveSpec{{
+			Name:      "flaky",
+			Domain:    coemu.SimDomain,
+			Region:    coemu.Region{Lo: 0, Hi: 0x80000},
+			New:       func() coemu.Slave { return coemu.NewJitterMemory("flaky", 1, 2, 7) },
+			WaitFirst: 1, WaitNext: 1,
+		}},
 	}
-	cfg := coemu.Config{Mode: coemu.ALS, KeepTrace: true, CheckProtocol: true, DeltaCadence: 1}
-	want, wantRep := runDesign(t, jitter(), cfg, cycles)
-	if wantRep.Stats.Rollbacks == 0 {
-		t.Fatal("jitter produced no rollbacks; the sweep would prove nothing")
-	}
-	for _, k := range deltaSweep[1:] {
-		cfg.DeltaCadence = k
-		got, _ := runDesign(t, jitter(), cfg, cycles)
-		if string(got) != string(want) {
-			t.Errorf("cadence=%d report differs from full-save on the organic storm", k)
-		}
+	rep := runAgainstReference(t, jitter, coemu.Config{Mode: coemu.ALS}, cycles)
+	if rep.Stats.Rollbacks == 0 {
+		t.Fatal("jitter produced no rollbacks; the check would prove nothing")
 	}
 }
 
-// TestDeltaSweepMemoryInLeader puts the written memory inside the
-// leader domain — writer master and memory both local to the
+// TestDeltaSweepMemoryInLeader puts the memory inside the leader
+// domain — a writer, a reader and the memory all local to the
 // accelerator, the simulator side empty — so every run-ahead cycle
 // lands write data in the leader's memory and every injected rollback
-// rewinds it through the page-granular copy-on-write undo. The
-// write-beat ground truth (the master's completed-beat log) and every
-// modeled metric must come out bit-identical at every cadence.
+// rewinds it through the memory's copy-on-write page stash. The writer
+// wraps a 4 KB window with fresh data on every pass and the reader
+// trails it, so a page the stash failed to rewind surfaces as read
+// data that differs from the reference.
 func TestDeltaSweepMemoryInLeader(t *testing.T) {
 	const cycles = 10000
-	design := func() coemu.Design {
-		return coemu.Design{
-			Masters: []coemu.MasterSpec{{
-				Name:   "dma",
-				Domain: coemu.AccDomain,
-				NewGen: func() coemu.Generator {
-					return coemu.NewStream(coemu.Window{Lo: 0, Hi: 0x40000}, true,
-						coemu.BurstIncr8, coemu.Size32, 0, 0, 0)
-				},
-			}},
-			Slaves: []coemu.SlaveSpec{{
-				Name:   "mem",
-				Domain: coemu.AccDomain,
-				Region: coemu.Region{Lo: 0, Hi: 0x80000},
-				New:    func() coemu.Slave { return coemu.NewSRAM("mem") },
-			}},
+	win := coemu.Window{Lo: 0, Hi: 0x1000}
+	stream := func(write bool) func() coemu.Generator {
+		return func() coemu.Generator {
+			return coemu.NewStream(win, write, coemu.BurstIncr8, coemu.Size32, 0, 0, 0)
 		}
 	}
-	cfg := coemu.Config{Mode: coemu.ALS, Accuracy: 0.5, FaultSeed: 3,
-		KeepTrace: true, CheckProtocol: true, DeltaCadence: 1}
-	want, wantRep := runDesign(t, design(), cfg, cycles)
-	if wantRep.Stats.Rollbacks == 0 {
-		t.Fatal("injector produced no rollbacks; the sweep would prove nothing")
+	design := coemu.Design{
+		Masters: []coemu.MasterSpec{
+			{Name: "dma", Domain: coemu.AccDomain, NewGen: stream(true)},
+			{Name: "rd", Domain: coemu.AccDomain, NewGen: stream(false)},
+		},
+		Slaves: []coemu.SlaveSpec{{
+			Name:   "mem",
+			Domain: coemu.AccDomain,
+			Region: coemu.Region{Lo: 0, Hi: 0x80000},
+			New:    func() coemu.Slave { return coemu.NewSRAM("mem") },
+		}},
 	}
-	for _, k := range deltaSweep[1:] {
-		cfg.DeltaCadence = k
-		got, _ := runDesign(t, design(), cfg, cycles)
-		if string(got) != string(want) {
-			t.Errorf("cadence=%d report differs from full-save with the memory in the leader", k)
-		}
+	rep := runAgainstReference(t, design, coemu.Config{Mode: coemu.ALS, Accuracy: 0.5, FaultSeed: 3}, cycles)
+	if rep.Stats.Rollbacks == 0 {
+		t.Fatal("injector produced no rollbacks; the check would prove nothing")
 	}
 }
 
-// TestDeltaTraceEquivalence runs a rollback-heavy configuration with
-// tracing and the protocol checker on across the cadence grid and
-// requires cycle-identical traces — the delta restore must reproduce
-// not just the metrics but the committed MSABS stream.
+// TestDeltaTraceEquivalence runs the idle-free gapped stream at
+// accuracy 0.6 with tracing and the protocol checker on.
 func TestDeltaTraceEquivalence(t *testing.T) {
 	const cycles = 10000
-	run := func(k int) *coemu.Report {
-		rep, err := coemu.Run(gappedStreamDesign(0), coemu.Config{
-			Mode: coemu.ALS, Accuracy: 0.6, FaultSeed: 17,
-			KeepTrace: true, CheckProtocol: true, DeltaCadence: k,
-		}, cycles)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	want := run(1)
-	if want.Stats.Rollbacks == 0 {
+	rep := runAgainstReference(t, gappedStreamDesign(0),
+		coemu.Config{Mode: coemu.ALS, Accuracy: 0.6, FaultSeed: 17}, cycles)
+	if rep.Stats.Rollbacks == 0 {
 		t.Fatal("no rollbacks; trace equivalence would prove nothing")
-	}
-	for _, k := range deltaSweep[1:] {
-		got := run(k)
-		if len(got.Trace) != len(want.Trace) {
-			t.Fatalf("cadence=%d: %d trace records, full-save has %d", k, len(got.Trace), len(want.Trace))
-		}
-		for i := range want.Trace {
-			if !got.Trace[i].Equal(want.Trace[i]) {
-				t.Fatalf("cadence=%d trace diverges at cycle %d:\nfull:  %s\ndelta: %s",
-					k, i, want.Trace[i], got.Trace[i])
-			}
-		}
 	}
 }

@@ -176,11 +176,6 @@ type Bus struct {
 	// localReq caches LocalReqMask (the topology is fixed after
 	// construction; recomputing it per cycle showed in profiles).
 	localReq uint32
-
-	// saved/clean implement compare-on-save dirty tracking
-	// (rollback.DeltaSnapshotter); busState is a small value struct.
-	saved busState
-	clean bool
 }
 
 // New creates an empty bus fabric that owns the default slave.
@@ -573,13 +568,10 @@ func (b *Bus) defaultSlaveReply() amba.SlaveReply {
 // Cycle returns the number of completed bus cycles.
 func (b *Bus) Cycle() int64 { return b.st.Cycle }
 
-// Save implements rollback.Snapshotter for the fabric's registered
-// state. Snapshots may only be taken between cycles (never between
-// Evaluate and Commit).
-func (b *Bus) Save() any { return b.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter, recycling prev when
-// it came from an earlier Save/SaveInto of a bus.
+// SaveInto implements rollback.Snapshotter for the fabric's registered
+// state, recycling prev when it came from an earlier SaveInto of a bus.
+// Snapshots may only be taken between cycles (never between Evaluate
+// and Commit).
 func (b *Bus) SaveInto(prev any) any {
 	if b.eval.valid {
 		panic(fmt.Sprintf("bus %s: snapshot between Evaluate and Commit", b.name))
@@ -601,22 +593,3 @@ func (b *Bus) Restore(s any) {
 	b.st = *st
 	b.eval = evalState{}
 }
-
-// Dirty implements rollback.DeltaSnapshotter: the fabric changed iff
-// its registered state moved since the last MarkClean (the cycle
-// counter alone makes any committed cycle dirty, as it must).
-func (b *Bus) Dirty() bool { return !b.clean || b.st != b.saved }
-
-// MarkClean implements rollback.DeltaSnapshotter.
-func (b *Bus) MarkClean() {
-	b.saved = b.st
-	b.clean = true
-}
-
-// SaveDelta implements rollback.DeltaSnapshotter; busState is one
-// small value struct, so deltas are self-contained copies.
-func (b *Bus) SaveDelta(prev any) any { return b.SaveInto(prev) }
-
-// RestoreDelta implements rollback.DeltaSnapshotter: delta records
-// are restorable as-is (newest-only, which the registry enforces).
-func (b *Bus) RestoreDelta(newest any) { b.Restore(newest) }

@@ -255,7 +255,7 @@ func TestBusSnapshotRestore(t *testing.T) {
 	b.MapSlave(&stubSlave{name: "s"}, Region{0, 0x1000}, 0)
 
 	b.Step()
-	snap := b.Save()
+	snap := b.SaveInto(nil)
 	cycleAt := b.Cycle()
 	b.Step()
 	b.Step()

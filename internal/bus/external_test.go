@@ -133,7 +133,7 @@ func TestEvaluateCommitGuards(t *testing.T) {
 	mustPanic("commit without evaluate", func() { b.Commit(amba.PartialState{}) })
 	b.Evaluate()
 	mustPanic("double evaluate", func() { b.Evaluate() })
-	mustPanic("save mid-cycle", func() { b.Save() })
+	mustPanic("save mid-cycle", func() { b.SaveInto(nil) })
 	b.Commit(amba.PartialState{})
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"coemu/internal/amba"
@@ -40,8 +39,6 @@ func (z *zeroStream) Next() (ip.Xfer, bool) {
 	}
 	return x, true
 }
-
-func (z *zeroStream) Save() any { return z.SaveInto(nil) }
 
 func (z *zeroStream) SaveInto(prev any) any {
 	p, ok := prev.(*amba.Addr)
@@ -188,49 +185,43 @@ func TestBatchedPathsAllocFree(t *testing.T) {
 
 // TestRollbackHeavyAllocFree pins the zero-alloc property on the
 // rollback-heavy steady state: with every other prediction check
-// injected wrong, each step exercises the incremental snapshot ring
-// (anchor and delta saves, clean skips), the restore walk and the
-// roll-forth replay. Swept over delta cadences including 1 (the
-// full-save reference) and the default, none of it may allocate once
-// the ring is warm.
+// injected wrong, each step exercises the snapshot save, the restore
+// and the roll-forth replay, and none of it may allocate once the
+// snapshot buffers are warm.
 func TestRollbackHeavyAllocFree(t *testing.T) {
-	for _, cadence := range []int{1, 4, DefaultDeltaCadence} {
-		t.Run(fmt.Sprintf("cadence=%d", cadence), func(t *testing.T) {
-			d := allocDesign()
-			d.Masters[0].NewGen = func() ip.Generator {
-				return workload.NewStream(workload.Window{Lo: 0, Hi: 0x4000}, true,
-					amba.BurstIncr8, amba.Size32, 0, 0, 0)
-			}
-			e, err := NewEngine(d, Config{Mode: ALS, Accuracy: 0.5, FaultSeed: 3, DeltaCadence: cadence})
-			if err != nil {
+	d := allocDesign()
+	d.Masters[0].NewGen = func() ip.Generator {
+		return workload.NewStream(workload.Window{Lo: 0, Hi: 0x4000}, true,
+			amba.BurstIncr8, amba.Size32, 0, 0, 0)
+	}
+	e, err := NewEngine(d, Config{Mode: ALS, Accuracy: 0.5, FaultSeed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e.done = ctx.Done()
+	transition := func() {
+		leader := e.chooseLeader()
+		if leader == nil {
+			if err := e.conservativeCycle(); err != nil {
 				t.Fatal(err)
 			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			e.done = ctx.Done()
-			transition := func() {
-				leader := e.chooseLeader()
-				if leader == nil {
-					if err := e.conservativeCycle(); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
-				if _, err := e.transition(leader, 1<<30); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < 500; i++ {
-				transition()
-			}
-			if e.stats.Rollbacks == 0 {
-				t.Fatal("no rollbacks; the guard would prove nothing")
-			}
-			allocs := testing.AllocsPerRun(20, transition)
-			if allocs != 0 {
-				t.Fatalf("rollback-heavy transition allocated %.1f objects, want 0", allocs)
-			}
-		})
+			return
+		}
+		if _, err := e.transition(leader, 1<<30); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 500; i++ {
+		transition()
+	}
+	if e.stats.Rollbacks == 0 {
+		t.Fatal("no rollbacks; the guard would prove nothing")
+	}
+	allocs := testing.AllocsPerRun(20, transition)
+	if allocs != 0 {
+		t.Fatalf("rollback-heavy transition allocated %.1f objects, want 0", allocs)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"coemu/internal/amba"
@@ -667,6 +668,16 @@ func TestEngineRejectsBadInput(t *testing.T) {
 	d := streamDesign(AccDomain, SimDomain, 0, 0)
 	if _, err := NewEngine(d, Config{SimSpeed: -1}); err == nil {
 		t.Error("negative speed must fail")
+	}
+	// A speed whose per-cycle time overflows time.Duration used to wrap
+	// negative and panic at the first charge.
+	for field, cfg := range map[string]Config{
+		"SimSpeed": {SimSpeed: 1e-11},
+		"AccSpeed": {AccSpeed: 1e-11},
+	} {
+		if _, err := NewEngine(d, cfg); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s 1e-11: err = %v, want an error naming %s", field, err, field)
+		}
 	}
 	e, err := NewEngine(d, Config{})
 	if err != nil {

@@ -49,11 +49,9 @@ type Domain struct {
 	snap rollback.Snapshot
 }
 
-// buildDomain constructs one half of the split system. deltaCadence
-// configures the registry's incremental snapshot ring (1 = full saves
-// every transition, the pre-delta behavior); leads reports whether the
-// engine's mode ever lets the domain lead.
-func buildDomain(d Design, id DomainID, cycleCost time.Duration, costModel rollback.CostModel, opts predictorOptions, deltaCadence int, leads bool) *Domain {
+// buildDomain constructs one half of the split system. leads reports
+// whether the engine's mode ever lets the domain lead.
+func buildDomain(d Design, id DomainID, cycleCost time.Duration, costModel rollback.CostModel, opts predictorOptions, leads bool) *Domain {
 	dom := &Domain{
 		id:        id,
 		bus:       bus.New(id.String()),
@@ -61,7 +59,6 @@ func buildDomain(d Design, id DomainID, cycleCost time.Duration, costModel rollb
 		costModel: costModel,
 		leads:     leads,
 	}
-	dom.reg.SetDeltaCadence(deltaCadence)
 	if id == SimDomain {
 		dom.timeCat = vclock.Sim
 	} else {
@@ -99,12 +96,6 @@ func buildDomain(d Design, id DomainID, cycleCost time.Duration, costModel rollb
 					ss.Name, ss.SplitCapable, isSplit))
 			}
 			dom.bus.MapSlave(s, ss.Region, ss.IRQMask)
-			if j, ok := s.(ip.Journaler); ok {
-				// Domains snapshot once per transition and restore at
-				// most once, exactly the discipline journal mode
-				// requires; O(1) saves beat O(footprint) map copies.
-				j.SetJournaling(true)
-			}
 			if snap, ok := s.(rollback.Snapshotter); ok {
 				vars := ss.Vars
 				if vars == 0 {
@@ -216,19 +207,17 @@ func (d *Domain) PredictInto(dst *amba.PartialState) DeclineReason {
 }
 
 // Snapshot captures the whole domain (components, generators, bus,
-// predictor, clock) and charges the store cost. The capture is
-// incremental under the registry's delta cadence — periodic full
-// snapshots anchor a ring of dirty-component deltas — and recycles the
-// buffers of previous Snapshot calls: only the most recent one may
+// predictor, clock) and charges the store cost. The capture recycles
+// the buffers of previous Snapshot calls: only the most recent one may
 // still be restored, exactly the leader's rollback discipline. The
-// modeled store cost is charged identically whatever the host copies:
-// the emulated hardware shadows its full register state either way.
+// modeled store cost is charged from the cost model, not from what the
+// host copies: the emulated hardware shadows its full register state.
 func (d *Domain) Snapshot(ledger *vclock.Ledger, vars int) rollback.Snapshot {
 	if d.evaluated {
 		panic(fmt.Sprintf("core: domain %s: snapshot mid-cycle", d.id))
 	}
 	ledger.Charge(vclock.Store, d.costModel.StoreCost(vars))
-	d.reg.SaveIncremental(&d.snap)
+	d.reg.SaveInto(&d.snap)
 	return d.snap
 }
 

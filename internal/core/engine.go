@@ -40,6 +40,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"coemu/internal/amba"
@@ -149,17 +150,6 @@ type Config struct {
 	// the store (footnote 6). Off by default: snapshotting directly at
 	// the sync point is behaviorally identical and one cycle cheaper.
 	PaperStrictTransitions bool
-	// DeltaCadence sets the incremental-snapshot cadence of the
-	// per-transition rollback store: every DeltaCadence-th store is a
-	// full capture of the leader's components (a ring anchor), and the
-	// stores between anchors capture only components whose state
-	// actually moved, as dirty-tracked deltas. It is a host-side knob:
-	// the modeled store/restore costs (rollback.CostModel) are charged
-	// identically for every setting, so modeled metrics, stats and
-	// traces are bit-identical whatever the cadence. 0 selects
-	// DefaultDeltaCadence; 1 disables delta saving (every store full,
-	// exactly the pre-delta behavior).
-	DeltaCadence int
 	// CycleBatch caps the predicted-quiescence fast path: when ground
 	// truth (idle masters, quiet peripherals, an idle bus fixed point)
 	// and the predictor together prove that the next cycles are exact
@@ -221,13 +211,6 @@ type Config struct {
 // stretches re-probe quiescence (and cancellation) every 64 cycles.
 const DefaultCycleBatch = 64
 
-// DefaultDeltaCadence is the incremental-snapshot cadence used when
-// Config.DeltaCadence is zero: one full capture anchors fifteen delta
-// saves. Anchors bound the ring the restore walk replays; past ~16 the
-// skip savings flatten while the ring's memory footprint keeps
-// growing.
-const DefaultDeltaCadence = 16
-
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
 	if c.SimSpeed == 0 {
@@ -259,9 +242,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CycleBatch == 0 {
 		c.CycleBatch = DefaultCycleBatch
-	}
-	if c.DeltaCadence == 0 {
-		c.DeltaCadence = DefaultDeltaCadence
 	}
 	return c
 }
@@ -420,23 +400,39 @@ const (
 	ewmaDecay = 0.995
 )
 
+// cycleTime converts a domain speed in cycles/s to its per-cycle
+// evaluation time; field names the Config field in errors. A speed so
+// low that one cycle outlasts the longest time.Duration would wrap
+// negative and panic at the first charge, so it is rejected.
+func cycleTime(field string, speed float64) (time.Duration, error) {
+	if !(speed > 0) {
+		return 0, fmt.Errorf("core: %s %v: domain speed must be positive", field, speed)
+	}
+	if ns := 1e9 / speed; ns >= math.MaxInt64 {
+		return 0, fmt.Errorf("core: %s %v cycles/s: one cycle (%g ns) overflows time.Duration", field, speed, ns)
+	}
+	return time.Duration(1e9 / speed), nil
+}
+
 // NewEngine builds the split system for a design.
 func NewEngine(d Design, cfg Config) (*Engine, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	if cfg.SimSpeed <= 0 || cfg.AccSpeed <= 0 {
-		return nil, fmt.Errorf("core: non-positive domain speed")
+	simCyc, err := cycleTime("SimSpeed", cfg.SimSpeed)
+	if err != nil {
+		return nil, err
+	}
+	accCyc, err := cycleTime("AccSpeed", cfg.AccSpeed)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.LOBDepth < minLOBDepth {
 		return nil, fmt.Errorf("core: LOB depth %d words < minimum %d (one framing word plus one worst-case entry)", cfg.LOBDepth, minLOBDepth)
 	}
 	if cfg.CycleBatch < 1 {
 		return nil, fmt.Errorf("core: cycle batch %d < 1 (0 selects the default, 1 disables batching)", cfg.CycleBatch)
-	}
-	if cfg.DeltaCadence < 1 {
-		return nil, fmt.Errorf("core: delta cadence %d < 1 (0 selects the default, 1 disables delta snapshots)", cfg.DeltaCadence)
 	}
 	if cfg.ChannelFaults != nil {
 		if err := (&faultplan.Plan{Channel: cfg.ChannelFaults}).Validate(); err != nil {
@@ -463,11 +459,9 @@ func NewEngine(d Design, cfg Config) (*Engine, error) {
 	if cfg.ChannelFaults != nil {
 		e.tr = channel.NewFaultEndpoint(e.tr, cfg.ChannelFaults, cfg.ChannelFaultSeed)
 	}
-	simCyc := time.Duration(1e9 / cfg.SimSpeed)
-	accCyc := time.Duration(1e9 / cfg.AccSpeed)
 	opts := predictorOptions{Idle: cfg.PredictIdle, Starts: cfg.PredictBurstStarts}
-	e.domains[SimDomain] = buildDomain(d, SimDomain, simCyc, *cfg.SimCost, opts, cfg.DeltaCadence, cfg.Mode.mayLead(SimDomain))
-	e.domains[AccDomain] = buildDomain(d, AccDomain, accCyc, *cfg.AccCost, opts, cfg.DeltaCadence, cfg.Mode.mayLead(AccDomain))
+	e.domains[SimDomain] = buildDomain(d, SimDomain, simCyc, *cfg.SimCost, opts, cfg.Mode.mayLead(SimDomain))
+	e.domains[AccDomain] = buildDomain(d, AccDomain, accCyc, *cfg.AccCost, opts, cfg.Mode.mayLead(AccDomain))
 	if cfg.Accuracy < 1 {
 		e.inject = predict.NewFaultInjector(cfg.Accuracy, cfg.FaultSeed)
 	}

@@ -54,9 +54,6 @@ type remotePredictor struct {
 	lastFull  amba.CycleState
 
 	pendingDP
-
-	// dirty tracks mutation since MarkClean (rollback.DeltaSnapshotter).
-	dirty bool
 }
 
 // defMirror predicts the two-cycle ERROR sequence of a remotely-owned
@@ -94,7 +91,6 @@ func newRemotePredictor(b *bus.Bus, ownsDefault bool, waitProfiles map[int][2]in
 		ownsDefault:   ownsDefault,
 		trackers:      make([]*predict.BurstTracker, b.Masters()),
 		waits:         make([]*predict.WaitModel, b.Slaves()),
-		dirty:         true,
 	}
 	p.coupleReq = opts.Starts
 	for i := 0; i < b.Masters(); i++ {
@@ -199,9 +195,6 @@ func (p *remotePredictor) PredictInto(dst *amba.PartialState) DeclineReason {
 				*out = amba.PartialState{}
 				return DeclineNoModel
 			}
-			// wm.Predict advances the wait model, so the predictor is
-			// dirty from here on even if no Observe follows.
-			p.dirty = true
 			out.HasReply = true
 			out.Reply = amba.SlaveReply{Ready: wm.Predict(), Resp: amba.RespOkay}
 		}
@@ -213,7 +206,6 @@ func (p *remotePredictor) PredictInto(dst *amba.PartialState) DeclineReason {
 // merged state of a cycle the domain just committed, both read in
 // place (once per committed cycle; value args showed in profiles).
 func (p *remotePredictor) Observe(full *amba.CycleState, remote *amba.PartialState) {
-	p.dirty = true
 	p.req.Observe(remote.Req & p.remoteReqMask)
 	p.irq.Observe(remote.IRQ & p.remoteIRQMask)
 
@@ -257,7 +249,6 @@ func (p *remotePredictor) StashDataPhase() {
 	p.pendingDPValid = v
 	p.pendingDPMaster = m
 	p.pendingDPSlave = s
-	p.dirty = true
 }
 
 // PredictStableFor reports for how many upcoming cycles the
@@ -295,7 +286,6 @@ func (p *remotePredictor) PredictStableFor() int64 {
 func (p *remotePredictor) SkipIdle(n int64) {
 	if t := p.trackers[p.b.Grant()]; t != nil {
 		t.SkipIdle(n)
-		p.dirty = true
 	}
 }
 
@@ -313,10 +303,7 @@ type predictorSnap struct {
 	Pending  pendingDP
 }
 
-// Save implements rollback.Snapshotter.
-func (p *remotePredictor) Save() any { return p.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter: the snapshot struct,
+// SaveInto implements rollback.Snapshotter: the snapshot struct,
 // its slices and the per-tracker state buffers inside them are all
 // recycled from prev, so the once-per-transition store allocates
 // nothing in the steady state.
@@ -369,22 +356,4 @@ func (p *remotePredictor) Restore(v any) {
 	p.lastValid = s.LastV
 	p.lastFull = s.LastFull
 	p.pendingDP = s.Pending
-	p.dirty = true
 }
-
-// Dirty implements rollback.DeltaSnapshotter.
-func (p *remotePredictor) Dirty() bool { return p.dirty }
-
-// MarkClean implements rollback.DeltaSnapshotter.
-func (p *remotePredictor) MarkClean() { p.dirty = false }
-
-// SaveDelta implements rollback.DeltaSnapshotter. A predictor save is
-// a handful of small value copies once the tracker tables are dense
-// slices, so deltas are self-contained full captures; the delta win is
-// the clean skip (a predictor that only skipped idle cycles with no
-// tracker armed never dirties).
-func (p *remotePredictor) SaveDelta(prev any) any { return p.SaveInto(prev) }
-
-// RestoreDelta implements rollback.DeltaSnapshotter: delta records
-// are restorable as-is (newest-only, which the registry enforces).
-func (p *remotePredictor) RestoreDelta(newest any) { p.Restore(newest) }

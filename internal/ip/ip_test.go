@@ -5,6 +5,7 @@ import (
 
 	"coemu/internal/amba"
 	"coemu/internal/bus"
+	"coemu/internal/rollback"
 )
 
 // beat is one finished beat as the bus saw it: completed with OKAY or
@@ -78,8 +79,8 @@ func (g *sliceGen) Next() (Xfer, bool) {
 	return x, true
 }
 
-func (g *sliceGen) Save() any     { return g.i }
-func (g *sliceGen) Restore(v any) { g.i = v.(int) }
+func (g *sliceGen) SaveInto(any) any { return g.i }
+func (g *sliceGen) Restore(v any)    { g.i = v.(int) }
 
 func TestLaneHelpers(t *testing.T) {
 	// Byte at offset 2 occupies bits 16..23.
@@ -320,10 +321,7 @@ func TestTwoMastersInterleave(t *testing.T) {
 // whole system mid-flight, run N cycles, restore, run N cycles again —
 // the two traces must be bit-identical.
 func TestSnapshotReplayDeterminism(t *testing.T) {
-	build := func() (*bus.Bus, []interface {
-		Save() any
-		Restore(any)
-	}) {
+	build := func() (*bus.Bus, []rollback.Snapshotter) {
 		gen := &sliceGen{xfers: []Xfer{
 			{Addr: 0x10, Write: true, Size: amba.Size32, Burst: amba.BurstIncr8, Data: []amba.Word{1, 2, 3, 4, 5, 6, 7, 8}},
 			{Addr: 0x10, Write: false, Size: amba.Size32, Burst: amba.BurstIncr8, Gap: 2},
@@ -335,10 +333,7 @@ func TestSnapshotReplayDeterminism(t *testing.T) {
 		b := bus.New("t")
 		b.AddMaster(m)
 		b.MapSlave(mem, bus.Region{Lo: 0, Hi: 0x1000}, 0)
-		snaps := []interface {
-			Save() any
-			Restore(any)
-		}{b, m, gen, mem}
+		snaps := []rollback.Snapshotter{b, m, gen, mem}
 		return b, snaps
 	}
 
@@ -348,7 +343,7 @@ func TestSnapshotReplayDeterminism(t *testing.T) {
 	}
 	saved := make([]any, len(snaps))
 	for i, s := range snaps {
-		saved[i] = s.Save()
+		saved[i] = s.SaveInto(nil)
 	}
 	const n = 25
 	var first []amba.CycleState

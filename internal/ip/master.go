@@ -38,8 +38,10 @@ func (x Xfer) Beats() int {
 
 // Generator supplies a master with its transfer stream. Implementations
 // must be deterministic; when they carry state (counters, PRNGs) they
-// must also implement rollback.Snapshotter so a leader domain can replay
-// them.
+// must also implement rollback.Snapshotter — SaveInto(prev any) any and
+// Restore(any) — so a leader domain can replay them. A generator that
+// has only the former Save method is not registered, so a rollback
+// would replay it from the wrong state.
 type Generator interface {
 	// Next returns the next transfer, or ok=false when the stream ends.
 	Next() (x Xfer, ok bool)
@@ -123,14 +125,6 @@ type TrafficMaster struct {
 	busyEvery int
 
 	st masterState
-
-	// dirty tracks mutation since the last MarkClean
-	// (rollback.DeltaSnapshotter). Commit sets it unconditionally (it
-	// always advances bookkeeping); Drive and SkipIdle set it only
-	// when they actually change LastAP or the gap countdown, so an
-	// idle master in a batched stretch stays clean and its snapshot is
-	// skipped.
-	dirty bool
 }
 
 var _ bus.Master = (*TrafficMaster)(nil)
@@ -142,7 +136,7 @@ func NewTrafficMaster(name string, gen Generator, busyEvery int) *TrafficMaster 
 	if gen == nil {
 		panic("ip: nil generator")
 	}
-	m := &TrafficMaster{name: name, gen: gen, busyEvery: busyEvery, dirty: true}
+	m := &TrafficMaster{name: name, gen: gen, busyEvery: busyEvery}
 	m.st.DataBeat = -1
 	m.st.Cur.BusyFor = -1
 	m.st.LastReady = true
@@ -191,13 +185,9 @@ func (m *TrafficMaster) QuiescentCycles() int64 {
 // address phase is the IDLE one Drive would have driven. Callers must
 // keep n <= QuiescentCycles().
 func (m *TrafficMaster) SkipIdle(n int64) {
-	if m.st.LastAP != (amba.AddrPhase{}) {
-		m.st.LastAP = amba.AddrPhase{}
-		m.dirty = true
-	}
+	m.st.LastAP = amba.AddrPhase{}
 	if m.st.Cur.Valid && m.st.Gap > 0 {
 		m.st.Gap -= int(n)
-		m.dirty = true
 	}
 }
 
@@ -257,10 +247,7 @@ func (m *TrafficMaster) Drive() bus.MasterDrive {
 	default:
 		d.AP = amba.AddrPhase{}
 	}
-	if d.AP != m.st.LastAP {
-		m.st.LastAP = d.AP
-		m.dirty = true
-	}
+	m.st.LastAP = d.AP
 	return d
 }
 
@@ -300,7 +287,6 @@ func (m *TrafficMaster) buildAP() amba.AddrPhase {
 
 // Commit implements bus.Master.
 func (m *TrafficMaster) Commit(fb bus.MasterFeedback) {
-	m.dirty = true
 	cur := &m.st.Cur
 
 	if cur.Valid && m.st.Gap > 0 {
@@ -383,11 +369,8 @@ type masterSnap struct {
 	St masterState
 }
 
-// Save implements rollback.Snapshotter.
-func (m *TrafficMaster) Save() any { return m.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter, recycling prev when
-// it came from an earlier Save/SaveInto of a master.
+// SaveInto implements rollback.Snapshotter, recycling prev when
+// it came from an earlier SaveInto of a master.
 func (m *TrafficMaster) SaveInto(prev any) any {
 	s, ok := prev.(*masterSnap)
 	if !ok {
@@ -404,19 +387,4 @@ func (m *TrafficMaster) Restore(v any) {
 		panic(fmt.Sprintf("ip: master %s: bad snapshot %T", m.name, v))
 	}
 	m.st = s.St
-	m.dirty = true
 }
-
-// Dirty implements rollback.DeltaSnapshotter.
-func (m *TrafficMaster) Dirty() bool { return m.dirty }
-
-// MarkClean implements rollback.DeltaSnapshotter.
-func (m *TrafficMaster) MarkClean() { m.dirty = false }
-
-// SaveDelta implements rollback.DeltaSnapshotter; masterState is one
-// value struct, so deltas are self-contained copies.
-func (m *TrafficMaster) SaveDelta(prev any) any { return m.SaveInto(prev) }
-
-// RestoreDelta implements rollback.DeltaSnapshotter: delta records
-// are restorable as-is (newest-only, which the registry enforces).
-func (m *TrafficMaster) RestoreDelta(newest any) { m.Restore(newest) }

@@ -154,11 +154,8 @@ type periphSnap struct {
 	WaitLeft  int
 }
 
-// Save implements rollback.Snapshotter.
-func (p *IRQPeriph) Save() any { return p.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter, recycling prev when
-// it came from an earlier Save/SaveInto of a peripheral.
+// SaveInto implements rollback.Snapshotter, recycling prev when
+// it came from an earlier SaveInto of a peripheral.
 func (p *IRQPeriph) SaveInto(prev any) any {
 	s, ok := prev.(*periphSnap)
 	if !ok {

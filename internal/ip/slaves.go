@@ -20,12 +20,10 @@ const (
 	pageMask  = pageSize - 1
 )
 
-// memPage is one 4 KB page plus its dirty mark: stamp equals the
+// memPage is one 4 KB page plus its stash mark: stamp equals the
 // memory's current save sequence exactly when the page has already
-// been copy-on-write stashed in the current save interval. The mark is
-// the per-page dirty bitmap of the delta snapshot scheme — each write
-// costs one compare instead of a journal append, and only touched
-// pages are ever copied.
+// been copy-on-write stashed in the current save interval, so each
+// write costs one compare and only touched pages are ever copied.
 type memPage struct {
 	data  [pageSize]byte
 	stamp uint64
@@ -48,8 +46,9 @@ type Memory struct {
 	pages map[amba.Addr]*memPage // key: addr >> pageShift
 	// lastKey/lastPage cache the most recent page lookup: a burst or
 	// stream stays on one page for many beats in a row, so most beats
-	// skip the map. lastPage is nil when the cache is empty; every path
-	// that replaces or deletes a page pointer drops it.
+	// skip the map. lastPage is nil when the cache is empty. A page,
+	// once allocated, is never replaced or deleted (a restore copies
+	// content into it), so the cache never goes stale.
 	lastKey  amba.Addr
 	lastPage *memPage
 
@@ -58,24 +57,15 @@ type Memory struct {
 	reads    int64
 	writes   int64
 
-	// Journal mode: instead of deep-copying the pages on every Save
+	// Page stash: instead of deep-copying the pages on every save
 	// (O(footprint)), copy-on-write stash the prior content of each
 	// page on its first write of a save interval and rewind on Restore
-	// (O(pages touched since the save)). The leader snapshots once per
-	// transition, so this is the difference between O(memory) and
-	// O(touched pages) work per transition on the host. Saves seal the
-	// interval in O(1).
-	journaling bool
-	undo       []pageUndo
-	undoFree   []*memPage
-	saveSeq    uint64
-
-	// mut/savedCtrl/cleanCtrl implement dirty tracking for delta
-	// snapshots: mut is set by any memory write, the ctrl compare
-	// catches wait-state and counter movement.
-	mut       bool
-	savedCtrl memCtrl
-	cleanCtrl bool
+	// (O(pages touched since the save)). A save seals the interval in
+	// O(1), which is why only the most recent save is restorable — the
+	// leader's rollback discipline (rollback.Snapshotter).
+	undo     []pageUndo
+	undoFree []*memPage
+	saveSeq  uint64
 }
 
 // pageUndo is one copy-on-write stash: the content a page held when
@@ -83,23 +73,6 @@ type Memory struct {
 type pageUndo struct {
 	key amba.Addr // page key (addr >> pageShift)
 	old *memPage
-}
-
-// memCtrl is the memory's non-page registered state, grouped for
-// compare-on-save dirty tracking.
-type memCtrl struct {
-	WaitLeft int
-	InBurst  bool
-	Reads    int64
-	Writes   int64
-}
-
-// Journaler is implemented by components supporting O(1) snapshots via
-// undo journaling. Journal mode restricts the snapshot discipline: only
-// the most recent Save may be restored (exactly the leader's rollback
-// pattern).
-type Journaler interface {
-	SetJournaling(bool)
 }
 
 var _ bus.Slave = (*Memory)(nil)
@@ -150,7 +123,6 @@ func (s *Memory) pageFor(a amba.Addr, create bool) *memPage {
 func (s *Memory) Poke(a amba.Addr, b byte) {
 	p := s.pageFor(a, true)
 	s.stash(a, p)
-	s.mut = true
 	p.data[a&pageMask] = b
 }
 
@@ -168,7 +140,6 @@ func (s *Memory) PokeWord(a amba.Addr, w amba.Word) {
 	a &^= 3
 	p := s.pageFor(a, true)
 	s.stash(a, p)
-	s.mut = true
 	off := a & pageMask
 	for i := 0; i < 4; i++ {
 		p.data[off+amba.Addr(i)] = byte(w >> (8 * uint(i)))
@@ -192,10 +163,10 @@ func (s *Memory) PeekWord(a amba.Addr) amba.Word {
 
 // stash copy-on-write saves page p (holding address a) into the
 // current save interval's undo list unless it is already there. It is
-// a no-op outside journal mode or before the first save — writes that
-// can never be rolled across must not grow an unbounded undo list.
+// a no-op before the first save — writes that can never be rolled
+// across must not grow an unbounded undo list.
 func (s *Memory) stash(a amba.Addr, p *memPage) {
-	if !s.journaling || s.saveSeq == 0 || p.stamp == s.saveSeq {
+	if s.saveSeq == 0 || p.stamp == s.saveSeq {
 		return
 	}
 	var buf *memPage
@@ -247,19 +218,12 @@ func (s *Memory) WriteCommit(ap amba.AddrPhase, wdata amba.Word) {
 	m := laneMask(ap.Addr, ap.Size)
 	p := s.pageFor(base, true)
 	s.stash(base, p)
-	s.mut = true
 	off := base & pageMask
 	for i := 0; i < 4; i++ {
 		if m&(0xff<<(8*uint(i))) != 0 {
 			p.data[off+amba.Addr(i)] = byte(wdata >> (8 * uint(i)))
 		}
 	}
-}
-
-// SetJournaling implements Journaler.
-func (s *Memory) SetJournaling(on bool) {
-	s.journaling = on
-	s.recycleUndo()
 }
 
 // recycleUndo empties the undo list, returning page buffers to the
@@ -287,10 +251,9 @@ func (s *Memory) Commit(ready bool) {
 // within a data-phase run; Reset clears it.
 func (s *Memory) TickIdle() { s.inBurst = false }
 
-// memorySnap freezes a Memory. In journal mode Mem is nil and Seq pins
-// the snapshot to the most recent Save.
+// memorySnap freezes a Memory's registers; Seq pins the snapshot to
+// the save interval whose page stash holds the memory content.
 type memorySnap struct {
-	Mem      map[amba.Addr]*memPage
 	Seq      uint64
 	WaitLeft int
 	InBurst  bool
@@ -298,113 +261,45 @@ type memorySnap struct {
 	Writes   int64
 }
 
-// Save implements rollback.Snapshotter.
-func (s *Memory) Save() any { return s.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter. In journal mode the
-// save is O(1) — it seals the current copy-on-write interval — and,
-// with a recycled prev, allocation-free; otherwise the page table is
-// deep-copied into prev's map (cleared first) or a fresh one.
+// SaveInto implements rollback.Snapshotter. The save is O(1) — it
+// seals the current copy-on-write interval — and, with a recycled
+// prev, allocation-free. It invalidates every earlier save.
 func (s *Memory) SaveInto(prev any) any {
 	snap, ok := prev.(*memorySnap)
 	if !ok {
 		snap = new(memorySnap)
 	}
-	snap.WaitLeft = s.waitLeft
-	snap.InBurst = s.inBurst
-	snap.Reads = s.reads
-	snap.Writes = s.writes
-	if s.journaling {
-		s.recycleUndo()
-		s.saveSeq++
-		snap.Seq = s.saveSeq
-		snap.Mem = nil
-		return snap
-	}
-	snap.Seq = 0
-	if snap.Mem == nil {
-		snap.Mem = make(map[amba.Addr]*memPage, len(s.pages))
-	}
-	copyPages(snap.Mem, s.pages)
+	s.recycleUndo()
+	s.saveSeq++
+	*snap = memorySnap{Seq: s.saveSeq, WaitLeft: s.waitLeft, InBurst: s.inBurst, Reads: s.reads, Writes: s.writes}
 	return snap
 }
 
-// copyPages deep-copies src into dst, recycling dst's page buffers and
-// dropping keys absent from src.
-func copyPages(dst, src map[amba.Addr]*memPage) {
-	for k := range dst {
-		if _, ok := src[k]; !ok {
-			delete(dst, k)
-		}
-	}
-	for k, sp := range src {
-		dp := dst[k]
-		if dp == nil {
-			dp = new(memPage)
-			dst[k] = dp
-		}
-		*dp = *sp
-	}
-}
-
-// Restore implements rollback.Snapshotter.
+// Restore implements rollback.Snapshotter: it rewinds every page
+// written since the save and may be repeated until the next save.
+// Restoring an older save panics.
 func (s *Memory) Restore(v any) {
 	snap, ok := v.(*memorySnap)
 	if !ok {
 		panic(fmt.Sprintf("ip: memory %s: bad snapshot %T", s.name, v))
 	}
-	if s.journaling {
-		if snap.Seq != s.saveSeq {
-			panic(fmt.Sprintf("ip: memory %s: journal restore of stale snapshot (seq %d, current %d)",
-				s.name, snap.Seq, s.saveSeq))
-		}
-		for i := range s.undo {
-			u := s.undo[i]
-			// The page exists: the stash was recorded by the write that
-			// dirtied it. The copy restores both the content and the
-			// pre-interval stamp.
-			*s.pages[u.key] = *u.old
-		}
-		s.recycleUndo()
-	} else {
-		// copyPages deletes pages created since the save.
-		copyPages(s.pages, snap.Mem)
-		s.lastPage = nil
+	if snap.Seq != s.saveSeq {
+		panic(fmt.Sprintf("ip: memory %s: restore of stale snapshot (seq %d, current %d)",
+			s.name, snap.Seq, s.saveSeq))
 	}
+	for i := range s.undo {
+		u := s.undo[i]
+		// The page exists: the stash was recorded by the write that
+		// dirtied it. The copy restores both the content and the
+		// pre-interval stamp.
+		*s.pages[u.key] = *u.old
+	}
+	s.recycleUndo()
 	s.waitLeft = snap.WaitLeft
 	s.inBurst = snap.InBurst
 	s.reads = snap.Reads
 	s.writes = snap.Writes
-	s.mut = true
 }
-
-// ctrl groups the non-page registered state for dirty comparison.
-func (s *Memory) ctrl() memCtrl {
-	return memCtrl{WaitLeft: s.waitLeft, InBurst: s.inBurst, Reads: s.reads, Writes: s.writes}
-}
-
-// Dirty implements rollback.DeltaSnapshotter: any write since the last
-// MarkClean (mut), or any wait-state/counter movement (ctrl compare),
-// makes the memory dirty.
-func (s *Memory) Dirty() bool { return s.mut || !s.cleanCtrl || s.ctrl() != s.savedCtrl }
-
-// MarkClean implements rollback.DeltaSnapshotter.
-func (s *Memory) MarkClean() {
-	s.mut = false
-	s.savedCtrl = s.ctrl()
-	s.cleanCtrl = true
-}
-
-// SaveDelta implements rollback.DeltaSnapshotter. In journal mode a
-// save is already incremental (an O(1) interval seal whose cost was
-// paid page-by-page as writes landed), so the delta is the same
-// record; deltas are restorable newest-only, which Registry.Restore
-// and the seal sequence check both enforce.
-func (s *Memory) SaveDelta(prev any) any { return s.SaveInto(prev) }
-
-// RestoreDelta implements rollback.DeltaSnapshotter: delta records
-// are restorable as-is (newest-only, which the registry enforces).
-func (s *Memory) RestoreDelta(newest any) { s.Restore(newest) }
 
 // JitterMemory is a memory whose per-beat wait states vary pseudo-
 // randomly in [base, base+spread]. Its latency cannot be tracked by a
@@ -414,7 +309,6 @@ type JitterMemory struct {
 	Memory
 	rng    *rng.Source
 	spread int
-	own    bool // rng consumed since MarkClean (delta dirty tracking)
 }
 
 // NewJitterMemory creates a jittery memory with the given base wait
@@ -432,7 +326,6 @@ func NewJitterMemory(name string, base, spread int, seed uint64) *JitterMemory {
 func (j *JitterMemory) Respond(ap amba.AddrPhase) amba.SlaveReply {
 	if j.waitLeft < 0 {
 		j.waitLeft = j.firstWait + j.rng.Intn(j.spread+1)
-		j.own = true
 	}
 	return j.Memory.Respond(ap)
 }
@@ -443,10 +336,7 @@ type jitterSnap struct {
 	Rng any
 }
 
-// Save implements rollback.Snapshotter.
-func (j *JitterMemory) Save() any { return j.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter. Wrappers around
+// SaveInto implements rollback.Snapshotter. Wrappers around
 // Memory must define their own SaveInto: the embedded Memory's would
 // otherwise be promoted and snapshot only the memory half.
 func (j *JitterMemory) SaveInto(prev any) any {
@@ -467,26 +357,7 @@ func (j *JitterMemory) Restore(v any) {
 	}
 	j.Memory.Restore(s.Mem)
 	j.rng.Restore(s.Rng)
-	j.own = true
 }
-
-// Dirty implements rollback.DeltaSnapshotter (wrappers must override
-// the embedded Memory's delta methods; see JitterMemory.SaveInto).
-func (j *JitterMemory) Dirty() bool { return j.own || j.Memory.Dirty() }
-
-// MarkClean implements rollback.DeltaSnapshotter.
-func (j *JitterMemory) MarkClean() {
-	j.own = false
-	j.Memory.MarkClean()
-}
-
-// SaveDelta implements rollback.DeltaSnapshotter: the composed save is
-// already incremental in journal mode (see Memory.SaveDelta).
-func (j *JitterMemory) SaveDelta(prev any) any { return j.SaveInto(prev) }
-
-// RestoreDelta implements rollback.DeltaSnapshotter: delta records
-// are restorable as-is (newest-only, which the registry enforces).
-func (j *JitterMemory) RestoreDelta(newest any) { j.Restore(newest) }
 
 // ErrorSlave responds to every active beat with a two-cycle ERROR, the
 // behavior of the AHB default slave, packaged as a mappable component.
@@ -529,11 +400,8 @@ type errorSnap struct {
 	Errors int64
 }
 
-// Save implements rollback.Snapshotter.
-func (e *ErrorSlave) Save() any { return e.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter, recycling prev when
-// it came from an earlier Save/SaveInto of an error slave.
+// SaveInto implements rollback.Snapshotter, recycling prev when
+// it came from an earlier SaveInto of an error slave.
 func (e *ErrorSlave) SaveInto(prev any) any {
 	s, ok := prev.(*errorSnap)
 	if !ok {
@@ -563,7 +431,6 @@ type RetryMemory struct {
 	retryPhase int // 0 none, 1 first RETRY cycle issued
 	retryDone  bool
 	retries    int64
-	own        bool // retry bookkeeping moved since MarkClean
 }
 
 var _ bus.Slave = (*RetryMemory)(nil)
@@ -589,7 +456,6 @@ func (r *RetryMemory) Respond(ap amba.AddrPhase) amba.SlaveReply {
 	if !r.retryDone && (r.beatCount+1)%int64(r.retryEvery) == 0 {
 		r.retries++
 		r.retryPhase = 1
-		r.own = true
 		return amba.SlaveReply{Ready: false, Resp: amba.RespRetry}
 	}
 	return r.Memory.Respond(ap)
@@ -597,7 +463,6 @@ func (r *RetryMemory) Respond(ap amba.AddrPhase) amba.SlaveReply {
 
 // Commit implements bus.Slave.
 func (r *RetryMemory) Commit(ready bool) {
-	r.own = true
 	if r.retryPhase == 1 {
 		if ready {
 			// RETRY sequence finished; the retried beat will come back
@@ -630,7 +495,6 @@ type SplitMemory struct {
 	countdown     int // -1 idle
 	release       uint32
 	splits        int64
-	own           bool // split bookkeeping moved since MarkClean
 }
 
 var (
@@ -664,7 +528,6 @@ func (s *SplitMemory) Respond(ap amba.AddrPhase) amba.SlaveReply {
 	if !s.splitDone && (s.beatCount+1)%int64(s.splitEvery) == 0 {
 		s.splits++
 		s.phase = 1
-		s.own = true
 		return amba.SlaveReply{Ready: false, Resp: amba.RespSplit}
 	}
 	return s.Memory.Respond(ap)
@@ -672,7 +535,6 @@ func (s *SplitMemory) Respond(ap amba.AddrPhase) amba.SlaveReply {
 
 // Commit implements bus.Slave.
 func (s *SplitMemory) Commit(ready bool) {
-	s.own = true
 	if s.phase == 1 {
 		if ready {
 			s.phase = 0
@@ -691,7 +553,6 @@ func (s *SplitMemory) Commit(ready bool) {
 func (s *SplitMemory) NotifySplit(master int) {
 	s.pendingMaster = master
 	s.countdown = s.releaseAfter
-	s.own = true
 }
 
 // Tick implements sim.Clocked: the release countdown runs on the target
@@ -702,10 +563,8 @@ func (s *SplitMemory) Tick(int64) {
 	case s.countdown == 0:
 		s.release |= 1 << uint(s.pendingMaster)
 		s.countdown = -1
-		s.own = true
 	default:
 		s.countdown--
-		s.own = true
 	}
 }
 
@@ -728,7 +587,6 @@ func (s *SplitMemory) QuiescentFor() int64 {
 func (s *SplitMemory) SkipQuiescent(n int64) {
 	if s.countdown >= 0 {
 		s.countdown -= int(n)
-		s.own = true
 	}
 }
 
@@ -736,10 +594,7 @@ func (s *SplitMemory) SkipQuiescent(n int64) {
 // the one bus Evaluate of the cycle.
 func (s *SplitMemory) SplitRelease() uint32 {
 	r := s.release
-	if r != 0 {
-		s.release = 0
-		s.own = true
-	}
+	s.release = 0
 	return r
 }
 
@@ -755,10 +610,7 @@ type splitSnap struct {
 	Splits        int64
 }
 
-// Save implements rollback.Snapshotter.
-func (s *SplitMemory) Save() any { return s.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter (wrappers must
+// SaveInto implements rollback.Snapshotter (wrappers must
 // override the embedded Memory's SaveInto; see JitterMemory.SaveInto).
 func (s *SplitMemory) SaveInto(prev any) any {
 	snap, ok := prev.(*splitSnap)
@@ -790,24 +642,7 @@ func (s *SplitMemory) Restore(v any) {
 	s.countdown = snap.Countdown
 	s.release = snap.Release
 	s.splits = snap.Splits
-	s.own = true
 }
-
-// Dirty implements rollback.DeltaSnapshotter (wrapper override).
-func (s *SplitMemory) Dirty() bool { return s.own || s.Memory.Dirty() }
-
-// MarkClean implements rollback.DeltaSnapshotter.
-func (s *SplitMemory) MarkClean() {
-	s.own = false
-	s.Memory.MarkClean()
-}
-
-// SaveDelta implements rollback.DeltaSnapshotter.
-func (s *SplitMemory) SaveDelta(prev any) any { return s.SaveInto(prev) }
-
-// RestoreDelta implements rollback.DeltaSnapshotter: delta records
-// are restorable as-is (newest-only, which the registry enforces).
-func (s *SplitMemory) RestoreDelta(newest any) { s.Restore(newest) }
 
 // retrySnap composes the memory snapshot with retry bookkeeping.
 type retrySnap struct {
@@ -818,10 +653,7 @@ type retrySnap struct {
 	Retries    int64
 }
 
-// Save implements rollback.Snapshotter.
-func (r *RetryMemory) Save() any { return r.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter (wrappers must
+// SaveInto implements rollback.Snapshotter (wrappers must
 // override the embedded Memory's SaveInto; see JitterMemory.SaveInto).
 func (r *RetryMemory) SaveInto(prev any) any {
 	s, ok := prev.(*retrySnap)
@@ -847,21 +679,4 @@ func (r *RetryMemory) Restore(v any) {
 	r.retryPhase = s.RetryPhase
 	r.retryDone = s.RetryDone
 	r.retries = s.Retries
-	r.own = true
 }
-
-// Dirty implements rollback.DeltaSnapshotter (wrapper override).
-func (r *RetryMemory) Dirty() bool { return r.own || r.Memory.Dirty() }
-
-// MarkClean implements rollback.DeltaSnapshotter.
-func (r *RetryMemory) MarkClean() {
-	r.own = false
-	r.Memory.MarkClean()
-}
-
-// SaveDelta implements rollback.DeltaSnapshotter.
-func (r *RetryMemory) SaveDelta(prev any) any { return r.SaveInto(prev) }
-
-// RestoreDelta implements rollback.DeltaSnapshotter: delta records
-// are restorable as-is (newest-only, which the registry enforces).
-func (r *RetryMemory) RestoreDelta(newest any) { r.Restore(newest) }

@@ -141,7 +141,7 @@ func TestSplitMemorySnapshotReplay(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		step(i)
 	}
-	snaps := []any{b.Save(), m.Save(), gen.Save(), mem.Save()}
+	snaps := []any{b.SaveInto(nil), m.SaveInto(nil), gen.SaveInto(nil), mem.SaveInto(nil)}
 	var first []amba.CycleState
 	for i := 6; i < 40; i++ {
 		first = append(first, step(i))

@@ -102,7 +102,7 @@ func TestBurstTrackerSnapshotWithExtensions(t *testing.T) {
 	tr := &BurstTracker{PredictStarts: true, PredictIdle: true}
 	observeBurst(tr, 0x100, amba.BurstIncr4)
 	observeBurst(tr, 0x110, amba.BurstIncr4)
-	snap := tr.Save()
+	snap := tr.SaveInto(nil)
 	a1, ok1 := tr.Predict()
 	tr.Observe(amba.AddrPhase{Addr: 0x120, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: amba.BurstIncr4, Write: true})
 	tr.Restore(snap)

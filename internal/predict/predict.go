@@ -46,11 +46,8 @@ func (l *LastValue) Predict() uint32 { return l.v }
 // Observe records the actual value.
 func (l *LastValue) Observe(v uint32) { l.v = v }
 
-// Save implements rollback.Snapshotter.
-func (l *LastValue) Save() any { return l.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter, recycling prev when
-// it came from an earlier Save/SaveInto of a LastValue (boxing a uint32
+// SaveInto implements rollback.Snapshotter, recycling prev when
+// it came from an earlier SaveInto of a LastValue (boxing a uint32
 // heap-allocates once the value leaves the runtime's small-int cache).
 func (l *LastValue) SaveInto(prev any) any {
 	v, ok := prev.(*uint32)
@@ -246,11 +243,8 @@ func (t *BurstTracker) SkipIdle(n int64) {
 	}
 }
 
-// Save implements rollback.Snapshotter.
-func (t *BurstTracker) Save() any { return t.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter, recycling prev when
-// it came from an earlier Save/SaveInto of a tracker.
+// SaveInto implements rollback.Snapshotter, recycling prev when
+// it came from an earlier SaveInto of a tracker.
 func (t *BurstTracker) SaveInto(prev any) any {
 	st, ok := prev.(*burstState)
 	if !ok {
@@ -328,11 +322,8 @@ func (w *WaitModel) Observe(ready bool) {
 	}
 }
 
-// Save implements rollback.Snapshotter.
-func (w *WaitModel) Save() any { return w.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter, recycling prev when
-// it came from an earlier Save/SaveInto of a wait model.
+// SaveInto implements rollback.Snapshotter, recycling prev when
+// it came from an earlier SaveInto of a wait model.
 func (w *WaitModel) SaveInto(prev any) any {
 	st, ok := prev.(*waitState)
 	if !ok {

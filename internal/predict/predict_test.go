@@ -15,7 +15,7 @@ func TestLastValue(t *testing.T) {
 	if l.Predict() != 0b101 {
 		t.Fatal("last value not tracked")
 	}
-	s := l.Save()
+	s := l.SaveInto(nil)
 	l.Observe(0b111)
 	l.Restore(s)
 	if l.Predict() != 0b101 {
@@ -83,7 +83,7 @@ func TestBurstTrackerIncrUnbounded(t *testing.T) {
 func TestBurstTrackerSnapshot(t *testing.T) {
 	var b BurstTracker
 	b.Observe(amba.AddrPhase{Addr: 0x10, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: amba.BurstIncr8})
-	s := b.Save()
+	s := b.SaveInto(nil)
 	p1, _ := b.Predict()
 	b.Observe(p1)
 	b.Restore(s)
@@ -126,7 +126,7 @@ func TestWaitModelObserveRealigns(t *testing.T) {
 func TestWaitModelSnapshot(t *testing.T) {
 	w := NewWaitModel(3, 1)
 	w.Predict()
-	s := w.Save()
+	s := w.SaveInto(nil)
 	a := w.Predict()
 	w.Restore(s)
 	b := w.Predict()

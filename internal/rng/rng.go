@@ -61,11 +61,8 @@ func (r *Source) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Save implements rollback.Snapshotter.
-func (r *Source) Save() any { return r.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter, recycling prev when
-// it came from an earlier Save/SaveInto of a source (boxing the raw
+// SaveInto implements rollback.Snapshotter, recycling prev when
+// it came from an earlier SaveInto of a source (boxing the raw
 // uint64 state would heap-allocate on almost every save).
 func (r *Source) SaveInto(prev any) any {
 	p, ok := prev.(*uint64)

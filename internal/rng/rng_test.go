@@ -26,7 +26,7 @@ func TestSaveRestore(t *testing.T) {
 	for i := 0; i < 17; i++ {
 		r.Uint64()
 	}
-	s := r.Save()
+	s := r.SaveInto(nil)
 	var first []uint64
 	for i := 0; i < 50; i++ {
 		first = append(first, r.Uint64())

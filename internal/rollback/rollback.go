@@ -3,13 +3,14 @@
 // state before running ahead (the paper's rb_store, P-5) and restores it
 // when the lagger reports a misprediction (rb_restore, S-6).
 //
-// Components register as Snapshotters with a Registry. A Registry.Save
-// captures every component atomically; Restore rewinds them all. The cost
-// of a store/restore is modeled, not measured: a hardware accelerator
-// shadows its registers in parallel (tens of nanoseconds regardless of
-// state size), while a software simulator copies its rollback variables
-// one by one (cost linear in the variable count). Both cost models come
-// from fitting the paper's Table 2 and SLA figures; see DESIGN.md §5.
+// Components register as Snapshotters with a Registry. One
+// Registry.SaveInto captures every component; Restore rewinds them all.
+// The cost of a store/restore is modeled, not measured: a hardware
+// accelerator shadows its registers in parallel (tens of nanoseconds
+// regardless of state size), while a software simulator copies its
+// rollback variables one by one (cost linear in the variable count).
+// Both cost models come from fitting the paper's Table 2 and SLA
+// figures; see DESIGN.md §5.
 //
 // Registries are not safe for concurrent use: each domain owns its
 // registry exclusively, and the engine drives it from one goroutine.
@@ -21,28 +22,20 @@ import (
 )
 
 // Snapshotter is implemented by every stateful component of a leader
-// domain. Save must return a deep, self-contained copy: a Restore with
-// that value must reproduce the exact externally visible behavior, or
-// roll-forth replay diverges and the equivalence invariant breaks.
-type Snapshotter interface {
-	Save() any
-	Restore(any)
-}
-
-// InPlaceSnapshotter is an optional extension of Snapshotter for
-// components on the once-per-transition store path. SaveInto behaves
-// like Save but may recycle prev — a value previously returned by Save
-// or SaveInto of the same component — instead of heap-allocating a
-// fresh snapshot. Passing nil (or a foreign value) must fall back to
-// allocating, so SaveInto(nil) is always equivalent to Save().
+// domain. SaveInto captures the component's state, recycling prev — a
+// value an earlier SaveInto of the same component returned — instead of
+// heap-allocating; nil or a foreign value makes it allocate. Restore
+// with the returned value must reproduce the exact externally visible
+// behavior, or roll-forth replay diverges and the equivalence invariant
+// breaks.
 //
-// The contract mirrors the leader's rollback discipline: at most one
-// snapshot is live at a time, so recycling the previous transition's
-// buffers is safe. Callers that need overlapping snapshot lifetimes
-// (tests, checkpointing) must keep using Save.
-type InPlaceSnapshotter interface {
-	Snapshotter
+// The contract is the leader's rollback discipline: at most one
+// snapshot is live at a time. Only the most recent save may be
+// restored, any number of times; a save may invalidate every earlier
+// one (ip.Memory's page stash does).
+type Snapshotter interface {
 	SaveInto(prev any) any
+	Restore(any)
 }
 
 // CostModel prices a store or restore of n rollback variables.
@@ -89,39 +82,17 @@ func SoftwareCost() CostModel {
 
 // Registry holds the snapshotters of one domain in registration order.
 type Registry struct {
-	snaps []entry
+	snaps []Snapshotter
 	vars  int
-
-	// Incremental (delta) saving state; see SetDeltaCadence. cadence
-	// 0/1 keeps every save full. The ring holds the last saves since
-	// the anchor (slot 0, always a full capture); pos is the most
-	// recent slot, seq the save sequence number handles are checked
-	// against.
-	cadence int
-	ring    []ringSlot
-	pos     int
-	seq     uint64
-	lastCap []int // per component: ring slot of its newest capture
+	seq   uint64 // number of saves; the restorable snapshot carries it
 }
 
-type entry struct {
-	name string
-	s    Snapshotter
-	ips  InPlaceSnapshotter // non-nil when s supports in-place saves
-	ds   DeltaSnapshotter   // non-nil when s supports delta saves
-}
-
-// Snapshot is an atomic capture of a whole Registry. Snapshots from
-// Save/SaveInto are self-contained; snapshots from SaveIncremental are
-// handles into the registry's delta ring, restorable only while they
-// are the registry's most recent save.
+// Snapshot is an atomic capture of a whole Registry. It stays
+// restorable only while it is its registry's most recent save.
 type Snapshot struct {
 	values []any
-	n      int // number of snapshotters at capture time
-
-	// reg/seq identify a ring handle (reg nil for self-contained).
-	reg *Registry
-	seq uint64
+	reg    *Registry
+	seq    uint64
 }
 
 // Register adds a snapshotter under a diagnostic name. The extra
@@ -134,9 +105,7 @@ func (r *Registry) Register(name string, s Snapshotter, vars int) {
 	if vars < 0 {
 		panic(fmt.Sprintf("rollback: negative var count for %q", name))
 	}
-	ips, _ := s.(InPlaceSnapshotter)
-	ds, _ := s.(DeltaSnapshotter)
-	r.snaps = append(r.snaps, entry{name, s, ips, ds})
+	r.snaps = append(r.snaps, s)
 	r.vars += vars
 }
 
@@ -146,53 +115,36 @@ func (r *Registry) Vars() int { return r.vars }
 // Components returns how many snapshotters are registered.
 func (r *Registry) Components() int { return len(r.snaps) }
 
-// Save captures every registered component into a fresh Snapshot.
-func (r *Registry) Save() Snapshot {
-	vals := make([]any, len(r.snaps))
-	for i, e := range r.snaps {
-		vals[i] = e.s.Save()
-	}
-	return Snapshot{values: vals, n: len(r.snaps)}
-}
-
 // SaveInto captures every registered component into dst, recycling the
-// buffers of whatever dst previously held. Components implementing
-// InPlaceSnapshotter save without heap allocation; the rest fall back
-// to Save. The previous contents of dst are invalidated — SaveInto is
-// for the leader's single-live-snapshot store path, not for keeping
-// multiple checkpoints (use Save for that).
+// buffers of whatever dst previously held, so a steady-state save
+// allocates nothing. It invalidates every earlier snapshot of r.
 func (r *Registry) SaveInto(dst *Snapshot) {
 	if cap(dst.values) < len(r.snaps) {
 		dst.values = make([]any, len(r.snaps))
 	}
 	dst.values = dst.values[:len(r.snaps)]
-	dst.n = len(r.snaps)
-	dst.reg = nil
-	dst.seq = 0
-	for i, e := range r.snaps {
-		if e.ips != nil {
-			dst.values[i] = e.ips.SaveInto(dst.values[i])
-		} else {
-			dst.values[i] = e.s.Save()
-		}
+	for i, s := range r.snaps {
+		dst.values[i] = s.SaveInto(dst.values[i])
 	}
+	r.seq++
+	dst.reg, dst.seq = r, r.seq
 }
 
-// Restore rewinds every registered component to the snapshot. Restoring
-// a snapshot taken with a different component set panics: it means the
-// engine rolled across a topology change, which the scheme forbids.
-// Ring snapshots (SaveIncremental) dispatch to the delta-aware path,
-// which walks back to the nearest full capture and replays deltas
-// forward.
+// Restore rewinds every registered component to s, which must be r's
+// most recent save. A snapshot of another registry, one taken with a
+// different component set (the engine rolled across a topology change,
+// which the scheme forbids) or a stale one panics.
 func (r *Registry) Restore(s Snapshot) {
-	if s.reg != nil {
-		r.restoreIncremental(s)
-		return
+	if s.reg != r {
+		panic("rollback: snapshot restored into a foreign registry")
 	}
-	if s.n != len(r.snaps) {
-		panic(fmt.Sprintf("rollback: snapshot of %d components restored into %d", s.n, len(r.snaps)))
+	if len(s.values) != len(r.snaps) {
+		panic(fmt.Sprintf("rollback: snapshot of %d components restored into %d", len(s.values), len(r.snaps)))
 	}
-	for i, e := range r.snaps {
-		e.s.Restore(s.values[i])
+	if s.seq != r.seq {
+		panic(fmt.Sprintf("rollback: snapshot %d is stale (latest %d); only the most recent is restorable", s.seq, r.seq))
+	}
+	for i, c := range r.snaps {
+		c.Restore(s.values[i])
 	}
 }

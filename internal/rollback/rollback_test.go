@@ -1,14 +1,25 @@
 package rollback
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
 
+// counter is a Snapshotter test double whose SaveInto recycles prev.
 type counter struct{ n int }
 
-func (c *counter) Save() any     { return c.n }
-func (c *counter) Restore(v any) { c.n = v.(int) }
+func (c *counter) SaveInto(prev any) any {
+	p, ok := prev.(*int)
+	if !ok {
+		p = new(int)
+	}
+	*p = c.n
+	return p
+}
+
+func (c *counter) Restore(v any) { c.n = *v.(*int) }
 
 func TestRegistrySaveRestore(t *testing.T) {
 	var r Registry
@@ -21,11 +32,26 @@ func TestRegistrySaveRestore(t *testing.T) {
 	if r.Components() != 2 {
 		t.Fatalf("Components = %d", r.Components())
 	}
-	snap := r.Save()
-	a.n, b.n = 100, 200
-	r.Restore(snap)
-	if a.n != 1 || b.n != 2 {
-		t.Fatalf("restore gave %d,%d", a.n, b.n)
+	var snap Snapshot
+	r.SaveInto(&snap)
+	// The latest save is restorable any number of times.
+	for i := 0; i < 3; i++ {
+		a.n, b.n = 100+i, 200+i
+		r.Restore(snap)
+		if a.n != 1 || b.n != 2 {
+			t.Fatalf("restore %d gave %d,%d", i, a.n, b.n)
+		}
+	}
+}
+
+func TestRegistrySaveIntoRecycles(t *testing.T) {
+	var r Registry
+	r.Register("a", &counter{1}, 1)
+	r.Register("b", &counter{2}, 1)
+	var snap Snapshot
+	r.SaveInto(&snap)
+	if n := testing.AllocsPerRun(100, func() { r.SaveInto(&snap); r.Restore(snap) }); n != 0 {
+		t.Fatalf("steady-state save+restore allocates %.1f times", n)
 	}
 }
 
@@ -52,14 +78,10 @@ func TestRegistryNegativeVarsPanics(t *testing.T) {
 func TestRestoreTopologyMismatchPanics(t *testing.T) {
 	var r Registry
 	r.Register("a", &counter{}, 1)
-	snap := r.Save()
+	var snap Snapshot
+	r.SaveInto(&snap)
 	r.Register("b", &counter{}, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("topology mismatch must panic")
-		}
-	}()
-	r.Restore(snap)
+	mustPanic(t, "1 components restored into 2", func() { r.Restore(snap) })
 }
 
 func TestHardwareCostFlat(t *testing.T) {
@@ -87,19 +109,43 @@ func TestSoftwareCostLinear(t *testing.T) {
 	}
 }
 
-func TestSnapshotIndependent(t *testing.T) {
+// TestIncrementalStaleRestorePanics pins the single-live-snapshot
+// discipline: a save makes every earlier snapshot of the registry
+// unrestorable. (The name dates from the incremental-save ring that
+// first enforced it.)
+func TestIncrementalStaleRestorePanics(t *testing.T) {
 	var r Registry
-	c := &counter{5}
-	r.Register("c", c, 1)
-	s1 := r.Save()
-	c.n = 6
-	s2 := r.Save()
-	r.Restore(s1)
-	if c.n != 5 {
-		t.Fatal("first snapshot corrupted")
-	}
-	r.Restore(s2)
-	if c.n != 6 {
-		t.Fatal("second snapshot corrupted")
-	}
+	r.Register("c", &counter{}, 1)
+	var old, cur Snapshot
+	r.SaveInto(&old)
+	r.SaveInto(&cur)
+	mustPanic(t, "stale", func() { r.Restore(old) })
+	r.Restore(cur) // the latest save stays restorable
+}
+
+// TestIncrementalForeignRegistryPanics pins that a snapshot restores
+// only into the registry that took it.
+func TestIncrementalForeignRegistryPanics(t *testing.T) {
+	var r1, r2 Registry
+	r1.Register("c", &counter{}, 1)
+	r2.Register("c", &counter{}, 1)
+	var s Snapshot
+	r1.SaveInto(&s)
+	mustPanic(t, "foreign registry", func() { r2.Restore(s) })
+}
+
+// mustPanic fails the test unless f panics with a message containing
+// want, so each restore check is pinned to its own panic.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatalf("no panic; want one mentioning %q", want)
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+			t.Fatalf("panic %q does not mention %q", msg, want)
+		}
+	}()
+	f()
 }

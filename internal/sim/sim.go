@@ -52,11 +52,6 @@ type Quiescible interface {
 // components.
 type Clock struct {
 	cycle int64
-
-	// saved/clean implement compare-on-save dirty tracking
-	// (rollback.DeltaSnapshotter) with zero cost on the Advance path.
-	saved int64
-	clean bool
 }
 
 // Now returns the number of completed cycles.
@@ -79,11 +74,8 @@ func (c *Clock) AdvanceN(n int64) {
 	c.cycle += n
 }
 
-// Save returns an opaque snapshot of the clock.
-func (c *Clock) Save() any { return c.SaveInto(nil) }
-
-// SaveInto behaves like Save but recycles prev when it came from an
-// earlier Save/SaveInto of a clock (rollback.InPlaceSnapshotter).
+// SaveInto implements rollback.Snapshotter, recycling prev when it
+// came from an earlier SaveInto of a clock.
 func (c *Clock) SaveInto(prev any) any {
 	v, ok := prev.(*int64)
 	if !ok {
@@ -93,7 +85,7 @@ func (c *Clock) SaveInto(prev any) any {
 	return v
 }
 
-// Restore rewinds the clock to a snapshot produced by Save.
+// Restore rewinds the clock to a snapshot produced by SaveInto.
 func (c *Clock) Restore(s any) {
 	v, ok := s.(*int64)
 	if !ok {
@@ -101,24 +93,6 @@ func (c *Clock) Restore(s any) {
 	}
 	c.cycle = *v
 }
-
-// Dirty implements rollback.DeltaSnapshotter: the clock changed iff it
-// advanced past the last MarkClean point.
-func (c *Clock) Dirty() bool { return !c.clean || c.cycle != c.saved }
-
-// MarkClean implements rollback.DeltaSnapshotter.
-func (c *Clock) MarkClean() {
-	c.saved = c.cycle
-	c.clean = true
-}
-
-// SaveDelta implements rollback.DeltaSnapshotter. The clock's whole
-// state is one counter, so the delta is a self-contained copy.
-func (c *Clock) SaveDelta(prev any) any { return c.SaveInto(prev) }
-
-// RestoreDelta implements rollback.DeltaSnapshotter: delta records
-// are restorable as-is (newest-only, which the registry enforces).
-func (c *Clock) RestoreDelta(newest any) { c.Restore(newest) }
 
 // Reset implements Resettable.
 func (c *Clock) Reset() { c.cycle = 0 }

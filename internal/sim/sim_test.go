@@ -55,7 +55,7 @@ func TestClockSaveRestore(t *testing.T) {
 	var c Clock
 	c.Advance()
 	c.Advance()
-	s := c.Save()
+	s := c.SaveInto(nil)
 	c.Advance()
 	c.Restore(s)
 	if c.Now() != 2 {

@@ -86,6 +86,8 @@ func TestHostKnobsDoNotSplitCanonicalHash(t *testing.T) {
 		{"trace_ring": 128, "timeout": "30s"},
 		{"workers": 4},
 		{"workers": 2, "trace": true, "timeout": "20s"},
+		{"delta_cadence": 1},
+		{"delta_cadence": 16},
 	}
 	for i, extra := range variants {
 		s, err := Parse(withRun(t, extra))

@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -174,16 +175,13 @@ type Run struct {
 	// for every setting). 0 selects the engine default (64); 1
 	// disables batching.
 	CycleBatch int `json:"cycle_batch,omitempty"`
-	// DeltaCadence sets the incremental-snapshot cadence of the
-	// rollback store (host-side fast path; modeled metrics are
-	// bit-identical for every setting). 0 selects the engine default
-	// (16); 1 forces full snapshots every transition.
-	DeltaCadence int `json:"delta_cadence,omitempty"`
-	// Workers is accepted and ignored: the engine is sequential. It
-	// stays in the schema for one release so existing specs and sweep
+	// DeltaCadence and Workers are accepted and ignored: the engine
+	// has one snapshot protocol and one sequential cycle loop. They
+	// stay in the schema for one release so existing specs and sweep
 	// documents still parse under strict decoding, and will then be
 	// removed. Negative values are still rejected.
-	Workers int `json:"workers,omitempty"`
+	DeltaCadence int `json:"delta_cadence,omitempty"`
+	Workers      int `json:"workers,omitempty"`
 
 	PredictIdle        bool    `json:"predict_idle,omitempty"`
 	PredictBurstStarts bool    `json:"predict_burst_starts,omitempty"`
@@ -197,7 +195,7 @@ type Run struct {
 	// Timeout is the per-job wall-clock deadline as a Go duration
 	// string ("30s", "2m"). Empty means no deadline. It bounds host
 	// execution, not the modeled run, so it is a host-side knob:
-	// excluded from the canonical hash like CycleBatch/DeltaCadence.
+	// excluded from the canonical hash like CycleBatch.
 	Timeout string `json:"timeout,omitempty"`
 	// FaultPlan configures seeded chaos-testing fault injection for
 	// this run (see faultplan). Host-side test harness configuration:
@@ -209,7 +207,7 @@ type Run struct {
 	// (run-ahead spans, rollbacks, batch commits — see internal/trace).
 	// Pure host-side observability: the modeled run is bit-identical
 	// with and without it, so it is excluded from the canonical hash
-	// like CycleBatch/DeltaCadence.
+	// like CycleBatch.
 	Trace bool `json:"trace,omitempty"`
 	// TraceRing caps the tracer's event ring (events retained; the
 	// oldest are overwritten past the cap). 0 selects the tracer
@@ -359,6 +357,15 @@ func (s *Spec) Validate() error {
 	if r.SimSpeed < 0 || r.AccSpeed < 0 || r.LOBDepth < 0 || r.RollbackVars < 0 || r.CycleBatch < 0 || r.DeltaCadence < 0 || r.Workers < 0 || r.TraceRing < 0 {
 		return fmt.Errorf("spec: negative run parameter")
 	}
+	for _, sp := range []struct {
+		field string
+		v     float64
+	}{{"sim_speed", r.SimSpeed}, {"acc_speed", r.AccSpeed}} {
+		// The engine charges 1e9/speed ns per cycle as a time.Duration.
+		if sp.v > 0 && 1e9/sp.v >= math.MaxInt64 {
+			return fmt.Errorf("spec: run.%s %v cycles/s is too slow: one cycle overflows the engine's time.Duration", sp.field, sp.v)
+		}
+	}
 	if r.Accuracy < 0 || r.Accuracy > 1 {
 		return fmt.Errorf("spec: accuracy %v outside [0, 1]", r.Accuracy)
 	}
@@ -438,9 +445,6 @@ func (s *Spec) Normalized() (*Spec, error) {
 	if r.CycleBatch == 0 {
 		r.CycleBatch = core.DefaultCycleBatch
 	}
-	if r.DeltaCadence == 0 {
-		r.DeltaCadence = core.DefaultDeltaCadence
-	}
 	if r.Accuracy == 0 {
 		r.Accuracy = 1
 	}
@@ -469,18 +473,17 @@ func (s *Spec) CanonicalHash() (string, error) {
 		return "", err
 	}
 	n.Name = ""
-	// CycleBatch and DeltaCadence are host-side knobs: the engine's
-	// batching fast path and delta-snapshot ring produce bit-identical
-	// reports at every setting (pinned by the batch and delta
-	// differential tests), so they must not split the result cache.
-	// CycleBatch hashes as its canonical default (it has been part of
-	// the canonical encoding since it existed); DeltaCadence hashes as
-	// absent (zero + omitempty), so canonical hashes — and with them
-	// every entry of a pre-existing persistent store — are unchanged
-	// from before the knob existed.
+	// CycleBatch is a host-side knob: the engine's batching fast path
+	// produces bit-identical reports at every setting (pinned by the
+	// batch differential tests), so it must not split the result
+	// cache. It hashes as its canonical default (it has been part of
+	// the canonical encoding since it existed).
 	n.Run.CycleBatch = core.DefaultCycleBatch
+	// DeltaCadence and Workers are ignored, so they hash as absent
+	// (zero + omitempty): canonical hashes — and with them every entry
+	// of a pre-existing persistent store — are the same as before
+	// either knob existed.
 	n.Run.DeltaCadence = 0
-	// Workers is ignored, so it hashes as absent (zero + omitempty).
 	n.Run.Workers = 0
 	// Timeout and FaultPlan are host-side too: a deadline bounds host
 	// execution without touching modeled results, and fault injection

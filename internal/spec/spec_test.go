@@ -2,6 +2,7 @@ package spec
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -68,25 +69,35 @@ func TestParseRejects(t *testing.T) {
 	cases := []struct {
 		name string
 		edit func(raw map[string]any)
+		want string // substring the error must contain ("" = any error)
 	}{
-		{"unknown field", func(m map[string]any) { m["bogus"] = 1 }},
-		{"unknown mode", func(m map[string]any) { m["run"].(map[string]any)["mode"] = "warp" }},
-		{"zero cycles", func(m map[string]any) { m["run"].(map[string]any)["cycles"] = 0 }},
+		{"unknown field", func(m map[string]any) { m["bogus"] = 1 }, ""},
+		{"unknown mode", func(m map[string]any) { m["run"].(map[string]any)["mode"] = "warp" }, ""},
+		{"zero cycles", func(m map[string]any) { m["run"].(map[string]any)["cycles"] = 0 }, ""},
 		{"no masters", func(m map[string]any) {
 			m["design"].(map[string]any)["masters"] = []any{}
-		}},
+		}, ""},
 		{"unknown generator", func(m map[string]any) {
 			gen := master0(m)["generator"].(map[string]any)
 			gen["kind"] = "quantum"
-		}},
+		}, ""},
 		{"missing window", func(m map[string]any) {
 			gen := master0(m)["generator"].(map[string]any)
 			delete(gen, "window")
-		}},
-		{"bad domain", func(m map[string]any) { master0(m)["domain"] = "fpga" }},
+		}, ""},
+		{"bad domain", func(m map[string]any) { master0(m)["domain"] = "fpga" }, ""},
 		{"accuracy out of range", func(m map[string]any) {
 			m["run"].(map[string]any)["accuracy"] = 1.5
-		}},
+		}, ""},
+		{"negative delta_cadence", func(m map[string]any) {
+			m["run"].(map[string]any)["delta_cadence"] = -1
+		}, ""},
+		{"sim_speed overflows cycle time", func(m map[string]any) {
+			m["run"].(map[string]any)["sim_speed"] = 1e-11
+		}, "sim_speed"},
+		{"acc_speed overflows cycle time", func(m map[string]any) {
+			m["run"].(map[string]any)["acc_speed"] = 1e-11
+		}, "acc_speed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -99,8 +110,12 @@ func TestParseRejects(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Parse(raw); err == nil {
+			_, err = Parse(raw)
+			if err == nil {
 				t.Fatalf("accepted invalid spec (%s)", tc.name)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not name %s", err, tc.want)
 			}
 		})
 	}
@@ -307,42 +322,30 @@ func TestCycleBatchNormalizationAndHash(t *testing.T) {
 }
 
 func TestDeltaCadenceNormalizationAndHash(t *testing.T) {
-	// Omitted delta_cadence normalizes to the engine default.
+	// delta_cadence is accepted and ignored, like workers: an omitted
+	// value stays absent after normalization (no default is filled in)
+	// and a given one compiles to exactly the engine config of a spec
+	// without it. TestHostKnobsDoNotSplitCanonicalHash pins the hash.
 	s := parseOK(t, streamSpecJSON)
 	n, err := s.Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Run.DeltaCadence != 16 {
-		t.Fatalf("normalized delta_cadence = %d, want 16", n.Run.DeltaCadence)
+	if n.Run.DeltaCadence != 0 {
+		t.Fatalf("normalized delta_cadence = %d, want it left absent", n.Run.DeltaCadence)
 	}
-	// The knob is host-side only: reports are bit-identical at every
-	// cadence, so it must not split the result cache — and it hashes
-	// as absent, so canonical hashes (and pre-existing store entries)
-	// are unchanged from before the knob existed.
-	h0, _ := s.CanonicalHash()
-	s1 := parseOK(t, streamSpecJSON)
-	s1.Run.DeltaCadence = 1
-	h1, err := s1.CanonicalHash()
+	_, want, err := s.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h1 != h0 {
-		t.Fatal("delta_cadence changed the canonical hash")
-	}
-	// But it still reaches the compiled engine config.
-	_, cfg, err := s1.Compile()
+	s16 := parseOK(t, streamSpecJSON)
+	s16.Run.DeltaCadence = 16
+	_, got, err := s16.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.DeltaCadence != 1 {
-		t.Fatalf("compiled DeltaCadence = %d, want 1", cfg.DeltaCadence)
-	}
-	// Negative values are rejected.
-	bad := parseOK(t, streamSpecJSON)
-	bad.Run.DeltaCadence = -1
-	if err := bad.Validate(); err == nil {
-		t.Fatal("negative delta_cadence validated")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("delta_cadence reached the engine config:\n%+v\nwant\n%+v", got, want)
 	}
 }
 

@@ -295,7 +295,10 @@ func TestRetryAfterHTTPDateHonored(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if round.Add(1) == 1 {
 			// RFC 7231's other Retry-After form: an absolute HTTP-date.
-			w.Header().Set("Retry-After", time.Now().Add(time.Second).UTC().Format(http.TimeFormat))
+			// http.TimeFormat truncates to whole seconds, so a date 2s
+			// ahead parses to a delay in (1s, 2s]; 1s ahead could parse
+			// to a few milliseconds.
+			w.Header().Set("Retry-After", time.Now().Add(2*time.Second).UTC().Format(http.TimeFormat))
 			http.Error(w, `{"error":"queue full"}`, http.StatusServiceUnavailable)
 			return
 		}
@@ -315,8 +318,7 @@ func TestRetryAfterHTTPDateHonored(t *testing.T) {
 	if lines[0].Error != "" {
 		t.Fatalf("line failed: %s", lines[0].Error)
 	}
-	// http.TimeFormat has second granularity, so the parsed delay is
-	// anywhere in (0s, 1s]; it must at least outrank the ms backoff.
+	// The parsed delay must at least outrank the ms backoff.
 	if waited := time.Since(start); waited < 50*time.Millisecond {
 		t.Fatalf("retried after %v; HTTP-date Retry-After not honored", waited)
 	}

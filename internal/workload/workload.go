@@ -151,11 +151,8 @@ func (s *Sequence) Next() (ip.Xfer, bool) {
 	return x, true
 }
 
-// Save implements rollback.Snapshotter.
-func (s *Sequence) Save() any { return s.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter, recycling prev when
-// it came from an earlier Save/SaveInto of a sequence.
+// SaveInto implements rollback.Snapshotter, recycling prev when
+// it came from an earlier SaveInto of a sequence.
 func (s *Sequence) SaveInto(prev any) any {
 	i, ok := prev.(*int)
 	if !ok {
@@ -188,10 +185,8 @@ type Stream struct {
 	gap   int
 	max   int64 // 0 = unbounded
 
-	st    streamState
-	pool  dataPool
-	saved streamState // compare-on-save dirty tracking
-	clean bool
+	st   streamState
+	pool dataPool
 }
 
 type streamState struct {
@@ -244,11 +239,8 @@ func (s *Stream) Next() (ip.Xfer, bool) {
 	return x, true
 }
 
-// Save implements rollback.Snapshotter.
-func (s *Stream) Save() any { return s.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter, recycling prev when
-// it came from an earlier Save/SaveInto of a stream.
+// SaveInto implements rollback.Snapshotter, recycling prev when
+// it came from an earlier SaveInto of a stream.
 func (s *Stream) SaveInto(prev any) any {
 	st, ok := prev.(*streamState)
 	if !ok {
@@ -269,24 +261,6 @@ func (s *Stream) Restore(v any) {
 	s.pool.restored(s.st.Issued)
 }
 
-// Dirty implements rollback.DeltaSnapshotter: the stream changed iff a
-// transfer was issued since the last MarkClean.
-func (s *Stream) Dirty() bool { return !s.clean || s.st != s.saved }
-
-// MarkClean implements rollback.DeltaSnapshotter.
-func (s *Stream) MarkClean() {
-	s.saved = s.st
-	s.clean = true
-}
-
-// SaveDelta implements rollback.DeltaSnapshotter; the cursor triple is
-// small, so deltas are self-contained copies.
-func (s *Stream) SaveDelta(prev any) any { return s.SaveInto(prev) }
-
-// RestoreDelta implements rollback.DeltaSnapshotter: delta records
-// are restorable as-is (newest-only, which the registry enforces).
-func (s *Stream) RestoreDelta(newest any) { s.Restore(newest) }
-
 // DMACopy alternates read bursts from a source window with write bursts
 // of the same data... of a deterministic pattern into a destination
 // window, modeling a DMA engine moving a frame between memories.
@@ -296,10 +270,8 @@ type DMACopy struct {
 	gap      int
 	max      int64
 
-	st    dmaState
-	pool  dataPool
-	saved dmaState // compare-on-save dirty tracking
-	clean bool
+	st   dmaState
+	pool dataPool
 }
 
 type dmaState struct {
@@ -353,11 +325,8 @@ func (d *DMACopy) Next() (ip.Xfer, bool) {
 	return x, true
 }
 
-// Save implements rollback.Snapshotter.
-func (d *DMACopy) Save() any { return d.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter, recycling prev when
-// it came from an earlier Save/SaveInto of a DMA generator.
+// SaveInto implements rollback.Snapshotter, recycling prev when
+// it came from an earlier SaveInto of a DMA generator.
 func (d *DMACopy) SaveInto(prev any) any {
 	st, ok := prev.(*dmaState)
 	if !ok {
@@ -377,23 +346,6 @@ func (d *DMACopy) Restore(v any) {
 	d.st = *st
 	d.pool.restored(d.st.Issued)
 }
-
-// Dirty implements rollback.DeltaSnapshotter.
-func (d *DMACopy) Dirty() bool { return !d.clean || d.st != d.saved }
-
-// MarkClean implements rollback.DeltaSnapshotter.
-func (d *DMACopy) MarkClean() {
-	d.saved = d.st
-	d.clean = true
-}
-
-// SaveDelta implements rollback.DeltaSnapshotter; the cursor state is
-// small, so deltas are self-contained copies.
-func (d *DMACopy) SaveDelta(prev any) any { return d.SaveInto(prev) }
-
-// RestoreDelta implements rollback.DeltaSnapshotter: delta records
-// are restorable as-is (newest-only, which the registry enforces).
-func (d *DMACopy) RestoreDelta(newest any) { d.Restore(newest) }
 
 // CPU emits randomized single transfers and short bursts across a set of
 // windows with random idle gaps — the bursty, direction-mixed traffic
@@ -473,12 +425,9 @@ type cpuSnap struct {
 	Beat   uint64
 }
 
-// Save implements rollback.Snapshotter.
-func (c *CPU) Save() any { return c.SaveInto(nil) }
-
-// SaveInto implements rollback.InPlaceSnapshotter, recycling prev (and
+// SaveInto implements rollback.Snapshotter, recycling prev (and
 // the PRNG state boxed inside it) when it came from an earlier
-// Save/SaveInto of a CPU generator.
+// SaveInto of a CPU generator.
 func (c *CPU) SaveInto(prev any) any {
 	s, ok := prev.(*cpuSnap)
 	if !ok {

@@ -36,7 +36,7 @@ func TestSequence(t *testing.T) {
 func TestSequenceSnapshot(t *testing.T) {
 	s := NewSequence(ip.Xfer{Addr: 1}, ip.Xfer{Addr: 2}, ip.Xfer{Addr: 3})
 	s.Next()
-	snap := s.Save()
+	snap := s.SaveInto(nil)
 	a, _ := s.Next()
 	s.Restore(snap)
 	b, _ := s.Next()
@@ -86,7 +86,7 @@ func TestStreamReadCarriesNoData(t *testing.T) {
 func TestStreamSnapshot(t *testing.T) {
 	s := NewStream(Window{0, 0x1000}, true, amba.BurstIncr4, amba.Size32, 0, 0, 0)
 	s.Next()
-	snap := s.Save()
+	snap := s.SaveInto(nil)
 	a, _ := s.Next()
 	s.Restore(snap)
 	b, _ := s.Next()
@@ -123,7 +123,7 @@ func TestDMACopyRejectsIncr(t *testing.T) {
 func TestDMASnapshot(t *testing.T) {
 	d := NewDMACopy(Window{0x0, 0x100}, Window{0x200, 0x300}, amba.BurstIncr4, 0, 0)
 	d.Next()
-	snap := d.Save()
+	snap := d.SaveInto(nil)
 	a, _ := d.Next()
 	d.Restore(snap)
 	b, _ := d.Next()
@@ -169,7 +169,7 @@ func TestCPUSnapshot(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Next()
 	}
-	snap := c.Save()
+	snap := c.SaveInto(nil)
 	var first []ip.Xfer
 	for i := 0; i < 20; i++ {
 		x, _ := c.Next()

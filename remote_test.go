@@ -25,14 +25,16 @@ import (
 // determined by the spec; the transport is plumbing.
 
 // remoteCycleCap bounds run length for the TCP differentials: long
-// enough to cross flush, report-exchange, rollback and delta-snapshot
-// paths on every example, short enough to keep dozens of socket-pair
-// runs fast.
+// enough to cross flush, report-exchange, rollback and snapshot paths
+// on every example, short enough to keep dozens of socket-pair runs
+// fast.
 const remoteCycleCap = 4000
 
-// remoteVariant clones sp with capped cycles and the given host-side
-// knob settings. Cloning goes through JSON — the same round trip the
-// spec takes inside the connect handshake.
+// remoteVariant clones sp with capped cycles, the given cycle_batch
+// and the given run.delta_cadence — a legacy field the engine accepts
+// and ignores, so a spec still carrying it must cross the connect
+// handshake unchanged in result. Cloning goes through JSON — the same
+// round trip the spec takes inside the handshake.
 func remoteVariant(t *testing.T, sp *coemu.Spec, batch, cadence int) *coemu.Spec {
 	t.Helper()
 	b, err := json.Marshal(sp)
@@ -53,9 +55,10 @@ func remoteVariant(t *testing.T, sp *coemu.Spec, batch, cadence int) *coemu.Spec
 
 // TestRemoteDifferentialBitIdentical runs every example spec
 // in-process and cross-process (two mirrored engines over a loopback
-// TCP socket pair in this binary), sweeping the host-side batching and
-// snapshot knobs, and requires byte-identical canonical report JSON on
-// all three reports plus identical channel statistics.
+// TCP socket pair in this binary), sweeping the host-side batching knob
+// and the ignored delta_cadence field, and requires byte-identical
+// canonical report JSON on all three reports plus identical channel
+// statistics.
 func TestRemoteDifferentialBitIdentical(t *testing.T) {
 	for name, sp := range exampleSpecs(t) {
 		t.Run(name, func(t *testing.T) {
