@@ -170,7 +170,7 @@ func BenchmarkTable2ALS(b *testing.B) {
 // LOB depths are scaled ×4 versus the paper's 64/8: the paper's model
 // assumes 2 LOB words per run-ahead cycle while this engine's real wire
 // encoding needs ~7-8, so depths 256/32 reproduce the paper's run-ahead
-// spans (M=32 and M=4). See EXPERIMENTS.md.
+// spans (M=32 and M=4). See the Calibration section of ARCHITECTURE.md.
 func BenchmarkFigure4Sweep(b *testing.B) {
 	d := streamDesign()
 	cfgs := []struct {
@@ -291,9 +291,10 @@ func readStreamDesign() coemu.Design {
 	}
 }
 
-// BenchmarkAblation quantifies the design choices DESIGN.md calls out:
-// the prediction extensions beyond the paper (idle continuation,
-// stride-predicted burst starts) and the adaptive mode governor.
+// BenchmarkAblation quantifies the design choices beyond the paper that
+// ARCHITECTURE.md lists under "The paper's contribution": the
+// prediction extensions (idle continuation, stride-predicted burst
+// starts) and the adaptive mode governor.
 func BenchmarkAblation(b *testing.B) {
 	d := readStreamDesign()
 	conv := conventionalPerf(b, d)

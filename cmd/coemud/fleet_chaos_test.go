@@ -168,7 +168,7 @@ func TestFleetChaosSweep(t *testing.T) {
 		}
 		hashes[i] = h
 	}
-	ring, err := sweepclient.NewRing(urls, 0, 0)
+	ring, err := sweepclient.NewRing(urls)
 	if err != nil {
 		t.Fatal(err)
 	}

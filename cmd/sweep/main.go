@@ -19,18 +19,18 @@
 // serves, byte-identical line for line.
 //
 // With -remote http://host:8080[,http://host2:8080], runs are not
-// executed in this process: grid mode expands the document locally and
-// shards the points across the daemon fleet by consistent hash (one
-// URL degenerates to plain failover submission), and the DES CSV
-// sweeps (which then require -spec) submit their points as a spec
-// batch — sharing the daemons' worker pools, result caches and
+// executed in this process. Both modes hand their points to one
+// sweepclient.Fleet, which shards them across the listed daemons by
+// consistent hash (one URL is a one-member fleet): grid mode expands
+// the document locally first, and the DES CSV sweeps (which then
+// require -spec) submit each sweep's points as one batch. Either way
+// the runs share the daemons' worker pools, result caches and
 // persistent store with every other client. Remote submission is
-// resilient: transient failures retry with exponential backoff
-// (-retries bounds the budget), a health prober evicts dead daemons
-// and rebalances only their unfinished points onto survivors, and
-// points whose results already sit in the daemons' shared store are
-// spliced via /v1/results/{hash} instead of re-run (see
-// internal/sweepclient).
+// resilient: failed rounds retry with exponential backoff (-retries
+// bounds the rounds), a health prober evicts dead daemons and
+// re-shards only their unfinished points onto survivors, and points
+// whose results already sit in the daemons' shared store are spliced
+// via /v1/results/{hash} instead of re-run (see internal/sweepclient).
 //
 // With -resume journal.ndjson (grid+remote mode), completed point
 // hashes are journaled durably as the sweep streams; re-running the
@@ -77,7 +77,7 @@ func main() {
 	specPath := flag.String("spec", "", "sweep a declarative JSON spec's design instead of the built-in stream design")
 	gridPath := flag.String("grid", "", "expand and run a declarative sweep document, streaming NDJSON results to stdout")
 	remote := flag.String("remote", "", "comma-separated coemud base URLs; shard the sweep across the daemon fleet instead of in-process runs")
-	retries := flag.Int("retries", sweepclient.DefaultRetries, "remote mode: how many transient failures (daemon down, 5xx, cut stream) to ride out")
+	retries := flag.Int("retries", sweepclient.DefaultRetries, "remote mode: how many failed rounds (daemon down, 5xx, cut stream, failed points) to retry before settling unfinished points with their last error")
 	resume := flag.String("resume", "", "remote grid mode: crash-safe resume journal path; journals completed point hashes and skips them on re-run")
 	flag.IntVar(&jobs, "j", runtime.NumCPU(), "parallel DES engine runs (local mode)")
 	flag.Parse()
@@ -118,11 +118,12 @@ func main() {
 		if baseSpec == nil {
 			fatal(fmt.Errorf("-remote CSV sweeps need -spec (the daemon runs declarative specs)"))
 		}
-		client, err := newRemoteClient(remotes, *retries)
+		fleet, err := newFleet(remotes, *retries, nil)
 		if err != nil {
 			fatal(err)
 		}
-		runner = &remoteRunner{base: baseSpec, client: client}
+		defer fleet.Close()
+		runner = &remoteRunner{base: baseSpec, fleet: fleet}
 	}
 	writeTable2(filepath.Join(*out, "table2.csv"))
 	writeFigure4(filepath.Join(*out, "figure4.csv"))
@@ -146,22 +147,14 @@ func runGrid(path string, remotes []string, retries int, resume string, w io.Wri
 		if err != nil {
 			return err
 		}
-		opts := sweepclient.FleetOptions{
-			URLs:    remotes,
-			Retries: retries,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
-		}
+		var journal *sweepclient.Journal
 		if resume != "" {
-			journal, jerr := sweepclient.OpenJournal(resume)
-			if jerr != nil {
-				return jerr
+			if journal, err = sweepclient.OpenJournal(resume); err != nil {
+				return err
 			}
 			defer journal.Close()
-			opts.Journal = journal
 		}
-		fleet, err := sweepclient.NewFleet(opts)
+		fleet, err := newFleet(remotes, retries, journal)
 		if err != nil {
 			return err
 		}
@@ -275,13 +268,14 @@ func splitRemotes(remote string) []string {
 	return urls
 }
 
-// newRemoteClient builds the resilient daemon client the remote modes
-// share, logging retry/failover decisions to stderr so they don't
-// pollute the NDJSON stream on stdout.
-func newRemoteClient(remotes []string, retries int) (*sweepclient.Client, error) {
-	return sweepclient.New(sweepclient.Options{
+// newFleet builds the sweep client both remote modes share, logging
+// membership and retry decisions to stderr so they don't pollute the
+// NDJSON stream on stdout.
+func newFleet(remotes []string, retries int, journal *sweepclient.Journal) (*sweepclient.Fleet, error) {
+	return sweepclient.NewFleet(sweepclient.FleetOptions{
 		URLs:    remotes,
 		Retries: retries,
+		Journal: journal,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
@@ -371,13 +365,13 @@ func localReport(rep *coemu.Report) *desReport {
 	return r
 }
 
-// remoteRunner submits points to coemud daemons as a /v1/sweep spec
-// batch: a daemon's pool runs them in parallel and its cache/store
-// answer repeats without recomputation. The shared sweepclient rides
-// out transient daemon failures and fails over across -remote URLs.
+// remoteRunner submits points to coemud daemons through the fleet,
+// which shards them as /v1/sweep spec batches: each daemon's pool runs
+// its shard in parallel and its cache/store answer repeats without
+// recomputation.
 type remoteRunner struct {
-	base   *coemu.Spec
-	client *sweepclient.Client
+	base  *coemu.Spec
+	fleet *sweepclient.Fleet
 }
 
 func (r *remoteRunner) runPoints(points []desPoint) ([]*desReport, error) {
@@ -387,7 +381,7 @@ func (r *remoteRunner) runPoints(points []desPoint) ([]*desReport, error) {
 		applyPointRun(&sp.Run, p)
 		specs[i] = &sp
 	}
-	lines, _, err := r.client.RunPoints(context.Background(), specs)
+	lines, _, err := r.fleet.RunPoints(context.Background(), specs)
 	if err != nil {
 		return nil, err
 	}

@@ -17,14 +17,18 @@ import (
 // records, for every examples/*/spec.json, the sha256 of the canonical
 // ReportView JSON at the spec's own config and under an injected
 // rollback storm. A host-side refactor that moves a single modeled bit
-// fails here with the spec and both digests named.
+// fails here with the spec and both digests named. It also records the
+// spec's canonical hash, the key of every cache, store entry and resume
+// journal record, so a schema edit that changes a run's identity fails
+// here too.
 
 const digestFile = "testdata/report_digests.json"
 
-// reportDigest is one spec's pair of pinned digests.
+// reportDigest is one spec's pinned report digests and canonical hash.
 type reportDigest struct {
 	Spec  string `json:"spec"`
 	Storm string `json:"storm"`
+	Hash  string `json:"hash"`
 }
 
 // stormConfig is the injected storm: every other verdict forced wrong
@@ -33,7 +37,8 @@ type reportDigest struct {
 func stormConfig(c *coemu.Config) { c.Accuracy = 0.5; c.FaultSeed = 3 }
 
 // computeReportDigests runs every example spec at its own config and
-// under the storm and hashes the canonical report bytes.
+// under the storm, hashes the canonical report bytes, and takes the
+// spec's canonical hash.
 func computeReportDigests(t *testing.T) map[string]reportDigest {
 	t.Helper()
 	sum := func(b []byte) string {
@@ -44,7 +49,11 @@ func computeReportDigests(t *testing.T) map[string]reportDigest {
 	for name, sp := range exampleSpecs(t) {
 		own, _ := runSpec(t, sp, nil)
 		storm, _ := runSpec(t, sp, stormConfig)
-		got[name] = reportDigest{Spec: sum(own), Storm: sum(storm)}
+		hash, err := sp.CanonicalHash()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got[name] = reportDigest{Spec: sum(own), Storm: sum(storm), Hash: hash}
 	}
 	return got
 }
@@ -76,6 +85,9 @@ func TestReportDigestsPinned(t *testing.T) {
 		}
 		if g.Storm != w.Storm {
 			t.Errorf("%s under the injected storm: report digest %s, pinned %s", name, g.Storm, w.Storm)
+		}
+		if g.Hash != w.Hash {
+			t.Errorf("%s: canonical spec hash %s, pinned %s", name, g.Hash, w.Hash)
 		}
 	}
 	for name := range want {

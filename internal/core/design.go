@@ -179,7 +179,8 @@ func (r *referenceSystem) step(cycle int64) amba.CycleState {
 // RunReference executes the monolithic golden model for the given number
 // of cycles with the protocol checker attached and returns its MSABS
 // trace. Co-emulated runs of the same design must match it cycle for
-// cycle — the equivalence invariant of DESIGN.md §7.
+// cycle — the equivalence invariant of ARCHITECTURE.md's "Data flow of
+// one run".
 func RunReference(d Design, cycles int64) ([]amba.CycleState, error) {
 	r, err := buildReference(d)
 	if err != nil {

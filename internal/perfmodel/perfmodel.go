@@ -9,19 +9,9 @@
 // than wall-clock measurements of a workload. This package reconstructs
 // that model; the executable discrete-event engine (internal/core)
 // measures the same quantities directly and the two are cross-checked in
-// tests. Calibration choices that the paper leaves implicit are
-// documented in DESIGN.md §5 and validated row-by-row in EXPERIMENTS.md:
-//
-//   - conventional co-emulation pays two channel accesses per cycle with
-//     ~2 payload words each way (fits both published baselines:
-//     38.9 kcyc/s at 1,000 kcyc/s simulator, 28.8 kcyc/s at 100 kcyc/s);
-//   - one run-ahead cycle deposits two LOB words (output + prediction),
-//     so the run-ahead span is M = LOBdepth/2 cycles (fits Tch(p=1));
-//   - a successful transition pays one channel access (the follow-up
-//     report piggybacks on the next flush); a failed one pays two;
-//   - accelerator state store/restore is a flat shadow-register cost
-//     (~15/29 ns); simulator store/restore is linear in the rollback
-//     variable count (~4.7 ns/var — fits both published SLA gains).
+// tests. The calibration choices that the paper leaves implicit are
+// listed in the Calibration section of ARCHITECTURE.md, and this
+// package's tests check the model against the published rows.
 package perfmodel
 
 import (

@@ -10,7 +10,7 @@
 // regardless of state size), while a software simulator copies its
 // rollback variables one by one (cost linear in the variable count).
 // Both cost models come from fitting the paper's Table 2 and SLA
-// figures; see DESIGN.md §5.
+// figures; see the Calibration section of ARCHITECTURE.md.
 //
 // Registries are not safe for concurrent use: each domain owns its
 // registry exclusively, and the engine drives it from one goroutine.

@@ -84,10 +84,7 @@ func TestHostKnobsDoNotSplitCanonicalHash(t *testing.T) {
 		{"trace": true},
 		{"trace": true, "trace_ring": 4096},
 		{"trace_ring": 128, "timeout": "30s"},
-		{"workers": 4},
-		{"workers": 2, "trace": true, "timeout": "20s"},
-		{"delta_cadence": 1},
-		{"delta_cadence": 16},
+		{"trace": true, "timeout": "20s"},
 	}
 	for i, extra := range variants {
 		s, err := Parse(withRun(t, extra))

@@ -175,13 +175,6 @@ type Run struct {
 	// for every setting). 0 selects the engine default (64); 1
 	// disables batching.
 	CycleBatch int `json:"cycle_batch,omitempty"`
-	// DeltaCadence and Workers are accepted and ignored: the engine
-	// has one snapshot protocol and one sequential cycle loop. They
-	// stay in the schema for one release so existing specs and sweep
-	// documents still parse under strict decoding, and will then be
-	// removed. Negative values are still rejected.
-	DeltaCadence int `json:"delta_cadence,omitempty"`
-	Workers      int `json:"workers,omitempty"`
 
 	PredictIdle        bool    `json:"predict_idle,omitempty"`
 	PredictBurstStarts bool    `json:"predict_burst_starts,omitempty"`
@@ -354,7 +347,7 @@ func (s *Spec) Validate() error {
 	if r.Cycles <= 0 {
 		return fmt.Errorf("spec: run.cycles must be positive, got %d", r.Cycles)
 	}
-	if r.SimSpeed < 0 || r.AccSpeed < 0 || r.LOBDepth < 0 || r.RollbackVars < 0 || r.CycleBatch < 0 || r.DeltaCadence < 0 || r.Workers < 0 || r.TraceRing < 0 {
+	if r.SimSpeed < 0 || r.AccSpeed < 0 || r.LOBDepth < 0 || r.RollbackVars < 0 || r.CycleBatch < 0 || r.TraceRing < 0 {
 		return fmt.Errorf("spec: negative run parameter")
 	}
 	for _, sp := range []struct {
@@ -479,12 +472,6 @@ func (s *Spec) CanonicalHash() (string, error) {
 	// cache. It hashes as its canonical default (it has been part of
 	// the canonical encoding since it existed).
 	n.Run.CycleBatch = core.DefaultCycleBatch
-	// DeltaCadence and Workers are ignored, so they hash as absent
-	// (zero + omitempty): canonical hashes — and with them every entry
-	// of a pre-existing persistent store — are the same as before
-	// either knob existed.
-	n.Run.DeltaCadence = 0
-	n.Run.Workers = 0
 	// Timeout and FaultPlan are host-side too: a deadline bounds host
 	// execution without touching modeled results, and fault injection
 	// is a chaos harness whose surviving runs are bit-identical to

@@ -2,7 +2,6 @@ package spec
 
 import (
 	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -89,9 +88,13 @@ func TestParseRejects(t *testing.T) {
 		{"accuracy out of range", func(m map[string]any) {
 			m["run"].(map[string]any)["accuracy"] = 1.5
 		}, ""},
-		{"negative delta_cadence", func(m map[string]any) {
-			m["run"].(map[string]any)["delta_cadence"] = -1
-		}, ""},
+		// Fields removed from the schema fail strict decoding by name.
+		{"stale delta_cadence", func(m map[string]any) {
+			m["run"].(map[string]any)["delta_cadence"] = 16
+		}, "delta_cadence"},
+		{"stale workers", func(m map[string]any) {
+			m["run"].(map[string]any)["workers"] = 4
+		}, "workers"},
 		{"sim_speed overflows cycle time", func(m map[string]any) {
 			m["run"].(map[string]any)["sim_speed"] = 1e-11
 		}, "sim_speed"},
@@ -318,34 +321,6 @@ func TestCycleBatchNormalizationAndHash(t *testing.T) {
 	bad.Run.CycleBatch = -1
 	if err := bad.Validate(); err == nil {
 		t.Fatal("negative cycle_batch validated")
-	}
-}
-
-func TestDeltaCadenceNormalizationAndHash(t *testing.T) {
-	// delta_cadence is accepted and ignored, like workers: an omitted
-	// value stays absent after normalization (no default is filled in)
-	// and a given one compiles to exactly the engine config of a spec
-	// without it. TestHostKnobsDoNotSplitCanonicalHash pins the hash.
-	s := parseOK(t, streamSpecJSON)
-	n, err := s.Normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Run.DeltaCadence != 0 {
-		t.Fatalf("normalized delta_cadence = %d, want it left absent", n.Run.DeltaCadence)
-	}
-	_, want, err := s.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s16 := parseOK(t, streamSpecJSON)
-	s16.Run.DeltaCadence = 16
-	_, got, err := s16.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("delta_cadence reached the engine config:\n%+v\nwant\n%+v", got, want)
 	}
 }
 

@@ -188,6 +188,26 @@ func TestSweepBadPointValuesFailExpand(t *testing.T) {
 	}
 }
 
+func TestSweepRejectsStaleRunFields(t *testing.T) {
+	// run.workers and run.delta_cadence left the schema: a sweep axis
+	// that sets one fails Expand, and a base document carrying one fails
+	// ParseSweep, each with an error naming the field.
+	for _, field := range []string{"workers", "delta_cadence"} {
+		axis := fmt.Sprintf(`{"axes": [{"field": "run.%s", "values": [1, 2]}]}`, field)
+		ss, err := ParseSweep([]byte(sweepDoc(axis)))
+		if err != nil {
+			t.Fatalf("run.%s axis rejected before Expand: %v", field, err)
+		}
+		if _, err := ss.Expand(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("run.%s axis: Expand err = %v, want one naming %s", field, err, field)
+		}
+		base := strings.Replace(sweepDoc(""), `"cycles": 2000`, fmt.Sprintf(`"cycles": 2000, %q: 4`, field), 1)
+		if _, err := ParseSweep([]byte(base)); err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("run.%s in the base: ParseSweep err = %v, want one naming %s", field, err, field)
+		}
+	}
+}
+
 func TestSweepMaxPointsOverride(t *testing.T) {
 	vals := make([]string, 1500)
 	for i := range vals {

@@ -1,24 +1,28 @@
 // Package sweepclient is the resilient client side of coemud's
-// /v1/sweep wire protocol: it drives a sweep's expanded points against
-// one or more daemons and keeps going when the transport, a daemon, or
-// an individual point fails.
+// /v1/sweep wire protocol. Its one client, Fleet, drives a sweep's
+// expanded points against one or more daemons and keeps going when the
+// transport, a daemon, or an individual point fails. One URL is a
+// one-member fleet; several URLs shard the points across the members
+// (see fleet.go). There is no failover chain: a dead member's
+// unfinished points are re-sharded over the live ones.
 //
 // Resilience has three layers:
 //
 //   - Retries with exponential backoff and jitter. Transport errors,
 //     5xx responses and mid-stream disconnects are transient; the
-//     client backs off (honoring a 503's Retry-After) and tries again.
-//     A 4xx response other than 503 is permanent and aborts the run.
-//   - Failover. The client carries a list of daemon base URLs and
-//     rotates to the next on every transient failure, so a sweep
-//     survives one daemon dying mid-stream as long as a sibling —
-//     typically sharing the same persistent store — is reachable.
+//     fleet backs off (honoring a 503's Retry-After) and runs another
+//     round. A 4xx response other than 503 is permanent and aborts the
+//     run.
+//   - Health-checked membership. A prober evicts members that keep
+//     failing and re-admits them when they answer again, so each round
+//     shards only over daemons that are up.
 //   - Store-aware resumption. Lines received before a disconnect are
-//     kept; each retry round re-submits only the still-missing points.
-//     Since completed points were written through to the daemons'
-//     shared store, a resumed round replays them without engine runs,
-//     and the reassembled stream is byte-identical to an unfaulted
-//     one (reports are canonical bytes end to end).
+//     kept; each retry round re-submits only the still-missing points,
+//     after asking the daemons' shared store for them. Since completed
+//     points were written through to that store, a resumed round
+//     replays them without engine runs, and the reassembled stream is
+//     byte-identical to an unfaulted one (reports are canonical bytes
+//     end to end).
 //
 // Per-point failures reported by the daemon (an injected worker panic,
 // a run timeout) are also retried: the daemon draws fresh fault seeds
@@ -44,159 +48,28 @@ import (
 	"coemu/internal/spec"
 )
 
-// Defaults for the zero Options values.
+// Defaults for the zero FleetOptions values.
 const (
 	DefaultRetries     = 8
 	DefaultBaseBackoff = 100 * time.Millisecond
 	DefaultMaxBackoff  = 5 * time.Second
 )
 
-// ErrRetriesExhausted marks points (and runs) that failed every
-// attempt within the retry budget.
+// ErrRetriesExhausted marks points that failed every round within the
+// retry budget.
 var ErrRetriesExhausted = errors.New("sweepclient: retries exhausted")
-
-// Options configures a Client.
-type Options struct {
-	// URLs are the coemud base URLs ("http://host:8080") to fail over
-	// across, tried in order. At least one is required.
-	URLs []string
-	// Retries bounds how many transient failures (across all rounds)
-	// the client rides out before giving up; 0 means DefaultRetries,
-	// negative disables retries entirely.
-	Retries int
-	// BaseBackoff and MaxBackoff shape the exponential backoff between
-	// attempts; zero values take the defaults.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// HTTPClient overrides the transport (nil uses a client with a
-	// generous timeout, since a sweep response streams for the whole
-	// grid).
-	HTTPClient *http.Client
-	// Logf, when set, receives one line per retry/failover decision.
-	Logf func(format string, args ...any)
-}
-
-// Client drives sweeps against a set of coemud daemons.
-type Client struct {
-	urls    []string
-	cur     int // next URL to try; advances on transient failure
-	retries int
-	base    time.Duration
-	max     time.Duration
-	http    *http.Client
-	logf    func(format string, args ...any)
-}
-
-// New builds a client; it fails only on an empty URL list.
-func New(opts Options) (*Client, error) {
-	if len(opts.URLs) == 0 {
-		return nil, errors.New("sweepclient: no daemon URLs")
-	}
-	c := &Client{
-		urls:    make([]string, len(opts.URLs)),
-		retries: opts.Retries,
-		base:    opts.BaseBackoff,
-		max:     opts.MaxBackoff,
-		http:    opts.HTTPClient,
-		logf:    opts.Logf,
-	}
-	for i, u := range opts.URLs {
-		u = strings.TrimRight(strings.TrimSpace(u), "/")
-		if u == "" {
-			return nil, fmt.Errorf("sweepclient: empty daemon URL at position %d", i)
-		}
-		c.urls[i] = u
-	}
-	if c.retries == 0 {
-		c.retries = DefaultRetries
-	} else if c.retries < 0 {
-		c.retries = 0
-	}
-	if c.base <= 0 {
-		c.base = DefaultBaseBackoff
-	}
-	if c.max <= 0 {
-		c.max = DefaultMaxBackoff
-	}
-	if c.http == nil {
-		c.http = &http.Client{Timeout: 30 * time.Minute}
-	}
-	if c.logf == nil {
-		c.logf = func(string, ...any) {}
-	}
-	return c, nil
-}
-
-// RunPoints runs every expanded point to a settled SweepLine, indexed
-// and named like the local -grid stream so the reassembled NDJSON is
-// byte-identical line for line. rawAgg carries the daemon's own
-// aggregate line verbatim when the very first attempt delivered every
-// point cleanly (so cache/store hit counters can be relayed); it is
-// nil whenever the stream had to be reassembled across attempts.
-//
-// The returned error is non-nil only for permanent failures: a 4xx
-// rejection, context cancellation, or a wholly exhausted retry budget
-// with no progress possible. Per-point errors that survive the budget
-// are reported in their lines' Error fields, matching daemon behavior.
-func (c *Client) RunPoints(ctx context.Context, points []*spec.Spec) (lines []service.SweepLine, rawAgg []byte, err error) {
-	if len(points) == 0 {
-		return nil, nil, errors.New("sweepclient: sweep has no points")
-	}
-	got := make([]*service.SweepLine, len(points))
-	lastErr := make(map[int]string)
-
-	attempt := 0
-	for {
-		missing := missingIndexes(got)
-		if len(missing) == 0 {
-			break
-		}
-		res, aggBytes, aerr := c.attempt(ctx, points, missing, got, lastErr)
-		if aerr == nil {
-			if attempt == 0 && res == len(points) && len(missingIndexes(got)) == 0 {
-				rawAgg = aggBytes
-			}
-			if len(missingIndexes(got)) == 0 {
-				break
-			}
-			// The daemon answered but some points failed; fall through
-			// to the retry accounting below.
-			aerr = fmt.Errorf("%d point(s) failed", len(missingIndexes(got)))
-		} else if permanent(aerr) {
-			return nil, nil, aerr
-		}
-		if attempt >= c.retries {
-			c.logf("sweepclient: giving up after %d attempt(s): %v", attempt+1, aerr)
-			break
-		}
-		delay := c.backoff(attempt, aerr)
-		c.logf("sweepclient: attempt %d/%d failed (%v); next daemon %s in %v",
-			attempt+1, c.retries+1, aerr, c.urls[c.cur], delay)
-		select {
-		case <-ctx.Done():
-			return nil, nil, ctx.Err()
-		case <-time.After(delay):
-		}
-		attempt++
-	}
-
-	return settleLines(points, got, lastErr), rawAgg, nil
-}
 
 // settleLines turns the per-point state of a finished run into the
 // final line slice: received lines verbatim, and for points the retry
 // budget abandoned, an error line shaped like a daemon-side failure.
-func settleLines(points []*spec.Spec, got []*service.SweepLine, lastErr map[int]string) []service.SweepLine {
+func settleLines(points []*spec.Spec, hashes []string, got []*service.SweepLine, lastErr map[int]string) []service.SweepLine {
 	out := make([]service.SweepLine, len(points))
 	for i := range points {
 		if got[i] != nil {
 			out[i] = *got[i]
 			continue
 		}
-		line := service.SweepLine{Index: i, Name: points[i].Name}
-		if h, herr := points[i].CanonicalHash(); herr == nil {
-			line.Hash = h
-		}
+		line := service.SweepLine{Index: i, Name: points[i].Name, Hash: hashes[i]}
 		if msg, ok := lastErr[i]; ok {
 			line.Error = msg
 		} else {
@@ -238,40 +111,35 @@ type retryAfterError struct {
 func (r *retryAfterError) Error() string { return r.err.Error() }
 func (r *retryAfterError) Unwrap() error { return r.err }
 
-// attempt posts the missing points as a {"specs": [...]} batch to the
-// current daemon and folds the streamed lines into got. Clean lines
-// stick (their Index remapped from batch position to grid position);
-// error lines only record lastErr so the point is retried. Returns the
-// number of clean lines received this attempt and, when the stream
-// completed, the daemon's raw aggregate line. A transport error, bad
-// status or truncated stream rotates the client to the next URL and
-// returns a transient error; lines received before the cut are kept.
-func (c *Client) attempt(ctx context.Context, points []*spec.Spec, missing []int, got []*service.SweepLine, lastErr map[int]string) (clean int, aggLine []byte, err error) {
-	url := c.urls[c.cur]
-	rotate := func() { c.cur = (c.cur + 1) % len(c.urls) }
-
-	specs := make([]json.RawMessage, len(missing))
-	for bi, oi := range missing {
+// attempt posts the batch points (indexes into points) as a
+// {"specs": [...]} document to one daemon and folds the streamed lines
+// into got. Clean lines stick (their Index remapped from batch position
+// to grid position); error lines only record lastErr so the point is
+// retried. It returns the daemon's raw aggregate line when the stream
+// completed. A transport error, 5xx or truncated stream is transient;
+// lines received before the cut are kept.
+func (f *Fleet) attempt(ctx context.Context, url string, points []*spec.Spec, batch []int, got []*service.SweepLine, lastErr map[int]string) (aggLine []byte, err error) {
+	specs := make([]json.RawMessage, len(batch))
+	for bi, oi := range batch {
 		b, merr := json.Marshal(points[oi])
 		if merr != nil {
-			return 0, nil, &permanentError{fmt.Errorf("sweepclient: encode point %d: %w", oi, merr)}
+			return nil, &permanentError{fmt.Errorf("sweepclient: encode point %d: %w", oi, merr)}
 		}
 		specs[bi] = b
 	}
 	body, merr := json.Marshal(map[string]any{"specs": specs})
 	if merr != nil {
-		return 0, nil, &permanentError{fmt.Errorf("sweepclient: encode batch: %w", merr)}
+		return nil, &permanentError{fmt.Errorf("sweepclient: encode batch: %w", merr)}
 	}
 
 	req, rerr := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/sweep", bytes.NewReader(body))
 	if rerr != nil {
-		return 0, nil, &permanentError{rerr}
+		return nil, &permanentError{rerr}
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, derr := c.http.Do(req)
+	resp, derr := f.http.Do(req)
 	if derr != nil {
-		rotate()
-		return 0, nil, fmt.Errorf("sweepclient: %s: %w", url, derr)
+		return nil, fmt.Errorf("sweepclient: %s: %w", url, derr)
 	}
 	defer resp.Body.Close()
 
@@ -280,22 +148,19 @@ func (c *Client) attempt(ctx context.Context, points []*spec.Spec, missing []int
 		serr := fmt.Errorf("sweepclient: %s: %s: %s", url, resp.Status, strings.TrimSpace(string(msg)))
 		switch {
 		case resp.StatusCode == http.StatusServiceUnavailable:
-			rotate()
 			if d := parseRetryAfter(resp.Header.Get("Retry-After")); d > 0 {
-				return 0, nil, &retryAfterError{err: serr, delay: d}
+				return nil, &retryAfterError{err: serr, delay: d}
 			}
-			return 0, nil, serr
+			return nil, serr
 		case resp.StatusCode >= 500:
-			rotate()
-			return 0, nil, serr
+			return nil, serr
 		default:
-			return 0, nil, &permanentError{serr}
+			return nil, &permanentError{serr}
 		}
 	}
 
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	sawAgg := false
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -303,42 +168,27 @@ func (c *Client) attempt(ctx context.Context, points []*spec.Spec, missing []int
 		}
 		if bytes.HasPrefix(line, []byte(`{"aggregate"`)) {
 			aggLine = append([]byte(nil), line...)
-			aggLine = append(aggLine, '\n')
-			sawAgg = true
-			break
+			return append(aggLine, '\n'), nil
 		}
 		var ln service.SweepLine
 		if uerr := json.Unmarshal(line, &ln); uerr != nil {
-			rotate()
-			return clean, nil, fmt.Errorf("sweepclient: %s: bad line: %w", url, uerr)
+			return nil, fmt.Errorf("sweepclient: %s: bad line: %w", url, uerr)
 		}
-		if ln.Index < 0 || ln.Index >= len(missing) {
-			rotate()
-			return clean, nil, fmt.Errorf("sweepclient: %s: point index %d outside batch of %d", url, ln.Index, len(missing))
+		if ln.Index < 0 || ln.Index >= len(batch) {
+			return nil, fmt.Errorf("sweepclient: %s: point index %d outside batch of %d", url, ln.Index, len(batch))
 		}
-		oi := missing[ln.Index]
+		oi := batch[ln.Index]
 		if ln.Error != "" {
 			lastErr[oi] = ln.Error
 			continue
 		}
 		ln.Index = oi
 		got[oi] = &ln
-		clean++
 	}
 	if serr := sc.Err(); serr != nil {
-		rotate()
-		return clean, nil, fmt.Errorf("sweepclient: %s: stream cut: %w", url, serr)
+		return nil, fmt.Errorf("sweepclient: %s: stream cut: %w", url, serr)
 	}
-	if !sawAgg {
-		rotate()
-		return clean, nil, fmt.Errorf("sweepclient: %s: stream ended before the aggregate line", url)
-	}
-	return clean, aggLine, nil
-}
-
-// backoff computes the pre-retry delay; see backoffDelay.
-func (c *Client) backoff(attempt int, cause error) time.Duration {
-	return backoffDelay(c.base, c.max, attempt, cause)
+	return nil, fmt.Errorf("sweepclient: %s: stream ended before the aggregate line", url)
 }
 
 // backoffDelay computes a pre-retry delay: exponential from base,

@@ -4,18 +4,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"coemu/internal/service"
 	"coemu/internal/spec"
 )
+
+// The wire-level behaviour of one daemon round trip — Retry-After,
+// permanent 4xx, per-point error lines, cut streams, the relayed or
+// rebuilt aggregate — driven through one-member fleets on the stub
+// daemon of fleet_test.go.
 
 // testPoints builds n tiny distinct expanded points.
 func testPoints(t *testing.T, n int) []*spec.Spec {
@@ -42,90 +45,17 @@ func testPoints(t *testing.T, n int) []*spec.Spec {
 	return points
 }
 
-// decodeBatch pulls the submitted specs' names out of a request body.
-func decodeBatch(t *testing.T, r *http.Request) []string {
-	t.Helper()
-	var batch struct {
-		Specs []json.RawMessage `json:"specs"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
-		t.Errorf("bad batch body: %v", err)
-		return nil
-	}
-	names := make([]string, len(batch.Specs))
-	for i, raw := range batch.Specs {
-		var s struct {
-			Name string `json:"name"`
-		}
-		if err := json.Unmarshal(raw, &s); err != nil {
-			t.Errorf("bad spec in batch: %v", err)
-		}
-		names[i] = s.Name
-	}
-	return names
-}
-
-// serveLines writes one clean NDJSON line per submitted spec plus an
-// aggregate, the way a healthy daemon would.
-func serveLines(t *testing.T, w http.ResponseWriter, names []string) {
-	t.Helper()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	agg := service.NewSweepAggregator(len(names))
-	for i, name := range names {
-		pr := pointResult(t, i, name)
-		if err := enc.Encode(agg.Add(pr)); err != nil {
-			return
-		}
-	}
-	if err := enc.Encode(agg.Line()); err != nil {
-		return
-	}
-}
-
-// pointResult fabricates a deterministic per-point result whose report
-// bytes depend only on the point name.
-func pointResult(t *testing.T, index int, name string) service.PointResult {
-	t.Helper()
-	res := &service.Result{JSON: []byte(fmt.Sprintf(`{"perf_cycles_per_sec":%d,"stats":{"committed":%d}}`,
-		1000+len(name), 50000))}
-	return service.PointResult{Index: index, Name: name, Hash: "h-" + name, Result: res}
-}
-
-func newClient(t *testing.T, urls ...string) *Client {
-	t.Helper()
-	c, err := New(Options{
-		URLs:        urls,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  2 * time.Millisecond,
-		Logf:        t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 func TestCleanRoundRelaysAggregateVerbatim(t *testing.T) {
+	d := startStubDaemon(t, newFleetStore())
 	points := testPoints(t, 3)
-	var stream bytes.Buffer
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		names := decodeBatch(t, r)
-		serveLines(t, io2(w, &stream), names)
-	}))
-	defer srv.Close()
 
-	lines, rawAgg, err := newClient(t, srv.URL).RunPoints(context.Background(), points)
+	lines, rawAgg, err := newTestFleet(t, nil, d.srv.URL).RunPoints(context.Background(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) != 3 || rawAgg == nil {
-		t.Fatalf("lines=%d rawAgg=%v, want 3 lines and a relayed aggregate", len(lines), rawAgg != nil)
-	}
-	for i, ln := range lines {
-		if ln.Index != i || ln.Name != points[i].Name || ln.Error != "" {
-			t.Fatalf("line %d = %+v", i, ln)
-		}
+	requireClean(t, points, lines)
+	if rawAgg == nil {
+		t.Fatal("clean one-round sweep did not relay the daemon's aggregate")
 	}
 
 	// The reassembled stream must be byte-identical to what the daemon
@@ -134,192 +64,102 @@ func TestCleanRoundRelaysAggregateVerbatim(t *testing.T) {
 	if err := WriteNDJSON(&out, lines, rawAgg); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(out.Bytes(), stream.Bytes()) {
-		t.Fatalf("reassembled stream differs:\ngot:  %s\nwant: %s", out.Bytes(), stream.Bytes())
+	d.mu.Lock()
+	sent := d.stream
+	d.mu.Unlock()
+	if !bytes.Equal(out.Bytes(), sent) {
+		t.Fatalf("reassembled stream differs:\ngot:  %s\nwant: %s", out.Bytes(), sent)
 	}
-}
-
-// io2 tees a ResponseWriter so tests can capture the exact stream.
-func io2(w http.ResponseWriter, buf *bytes.Buffer) http.ResponseWriter {
-	return &teeWriter{w: w, buf: buf}
-}
-
-type teeWriter struct {
-	w   http.ResponseWriter
-	buf *bytes.Buffer
-}
-
-func (t *teeWriter) Header() http.Header { return t.w.Header() }
-func (t *teeWriter) WriteHeader(c int)   { t.w.WriteHeader(c) }
-func (t *teeWriter) Write(p []byte) (int, error) {
-	t.buf.Write(p)
-	return t.w.Write(p)
 }
 
 func TestFailoverToSecondDaemon(t *testing.T) {
 	points := testPoints(t, 2)
 	dead := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
 	dead.Close() // connection refused from here on
+	live := startStubDaemon(t, newFleetStore())
 
-	var hits atomic.Int32
-	live := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		serveLines(t, w, decodeBatch(t, r))
-	}))
-	defer live.Close()
-
-	lines, _, err := newClient(t, dead.URL, live.URL).RunPoints(context.Background(), points)
+	lines, _, err := newTestFleet(t, nil, dead.URL, live.srv.URL).RunPoints(context.Background(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits.Load() != 1 {
-		t.Fatalf("live daemon hit %d times, want 1", hits.Load())
-	}
-	for i, ln := range lines {
-		if ln.Error != "" {
-			t.Fatalf("line %d failed after failover: %s", i, ln.Error)
-		}
+	requireClean(t, points, lines)
+	if n := live.batchPoints(); n != len(points) {
+		t.Fatalf("live daemon received %d point submissions for %d points", n, len(points))
 	}
 }
 
 func TestMidStreamDisconnectResumesMissingOnly(t *testing.T) {
+	d := startStubDaemon(t, newFleetStore())
+	d.cutAfter = 2 // serve two lines, then cut the stream and stay up
 	points := testPoints(t, 4)
-	var round atomic.Int32
-	var secondBatch atomic.Value
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		names := decodeBatch(t, r)
-		if round.Add(1) == 1 {
-			// Serve the first two lines, then die mid-stream.
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			enc := json.NewEncoder(w)
-			agg := service.NewSweepAggregator(len(names))
-			for i := 0; i < 2; i++ {
-				if err := enc.Encode(agg.Add(pointResult(t, i, names[i]))); err != nil {
-					return
-				}
-			}
-			if f, ok := w.(http.Flusher); ok {
-				f.Flush()
-			}
-			panic(http.ErrAbortHandler)
-		}
-		secondBatch.Store(strings.Join(names, ","))
-		serveLines(t, w, names)
-	}))
-	defer srv.Close()
 
-	lines, rawAgg, err := newClient(t, srv.URL).RunPoints(context.Background(), points)
+	lines, rawAgg, err := newTestFleet(t, nil, d.srv.URL).RunPoints(context.Background(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireClean(t, points, lines)
 	if rawAgg != nil {
 		t.Fatal("aggregate relayed despite a reassembled stream")
 	}
 	// Only the two points lost to the disconnect are re-submitted; the
 	// two received lines are kept (store-aware resumption).
-	if got := secondBatch.Load(); got != "pt-2,pt-3" {
+	if got := strings.Join(d.batch(1), ","); got != "pt-2,pt-3" {
 		t.Fatalf("second round submitted %q, want pt-2,pt-3", got)
 	}
-	for i, ln := range lines {
-		if ln.Index != i || ln.Name != points[i].Name || ln.Error != "" {
-			t.Fatalf("line %d = %+v", i, ln)
-		}
+	if n := d.sweepPosts(); n != 2 {
+		t.Fatalf("daemon got %d sweep POSTs, want 2", n)
 	}
 }
 
-func TestRetryAfterHonoredOn503(t *testing.T) {
+// retryAfterFleet runs one point against a daemon whose first sweep
+// POST answers 503 with the given Retry-After, and returns how long the
+// sweep took.
+func retryAfterFleet(t *testing.T, retryAfter string, maxBackoff time.Duration) time.Duration {
+	t.Helper()
+	d := startStubDaemon(t, newFleetStore())
+	d.status, d.retryAfter = http.StatusServiceUnavailable, retryAfter
 	points := testPoints(t, 1)
-	var round atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if round.Add(1) == 1 {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, `{"error":"queue full"}`, http.StatusServiceUnavailable)
-			return
-		}
-		serveLines(t, w, decodeBatch(t, r))
-	}))
-	defer srv.Close()
+	opts := fastFleetOptions(t, d.srv.URL)
+	opts.MaxBackoff = maxBackoff
+	fleet := startFleet(t, opts)
 
-	// The hint must fit under MaxBackoff to be honored in full, so this
-	// client raises the ceiling above the 1s hint (newClient's 2ms
-	// ceiling would clamp it — that behavior has its own test below).
-	c, err := New(Options{URLs: []string{srv.URL}, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Second, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
 	start := time.Now()
-	lines, _, err := c.RunPoints(context.Background(), points)
+	lines, _, err := fleet.RunPoints(context.Background(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lines[0].Error != "" {
-		t.Fatalf("line failed: %s", lines[0].Error)
+	waited := time.Since(start)
+	requireClean(t, points, lines)
+	if n := d.sweepPosts(); n != 2 {
+		t.Fatalf("daemon got %d sweep POSTs, want the 503 and one retry", n)
 	}
-	// The 1s Retry-After must outrank the millisecond backoff.
-	if waited := time.Since(start); waited < time.Second {
+	return waited
+}
+
+func TestRetryAfterHonoredOn503(t *testing.T) {
+	// The hint must fit under MaxBackoff to be honored in full, so the
+	// ceiling sits above the 1s hint; the 1s must outrank the
+	// millisecond backoff.
+	if waited := retryAfterFleet(t, "1", 2*time.Second); waited < time.Second {
 		t.Fatalf("retried after %v; Retry-After of 1s not honored", waited)
 	}
 }
 
 func TestRetryAfterCappedAtMaxBackoff(t *testing.T) {
-	points := testPoints(t, 1)
-	var round atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if round.Add(1) == 1 {
-			// A misbehaving daemon advertising an hour must not stall the
-			// sweep past the configured backoff ceiling.
-			w.Header().Set("Retry-After", "3600")
-			http.Error(w, `{"error":"queue full"}`, http.StatusServiceUnavailable)
-			return
-		}
-		serveLines(t, w, decodeBatch(t, r))
-	}))
-	defer srv.Close()
-
-	start := time.Now()
-	lines, _, err := newClient(t, srv.URL).RunPoints(context.Background(), points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines[0].Error != "" {
-		t.Fatalf("line failed: %s", lines[0].Error)
-	}
-	if waited := time.Since(start); waited > 10*time.Second {
-		t.Fatalf("retried after %v; Retry-After of 1h not capped at the 2ms MaxBackoff", waited)
+	// A misbehaving daemon advertising an hour must not stall the sweep
+	// past the configured backoff ceiling.
+	if waited := retryAfterFleet(t, "3600", 5*time.Millisecond); waited > 10*time.Second {
+		t.Fatalf("retried after %v; Retry-After of 1h not capped at the 5ms MaxBackoff", waited)
 	}
 }
 
 func TestRetryAfterHTTPDateHonored(t *testing.T) {
-	points := testPoints(t, 1)
-	var round atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if round.Add(1) == 1 {
-			// RFC 7231's other Retry-After form: an absolute HTTP-date.
-			// http.TimeFormat truncates to whole seconds, so a date 2s
-			// ahead parses to a delay in (1s, 2s]; 1s ahead could parse
-			// to a few milliseconds.
-			w.Header().Set("Retry-After", time.Now().Add(2*time.Second).UTC().Format(http.TimeFormat))
-			http.Error(w, `{"error":"queue full"}`, http.StatusServiceUnavailable)
-			return
-		}
-		serveLines(t, w, decodeBatch(t, r))
-	}))
-	defer srv.Close()
-
-	c, err := New(Options{URLs: []string{srv.URL}, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Second, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	lines, _, err := c.RunPoints(context.Background(), points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines[0].Error != "" {
-		t.Fatalf("line failed: %s", lines[0].Error)
-	}
-	// The parsed delay must at least outrank the ms backoff.
-	if waited := time.Since(start); waited < 50*time.Millisecond {
+	// RFC 7231's other Retry-After form: an absolute HTTP-date.
+	// http.TimeFormat truncates to whole seconds, so a date 2s ahead
+	// parses to a delay in (1s, 2s]; 1s ahead could parse to a few
+	// milliseconds.
+	date := time.Now().Add(2 * time.Second).UTC().Format(http.TimeFormat)
+	if waited := retryAfterFleet(t, date, 2*time.Second); waited < 500*time.Millisecond {
 		t.Fatalf("retried after %v; HTTP-date Retry-After not honored", waited)
 	}
 }
@@ -345,89 +185,55 @@ func TestParseRetryAfterForms(t *testing.T) {
 }
 
 func TestBadRequestIsPermanent(t *testing.T) {
-	points := testPoints(t, 1)
-	var hits atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		http.Error(w, `{"error":"bad spec"}`, http.StatusBadRequest)
-	}))
-	defer srv.Close()
+	d := startStubDaemon(t, newFleetStore())
+	d.status = http.StatusBadRequest
 
-	_, _, err := newClient(t, srv.URL).RunPoints(context.Background(), points)
-	if err == nil || !strings.Contains(err.Error(), "bad spec") {
+	_, _, err := newTestFleet(t, nil, d.srv.URL).RunPoints(context.Background(), testPoints(t, 1))
+	if err == nil || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("err = %v, want the daemon's 400", err)
 	}
-	if hits.Load() != 1 {
-		t.Fatalf("daemon hit %d times for a permanent rejection, want 1", hits.Load())
+	if n := d.sweepPosts(); n != 1 {
+		t.Fatalf("daemon got %d sweep POSTs for a permanent rejection, want 1", n)
 	}
 }
 
 func TestPointErrorRetriesThenSucceeds(t *testing.T) {
-	points := testPoints(t, 2)
-	var round atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		names := decodeBatch(t, r)
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		enc := json.NewEncoder(w)
-		agg := service.NewSweepAggregator(len(names))
-		for i, name := range names {
-			pr := pointResult(t, i, name)
-			if round.Add(0) == 0 && name == "pt-1" {
-				// First round: fail the point like an injected panic.
-				pr = service.PointResult{Index: i, Name: name, Hash: "h-" + name,
-					Err: errors.New("service: worker panic")}
-			}
-			enc.Encode(agg.Add(pr))
+	d := startStubDaemon(t, newFleetStore())
+	d.pointErr = func(post int, name string) string {
+		if post == 1 && name == "pt-1" {
+			return "service: worker panic" // first round only
 		}
-		enc.Encode(agg.Line())
-		round.Add(1)
-	}))
-	defer srv.Close()
+		return ""
+	}
+	points := testPoints(t, 2)
 
-	lines, rawAgg, err := newClient(t, srv.URL).RunPoints(context.Background(), points)
+	lines, rawAgg, err := newTestFleet(t, nil, d.srv.URL).RunPoints(context.Background(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireClean(t, points, lines)
 	if rawAgg != nil {
 		t.Fatal("aggregate relayed despite a retried point")
 	}
-	for i, ln := range lines {
-		if ln.Error != "" {
-			t.Fatalf("line %d still failed: %s", i, ln.Error)
-		}
-		if ln.Index != i || ln.Name != points[i].Name {
-			t.Fatalf("line %d = %+v", i, ln)
-		}
+	if n := d.sweepPosts(); n != 2 {
+		t.Fatalf("daemon got %d sweep POSTs, want 2", n)
 	}
-	if round.Load() != 2 {
-		t.Fatalf("daemon served %d rounds, want 2", round.Load())
+	if got := strings.Join(d.batch(1), ","); got != "pt-1" {
+		t.Fatalf("retry round submitted %q, want only the failed pt-1", got)
 	}
 }
 
 func TestExhaustedBudgetSettlesErrorLines(t *testing.T) {
-	points := testPoints(t, 2)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		names := decodeBatch(t, r)
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		enc := json.NewEncoder(w)
-		agg := service.NewSweepAggregator(len(names))
-		for i, name := range names {
-			pr := pointResult(t, i, name)
-			if name == "pt-0" {
-				pr = service.PointResult{Index: i, Name: name, Err: errors.New("always broken")}
-			}
-			enc.Encode(agg.Add(pr))
+	d := startStubDaemon(t, newFleetStore())
+	d.pointErr = func(_ int, name string) string {
+		if name == "pt-0" {
+			return "always broken"
 		}
-		enc.Encode(agg.Line())
-	}))
-	defer srv.Close()
-
-	c, err := New(Options{URLs: []string{srv.URL}, Retries: 2,
-		BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+		return ""
 	}
-	lines, _, err := c.RunPoints(context.Background(), points)
+	opts := fastFleetOptions(t, d.srv.URL)
+	opts.Retries = 2
+	lines, _, err := startFleet(t, opts).RunPoints(context.Background(), testPoints(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,6 +242,9 @@ func TestExhaustedBudgetSettlesErrorLines(t *testing.T) {
 	}
 	if lines[1].Error != "" {
 		t.Fatalf("healthy point failed: %s", lines[1].Error)
+	}
+	if n := d.sweepPosts(); n != 3 {
+		t.Fatalf("daemon got %d sweep POSTs, want 3 (one round plus two retries)", n)
 	}
 
 	// The rebuilt aggregate counts the surviving error.
@@ -454,10 +263,10 @@ func TestExhaustedBudgetSettlesErrorLines(t *testing.T) {
 }
 
 func TestNewRejectsEmptyURLs(t *testing.T) {
-	if _, err := New(Options{}); err == nil {
-		t.Fatal("New accepted an empty URL list")
+	if _, err := NewFleet(FleetOptions{}); err == nil {
+		t.Fatal("NewFleet accepted an empty URL list")
 	}
-	if _, err := New(Options{URLs: []string{" "}}); err == nil {
-		t.Fatal("New accepted a blank URL")
+	if _, err := NewFleet(FleetOptions{URLs: []string{" "}}); err == nil {
+		t.Fatal("NewFleet accepted a blank URL")
 	}
 }

@@ -1,10 +1,9 @@
 package sweepclient
 
-// fleet.go — sharded fleet sweeps. Where Client treats every daemon as
-// a full replica and fails over between them, Fleet shards one sweep's
-// expanded points ACROSS the daemons by consistent hash and runs the
-// shards in parallel, surviving daemon death, daemon recovery, and
-// client death mid-sweep:
+// fleet.go — the remote-sweep client. Fleet shards one sweep's expanded
+// points across its daemons by consistent hash (one URL is a one-member
+// fleet) and runs the shards in parallel, surviving daemon death,
+// daemon recovery, and client death mid-sweep:
 //
 //   - Sharding: each round builds a bounded-load consistent-hash ring
 //     over the currently healthy membership (from the prober) and
@@ -32,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -45,22 +43,17 @@ import (
 // FleetOptions configures a Fleet.
 type FleetOptions struct {
 	// URLs are the coemud base URLs forming the fleet membership. At
-	// least one is required; one URL degenerates to Client behavior.
+	// least one is required; one URL is a one-member fleet.
 	URLs []string
 	// Retries bounds how many failed rounds the fleet rides out before
 	// settling unfinished points with their last error; 0 means
 	// DefaultRetries, negative disables retries.
 	Retries int
 	// BaseBackoff and MaxBackoff shape the exponential backoff between
-	// rounds; zero values take the defaults.
+	// rounds; zero values take the defaults. A 503's Retry-After hint
+	// raises the delay but is capped at MaxBackoff.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// HTTPClient overrides the sweep/lookup transport.
-	HTTPClient *http.Client
-	// Replicas and LoadFactor tune the ring (zero takes
-	// DefaultRingReplicas / DefaultLoadFactor).
-	Replicas   int
-	LoadFactor float64
 	// ProbeInterval and FailThreshold tune the health prober (zero takes
 	// DefaultProbeInterval / DefaultFailThreshold).
 	ProbeInterval time.Duration
@@ -75,15 +68,13 @@ type FleetOptions struct {
 
 // Fleet shards sweeps across a health-checked set of coemud daemons.
 type Fleet struct {
-	retries  int
-	base     time.Duration
-	max      time.Duration
-	http     *http.Client
-	replicas int
-	factor   float64
-	journal  *Journal
-	logf     func(format string, args ...any)
-	prober   *prober
+	retries int
+	base    time.Duration
+	max     time.Duration
+	http    *http.Client
+	journal *Journal
+	logf    func(format string, args ...any)
+	prober  *prober
 }
 
 // NewFleet builds a fleet and starts its health prober (stop it with
@@ -101,14 +92,14 @@ func NewFleet(opts FleetOptions) (*Fleet, error) {
 		urls[i] = u
 	}
 	f := &Fleet{
-		retries:  opts.Retries,
-		base:     opts.BaseBackoff,
-		max:      opts.MaxBackoff,
-		http:     opts.HTTPClient,
-		replicas: opts.Replicas,
-		factor:   opts.LoadFactor,
-		journal:  opts.Journal,
-		logf:     opts.Logf,
+		retries: opts.Retries,
+		base:    opts.BaseBackoff,
+		max:     opts.MaxBackoff,
+		// A sweep response streams for the whole shard, so the sweep
+		// and lookup transport gets a generous timeout.
+		http:    &http.Client{Timeout: 30 * time.Minute},
+		journal: opts.Journal,
+		logf:    opts.Logf,
 	}
 	if f.retries == 0 {
 		f.retries = DefaultRetries
@@ -120,9 +111,6 @@ func NewFleet(opts FleetOptions) (*Fleet, error) {
 	}
 	if f.max <= 0 {
 		f.max = DefaultMaxBackoff
-	}
-	if f.http == nil {
-		f.http = &http.Client{Timeout: 30 * time.Minute}
 	}
 	if f.logf == nil {
 		f.logf = func(string, ...any) {}
@@ -256,7 +244,7 @@ func (f *Fleet) RunPoints(ctx context.Context, points []*spec.Spec) (lines []ser
 		attempt++
 	}
 
-	return settleLines(points, got, lastErr), rawAgg, nil
+	return settleLines(points, hashes, got, lastErr), rawAgg, nil
 }
 
 // runRound shards the missing points across the healthy members and
@@ -275,7 +263,7 @@ func (f *Fleet) runRound(ctx context.Context, points []*spec.Spec, hashes []stri
 	for i, m := range members {
 		urls[i] = m.URL
 	}
-	ring, rerr := NewRing(urls, f.replicas, f.factor)
+	ring, rerr := NewRing(urls)
 	if rerr != nil {
 		return nil, &permanentError{rerr}
 	}
@@ -283,7 +271,13 @@ func (f *Fleet) runRound(ctx context.Context, points []*spec.Spec, hashes []stri
 	for bi, oi := range missing {
 		missingHashes[bi] = hashes[oi]
 	}
-	assign := ring.Assign(missingHashes, f.capsFor(ring, members, len(missing)))
+	saturated := make(map[string]bool)
+	for _, m := range members {
+		if m.Saturated {
+			saturated[m.URL] = true
+		}
+	}
+	assign := ring.Assign(missingHashes, saturated)
 	if len(assign) > 1 {
 		f.logf("sweepclient: fleet sharding %d point(s) across %d daemon(s)", len(missing), len(assign))
 	}
@@ -304,17 +298,10 @@ func (f *Fleet) runRound(ctx context.Context, points []*spec.Spec, hashes []stri
 		wg.Add(1)
 		go func(url string, oidx []int) {
 			defer wg.Done()
-			// Each shard is a one-URL Client attempt: same POST batch, same
-			// NDJSON scan, same index remapping. Shards write disjoint got
-			// slots, so only the bookkeeping below needs the lock.
-			shard := &Client{
-				urls: []string{url},
-				base: f.base, max: f.max,
-				http: f.http,
-				logf: func(string, ...any) {},
-			}
+			// Shards write disjoint got slots, so only the bookkeeping
+			// below needs the lock.
 			shardErr := make(map[int]string)
-			_, shardAgg, aerr := shard.attempt(ctx, points, oidx, got, shardErr)
+			shardAgg, aerr := f.attempt(ctx, url, points, oidx, got, shardErr)
 			mu.Lock()
 			defer mu.Unlock()
 			for oi, msg := range shardErr {
@@ -344,43 +331,6 @@ func (f *Fleet) runRound(ctx context.Context, points []*spec.Spec, hashes []stri
 		return nil, permErr
 	}
 	return agg, firstErr
-}
-
-// capsFor computes per-member load caps for Assign, aligned with
-// ring.Members(): the uniform bounded-load cap, halved for members
-// whose last probe reported queue saturation.
-func (f *Fleet) capsFor(ring *Ring, members []MemberHealth, n int) []int {
-	saturated := make(map[string]bool, len(members))
-	any := false
-	for _, m := range members {
-		if m.Saturated {
-			saturated[m.URL] = true
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
-	factor := f.factor
-	if factor == 0 {
-		factor = DefaultLoadFactor
-	}
-	sorted := ring.Members()
-	base := int(math.Ceil(factor * float64(n) / float64(len(sorted))))
-	if base < 1 {
-		base = 1
-	}
-	caps := make([]int, len(sorted))
-	for i, u := range sorted {
-		caps[i] = -1
-		if saturated[u] {
-			caps[i] = base / 2
-			if caps[i] < 1 {
-				caps[i] = 1
-			}
-		}
-	}
-	return caps
 }
 
 // lookup probes the fleet store for a completed point's canonical

@@ -1,12 +1,16 @@
 package sweepclient
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -66,26 +70,45 @@ func reportFor(name string) []byte {
 
 // stubDaemon speaks just enough of coemud's wire protocol for the
 // fleet: /v1/healthz, /v1/sweep, /v1/results/{hash}. Setting down
-// makes it drop every connection (a dead process); dieAfter > 0 cuts
-// the next sweep stream after that many lines and goes down.
+// makes it drop every connection (a dead process). The fault fields
+// below are set before the fleet starts or between sweeps.
 type stubDaemon struct {
-	t        *testing.T
-	store    *fleetStore
-	down     atomic.Bool
-	mu       sync.Mutex
-	posts    int
-	received map[string]int // point name → times received in a batch
-	dieAfter int
-	srv      *httptest.Server
+	t     *testing.T
+	store *fleetStore
+	down  atomic.Bool
+
+	// healthz, when non-zero, is the status /v1/healthz answers.
+	healthz int
+	// One-shot sweep faults, each consumed by the next sweep POST:
+	// status answers it with that HTTP status (and a Retry-After header
+	// when retryAfter is set) instead of a stream; cutAfter cuts the
+	// stream after that many lines and stays up; dieAfter cuts it and
+	// goes down.
+	status     int
+	retryAfter string
+	cutAfter   int
+	dieAfter   int
+	// pointErr, when set, fails a point with the message it returns
+	// (empty serves the point); post counts sweep POSTs from 1.
+	pointErr func(post int, name string) string
+
+	mu      sync.Mutex
+	batches [][]string // point names of every sweep POST, in order
+	stream  []byte     // bytes the last complete sweep stream carried
+	srv     *httptest.Server
 }
 
 func startStubDaemon(t *testing.T, fs *fleetStore) *stubDaemon {
 	t.Helper()
-	d := &stubDaemon{t: t, store: fs, received: make(map[string]int)}
+	d := &stubDaemon{t: t, store: fs}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if d.down.Load() {
 			d.drop(w)
+			return
+		}
+		if d.healthz != 0 {
+			w.WriteHeader(d.healthz)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -108,11 +131,6 @@ func startStubDaemon(t *testing.T, fs *fleetStore) *stubDaemon {
 			d.drop(w)
 			return
 		}
-		d.mu.Lock()
-		d.posts++
-		cut := d.dieAfter
-		d.dieAfter = 0
-		d.mu.Unlock()
 		var batch struct {
 			Specs []json.RawMessage `json:"specs"`
 		}
@@ -120,40 +138,74 @@ func startStubDaemon(t *testing.T, fs *fleetStore) *stubDaemon {
 			d.t.Errorf("stub daemon: bad batch: %v", err)
 			return
 		}
-		agg := service.NewSweepAggregator(len(batch.Specs))
-		enc := json.NewEncoder(w)
+		specs := make([]*spec.Spec, len(batch.Specs))
+		names := make([]string, len(batch.Specs))
 		for i, raw := range batch.Specs {
 			sp, err := spec.Parse(raw)
 			if err != nil {
 				d.t.Errorf("stub daemon: bad spec in batch: %v", err)
 				return
 			}
+			specs[i], names[i] = sp, sp.Name
+		}
+		d.mu.Lock()
+		d.batches = append(d.batches, names)
+		post := len(d.batches)
+		status, retryAfter, cut, die := d.status, d.retryAfter, d.cutAfter, d.dieAfter > 0
+		if die {
+			cut = d.dieAfter
+		}
+		d.status, d.retryAfter, d.cutAfter, d.dieAfter = 0, "", 0, 0
+		d.mu.Unlock()
+		if status != 0 {
+			if retryAfter != "" {
+				w.Header().Set("Retry-After", retryAfter)
+			}
+			http.Error(w, fmt.Sprintf(`{"error":%q}`, http.StatusText(status)), status)
+			return
+		}
+
+		var stream bytes.Buffer
+		enc := json.NewEncoder(io.MultiWriter(w, &stream))
+		agg := service.NewSweepAggregator(len(specs))
+		for i, sp := range specs {
 			hash, err := sp.CanonicalHash()
 			if err != nil {
 				d.t.Errorf("stub daemon: hash: %v", err)
 				return
 			}
-			d.mu.Lock()
-			d.received[sp.Name]++
-			d.mu.Unlock()
-			rep := reportFor(sp.Name)
-			fs.run(hash, rep)
-			pr := service.PointResult{Index: i, Name: sp.Name, Hash: hash, Result: &service.Result{JSON: rep}}
+			pr := service.PointResult{Index: i, Name: sp.Name, Hash: hash}
+			var msg string
+			if d.pointErr != nil {
+				msg = d.pointErr(post, sp.Name)
+			}
+			if msg != "" {
+				pr.Err = errors.New(msg)
+			} else {
+				rep := reportFor(sp.Name)
+				fs.run(hash, rep)
+				pr.Result = &service.Result{JSON: rep}
+			}
 			if err := enc.Encode(agg.Add(pr)); err != nil {
 				return
 			}
 			if cut > 0 && i+1 == cut {
-				// Die mid-stream: flush what was served, cut the
-				// connection, and answer nothing ever again.
+				// Cut mid-stream: flush what was served and sever the
+				// connection; a dying daemon answers nothing ever again.
 				if fl, ok := w.(http.Flusher); ok {
 					fl.Flush()
 				}
-				d.down.Store(true)
+				if die {
+					d.down.Store(true)
+				}
 				d.drop(w)
 				return
 			}
 		}
 		_ = enc.Encode(agg.Line())
+		d.mu.Lock()
+		d.stream = stream.Bytes()
+		d.mu.Unlock()
 	})
 	d.srv = httptest.NewServer(mux)
 	t.Cleanup(d.srv.Close)
@@ -175,36 +227,60 @@ func (d *stubDaemon) drop(w http.ResponseWriter) {
 func (d *stubDaemon) sweepPosts() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.posts
+	return len(d.batches)
+}
+
+// batch returns the point names of the i-th sweep POST (from 0).
+func (d *stubDaemon) batch(i int) []string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if i >= len(d.batches) {
+		return nil
+	}
+	return d.batches[i]
 }
 
 func (d *stubDaemon) batchPoints() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	n := 0
-	for _, c := range d.received {
-		n += c
+	for _, b := range d.batches {
+		n += len(b)
 	}
 	return n
 }
 
-func newTestFleet(t *testing.T, journal *Journal, urls ...string) *Fleet {
-	t.Helper()
-	f, err := NewFleet(FleetOptions{
+// fastFleetOptions are the options every test fleet starts from:
+// millisecond backoff, a 10 ms probe interval, and eviction on the
+// first failure.
+func fastFleetOptions(t *testing.T, urls ...string) FleetOptions {
+	return FleetOptions{
 		URLs:          urls,
 		Retries:       8,
 		BaseBackoff:   time.Millisecond,
 		MaxBackoff:    5 * time.Millisecond,
 		ProbeInterval: 10 * time.Millisecond,
 		FailThreshold: 1,
-		Journal:       journal,
 		Logf:          t.Logf,
-	})
+	}
+}
+
+// startFleet builds a fleet that is closed when the test ends.
+func startFleet(t *testing.T, opts FleetOptions) *Fleet {
+	t.Helper()
+	f, err := NewFleet(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(f.Close)
 	return f
+}
+
+func newTestFleet(t *testing.T, journal *Journal, urls ...string) *Fleet {
+	t.Helper()
+	opts := fastFleetOptions(t, urls...)
+	opts.Journal = journal
+	return startFleet(t, opts)
 }
 
 // requireClean asserts every line settled cleanly, in point order.
@@ -449,4 +525,34 @@ func TestFleetJournalResumeSkipsSubmission(t *testing.T) {
 			t.Fatalf("resumed line %d differs:\n%s\n%s", i, a, b)
 		}
 	}
+}
+
+func TestProberEvictionLogNamesHealthzStatus(t *testing.T) {
+	d := startStubDaemon(t, newFleetStore())
+	d.healthz = http.StatusInternalServerError
+	var (
+		mu   sync.Mutex
+		logs []string
+	)
+	opts := fastFleetOptions(t, d.srv.URL)
+	opts.Logf = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}
+	// NewFleet's synchronous first probe round evicts the member.
+	if startFleet(t, opts).Health()[0].Healthy {
+		t.Fatal("a member answering 500 on /v1/healthz was not evicted")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, l := range logs {
+		if strings.Contains(l, "evicted") {
+			if !strings.Contains(l, "500") || strings.Contains(l, "<nil>") {
+				t.Fatalf("eviction log %q does not name the healthz status", l)
+			}
+			return
+		}
+	}
+	t.Fatalf("no eviction logged; log: %q", logs)
 }

@@ -24,6 +24,7 @@ package sweepclient
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"sort"
@@ -179,7 +180,7 @@ func (p *prober) probeOne(url string) {
 	// 200 is healthy; 503 is the daemon's own load-shedding signal —
 	// alive, just saturated. Anything else is a failure.
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-		p.reportFailure(url, err)
+		p.reportFailure(url, fmt.Errorf("/v1/healthz answered %s", resp.Status))
 		return
 	}
 	var h healthzBody

@@ -11,10 +11,11 @@ package sweepclient
 // The ring is the bounded-load variant: a plain consistent hash can
 // assign one member far more than its share (hash ranges are uneven),
 // which turns the slowest daemon into the sweep's critical path. Assign
-// therefore caps each member at ceil(factor · points / members) and
-// walks a capped point clockwise to the next member with room — load
-// never exceeds the cap, and the walk preserves determinism because it
-// depends only on the ring layout and the point order.
+// therefore caps each member at ceil(loadFactor · points / members)
+// (half that for a saturated member) and walks a capped point clockwise
+// to the next member with room — load never exceeds the cap, and the
+// walk preserves determinism because it depends only on the ring
+// layout and the point order.
 
 import (
 	"crypto/sha256"
@@ -25,14 +26,13 @@ import (
 	"strconv"
 )
 
-// Ring defaults.
 const (
-	// DefaultRingReplicas is the virtual-node count per member; more
-	// replicas smooth the hash-range imbalance between members.
-	DefaultRingReplicas = 128
-	// DefaultLoadFactor is the bounded-load factor c: no member is
-	// assigned more than ceil(c · points / members) points.
-	DefaultLoadFactor = 1.25
+	// ringReplicas is the virtual-node count per member; more replicas
+	// smooth the hash-range imbalance between members.
+	ringReplicas = 128
+	// loadFactor is the bounded-load factor c: no member is assigned
+	// more than ceil(c · points / members) points.
+	loadFactor = 1.25
 )
 
 // Ring is a bounded-load consistent-hash ring over a fixed membership.
@@ -41,7 +41,6 @@ const (
 type Ring struct {
 	members []string // sorted unique
 	slots   []ringSlot
-	factor  float64
 }
 
 // ringSlot is one virtual node: a point on the hash circle owned by a
@@ -51,22 +50,11 @@ type ringSlot struct {
 	member int // index into members
 }
 
-// NewRing builds a ring over members with the given virtual-node count
-// and bounded-load factor (zero values take the defaults; the factor
-// must be ≥ 1). Duplicate members collapse; the member order does not
-// matter.
-func NewRing(members []string, replicas int, factor float64) (*Ring, error) {
+// NewRing builds a ring over members. Duplicate members collapse; the
+// member order does not matter.
+func NewRing(members []string) (*Ring, error) {
 	if len(members) == 0 {
 		return nil, errors.New("sweepclient: ring needs at least one member")
-	}
-	if replicas <= 0 {
-		replicas = DefaultRingReplicas
-	}
-	if factor == 0 {
-		factor = DefaultLoadFactor
-	}
-	if factor < 1 {
-		return nil, errors.New("sweepclient: ring load factor must be >= 1")
 	}
 	uniq := make([]string, 0, len(members))
 	seen := make(map[string]bool, len(members))
@@ -77,10 +65,10 @@ func NewRing(members []string, replicas int, factor float64) (*Ring, error) {
 		}
 	}
 	sort.Strings(uniq)
-	r := &Ring{members: uniq, factor: factor}
-	r.slots = make([]ringSlot, 0, len(uniq)*replicas)
+	r := &Ring{members: uniq}
+	r.slots = make([]ringSlot, 0, len(uniq)*ringReplicas)
 	for mi, m := range uniq {
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < ringReplicas; v++ {
 			r.slots = append(r.slots, ringSlot{hash: hash64(m + "#" + strconv.Itoa(v)), member: mi})
 		}
 	}
@@ -93,14 +81,6 @@ func NewRing(members []string, replicas int, factor float64) (*Ring, error) {
 		return r.slots[i].member < r.slots[j].member
 	})
 	return r, nil
-}
-
-// Members returns the ring's membership, sorted. Caps passed to Assign
-// align with this order.
-func (r *Ring) Members() []string {
-	out := make([]string, len(r.members))
-	copy(out, r.members)
-	return out
 }
 
 // Owner returns the unbounded owner of a point hash: the member of the
@@ -122,27 +102,23 @@ func (r *Ring) slotAt(pointHash string) int {
 }
 
 // Assign shards the point hashes across the membership with bounded
-// load and returns, per member, the indexes (into hashes) it owns.
-// caps, when non-nil, overrides each member's load cap (aligned with
-// Members()); nil applies the uniform bound ceil(factor·n/m). Caps are
-// raised uniformly if their sum cannot fit every point, so every point
-// is always assigned. The result is deterministic in (membership,
-// hashes, caps).
-func (r *Ring) Assign(hashes []string, caps []int) map[string][]int {
+// load and returns, per member, the indexes (into hashes) it owns. Every
+// member's cap is ceil(loadFactor·n/m); a member in saturated gets half
+// of it (at least 1). Caps are raised uniformly if their sum cannot fit
+// every point, so every point is always assigned. The result is
+// deterministic in (membership, hashes, saturated).
+func (r *Ring) Assign(hashes []string, saturated map[string]bool) map[string][]int {
 	m := len(r.members)
-	base := int(math.Ceil(r.factor * float64(len(hashes)) / float64(m)))
+	base := int(math.Ceil(loadFactor * float64(len(hashes)) / float64(m)))
 	if base < 1 {
 		base = 1
 	}
 	limit := make([]int, m)
 	total := 0
-	for i := range limit {
+	for i, member := range r.members {
 		limit[i] = base
-		if caps != nil && caps[i] >= 0 {
-			limit[i] = caps[i]
-			if limit[i] < 1 {
-				limit[i] = 1
-			}
+		if saturated[member] {
+			limit[i] = max(base/2, 1)
 		}
 		total += limit[i]
 	}

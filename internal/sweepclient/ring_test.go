@@ -16,11 +16,11 @@ func ringHashes(n int) []string {
 }
 
 func TestRingDeterministicAndOrderInsensitive(t *testing.T) {
-	a, err := NewRing([]string{"http://a", "http://b", "http://c"}, 0, 0)
+	a, err := NewRing([]string{"http://a", "http://b", "http://c"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRing([]string{"http://c", "http://a", "http://b", "http://a"}, 0, 0)
+	b, err := NewRing([]string{"http://c", "http://a", "http://b", "http://a"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +39,11 @@ func TestRingDeterministicAndOrderInsensitive(t *testing.T) {
 }
 
 func TestRingMinimalMovementOnMemberLoss(t *testing.T) {
-	full, err := NewRing([]string{"http://a", "http://b", "http://c"}, 0, 0)
+	full, err := NewRing([]string{"http://a", "http://b", "http://c"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, err := NewRing([]string{"http://a", "http://b"}, 0, 0)
+	reduced, err := NewRing([]string{"http://a", "http://b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestRingMinimalMovementOnMemberLoss(t *testing.T) {
 }
 
 func TestRingBoundedLoad(t *testing.T) {
-	r, err := NewRing([]string{"http://a", "http://b", "http://c"}, 0, 1.25)
+	r, err := NewRing([]string{"http://a", "http://b", "http://c"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,20 +96,32 @@ func TestRingBoundedLoad(t *testing.T) {
 }
 
 func TestRingCapsOverrideAndRaise(t *testing.T) {
-	r, err := NewRing([]string{"http://a", "http://b", "http://c"}, 0, 0)
+	r, err := NewRing([]string{"http://a", "http://b", "http://c"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hashes := ringHashes(12)
-	// Saturate the first (sorted) member down to cap 1. Sum of caps
-	// (1 + 5 + 5) falls short of 12, so Assign raises all caps by one:
-	// the squeezed member may take at most 2.
-	asg := r.Assign(hashes, []int{1, -1, -1})
+	// The uniform cap is ceil(1.25 * 12 / 3) = 5; a saturated member gets
+	// half of it, 2.
+	asg := r.Assign(hashes, map[string]bool{"http://a": true})
 	total := 0
 	for m, idx := range asg {
 		total += len(idx)
-		if m == r.Members()[0] && len(idx) > 2 {
-			t.Fatalf("capped member %s got %d points, want <= 2", m, len(idx))
+		if m == "http://a" && len(idx) > 2 {
+			t.Fatalf("saturated member %s got %d points, want <= 2", m, len(idx))
+		}
+	}
+	if total != len(hashes) {
+		t.Fatalf("assigned %d of %d points", total, len(hashes))
+	}
+	// With every member saturated the halved caps sum to 6 < 12, so
+	// Assign raises each cap to 4 rather than strand a point.
+	all := map[string]bool{"http://a": true, "http://b": true, "http://c": true}
+	total = 0
+	for m, idx := range r.Assign(hashes, all) {
+		total += len(idx)
+		if len(idx) > 4 {
+			t.Fatalf("member %s got %d points, above the raised cap 4", m, len(idx))
 		}
 	}
 	if total != len(hashes) {
@@ -118,10 +130,7 @@ func TestRingCapsOverrideAndRaise(t *testing.T) {
 }
 
 func TestRingRejectsBadInputs(t *testing.T) {
-	if _, err := NewRing(nil, 0, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Fatal("empty membership accepted")
-	}
-	if _, err := NewRing([]string{"http://a"}, 0, 0.5); err == nil {
-		t.Fatal("load factor < 1 accepted")
 	}
 }

@@ -38,7 +38,7 @@ import (
 // derive the identical fault schedule from the handshake meta).
 func chaosVariant(t *testing.T, sp *spec.Spec, cf *faultplan.ChannelFault, seed uint64) *spec.Spec {
 	t.Helper()
-	v := remoteVariant(t, sp, 1, 1)
+	v := remoteVariant(t, sp, 1)
 	if cf != nil {
 		v.Run.FaultPlan = &faultplan.Plan{Seed: seed, Channel: cf}
 	}

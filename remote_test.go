@@ -30,12 +30,10 @@ import (
 // fast.
 const remoteCycleCap = 4000
 
-// remoteVariant clones sp with capped cycles, the given cycle_batch
-// and the given run.delta_cadence — a legacy field the engine accepts
-// and ignores, so a spec still carrying it must cross the connect
-// handshake unchanged in result. Cloning goes through JSON — the same
-// round trip the spec takes inside the handshake.
-func remoteVariant(t *testing.T, sp *coemu.Spec, batch, cadence int) *coemu.Spec {
+// remoteVariant clones sp with capped cycles and the given
+// cycle_batch. Cloning goes through JSON — the same round trip the spec
+// takes inside the handshake.
+func remoteVariant(t *testing.T, sp *coemu.Spec, batch int) *coemu.Spec {
 	t.Helper()
 	b, err := json.Marshal(sp)
 	if err != nil {
@@ -49,26 +47,26 @@ func remoteVariant(t *testing.T, sp *coemu.Spec, batch, cadence int) *coemu.Spec
 		cl.Run.Cycles = remoteCycleCap
 	}
 	cl.Run.CycleBatch = batch
-	cl.Run.DeltaCadence = cadence
 	return cl
 }
 
 // TestRemoteDifferentialBitIdentical runs every example spec
 // in-process and cross-process (two mirrored engines over a loopback
-// TCP socket pair in this binary), sweeping the host-side batching knob
-// and the ignored delta_cadence field, and requires byte-identical
-// canonical report JSON on all three reports plus identical channel
-// statistics.
+// TCP socket pair in this binary), sweeping the host-side batching
+// knob and the link's ping cadence (the client keeper pings every
+// cadence milliseconds, interleaving ping/pong frames with the data
+// stream), and requires byte-identical canonical report JSON on all
+// three reports plus identical channel statistics.
 func TestRemoteDifferentialBitIdentical(t *testing.T) {
 	for name, sp := range exampleSpecs(t) {
 		t.Run(name, func(t *testing.T) {
-			base := remoteVariant(t, sp, 1, 1)
-			want, wantRep := runSpec(t, base, nil)
+			want, wantRep := runSpec(t, remoteVariant(t, sp, 1), nil)
 			for _, batch := range []int{1, 64} {
 				for _, cadence := range []int{1, 16} {
 					t.Run(fmt.Sprintf("batch=%d_cadence=%d", batch, cadence), func(t *testing.T) {
-						v := remoteVariant(t, sp, batch, cadence)
-						res, err := remote.Pair(context.Background(), v, remote.RunOptions{}, remote.ServeOptions{})
+						v := remoteVariant(t, sp, batch)
+						ro := remote.RunOptions{PingEvery: time.Duration(cadence) * time.Millisecond}
+						res, err := remote.Pair(context.Background(), v, ro, remote.ServeOptions{})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -132,7 +130,7 @@ func TestHelperDomainServe(t *testing.T) {
 // handshake) and the socket.
 func TestRemoteTwoProcessBitIdentical(t *testing.T) {
 	sp := exampleSpecs(t)["quickstart"]
-	v := remoteVariant(t, sp, 1, 1)
+	v := remoteVariant(t, sp, 1)
 	want, wantRep := runSpec(t, v, nil)
 
 	cmd := exec.Command(os.Args[0], "-test.run=^TestHelperDomainServe$", "-test.v")
