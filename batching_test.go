@@ -6,17 +6,19 @@ import (
 	"testing"
 
 	"coemu"
+	"coemu/internal/channel"
 	"coemu/internal/service"
 )
 
 // Differential tests for the predicted-quiescence cycle batching and
-// the channel loopback fast path. The contract under test: every
-// modeled metric — the virtual-time ledger with its per-category
-// charge counts, all behavioral counters (rollbacks included), channel
+// the channel accounting path. The contract under test: every modeled
+// metric — the virtual-time ledger with its per-category charge
+// counts, all behavioral counters (rollbacks included), channel
 // statistics, LOB peak, histograms — is bit-identical whatever the
-// batch cap, and whether packets really cross the wire codec or take
-// the in-process loopback. The comparison serializes reports through
-// the service's deterministic JSON view and requires byte equality.
+// batch cap, and whether packets really cross the wire codec over a
+// transport or the engine only accounts for them. The comparison
+// serializes reports through the service's deterministic JSON view and
+// requires byte equality.
 
 // batchSweep is the batch-cap grid: 1 (batching disabled — the
 // single-step reference), a boundary value, a prime that misaligns
@@ -176,18 +178,18 @@ func TestBatchSweepBitIdenticalUnderAdaptiveGovernor(t *testing.T) {
 	}
 }
 
-// TestWireCodecDifferential pins the loopback fast path against the
-// real wire codec: forcing every packet through pack/unpack must yield
-// byte-identical reports on every example, for both the single-step
-// and the batched engine.
+// TestWireCodecDifferential pins the accounting path against the real
+// wire codec: sending every packet through pack/unpack over an
+// in-process Queues transport must yield byte-identical reports on
+// every example, for both the single-step and the batched engine.
 func TestWireCodecDifferential(t *testing.T) {
 	for name, sp := range exampleSpecs(t) {
 		t.Run(name, func(t *testing.T) {
 			for _, k := range []int{1, 64} {
-				loop, _ := runSpec(t, sp, func(c *coemu.Config) { c.CycleBatch = k })
-				wire, _ := runSpec(t, sp, func(c *coemu.Config) { c.CycleBatch = k; c.WirePackets = true })
-				if string(loop) != string(wire) {
-					t.Errorf("K=%d: loopback report differs from wire-codec report:\nloopback: %s\nwire:     %s", k, loop, wire)
+				acct, _ := runSpec(t, sp, func(c *coemu.Config) { c.CycleBatch = k })
+				wire, _ := runSpec(t, sp, func(c *coemu.Config) { c.CycleBatch = k; c.Transport = channel.NewQueues() })
+				if string(acct) != string(wire) {
+					t.Errorf("K=%d: accounting report differs from wire-codec report:\naccounting: %s\nwire:       %s", k, acct, wire)
 				}
 			}
 		})

@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"coemu"
+	"coemu/internal/channel"
 	"coemu/internal/device"
 	"coemu/internal/perfmodel"
 )
@@ -351,26 +352,33 @@ func gappedStreamDesign(gap int) coemu.Design {
 // serial on purpose (its metric is single-thread host speed). The
 // idle-stream pairs isolate the predicted-quiescence fast path
 // (CycleBatch=1 disables it; modeled metrics are bit-identical either
-// way); the busy-stream pair isolates the channel loopback against the
-// forced wire codec on a workload where batching never fires.
+// way); the busy-stream pair isolates the channel accounting path
+// against the wire codec over an in-process Queues transport on a
+// workload where batching never fires. The row names are the keys of
+// BENCH_baseline.json, so "loopback" names the accounting path.
 func BenchmarkCycleBatching(b *testing.B) {
 	cases := []struct {
 		name string
 		d    coemu.Design
 		cfg  coemu.Config
+		wire bool
 	}{
-		{"idle-stream/als/batch=1", gappedStreamDesign(48), coemu.Config{Mode: coemu.ALS, CycleBatch: 1}},
-		{"idle-stream/als/batch=64", gappedStreamDesign(48), coemu.Config{Mode: coemu.ALS}},
-		{"idle-stream/conservative/batch=1", gappedStreamDesign(48), coemu.Config{Mode: coemu.Conservative, CycleBatch: 1}},
-		{"idle-stream/conservative/batch=64", gappedStreamDesign(48), coemu.Config{Mode: coemu.Conservative}},
-		{"busy-stream/als/wire-codec", streamDesign(), coemu.Config{Mode: coemu.ALS, WirePackets: true}},
-		{"busy-stream/als/loopback", streamDesign(), coemu.Config{Mode: coemu.ALS}},
+		{"idle-stream/als/batch=1", gappedStreamDesign(48), coemu.Config{Mode: coemu.ALS, CycleBatch: 1}, false},
+		{"idle-stream/als/batch=64", gappedStreamDesign(48), coemu.Config{Mode: coemu.ALS}, false},
+		{"idle-stream/conservative/batch=1", gappedStreamDesign(48), coemu.Config{Mode: coemu.Conservative, CycleBatch: 1}, false},
+		{"idle-stream/conservative/batch=64", gappedStreamDesign(48), coemu.Config{Mode: coemu.Conservative}, false},
+		{"busy-stream/als/wire-codec", streamDesign(), coemu.Config{Mode: coemu.ALS}, true},
+		{"busy-stream/als/loopback", streamDesign(), coemu.Config{Mode: coemu.ALS}, false},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			var batched int64
 			for i := 0; i < b.N; i++ {
-				rep, err := coemu.Run(c.d, c.cfg, benchCycles)
+				cfg := c.cfg
+				if c.wire {
+					cfg.Transport = channel.NewQueues() // a transport is per-run state
+				}
+				rep, err := coemu.Run(c.d, cfg, benchCycles)
 				if err != nil {
 					b.Fatal(err)
 				}

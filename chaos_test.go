@@ -26,7 +26,7 @@ func TestChannelFaultsBitIdentical(t *testing.T) {
 	plan := &faultplan.ChannelFault{Duplicate: 1, Delay: 0.01, MaxDelayUS: 5}
 	for name, sp := range exampleSpecs(t) {
 		t.Run(name, func(t *testing.T) {
-			want, _ := runSpec(t, sp, func(c *coemu.Config) { c.WirePackets = true })
+			want, _ := runSpec(t, sp, func(c *coemu.Config) { c.Transport = channel.NewQueues() })
 			got, _ := runSpec(t, sp, func(c *coemu.Config) {
 				c.ChannelFaults = plan
 				c.ChannelFaultSeed = 7

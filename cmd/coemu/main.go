@@ -34,10 +34,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 
 	"coemu"
 	"coemu/internal/channel"
+	"coemu/internal/core"
 	"coemu/internal/ip"
 	"coemu/internal/remote"
 	"coemu/internal/trace"
@@ -85,7 +88,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		print(res.Report)
+		print(os.Stdout, res.Report)
 		st := res.Transport
 		fmt.Fprintf(os.Stderr, "transport: %d frames sent, %d received, %d retransmits, %d resyncs, %d reconnects\n",
 			st.Sent, st.Received, st.Retransmits, st.Resyncs, st.Reconnects)
@@ -121,7 +124,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		print(rep)
+		print(os.Stdout, rep)
 		writeTrace(*traceOut, rec)
 		return
 	}
@@ -166,7 +169,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	print(rep)
+	print(os.Stdout, rep)
 	writeTrace(*traceOut, rec)
 }
 
@@ -328,48 +331,56 @@ func designs(seed uint64) map[string]coemu.Design {
 	}
 }
 
-func print(rep *coemu.Report) {
-	fmt.Printf("mode: %v\n", rep.Mode)
-	fmt.Printf("target cycles: %d\n", rep.Cycles)
-	fmt.Printf("virtual wall time: %v\n", rep.Ledger.Total())
-	fmt.Printf("simulation performance: %.2f kcycles/s\n\n", rep.Perf()/1e3)
+// print writes the report to w. Decline reasons are listed in sorted
+// order so the output is byte-identical run to run (and between an
+// in-process and a -remote-domain run of the same spec).
+func print(w io.Writer, rep *coemu.Report) {
+	fmt.Fprintf(w, "mode: %v\n", rep.Mode)
+	fmt.Fprintf(w, "target cycles: %d\n", rep.Cycles)
+	fmt.Fprintf(w, "virtual wall time: %v\n", rep.Ledger.Total())
+	fmt.Fprintf(w, "simulation performance: %.2f kcycles/s\n\n", rep.Perf()/1e3)
 
-	fmt.Println("per-cycle cost breakdown (Table 2 rows):")
+	fmt.Fprintln(w, "per-cycle cost breakdown (Table 2 rows):")
 	for _, c := range vclock.Categories() {
-		fmt.Printf("  %-9s %12v/cycle  (%d charges)\n",
+		fmt.Fprintf(w, "  %-9s %12v/cycle  (%d charges)\n",
 			c, rep.Ledger.PerCycle(c, rep.Cycles), rep.Ledger.Count(c))
 	}
 
 	s := rep.Stats
-	fmt.Printf("\nbehavior: %d conservative cycles, %d transitions (sim-led %d, acc-led %d)\n",
+	fmt.Fprintf(w, "\nbehavior: %d conservative cycles, %d transitions (sim-led %d, acc-led %d)\n",
 		s.ConservativeCycles, s.Transitions, s.TransitionsByLead[0], s.TransitionsByLead[1])
-	fmt.Printf("  run-ahead %d, follow-up %d, roll-forth %d cycles; %d rollbacks\n",
+	fmt.Fprintf(w, "  run-ahead %d, follow-up %d, roll-forth %d cycles; %d rollbacks\n",
 		s.RunAheadCycles, s.FollowUpCycles, s.RollForthCycles, s.Rollbacks)
-	fmt.Printf("  predictions checked %d, mispredicted %d (injected %d)\n",
+	fmt.Fprintf(w, "  predictions checked %d, mispredicted %d (injected %d)\n",
 		s.ChecksTotal, s.Mispredicts, s.Injected)
 	if len(s.Declines) > 0 {
-		fmt.Println("  decline reasons:")
-		for r, n := range s.Declines {
-			fmt.Printf("    %-48s %d\n", r, n)
+		fmt.Fprintln(w, "  decline reasons:")
+		reasons := make([]core.DeclineReason, 0, len(s.Declines))
+		for r := range s.Declines {
+			reasons = append(reasons, r)
+		}
+		slices.Sort(reasons)
+		for _, r := range reasons {
+			fmt.Fprintf(w, "    %-48s %d\n", r, s.Declines[r])
 		}
 	}
 
 	ch := rep.Channel
-	fmt.Printf("\nchannel: %d accesses, %d words (sim->acc %d/%d, acc->sim %d/%d)\n",
+	fmt.Fprintf(w, "\nchannel: %d accesses, %d words (sim->acc %d/%d, acc->sim %d/%d)\n",
 		ch.TotalAccesses(), ch.TotalWords(),
 		ch.Accesses[channel.SimToAcc], ch.Words[channel.SimToAcc],
 		ch.Accesses[channel.AccToSim], ch.Words[channel.AccToSim])
-	fmt.Printf("  payload histogram (words): %v buckets sim->acc %v | acc->sim %v\n",
+	fmt.Fprintf(w, "  payload histogram (words): %v buckets sim->acc %v | acc->sim %v\n",
 		channel.BucketLabels(), ch.SizeHist[channel.SimToAcc], ch.SizeHist[channel.AccToSim])
 
 	if rep.TransitionLengths.N() > 0 {
-		fmt.Printf("\ntransition length: mean %.1f cycles, p50 %d, p95 %d, max %d (LOB peak %d words)\n",
+		fmt.Fprintf(w, "\ntransition length: mean %.1f cycles, p50 %d, p95 %d, max %d (LOB peak %d words)\n",
 			rep.TransitionLengths.Mean(), rep.TransitionLengths.Quantile(0.5),
 			rep.TransitionLengths.Quantile(0.95), rep.TransitionLengths.Quantile(1),
 			rep.LOBPeakWords)
 	}
 	if rep.RollForthLengths.N() > 0 {
-		fmt.Printf("roll-forth length: mean %.1f cycles, max %d\n",
+		fmt.Fprintf(w, "roll-forth length: mean %.1f cycles, max %d\n",
 			rep.RollForthLengths.Mean(), rep.RollForthLengths.Quantile(1))
 	}
 }

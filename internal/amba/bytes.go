@@ -1,12 +1,8 @@
 package amba
 
-import "fmt"
-
 // Byte-boundary helpers for transports that carry word packets over an
-// octet stream (the TCP transport's frame payloads, handshake blobs).
-// Words travel little-endian — the byte order of every host this runs
-// on — and byte blobs of arbitrary length are framed with an explicit
-// length word so the word padding round-trips losslessly.
+// octet stream (the TCP transport's frame payloads). Words travel
+// little-endian — the byte order of every host this runs on.
 
 // WordBytes is the wire size of one channel word in bytes.
 const WordBytes = 4
@@ -20,42 +16,4 @@ func PutWord(dst []byte, w Word) []byte {
 // The caller guarantees len(src) >= WordBytes.
 func GetWord(src []byte) Word {
 	return Word(src[0]) | Word(src[1])<<8 | Word(src[2])<<16 | Word(src[3])<<24
-}
-
-// PackBytes appends b to dst as a word sequence: one length word
-// followed by the bytes packed little-endian, the final word
-// zero-padded. UnpackBytes inverts it.
-func PackBytes(dst []Word, b []byte) []Word {
-	dst = append(dst, Word(len(b)))
-	for len(b) >= WordBytes {
-		dst = append(dst, GetWord(b))
-		b = b[WordBytes:]
-	}
-	if len(b) > 0 {
-		var w Word
-		for i, c := range b {
-			w |= Word(c) << (8 * i)
-		}
-		dst = append(dst, w)
-	}
-	return dst
-}
-
-// UnpackBytes decodes a word sequence produced by PackBytes back into
-// the original byte blob.
-func UnpackBytes(words []Word) ([]byte, error) {
-	if len(words) == 0 {
-		return nil, fmt.Errorf("amba: unpack bytes: empty sequence")
-	}
-	n := int(words[0])
-	words = words[1:]
-	want := (n + WordBytes - 1) / WordBytes
-	if n < 0 || want != len(words) {
-		return nil, fmt.Errorf("amba: unpack bytes: length %d needs %d payload words, have %d", n, want, len(words))
-	}
-	b := make([]byte, 0, n)
-	for _, w := range words {
-		b = PutWord(b, w)
-	}
-	return b[:n], nil
 }

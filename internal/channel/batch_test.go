@@ -3,43 +3,42 @@ package channel
 import (
 	"testing"
 
-	"coemu/internal/amba"
 	"coemu/internal/device"
 	"coemu/internal/vclock"
 )
 
-// TestAccountNMatchesSends pins the loopback contract: AccountN leaves
-// the ledger and every channel statistic bit-identical to n real Sends
-// of the same payload size.
+// TestAccountNMatchesSends pins the batch contract: AccountN leaves
+// the ledger and every channel statistic bit-identical to n sequential
+// Account calls of the same payload size.
 func TestAccountNMatchesSends(t *testing.T) {
-	var sentLedger, accLedger vclock.Ledger
-	sent := New(device.IPROVE(), &sentLedger)
-	acc := New(device.IPROVE(), &accLedger)
+	var seqLedger, batLedger vclock.Ledger
+	seq := New(device.IPROVE(), &seqLedger)
+	bat := New(device.IPROVE(), &batLedger)
 
-	payload := make([]amba.Word, 5)
-	const n = 9
+	const words, n = 5, 9
 	for i := 0; i < n; i++ {
-		sent.Send(SimToAcc, payload)
-		sent.Release(sent.Recv(SimToAcc)) // drain so only accounting differs
+		seq.Account(SimToAcc, words)
 	}
-	acc.AccountN(SimToAcc, len(payload), n)
+	bat.AccountN(SimToAcc, words, n)
 
-	if sentLedger != accLedger {
-		t.Fatalf("ledger diverged: send %v, account %v", sentLedger.String(), accLedger.String())
+	if seqLedger != batLedger {
+		t.Fatalf("ledger diverged: sequential %v, batched %v", seqLedger.String(), batLedger.String())
 	}
-	if sent.Stats() != acc.Stats() {
-		t.Fatalf("stats diverged:\nsend:    %+v\naccount: %+v", sent.Stats(), acc.Stats())
+	if seq.Stats() != bat.Stats() {
+		t.Fatalf("stats diverged:\nsequential: %+v\nbatched:    %+v", seq.Stats(), bat.Stats())
 	}
 }
 
-// TestAccountZeroLengthPaysStartup mirrors Send's doorbell semantics.
+// TestAccountZeroLengthPaysStartup pins the doorbell semantics: an
+// access with no payload still pays the stack's startup cost.
 func TestAccountZeroLengthPaysStartup(t *testing.T) {
 	var l vclock.Ledger
-	c := New(device.IPROVE(), &l)
+	stack := device.IPROVE()
+	c := New(stack, &l)
 	c.Account(AccToSim, 0)
-	if l.Get(vclock.Channel) < c.Stack().Startup() {
+	if l.Get(vclock.Channel) < stack.Startup() {
 		t.Fatalf("zero-length access charged %v, want at least startup %v",
-			l.Get(vclock.Channel), c.Stack().Startup())
+			l.Get(vclock.Channel), stack.Startup())
 	}
 	if c.Stats().Accesses[AccToSim] != 1 {
 		t.Fatal("access not counted")

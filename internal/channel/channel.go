@@ -1,6 +1,9 @@
-// Package channel implements the simulator–accelerator channel: a pair
-// of packet queues whose every access is charged to the virtual clock
-// with the startup + per-word cost structure measured in the paper.
+// Package channel implements the simulator–accelerator channel: an
+// accountant that charges every access to the virtual clock with the
+// startup + per-word cost structure measured in the paper, and the
+// Transport interface that carries packets when the engine builds them
+// (in-memory Queues, the fault-injecting FaultEndpoint, and a TCP
+// socket in package tcpchan).
 //
 // The channel is the scarce resource of the whole system. Conventional
 // co-emulation performs two accesses per target cycle (one transfer each
@@ -11,9 +14,6 @@
 package channel
 
 import (
-	"fmt"
-
-	"coemu/internal/amba"
 	"coemu/internal/device"
 	"coemu/internal/vclock"
 )
@@ -66,22 +66,16 @@ func (s *Stats) TotalAccesses() int64 { return s.Accesses[0] + s.Accesses[1] }
 // TotalWords returns the word count summed over both directions.
 func (s *Stats) TotalWords() int64 { return s.Words[0] + s.Words[1] }
 
-// Channel is the cost-accounted transport between the two verification
-// domains. It is deliberately synchronous and single-threaded: the
-// engine interleaves the domains deterministically, and the channel's
-// job is bookkeeping, not concurrency.
-//
-// The queueing itself is delegated to an embedded Queues transport;
-// Channel layers the ledger charging and Stats collection on top. The
-// engine holds the accounting and the physical transport separately
-// (so the latter can be a socket in another process), but Channel's
-// combined Send/Recv API remains for callers that want both in one
-// object.
+// Channel is the cost accountant of the link between the two
+// verification domains: it charges each access to the ledger and
+// collects Stats, and moves no packets — a Transport does that. It is
+// deliberately synchronous and single-threaded: the engine interleaves
+// the domains deterministically, and the channel's job is bookkeeping,
+// not concurrency.
 type Channel struct {
 	stack  device.Stack
 	ledger *vclock.Ledger
 	stats  Stats
-	q      Queues
 }
 
 // New creates a channel over the given device stack, charging access
@@ -93,29 +87,15 @@ func New(stack device.Stack, ledger *vclock.Ledger) *Channel {
 	return &Channel{stack: stack, ledger: ledger}
 }
 
-// Stack returns the underlying transport stack.
-func (c *Channel) Stack() device.Stack { return c.stack }
-
 // Stats returns a copy of the usage statistics.
 func (c *Channel) Stats() Stats { return c.stats }
 
-// Send enqueues one packet in direction d and charges one channel access
-// (startup + per-word payload) to the ledger. Zero-length packets still
-// pay the startup overhead, exactly like a real doorbell access.
-func (c *Channel) Send(d Dir, payload []amba.Word) {
-	// Accounting is shared with the loopback path so the two can never
-	// drift: Send is Account plus the physical packet.
-	c.Account(d, len(payload))
-	c.q.Send(d, payload)
-}
-
-// Account charges one access of the given payload size — ledger cost,
-// access count, word count and size histogram all exactly as Send of a
-// words-length payload — without materializing or enqueuing a packet.
-// It is the loopback fast path for the in-process engine, which is
-// both endpoints of the channel and already holds the decoded values:
-// the modeled economics of the access are preserved bit-for-bit while
-// the host skips the serialize/copy/deserialize round trip.
+// Account charges one access in direction d with a payload of the
+// given size: startup + per-word cost to the ledger, plus the access
+// count, word count and size histogram. Zero-length accesses still pay
+// the startup overhead, exactly like a real doorbell access. The
+// engine charges every access here whether or not a transport carries
+// the packet, so the modeled economics never depend on the transport.
 func (c *Channel) Account(d Dir, words int) {
 	c.AccountN(d, words, 1)
 }
@@ -123,38 +103,11 @@ func (c *Channel) Account(d Dir, words int) {
 // AccountN charges n identical accesses of the given payload size in
 // one call — the batch counterpart of Account used by the engine's
 // predicted-quiescence cycle batching. Accounting is bit-identical to
-// n sequential Send calls with words-length payloads.
+// n sequential Account calls.
 func (c *Channel) AccountN(d Dir, words int, n int64) {
 	cost := c.stack.AccessCost(d, words)
 	c.ledger.ChargeN(vclock.Channel, cost, n)
 	c.stats.Accesses[d] += n
 	c.stats.Words[d] += n * int64(words)
 	c.stats.SizeHist[d][bucket(words)] += n
-}
-
-// Recv dequeues the oldest packet in direction d. Receiving from an
-// empty queue panics: the engine's handshake protocol guarantees a
-// packet is present, so an empty queue is an engine bug, not a runtime
-// condition to soften.
-//
-// The returned slice is owned by the caller until it hands it back with
-// Release (or drops it; Release is an optimization, not an obligation).
-func (c *Channel) Recv(d Dir) []amba.Word {
-	pkt, err := c.q.Recv(d)
-	if err != nil {
-		panic(fmt.Sprintf("channel: recv on empty %v queue", d))
-	}
-	return pkt
-}
-
-// Release returns a packet obtained from Recv to the free-list once the
-// receiver has fully decoded it. The caller must not touch the slice
-// afterwards: the next Send will overwrite it.
-func (c *Channel) Release(pkt []amba.Word) {
-	c.q.Release(pkt)
-}
-
-// Pending returns the number of queued packets in direction d.
-func (c *Channel) Pending(d Dir) int {
-	return c.q.Pending(d)
 }

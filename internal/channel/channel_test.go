@@ -12,7 +12,7 @@ import (
 func TestSendChargesStartupPlusPayload(t *testing.T) {
 	var l vclock.Ledger
 	c := New(device.IPROVE(), &l)
-	c.Send(SimToAcc, []amba.Word{1, 2, 3, 4})
+	c.Account(SimToAcc, 4)
 	want := 12200*time.Nanosecond + time.Duration(4*49950/1000)
 	if got := l.Get(vclock.Channel); got != want {
 		t.Fatalf("charged %v, want %v", got, want)
@@ -23,51 +23,49 @@ func TestSendChargesStartupPlusPayload(t *testing.T) {
 }
 
 func TestRoundTripData(t *testing.T) {
-	var l vclock.Ledger
-	c := New(device.IPROVE(), &l)
+	q := NewQueues()
 	in := []amba.Word{0xDEAD, 0xBEEF}
-	c.Send(AccToSim, in)
+	if err := q.Send(AccToSim, in); err != nil {
+		t.Fatal(err)
+	}
 	in[0] = 0 // sender reuses its buffer; the packet must be unaffected
-	out := c.Recv(AccToSim)
+	out, err := q.Recv(AccToSim)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(out) != 2 || out[0] != 0xDEAD || out[1] != 0xBEEF {
 		t.Fatalf("recv gave %v", out)
 	}
 }
 
 func TestQueueOrderingAndPending(t *testing.T) {
-	var l vclock.Ledger
-	c := New(device.IPROVE(), &l)
-	c.Send(SimToAcc, []amba.Word{1})
-	c.Send(SimToAcc, []amba.Word{2})
-	if c.Pending(SimToAcc) != 2 {
-		t.Fatalf("pending = %d", c.Pending(SimToAcc))
-	}
-	if got := c.Recv(SimToAcc); got[0] != 1 {
-		t.Fatalf("fifo order broken: %v", got)
-	}
-	if got := c.Recv(SimToAcc); got[0] != 2 {
-		t.Fatalf("fifo order broken: %v", got)
-	}
-}
-
-func TestRecvEmptyPanics(t *testing.T) {
-	var l vclock.Ledger
-	c := New(device.IPROVE(), &l)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty recv must panic")
+	q := NewQueues()
+	for _, w := range []amba.Word{1, 2} {
+		if err := q.Send(SimToAcc, []amba.Word{w}); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	c.Recv(SimToAcc)
+	}
+	if q.Pending(SimToAcc) != 2 {
+		t.Fatalf("pending = %d", q.Pending(SimToAcc))
+	}
+	for _, w := range []amba.Word{1, 2} {
+		got, err := q.Recv(SimToAcc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != w {
+			t.Fatalf("fifo order broken: got %v, want [%d]", got, w)
+		}
+	}
 }
 
 func TestStatsHistogram(t *testing.T) {
 	var l vclock.Ledger
 	c := New(device.IPROVE(), &l)
-	c.Send(SimToAcc, make([]amba.Word, 1))
-	c.Send(SimToAcc, make([]amba.Word, 4))
-	c.Send(SimToAcc, make([]amba.Word, 40))
-	c.Send(AccToSim, make([]amba.Word, 100))
+	c.Account(SimToAcc, 1)
+	c.Account(SimToAcc, 4)
+	c.Account(SimToAcc, 40)
+	c.Account(AccToSim, 100)
 	st := c.Stats()
 	if st.TotalAccesses() != 4 || st.TotalWords() != 145 {
 		t.Fatalf("stats %+v", st)
@@ -86,12 +84,16 @@ func TestStatsHistogram(t *testing.T) {
 func TestZeroPayloadStillCostsStartup(t *testing.T) {
 	var l vclock.Ledger
 	c := New(device.IPROVE(), &l)
-	c.Send(SimToAcc, nil)
+	c.Account(SimToAcc, 0)
 	if got := l.Get(vclock.Channel); got != 12200*time.Nanosecond {
 		t.Fatalf("empty access charged %v", got)
 	}
-	if got := c.Recv(SimToAcc); len(got) != 0 {
-		t.Fatalf("empty packet came back with %d words", len(got))
+	q := NewQueues()
+	if err := q.Send(SimToAcc, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := q.Recv(SimToAcc); err != nil || len(got) != 0 {
+		t.Fatalf("empty packet came back with %d words (err %v)", len(got), err)
 	}
 }
 

@@ -16,19 +16,19 @@ var ErrChannelDown = errors.New("channel: transport down")
 
 // Transport moves materialized wire packets between the two
 // verification domains. It is the physical layer under the engine's
-// packed codec: implementations range from same-process queues
-// (Queues, Loopback) to a real TCP socket (package tcpchan), with
-// FaultEndpoint wrapping any of them for seeded fault injection.
+// packed codec: implementations are the same-process Queues and a real
+// TCP socket (package tcpchan), with FaultEndpoint wrapping either for
+// seeded fault injection. The engine builds packets only when it has a
+// Transport; without one it takes the accounting path.
 //
 // Transports carry bits only — they never touch the virtual-clock
 // ledger or channel Stats. The engine charges every access explicitly
 // through Channel.Account before handing the packet to the transport,
 // so the modeled economics are bit-identical across implementations.
 //
-// Ownership follows the Channel convention: Send may reuse its payload
-// slice after the call returns (the transport copies or encodes), and
-// a slice returned by Recv belongs to the caller until handed back via
-// Release.
+// Ownership: the caller may reuse its payload slice once Send returns
+// (the transport copies or encodes), and a slice returned by Recv
+// belongs to the caller until handed back via Release.
 type Transport interface {
 	// Send ships one packet in direction d.
 	Send(d Dir, payload []amba.Word) error
@@ -40,17 +40,15 @@ type Transport interface {
 	// Pending reports how many packets are queued for delivery in
 	// direction d on this endpoint.
 	Pending(d Dir) int
-	// Close releases transport resources. The in-memory transports
-	// treat it as a no-op.
+	// Close releases transport resources. Queues treats it as a no-op.
 	Close() error
 }
 
 // Queues is the in-memory packet transport: a pair of FIFO queues with
-// a shared buffer free-list, exactly the queueing machinery Channel
-// has always used, split out so it can stand alone behind the
-// Transport interface (and under FaultEndpoint). Like Channel it is
-// single-threaded by design — the engine interleaves the domains
-// deterministically.
+// a shared buffer free-list. It is the in-process transport for the
+// wire-codec path and the default inner transport of FaultEndpoint.
+// Like Channel it is single-threaded by design — the engine
+// interleaves the domains deterministically.
 type Queues struct {
 	queues [2]queue
 	free   [][]amba.Word
@@ -136,75 +134,3 @@ func (t *Queues) Pending(d Dir) int { return t.queues[d].len() }
 
 // Close is a no-op for the in-memory transport.
 func (t *Queues) Close() error { return nil }
-
-// loopbackDepth bounds the packets in flight per direction on the
-// Loopback transport. The engine's exchange protocol never holds more
-// than one packet per direction; the small fixed ring keeps steady
-// state allocation-free while still catching protocol violations that
-// an unbounded queue would silently absorb.
-const loopbackDepth = 4
-
-// Loopback is the same-process fast-path transport, tuned for the
-// engine's strictly alternating exchange pattern: a fixed ring of
-// reusable buffers per direction instead of a growable queue and
-// shared pool. Unlike Queues it is bounded — sending more than
-// loopbackDepth packets into one direction without receiving reports
-// ErrChannelDown rather than growing, turning an engine protocol bug
-// into an immediate failure.
-type Loopback struct {
-	rings [2]loopRing
-}
-
-// loopRing is a fixed circular buffer of packet slots. Buffers are
-// recycled in place on wrap-around, so the steady state allocates
-// nothing without any Release bookkeeping.
-type loopRing struct {
-	slots [loopbackDepth][]amba.Word
-	head  int // next slot to deliver
-	n     int // occupied slots
-}
-
-// NewLoopback creates an empty loopback transport.
-func NewLoopback() *Loopback {
-	return &Loopback{}
-}
-
-// Send copies payload into the next free ring slot.
-func (t *Loopback) Send(d Dir, payload []amba.Word) error {
-	r := &t.rings[d]
-	if r.n == loopbackDepth {
-		return fmt.Errorf("channel: loopback %v ring full (%d in flight): %w", d, r.n, ErrChannelDown)
-	}
-	slot := (r.head + r.n) % loopbackDepth
-	buf := append(r.slots[slot][:0], payload...)
-	if buf == nil {
-		buf = []amba.Word{}
-	}
-	r.slots[slot] = buf
-	r.n++
-	return nil
-}
-
-// Recv returns the oldest in-flight packet in direction d. The slice
-// remains ring-owned: it is valid until loopbackDepth further Sends in
-// the same direction, which covers the engine's receive-decode-release
-// pattern with room to spare.
-func (t *Loopback) Recv(d Dir) ([]amba.Word, error) {
-	r := &t.rings[d]
-	if r.n == 0 {
-		return nil, fmt.Errorf("channel: recv on empty %v loopback ring: %w", d, ErrChannelDown)
-	}
-	pkt := r.slots[r.head]
-	r.head = (r.head + 1) % loopbackDepth
-	r.n--
-	return pkt, nil
-}
-
-// Release is a no-op: ring slots recycle on wrap-around.
-func (t *Loopback) Release(pkt []amba.Word) {}
-
-// Pending returns the number of in-flight packets in direction d.
-func (t *Loopback) Pending(d Dir) int { return t.rings[d].n }
-
-// Close is a no-op for the loopback transport.
-func (t *Loopback) Close() error { return nil }

@@ -1,10 +1,9 @@
 // Transport conformance: every Transport implementation — in-memory
-// queues, the bounded loopback ring, the fault endpoint wrapper, and a
-// real TCP socket pair — must honor the same contract the engine
-// depends on: per-direction FIFO delivery (zero-length packets
-// included), payload ownership on Send, Release safety, Pending
-// accounting, and a typed ErrChannelDown when no packet can be
-// produced. This file lives in package channel_test so it can exercise
+// queues, the fault endpoint wrapper, and a real TCP socket pair —
+// must honor the same contract the engine depends on: per-direction
+// FIFO delivery (zero-length packets included), payload ownership on
+// Send, Release safety, Pending accounting, and a typed ErrChannelDown
+// when no packet can be produced. This file lives in package channel_test so it can exercise
 // tcpchan without an import cycle.
 package channel_test
 
@@ -27,9 +26,6 @@ type link func(d channel.Dir) (tx, rx channel.Transport)
 type conformanceCase struct {
 	name string
 	open func(t *testing.T) link
-	// maxInFlight caps packets sent before draining (the loopback ring
-	// holds 4).
-	maxInFlight int
 	// asyncDelivery marks transports whose Pending fills asynchronously
 	// (the TCP pair's wire side).
 	asyncDelivery bool
@@ -40,6 +36,10 @@ type conformanceCase struct {
 	// (the TCP wire side waits out its receive timeout first).
 	emptyRecvBudget time.Duration
 }
+
+// inFlight is how many packets fifo-both-directions sends per
+// direction before draining.
+const inFlight = 16
 
 func same(tr channel.Transport) link {
 	return func(channel.Dir) (channel.Transport, channel.Transport) { return tr, tr }
@@ -82,21 +82,14 @@ func tcpPair(t *testing.T) link {
 func conformanceCases() []conformanceCase {
 	return []conformanceCase{
 		{
-			name:        "queues",
-			open:        func(t *testing.T) link { return same(channel.NewQueues()) },
-			maxInFlight: 16,
-		},
-		{
-			name:        "loopback",
-			open:        func(t *testing.T) link { return same(channel.NewLoopback()) },
-			maxInFlight: 4,
+			name: "queues",
+			open: func(t *testing.T) link { return same(channel.NewQueues()) },
 		},
 		{
 			name: "fault-endpoint-clean",
 			open: func(t *testing.T) link {
 				return same(channel.NewFaultEndpoint(channel.NewQueues(), nil, 1))
 			},
-			maxInFlight: 16,
 		},
 		{
 			name: "fault-endpoint-duplicating",
@@ -104,13 +97,11 @@ func conformanceCases() []conformanceCase {
 				plan := &faultplan.ChannelFault{Duplicate: 0.5, Delay: 0.2, MaxDelayUS: 3}
 				return same(channel.NewFaultEndpoint(channel.NewQueues(), plan, 7))
 			},
-			maxInFlight:    16,
 			inexactPending: true,
 		},
 		{
 			name:            "tcp-pair",
 			open:            func(t *testing.T) link { return tcpPair(t) },
-			maxInFlight:     16,
 			asyncDelivery:   true,
 			emptyRecvBudget: 2 * time.Second,
 		},
@@ -151,7 +142,7 @@ func TestTransportConformance(t *testing.T) {
 				lk := tc.open(t)
 				for _, d := range []channel.Dir{channel.SimToAcc, channel.AccToSim} {
 					tx, rx := lk(d)
-					n := tc.maxInFlight
+					n := inFlight
 					for i := 0; i < n; i++ {
 						if err := tx.Send(d, payloadFor(d, i)); err != nil {
 							t.Fatalf("%v send %d: %v", d, i, err)

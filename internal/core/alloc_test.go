@@ -6,6 +6,7 @@ import (
 
 	"coemu/internal/amba"
 	"coemu/internal/bus"
+	"coemu/internal/channel"
 	"coemu/internal/ip"
 	"coemu/internal/workload"
 )
@@ -15,10 +16,13 @@ import (
 // deposit and flush, and the once-per-transition rollback store and
 // restore — must not allocate: every buffer is engine-, bus-, channel-,
 // component- or registry-owned scratch reused across cycles. These
-// tests pin that property so it cannot silently rot. The warm-up loops
-// below fill every reusable buffer (snapshot ring slots, page stashes,
-// generator data pools) before the measured window, so the asserted
-// bound is exactly zero.
+// tests pin that property so it cannot silently rot. Most guards run
+// the accounting path; the *Codec variants run the same windows with a
+// channel.Queues transport, so every access also takes the wire-codec
+// round trip. The warm-up loops below fill every reusable buffer
+// (snapshot ring slots, page stashes, generator data pools, transport
+// free-lists) before the measured window, so the asserted bound is
+// exactly zero.
 
 // zeroStream is a write-burst generator with no per-transfer heap state:
 // Data stays nil (the master drives zero words), so fetching a transfer
@@ -70,7 +74,16 @@ func allocDesign() Design {
 }
 
 func TestConservativeCycleAllocFree(t *testing.T) {
-	e, err := NewEngine(allocDesign(), Config{Mode: Conservative})
+	checkConservativeAllocFree(t, Config{Mode: Conservative})
+}
+
+func TestConservativeCycleAllocFreeCodec(t *testing.T) {
+	checkConservativeAllocFree(t, Config{Mode: Conservative, Transport: channel.NewQueues()})
+}
+
+func checkConservativeAllocFree(t *testing.T, cfg Config) {
+	t.Helper()
+	e, err := NewEngine(allocDesign(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +239,16 @@ func TestRollbackHeavyAllocFree(t *testing.T) {
 }
 
 func TestALSTransitionAllocFree(t *testing.T) {
-	e, err := NewEngine(allocDesign(), Config{Mode: ALS})
+	checkALSTransitionAllocFree(t, Config{Mode: ALS})
+}
+
+func TestALSTransitionAllocFreeCodec(t *testing.T) {
+	checkALSTransitionAllocFree(t, Config{Mode: ALS, Transport: channel.NewQueues()})
+}
+
+func checkALSTransitionAllocFree(t *testing.T, cfg Config) {
+	t.Helper()
+	e, err := NewEngine(allocDesign(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +329,16 @@ func multimasterAllocDesign() Design {
 // design: once warm, a window of transitions that stores, restores and
 // rolls forth in both domains allocates nothing.
 func TestMultimasterAutoAllocFree(t *testing.T) {
-	e, err := NewEngine(multimasterAllocDesign(), Config{Mode: Auto})
+	checkMultimasterAutoAllocFree(t, Config{Mode: Auto})
+}
+
+func TestMultimasterAutoAllocFreeCodec(t *testing.T) {
+	checkMultimasterAutoAllocFree(t, Config{Mode: Auto, Transport: channel.NewQueues()})
+}
+
+func checkMultimasterAutoAllocFree(t *testing.T, cfg Config) {
+	t.Helper()
+	e, err := NewEngine(multimasterAllocDesign(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,32 +160,26 @@ type Config struct {
 	// granularity (a cancel lands within one batch instead of one
 	// cycle). 0 selects DefaultCycleBatch; 1 disables batching.
 	CycleBatch int
-	// WirePackets forces every channel packet through the amba wire
-	// codec (pack on send, unpack on receive) even though both
-	// endpoints live in this process. By default the engine uses the
-	// channel's loopback accounting — identical modeled cost and
-	// statistics, no host-side serialization round trip. The two paths
-	// produce bit-identical reports; differential tests pin it.
-	WirePackets bool
-	// ChannelFaults, when non-nil, wraps the channel endpoints with
-	// seeded fault injection (delay jitter, duplication, bit
-	// corruption — see faultplan.ChannelFault) and implies WirePackets:
-	// faults only make sense on materialized packets. Injection is
-	// host-side only — a run that survives its faults produces the
-	// bit-identical report of a fault-free run; corruption surfaces as
-	// a channel.ErrFrameCorrupt run error.
+	// ChannelFaults, when non-nil, wraps the transport with seeded
+	// fault injection (delay jitter, duplication, bit corruption — see
+	// faultplan.ChannelFault); without a Transport it wraps a fresh
+	// channel.Queues, since faults only make sense on materialized
+	// packets. Injection is host-side only — a run that survives its
+	// faults produces the bit-identical report of a fault-free run;
+	// corruption surfaces as a channel.ErrFrameCorrupt run error.
 	ChannelFaults *faultplan.ChannelFault
 	// ChannelFaultSeed seeds the channel fault injection stream.
 	ChannelFaultSeed uint64
-	// Transport, when non-nil, supplies the physical packet transport
-	// for the wire path and implies WirePackets. This is how a domain
-	// pair splits across processes: each side runs the full engine with
-	// a mirrored remote transport (e.g. tcpchan) that ships the
-	// authoritative direction over a socket. Transports carry bits only
-	// — the engine still charges every access to its own ledger, so the
-	// modeled run is bit-identical to the in-process one. When
-	// ChannelFaults is also set, the fault endpoint wraps this
-	// transport.
+	// Transport, when non-nil, carries every channel access as a packet
+	// through the amba wire codec (pack on send, unpack on receive).
+	// nil selects the accounting path: the engine is both endpoints,
+	// already holds the decoded values and builds no packet. Both
+	// paths charge identical modeled cost and statistics, and
+	// differential tests pin their reports bit for bit. A remote
+	// transport (e.g. tcpchan) is how a domain pair splits across
+	// processes: each side runs the full engine with a mirrored
+	// transport that ships the authoritative direction over a socket.
+	// channel.NewQueues is the in-process transport.
 	Transport channel.Transport
 	// Adaptive enables the dynamic mode governor (the paper's §3 item 4
 	// "dynamic decisions among SLA, ALS and conservative operating
@@ -308,13 +302,12 @@ type Engine struct {
 	cfg     Config
 	domains [2]*Domain
 	ch      *channel.Channel
-	// tr is the physical transport every wire-path packet travels
-	// through: a Loopback ring by default, a Queues transport under the
-	// fault endpoint, or an injected remote transport
-	// (Config.Transport). nil unless WirePackets — the loopback
-	// accounting path materializes no packets at all. Transports carry
-	// bits only; the engine charges all channel economics through e.ch
-	// explicitly, so stats and ledger are identical across transports.
+	// tr is the transport every codec-path packet travels through:
+	// Config.Transport, wrapped in the fault endpoint under
+	// Config.ChannelFaults. nil selects the accounting path, which
+	// materializes no packets at all. Transports carry bits only; the
+	// engine charges all channel economics through e.ch explicitly, so
+	// stats and ledger are identical across transports.
 	tr      channel.Transport
 	ledger  vclock.Ledger
 	lob     *LOB
@@ -332,8 +325,8 @@ type Engine struct {
 
 	// Scratch buffers reused across cycles and transitions so the
 	// steady-state loop is allocation-free. packBuf backs every outbound
-	// Pack (the channel copies payloads into its own pooled buffers, so
-	// one scratch serves all sends); flushEnt is live only within a
+	// Pack (the transport copies or encodes payloads on Send, so one
+	// scratch serves all sends); flushEnt is live only within a
 	// single transition.
 	packBuf  []amba.Word
 	flushEnt []Entry
@@ -438,25 +431,14 @@ func NewEngine(d Design, cfg Config) (*Engine, error) {
 		if err := (&faultplan.Plan{Channel: cfg.ChannelFaults}).Validate(); err != nil {
 			return nil, err
 		}
-		cfg.WirePackets = true
-	}
-	if cfg.Transport != nil {
-		cfg.WirePackets = true
 	}
 	e := &Engine{cfg: cfg, lob: NewLOB(cfg.LOBDepth)}
 	e.ch = channel.New(*cfg.Stack, &e.ledger)
 	e.tr = cfg.Transport
-	if e.tr == nil && cfg.WirePackets {
-		if cfg.ChannelFaults != nil {
-			// The fault endpoint below reorders and drops physical
-			// frames; the general queue absorbs that, the bounded
-			// loopback ring would not.
-			e.tr = channel.NewQueues()
-		} else {
-			e.tr = channel.NewLoopback()
-		}
-	}
 	if cfg.ChannelFaults != nil {
+		if e.tr == nil {
+			e.tr = channel.NewQueues()
+		}
 		e.tr = channel.NewFaultEndpoint(e.tr, cfg.ChannelFaults, cfg.ChannelFaultSeed)
 	}
 	opts := predictorOptions{Idle: cfg.PredictIdle, Starts: cfg.PredictBurstStarts}
@@ -568,12 +550,13 @@ func inactivePartial(p *amba.PartialState) bool {
 
 // sendPartial ships one domain contribution across the channel. Every
 // path charges the access at the packed payload size through e.ch — the
-// transport only moves bits. The default accounting path materializes
-// no packet (the engine is both endpoints and already holds the value);
-// WirePackets forces the codec round trip through e.tr.
+// transport only moves bits. The accounting path (no transport)
+// materializes no packet: the engine is both endpoints and already
+// holds the value. With a transport the packet takes the codec round
+// trip through e.tr.
 func (e *Engine) sendPartial(d channel.Dir, p *amba.PartialState) error {
 	e.ch.Account(d, p.PackedWords())
-	if !e.cfg.WirePackets {
+	if e.tr == nil {
 		return nil
 	}
 	e.packBuf = p.Pack(e.packBuf[:0])
@@ -583,12 +566,12 @@ func (e *Engine) sendPartial(d channel.Dir, p *amba.PartialState) error {
 // recvPartial yields the contribution shipped with sendPartial. sent
 // is the value the in-process sender handed over; irqMask is the
 // receiver's static configuration for the sender's interrupt lines.
-// The loopback path returns sent unchanged — the wire codec
+// The accounting path returns sent unchanged — the wire codec
 // round-trips every packable state losslessly (design validation
 // bounds masters and IRQ lines to the header's eight bits), which the
 // wire-codec differential test pins end to end.
 func (e *Engine) recvPartial(d channel.Dir, sent *amba.PartialState, irqMask uint32) (*amba.PartialState, error) {
-	if !e.cfg.WirePackets {
+	if e.tr == nil {
 		return sent, nil
 	}
 	pkt, err := e.tr.Recv(d)
@@ -928,11 +911,11 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 	// charged at the packed size (lob.Words() and the packed flush
 	// length agree by construction — the wire-codec differential pins
 	// it). The accounting path replays the entries straight from the
-	// buffer; WirePackets forces the codec round trip.
+	// buffer; a transport takes the codec round trip.
 	entries := e.lob.Entries()
 	got := entries
 	e.ch.Account(dirFrom(leader.ID()), e.lob.Words())
-	if e.cfg.WirePackets {
+	if e.tr != nil {
 		e.packBuf = packFlush(e.packBuf[:0], entries)
 		if err := e.tr.Send(dirFrom(leader.ID()), e.packBuf); err != nil {
 			return committedLead, fmt.Errorf("core: flush: %w", err)
@@ -1136,12 +1119,12 @@ func (e *Engine) followUpQuiescent(lagger *Domain, got []Entry, i int) int64 {
 
 // exchangeReport carries a follow-up report (success, or failure at
 // idx, plus the lagger's actual contribution) from lagger to leader
-// and returns it as the leader decodes it. The loopback path accounts
-// the access and hands the values through; WirePackets forces the
-// codec round trip.
+// and returns it as the leader decodes it. The accounting path
+// accounts the access and hands the values through; a transport takes
+// the codec round trip.
 func (e *Engine) exchangeReport(lagger *Domain, success bool, idx int, actual amba.PartialState) (bool, int, amba.PartialState, error) {
 	e.ch.Account(dirFrom(lagger.ID()), 1+actual.PackedWords())
-	if e.cfg.WirePackets {
+	if e.tr != nil {
 		e.packBuf = packReport(e.packBuf[:0], success, idx, actual)
 		if err := e.tr.Send(dirFrom(lagger.ID()), e.packBuf); err != nil {
 			return false, 0, amba.PartialState{}, fmt.Errorf("core: report: %w", err)

@@ -1,14 +1,16 @@
-// Package sim provides the minimal cycle-accurate simulation kernel the
-// two verification domains run on: a cycle counter, a reset protocol and
-// an ordered set of clocked components.
+// Package sim provides the minimal cycle-accurate simulation vocabulary
+// the two verification domains run on: a snapshottable cycle counter
+// and the interfaces of clocked components.
 //
-// The kernel is deliberately simple. AHB confines inter-component
-// communication to clock edges (the property the paper leans on in §3 to
-// rule out combinational half-loops across the domain split), so a
+// It is deliberately simple. AHB confines inter-component
+// communication to clock edges (the property the paper leans on in §3
+// to rule out combinational half-loops across the domain split), so a
 // two-phase drive/commit discipline sequenced by the bus model is
-// sufficient; no general event wheel is needed. What the kernel owns is
-// the cycle counter, reset fan-out, and the ticking of components that
-// live beside the bus (interrupt timers, watchdogs) rather than on it.
+// sufficient; no general event wheel is needed. Each domain owns its
+// Clock and, like the monolithic reference model, ticks the components
+// that live beside the bus (interrupt timers, watchdogs) rather than on
+// it after the bus commits, in design order — the same order on both
+// sides, so their traces compare equal.
 package sim
 
 import "fmt"
@@ -21,11 +23,6 @@ type Clocked interface {
 	// Tick advances the component by one clock cycle. cycle is the
 	// index of the cycle being completed.
 	Tick(cycle int64)
-}
-
-// Resettable is implemented by components with a reset state.
-type Resettable interface {
-	Reset()
 }
 
 // Quiescible is an optional extension of Clocked for components that
@@ -92,60 +89,4 @@ func (c *Clock) Restore(s any) {
 		panic(fmt.Sprintf("sim: bad clock snapshot %T", s))
 	}
 	c.cycle = *v
-}
-
-// Reset implements Resettable.
-func (c *Clock) Reset() { c.cycle = 0 }
-
-// Kernel owns a clock and an ordered list of clocked components. The
-// order of registration is the order of evaluation, and it must be
-// identical between the reference system and the split system for traces
-// to compare equal.
-type Kernel struct {
-	clock      Clock
-	components []Clocked
-}
-
-// Register appends a component to the evaluation order. Registering nil
-// panics immediately rather than at the first Step.
-func (k *Kernel) Register(c Clocked) {
-	if c == nil {
-		panic("sim: register nil component")
-	}
-	k.components = append(k.components, c)
-}
-
-// Clock returns the kernel's clock.
-func (k *Kernel) Clock() *Clock { return &k.clock }
-
-// Now returns the number of completed cycles.
-func (k *Kernel) Now() int64 { return k.clock.Now() }
-
-// Step completes one target cycle: every registered component ticks in
-// order, then the clock advances. It returns the index of the completed
-// cycle.
-func (k *Kernel) Step() int64 {
-	n := k.clock.Now()
-	for _, c := range k.components {
-		c.Tick(n)
-	}
-	k.clock.Advance()
-	return n
-}
-
-// Run executes n cycles.
-func (k *Kernel) Run(n int64) {
-	for i := int64(0); i < n; i++ {
-		k.Step()
-	}
-}
-
-// Reset resets the clock and every component implementing Resettable.
-func (k *Kernel) Reset() {
-	k.clock.Reset()
-	for _, c := range k.components {
-		if r, ok := c.(Resettable); ok {
-			r.Reset()
-		}
-	}
 }

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"coemu/internal/channel"
 	"coemu/internal/core"
 	"coemu/internal/remote"
 	"coemu/internal/spec"
@@ -21,12 +22,12 @@ import (
 const fuzzCycleCap = 1200
 
 // FuzzRemoteDifferential feeds fuzzer-grown spec documents through
-// both transports: a plain in-process wire-codec run and a mirrored
-// pair of engines over a real loopback TCP socket. For every valid
-// spec the two must agree — byte-identical canonical report JSON on
-// success, and errors on both paths when the spec compiles but cannot
-// run. The transport layer must never be the thing that decides a
-// run's outcome.
+// both transports: an in-process wire-codec run over channel.Queues
+// and a mirrored pair of engines over a real loopback TCP socket. For
+// every valid spec the two must agree — byte-identical canonical
+// report JSON on success, and errors on both paths when the spec
+// compiles but cannot run. The transport layer must never be the thing
+// that decides a run's outcome.
 func FuzzRemoteDifferential(f *testing.F) {
 	if paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "*", "spec.json")); err == nil {
 		for _, p := range paths {
@@ -65,7 +66,7 @@ func FuzzRemoteDifferential(f *testing.F) {
 		if err != nil {
 			return // uncompilable specs never reach a transport
 		}
-		cfg.WirePackets = true
+		cfg.Transport = channel.NewQueues()
 		eng, err := core.NewEngine(d, cfg)
 		if err != nil {
 			return // unrunnable configs never reach a transport
