@@ -89,8 +89,6 @@ type (
 	Region = bus.Region
 	// Slave is the AHB slave interface.
 	Slave = bus.Slave
-	// Master is the AHB master interface.
-	Master = bus.Master
 	// Generator supplies transfers to a traffic master.
 	Generator = ip.Generator
 	// Xfer is one generated bus transaction.

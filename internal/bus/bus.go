@@ -57,12 +57,14 @@ type MasterFeedback struct {
 }
 
 // Master is a bus master: CPU model, DMA engine, or any traffic source.
-// Drive is called exactly once per cycle during Evaluate; Commit exactly
-// once during the bus Commit. Both must be deterministic functions of
-// component state (roll-forth replays them).
+// Drive is called exactly once per cycle during Evaluate and fills the
+// bus's drive slot for the master in place; the slot holds the previous
+// cycle's drive, so Drive must write every field. Commit is called
+// exactly once during the bus Commit. Both must be deterministic
+// functions of component state (roll-forth replays them).
 type Master interface {
 	Name() string
-	Drive() MasterDrive
+	Drive(d *MasterDrive)
 	Commit(fb MasterFeedback)
 }
 
@@ -133,16 +135,10 @@ type busState struct {
 	SplitMask uint32
 }
 
-// evalState holds the outputs of Evaluate until the matching Commit.
-type evalState struct {
-	valid bool
-	local amba.PartialState
-}
-
 // Bus is a single AHB layer. Construct with New, attach components with
 // AddMaster/MapSlave (or their External variants for components living
-// in the other verification domain), then call Evaluate+Commit once per
-// target cycle. Step combines both for fully-local buses.
+// in the other verification domain), then call EvaluateInto+CommitFrom
+// once per target cycle. Step combines both for fully-local buses.
 type Bus struct {
 	name    string
 	masters []Master // nil entries are external
@@ -162,15 +158,21 @@ type Bus struct {
 	// bus a driver of HSPLITx lines for all masters.
 	splits []SplitSource
 
-	st   busState
-	eval evalState
+	st busState
+	// eval is the caller's buffer holding the pending EvaluateInto's
+	// contribution, kept until the matching CommitFrom merges from it;
+	// nil when no Evaluate is outstanding.
+	eval *amba.PartialState
 	res  StepResult // CommitFrom result record, reused every cycle
+	// step is the contribution buffer of Step: EvaluateInto keeps its
+	// argument, so a local one would escape to the heap every cycle.
+	step amba.PartialState
 
-	// drives is the Evaluate scratch buffer, sized to the master count
+	// drives holds one drive slot per master, sized to the master count
 	// and reused every cycle so the steady-state loop never allocates.
-	// Slots of external (nil) masters stay zero forever; local slots
-	// are overwritten each Evaluate before any read, so the buffer is
-	// never re-zeroed on the hot path.
+	// Slots of external (nil) masters stay zero forever; each local
+	// master fills its own slot in place (Master.Drive) before any read,
+	// so the buffer is never re-zeroed on the hot path.
 	drives []MasterDrive
 
 	// localReq caches LocalReqMask (the topology is fixed after
@@ -344,21 +346,17 @@ func (b *Bus) Arbitrate(req uint32) int {
 	return b.st.Grant // every master split-masked: bus idles
 }
 
-// Evaluate computes everything this bus's local components drive in the
-// upcoming cycle and returns it as a partial MSABS contribution. It must
-// be followed by exactly one Commit. Calling Evaluate twice without a
-// Commit panics — that would double-step component state.
-func (b *Bus) Evaluate() amba.PartialState {
-	var p amba.PartialState
-	b.EvaluateInto(&p)
-	return p
-}
-
-// EvaluateInto is Evaluate writing the contribution through dst — the
-// engine's cycle loop deposits it straight into a LOB entry without
-// the intermediate value copies a return implies.
+// EvaluateInto computes everything this bus's local components drive in
+// the upcoming cycle and builds it in *dst as a partial MSABS
+// contribution. The bus keeps dst until the matching CommitFrom merges
+// from it, so the caller must not write *dst in between (reading it is
+// fine); Restore drops the kept pointer. The engine passes a LOB slot
+// or an engine-owned buffer, so the contribution is written once, where
+// it is read. It must be followed by exactly one CommitFrom. Calling
+// EvaluateInto twice without a CommitFrom panics — that would
+// double-step component state.
 func (b *Bus) EvaluateInto(dst *amba.PartialState) {
-	if b.eval.valid {
+	if b.eval != nil {
 		panic(fmt.Sprintf("bus %s: Evaluate without intervening Commit", b.name))
 	}
 	if len(b.masters) == 0 {
@@ -369,24 +367,21 @@ func (b *Bus) EvaluateInto(dst *amba.PartialState) {
 		b.drives = make([]MasterDrive, len(b.masters))
 	}
 	drives := b.drives[:len(b.masters)]
-	// Build the contribution directly in the eval stash; one copy out
-	// to the caller at the end.
-	local := &b.eval.local
-	*local = amba.PartialState{ReqMask: b.localReq, IRQMask: b.irqMask}
+	*dst = amba.PartialState{ReqMask: b.localReq, IRQMask: b.irqMask}
 
 	for i, m := range b.masters {
 		if m == nil {
 			continue
 		}
-		drives[i] = m.Drive()
+		m.Drive(&drives[i])
 		if drives[i].Req {
-			local.Req |= 1 << uint(i)
+			dst.Req |= 1 << uint(i)
 		}
 	}
 
 	if b.masters[b.st.Grant] != nil {
-		local.HasAP = true
-		local.AP = drives[b.st.Grant].AP
+		dst.HasAP = true
+		dst.AP = drives[b.st.Grant].AP
 	}
 
 	dp := b.st.DP
@@ -394,32 +389,31 @@ func (b *Bus) EvaluateInto(dst *amba.PartialState) {
 		switch {
 		case dp.Slave == DefaultSlaveIndex:
 			if b.ownsDefault {
-				local.HasReply = true
-				local.Reply = b.defaultSlaveReply()
+				dst.HasReply = true
+				dst.Reply = b.defaultSlaveReply()
 			}
 		case b.slaves[dp.Slave] != nil:
-			local.HasReply = true
-			local.Reply = b.slaves[dp.Slave].Respond(dp.AP)
+			dst.HasReply = true
+			dst.Reply = b.slaves[dp.Slave].Respond(dp.AP)
 		}
 		if dp.AP.Write && b.masters[dp.Master] != nil {
-			local.HasWData = true
-			local.WData = drives[dp.Master].WData
+			dst.HasWData = true
+			dst.WData = drives[dp.Master].WData
 		}
 	}
 
 	for _, s := range b.irqs {
-		local.IRQ |= s.IRQ()
+		dst.IRQ |= s.IRQ()
 	}
-	local.IRQ &= b.irqMask
+	dst.IRQ &= b.irqMask
 
-	local.SplitMask = b.LocalSplitMask()
+	dst.SplitMask = b.LocalSplitMask()
 	for _, s := range b.splits {
-		local.Split |= s.SplitRelease()
+		dst.Split |= s.SplitRelease()
 	}
-	local.Split &= local.SplitMask
+	dst.Split &= dst.SplitMask
 
-	b.eval.valid = true
-	*dst = *local
+	b.eval = dst
 }
 
 // StepResult reports one completed bus cycle: the full MSABS record plus
@@ -437,26 +431,23 @@ type StepResult struct {
 	DataWrite bool
 }
 
-// Commit merges the remote contribution with the local evaluation,
-// advances the pipeline by one clock edge and delivers feedback to the
-// local components. For a fully-local bus pass an empty PartialState.
-func (b *Bus) Commit(remote amba.PartialState) StepResult {
-	return *b.CommitFrom(&remote)
-}
-
-// CommitFrom is Commit reading the remote contribution in place and
-// returning a pointer into the bus-owned result record, valid until
-// the next Commit — the engine's cycle loop commits once per target
-// cycle, and the state-record value copies a return implies were a
-// measurable slice of it.
+// CommitFrom merges the remote contribution with the local one that
+// EvaluateInto built in the caller's buffer, advances the pipeline by
+// one clock edge and delivers feedback to the local components. For a
+// fully-local bus pass an empty PartialState. remote is read in place
+// and not kept. The returned record points into the bus-owned result,
+// valid until the next CommitFrom — the engine's cycle loop commits
+// once per target cycle, and the state-record value copies a return
+// implies were a measurable slice of it.
 func (b *Bus) CommitFrom(remote *amba.PartialState) *StepResult {
-	if !b.eval.valid {
+	local := b.eval
+	if local == nil {
 		panic(fmt.Sprintf("bus %s: Commit without Evaluate", b.name))
 	}
-	b.eval.valid = false
+	b.eval = nil
 
 	res := &b.res
-	amba.MergeInto(&res.State, &b.eval.local, remote)
+	amba.MergeInto(&res.State, local, remote)
 	full := &res.State
 	full.Grant = b.st.Grant
 	dp := b.st.DP
@@ -537,21 +528,22 @@ func (b *Bus) CommitFrom(remote *amba.PartialState) *StepResult {
 // which is the property the engine's predicted-quiescence batching
 // relies on.
 func (b *Bus) Quiescent() bool {
-	return !b.eval.valid && !b.st.DP.Valid && b.st.SplitMask == 0 && !b.st.DefErr
+	return b.eval == nil && !b.st.DP.Valid && b.st.SplitMask == 0 && !b.st.DefErr
 }
 
 // SkipQuiescent commits n quiescent cycles in one step. The caller
 // must have proven the fixed point (Quiescent bus, inactive masters)
 // for the whole span; only the cycle counter advances, exactly as n
-// idle Evaluate/Commit rounds would leave it.
+// idle EvaluateInto/CommitFrom rounds would leave it.
 func (b *Bus) SkipQuiescent(n int64) {
 	b.st.Cycle += n
 }
 
 // Step evaluates and commits one cycle of a fully-local bus.
 func (b *Bus) Step() StepResult {
-	b.Evaluate()
-	return b.Commit(amba.PartialState{})
+	var none amba.PartialState
+	b.EvaluateInto(&b.step)
+	return *b.CommitFrom(&none)
 }
 
 // defaultSlaveReply implements the AHB default slave: active beats that
@@ -573,7 +565,7 @@ func (b *Bus) Cycle() int64 { return b.st.Cycle }
 // Snapshots may only be taken between cycles (never between Evaluate
 // and Commit).
 func (b *Bus) SaveInto(prev any) any {
-	if b.eval.valid {
+	if b.eval != nil {
 		panic(fmt.Sprintf("bus %s: snapshot between Evaluate and Commit", b.name))
 	}
 	st, ok := prev.(*busState)
@@ -584,12 +576,13 @@ func (b *Bus) SaveInto(prev any) any {
 	return st
 }
 
-// Restore implements rollback.Snapshotter.
+// Restore implements rollback.Snapshotter. It cancels an outstanding
+// Evaluate, dropping the caller's buffer EvaluateInto kept.
 func (b *Bus) Restore(s any) {
 	st, ok := s.(*busState)
 	if !ok {
 		panic(fmt.Sprintf("bus %s: bad snapshot %T", b.name, s))
 	}
 	b.st = *st
-	b.eval = evalState{}
+	b.eval = nil
 }

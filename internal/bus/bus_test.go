@@ -12,19 +12,17 @@ type scriptMaster struct {
 	drives []MasterDrive
 	i      int
 	fbs    []MasterFeedback
-	hold   MasterDrive
 }
 
 func (m *scriptMaster) Name() string { return m.name }
 
-func (m *scriptMaster) Drive() MasterDrive {
+func (m *scriptMaster) Drive(d *MasterDrive) {
 	if m.i < len(m.drives) {
-		m.hold = m.drives[m.i]
+		*d = m.drives[m.i]
 		m.i++
 	} else {
-		m.hold = MasterDrive{}
+		*d = MasterDrive{}
 	}
-	return m.hold
 }
 
 func (m *scriptMaster) Commit(fb MasterFeedback) { m.fbs = append(m.fbs, fb) }
@@ -273,6 +271,38 @@ func TestBusPanicsWithoutMasters(t *testing.T) {
 		}
 	}()
 	b.Step()
+}
+
+// loopMaster replays its script forever and records nothing, so a bus
+// it drives can run allocation-free.
+type loopMaster struct {
+	drives []MasterDrive
+	i      int
+}
+
+func (m *loopMaster) Name() string { return "loop" }
+
+func (m *loopMaster) Drive(d *MasterDrive) {
+	*d = m.drives[m.i%len(m.drives)]
+	m.i++
+}
+
+func (m *loopMaster) Commit(MasterFeedback) {}
+
+// TestStepAllocFree pins that a warm, fully local bus allocates nothing
+// per Step. EvaluateInto keeps its buffer until the commit, so a Step
+// (or any wrapper) that evaluated into a local variable would move it
+// to the heap on every cycle.
+func TestStepAllocFree(t *testing.T) {
+	b := New("t")
+	b.AddMaster(&loopMaster{drives: []MasterDrive{singleBeat(0x40, false), {}, {}}})
+	b.MapSlave(&stubSlave{name: "s", waits: 1, rdata: 7}, Region{0, 0x1000}, 0)
+	for i := 0; i < 64; i++ {
+		b.Step()
+	}
+	if n := testing.AllocsPerRun(1000, func() { b.Step() }); n != 0 {
+		t.Fatalf("Step allocates %.1f objects per cycle, want 0", n)
+	}
 }
 
 func TestRegionContains(t *testing.T) {

@@ -1,6 +1,8 @@
 package bus
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"coemu/internal/amba"
@@ -23,7 +25,8 @@ func TestExternalMasterContribution(t *testing.T) {
 		}
 	}
 
-	local := b.Evaluate()
+	var local amba.PartialState
+	b.EvaluateInto(&local)
 	if local.HasAP {
 		t.Fatal("half-bus with external grant owner must not claim the address phase")
 	}
@@ -31,17 +34,19 @@ func TestExternalMasterContribution(t *testing.T) {
 		t.Fatalf("local req mask = %x, want 0", local.ReqMask)
 	}
 	beat := amba.AddrPhase{Addr: 0x40, Trans: amba.TransNonSeq, Write: true, Size: amba.Size32, Burst: amba.BurstSingle}
-	b.Commit(remote(beat, 0, false))
+	in := remote(beat, 0, false)
+	b.CommitFrom(&in)
 
 	// Data phase: the local slave replies; write data is remote.
-	local = b.Evaluate()
+	b.EvaluateInto(&local)
 	if !local.HasReply {
 		t.Fatal("local slave must own the reply")
 	}
 	if local.HasWData {
 		t.Fatal("write data belongs to the remote master")
 	}
-	res := b.Commit(remote(amba.AddrPhase{}, 0xABCD0123, true))
+	in = remote(amba.AddrPhase{}, 0xABCD0123, true)
+	res := b.CommitFrom(&in)
 	if !res.DataValid || res.State.WData != 0xABCD0123 {
 		t.Fatalf("data phase result %+v", res)
 	}
@@ -62,19 +67,20 @@ func TestExternalSlaveContribution(t *testing.T) {
 	b.MapExternalSlave("remote-mem", Region{0, 0x1000})
 
 	// Cycle 0: local master presents; no data phase yet.
-	local := b.Evaluate()
+	var local amba.PartialState
+	b.EvaluateInto(&local)
 	if !local.HasAP || local.HasReply {
 		t.Fatalf("cycle 0 contribution %+v", local)
 	}
-	b.Commit(amba.PartialState{})
+	b.CommitFrom(&amba.PartialState{})
 
 	// Cycle 1: the beat is in the external slave's data phase; the
 	// reply must come from the remote side.
-	local = b.Evaluate()
+	b.EvaluateInto(&local)
 	if local.HasReply {
 		t.Fatal("external slave's reply claimed locally")
 	}
-	res := b.Commit(amba.PartialState{
+	res := b.CommitFrom(&amba.PartialState{
 		HasReply: true,
 		Reply:    amba.SlaveReply{Ready: true, Resp: amba.RespOkay, RData: 0x5555},
 	})
@@ -98,13 +104,14 @@ func TestDefaultSlaveOwnership(t *testing.T) {
 	b.AddMaster(m)
 	b.MapSlave(&stubSlave{name: "s"}, Region{0, 0x1000}, 0)
 
-	b.Evaluate()
-	b.Commit(amba.PartialState{})
-	local := b.Evaluate()
+	var local amba.PartialState
+	b.EvaluateInto(&local)
+	b.CommitFrom(&amba.PartialState{})
+	b.EvaluateInto(&local)
 	if local.HasReply {
 		t.Fatal("non-owner must not drive default-slave replies")
 	}
-	res := b.Commit(amba.PartialState{
+	res := b.CommitFrom(&amba.PartialState{
 		HasReply: true,
 		Reply:    amba.SlaveReply{Ready: false, Resp: amba.RespError},
 	})
@@ -130,11 +137,48 @@ func TestEvaluateCommitGuards(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("commit without evaluate", func() { b.Commit(amba.PartialState{}) })
-	b.Evaluate()
-	mustPanic("double evaluate", func() { b.Evaluate() })
+	var local, none amba.PartialState
+	mustPanic("commit without evaluate", func() { b.CommitFrom(&none) })
+	b.EvaluateInto(&local)
+	mustPanic("double evaluate", func() { b.EvaluateInto(&local) })
 	mustPanic("save mid-cycle", func() { b.SaveInto(nil) })
-	b.Commit(amba.PartialState{})
+	b.CommitFrom(&none)
+}
+
+// TestCommitMergesCallerBufferRestoreDropsIt pins the buffer contract:
+// CommitFrom merges the local contribution from the buffer EvaluateInto
+// was given (so a write to it in between, which callers must not make,
+// shows in the merged record), and a Restore between the two drops that
+// buffer, so the next CommitFrom panics.
+func TestCommitMergesCallerBufferRestoreDropsIt(t *testing.T) {
+	b := New("r")
+	b.AddMaster(&scriptMaster{name: "m", drives: []MasterDrive{singleBeat(0x40, false)}})
+	b.MapSlave(&stubSlave{name: "s"}, Region{0, 0x1000}, 0)
+	snap := b.SaveInto(nil)
+
+	var local, none amba.PartialState
+	b.EvaluateInto(&local)
+	if !local.HasAP || local.AP.Addr != 0x40 {
+		t.Fatalf("local contribution %+v, want the 0x40 address phase", local)
+	}
+	local.AP.Addr = 0x80
+	if res := b.CommitFrom(&none); res.State.AP.Addr != 0x80 {
+		t.Fatalf("merged address %#x, want 0x80 from the caller's buffer", res.State.AP.Addr)
+	}
+
+	b.EvaluateInto(&local)
+	b.Restore(snap)
+	func() {
+		defer func() {
+			if r := fmt.Sprint(recover()); !strings.Contains(r, "Commit without Evaluate") {
+				t.Fatalf("CommitFrom after Restore: recovered %q, want the Commit without Evaluate panic", r)
+			}
+		}()
+		b.CommitFrom(&none)
+	}()
+	// The restore cancelled the pending Evaluate: the next cycle runs.
+	b.EvaluateInto(&local)
+	b.CommitFrom(&none)
 }
 
 func TestLocalMasks(t *testing.T) {

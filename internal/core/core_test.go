@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -125,38 +126,81 @@ func runBoth(t *testing.T, d Design, cfg Config, cycles int64) *Report {
 
 // --- LOB -------------------------------------------------------------
 
+// keep fills the LOB's next slot with e and keeps it.
+func keep(l *LOB, e Entry) {
+	*l.Slot() = e
+	l.Keep()
+}
+
+// lobPanic returns what keeping e into l panics with ("" for none).
+func lobPanic(l *LOB, e Entry) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	keep(l, e)
+	return ""
+}
+
 func TestLOBPushFlushAccounting(t *testing.T) {
 	l := NewLOB(32)
 	e := Entry{Out: amba.PartialState{ReqMask: 1}, Pred: amba.PartialState{ReqMask: 2}, HasPred: true}
-	if !l.Fits(&e) {
-		t.Fatal("entry must fit an empty 32-word LOB")
+	slot := l.Slot()
+	*slot = e
+	if l.Len() != 0 {
+		t.Fatalf("len = %d before Keep, want 0", l.Len())
 	}
-	l.Push(&e)
-	if l.Len() != 1 {
-		t.Fatalf("len = %d", l.Len())
+	l.Keep()
+	if l.Len() != 1 || &l.Entries()[0] != slot {
+		t.Fatalf("len = %d, or the kept entry is not the slot handed out", l.Len())
 	}
 	wantWords := 1 + e.Words()
 	if l.Words() != wantWords {
 		t.Fatalf("words = %d, want %d", l.Words(), wantWords)
 	}
 	l.Reset()
-	if l.Len() != 0 || l.Flushes() != 1 {
+	if l.Len() != 0 || l.Words() != 1 {
 		t.Fatal("reset bookkeeping wrong")
 	}
 	if l.PeakWords() != wantWords {
 		t.Fatalf("peak = %d", l.PeakWords())
 	}
+	// A recycled slot comes back with its size memo cleared: a bare
+	// entry written over the predicted one above is sized afresh.
+	s := l.Slot()
+	s.Pred, s.HasPred = amba.PartialState{}, false
+	l.Keep()
+	if want := 1 + e.Out.PackedWords(); l.Words() != want {
+		t.Fatalf("words = %d after recycling the slot, want %d", l.Words(), want)
+	}
 }
 
 func TestLOBOverflowPanics(t *testing.T) {
-	l := NewLOB(4)
-	l.Push(&Entry{Out: amba.PartialState{}, HasPred: false}) // 1+1 words... header + out
-	defer func() {
-		if recover() == nil {
-			t.Fatal("push after final entry must panic")
-		}
-	}()
-	l.Push(&Entry{Out: amba.PartialState{}})
+	e := Entry{Out: amba.PartialState{ReqMask: 1}, Pred: amba.PartialState{ReqMask: 2}, HasPred: true}
+	const depth = 8
+	l := NewLOB(depth)
+	for l.Words()+e.Words() <= depth {
+		keep(l, e)
+	}
+	n, words := l.Len(), l.Words()
+	if msg := lobPanic(l, e); !strings.Contains(msg, "LOB overflow") {
+		t.Fatalf("keeping entry %d (%d+%d > %d words): recovered %q, want the overflow panic",
+			n, words, e.Words(), depth, msg)
+	}
+	if l.Len() != n || l.Words() != words {
+		t.Fatalf("overflowing keep changed the buffer: len %d words %d, want %d and %d", l.Len(), l.Words(), n, words)
+	}
+}
+
+func TestLOBPushAfterFinalPanics(t *testing.T) {
+	l := NewLOB(32)
+	keep(l, Entry{Out: amba.PartialState{ReqMask: 1}, Pred: amba.PartialState{ReqMask: 2}, HasPred: true})
+	keep(l, Entry{Out: amba.PartialState{ReqMask: 1}}) // final: no prediction
+	msg := lobPanic(l, Entry{Out: amba.PartialState{ReqMask: 1}, Pred: amba.PartialState{ReqMask: 2}, HasPred: true})
+	if !strings.Contains(msg, "after the final") {
+		t.Fatalf("keeping an entry after the final one: recovered %q, want the after-final panic", msg)
+	}
 }
 
 func TestLOBDepthPanics(t *testing.T) {

@@ -142,16 +142,13 @@ func (d *Domain) Now() int64 { return d.clock.Now() }
 // Masters returns the domain's local masters.
 func (d *Domain) Masters() []*ip.TrafficMaster { return d.masters }
 
-// Evaluate computes the domain's contribution for the upcoming cycle
-// and charges one cycle of domain time to the ledger.
-func (d *Domain) Evaluate(ledger *vclock.Ledger) amba.PartialState {
-	var p amba.PartialState
-	d.EvaluateInto(ledger, &p)
-	return p
-}
-
-// EvaluateInto is Evaluate writing the contribution through dst — the
-// engine deposits it straight into a LOB entry.
+// EvaluateInto computes the domain's contribution for the upcoming
+// cycle in *dst and charges one cycle of domain time to the ledger. The
+// half-bus keeps dst until the matching CommitFrom merges from it (see
+// bus.Bus.EvaluateInto): the caller must not write *dst in between, and
+// a Rollback drops it. The engine passes the next LOB slot or an
+// engine-owned buffer, never a loop-local variable, which would escape
+// to the heap on every cycle.
 func (d *Domain) EvaluateInto(ledger *vclock.Ledger, dst *amba.PartialState) {
 	if d.evaluated {
 		panic(fmt.Sprintf("core: domain %s: Evaluate without Commit", d.id))
@@ -161,17 +158,12 @@ func (d *Domain) EvaluateInto(ledger *vclock.Ledger, dst *amba.PartialState) {
 	d.bus.EvaluateInto(dst)
 }
 
-// Commit completes the cycle with the given remote contribution (real or
-// predicted), ticks the domain's clocked components, advances the
-// predictor's observation stream (in a domain that may lead), and
-// returns the full merged MSABS record.
-func (d *Domain) Commit(remote amba.PartialState) amba.CycleState {
-	return *d.CommitFrom(&remote)
-}
-
-// CommitFrom is Commit reading the remote contribution in place; the
+// CommitFrom completes the cycle with the given remote contribution
+// (real or predicted), ticks the domain's clocked components, advances
+// the predictor's observation stream (in a domain that may lead), and
+// returns the full merged MSABS record. remote is read in place; the
 // returned record points into the bus-owned result, valid until the
-// next Commit.
+// next CommitFrom.
 func (d *Domain) CommitFrom(remote *amba.PartialState) *amba.CycleState {
 	if !d.evaluated {
 		panic(fmt.Sprintf("core: domain %s: Commit without Evaluate", d.id))
@@ -225,7 +217,8 @@ func (d *Domain) Snapshot(ledger *vclock.Ledger, vars int) rollback.Snapshot {
 func (d *Domain) Rollback(ledger *vclock.Ledger, vars int, s rollback.Snapshot) {
 	if d.evaluated {
 		// A leader waiting in Get-response has an outstanding Evaluate
-		// for the final cycle; rolling back cancels it.
+		// for the final cycle; rolling back cancels it (the bus restore
+		// drops the LOB slot it kept).
 		d.evaluated = false
 	}
 	ledger.Charge(vclock.Restore, d.costModel.RestoreCost(vars))
@@ -293,7 +286,7 @@ func (d *Domain) PredictionStableCycles() int64 {
 // AdvanceQuiescent commits n quiescent cycles in one step: n cycles of
 // domain time charged to the ledger, the clock, every master's gap
 // countdown, every clocked component and the predictor's idle
-// bookkeeping advanced by n — bit-identical to n Evaluate/Commit
+// bookkeeping advanced by n — bit-identical to n EvaluateInto/CommitFrom
 // rounds against the inactive remote contribution the caller proved.
 // Callers must keep n within QuiescentCycles() (and, when the domain's
 // own predictions are being consumed, PredictionStableCycles()).

@@ -338,6 +338,13 @@ type Engine struct {
 	rxBuf   [2]amba.PartialState
 	predBuf amba.PartialState
 
+	// laggerOut and replayOut are the follow-up lagger's and the
+	// roll-forth leader's evaluation buffers. The half-bus keeps an
+	// evaluation buffer until the matching commit, so a loop-local one
+	// would escape to the heap on every cycle.
+	laggerOut amba.PartialState
+	replayOut amba.PartialState
+
 	// consOut and consFull hold the most recent conservative cycle's
 	// per-domain contributions and merged state — the template a
 	// batched conservative stretch repeats (and the payload sizes its
@@ -844,19 +851,18 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 	// Run-Ahead (P-path): commit cycles against predictions until the
 	// predictor declines, the LOB fills, or the budget is reached. The
 	// buffer always keeps room for the final, prediction-less entry
-	// (maxPartialWords), which is deposited after the loop decides to
-	// stop — by then the cycle is already evaluated. The entry is
-	// reused across iterations (Push copies it into the buffer); only
-	// its size memo needs an explicit reset.
-	var entry Entry
-	entry.HasPred = true
+	// (maxPartialWords), which is kept after the loop decides to stop —
+	// by then the cycle is already evaluated. The leader evaluates and
+	// predicts straight into the next LOB slot, so each cycle's record is
+	// written once, where the flush and the follow-up read it.
 	for {
 		if e.canceled() {
 			return committedLead, errCanceled
 		}
-		entry.words = 0
+		entry := e.lob.Slot()
 		leader.EvaluateInto(&e.ledger, &entry.Out)
 		reason := leader.PredictInto(&entry.Pred)
+		entry.HasPred = true
 		last := false
 		if reason != DeclineNone {
 			e.stats.Declines[reason]++
@@ -867,26 +873,29 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 			last = true
 		}
 		if last {
-			final := Entry{Out: entry.Out}
-			e.lob.Push(&final)
+			// The final entry carries no prediction. The leader's pending
+			// Evaluate keeps entry.Out until the report completes it.
+			entry.Pred, entry.HasPred, entry.words = amba.PartialState{}, false, 0
+			e.lob.Keep()
 			break
 		}
-		e.lob.Push(&entry)
+		e.lob.Keep()
 		leader.CommitFrom(&entry.Pred)
 		e.stats.RunAheadCycles++
 
 		// Predicted-quiescence fast path: when the leader is provably
 		// idle and the predictor guarantees the same inactive
 		// prediction for the cycles ahead, the coming run-ahead cycles
-		// are exact repetitions of the entry just deposited — commit a
-		// batch of them in one step (LOB deposits included, so the
-		// flush on the wire is unchanged).
-		if n := e.runAheadQuiescent(leader, &entry, budget); n > 0 {
+		// are exact repetitions of the entry just kept — commit a batch
+		// of them in one step, copying the entry into the following
+		// slots (so the flush on the wire is unchanged).
+		if n := e.runAheadQuiescent(leader, entry, budget); n > 0 {
 			if e.canceled() {
 				return committedLead, errCanceled
 			}
 			for k := int64(0); k < n; k++ {
-				e.lob.Push(&entry)
+				*e.lob.Slot() = *entry
+				e.lob.Keep()
 			}
 			leader.AdvanceQuiescent(&e.ledger, n)
 			e.stats.RunAheadCycles += n
@@ -940,8 +949,7 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 		if e.canceled() {
 			return committed, errCanceled
 		}
-		var laggerOut amba.PartialState
-		lagger.EvaluateInto(&e.ledger, &laggerOut)
+		lagger.EvaluateInto(&e.ledger, &e.laggerOut)
 		full := lagger.CommitFrom(&entry.Out)
 		e.stats.FollowUpCycles++
 		if err := e.commitTrace(full); err != nil {
@@ -952,7 +960,7 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 		if !entry.HasPred {
 			// Final entry: report the lagger's actual contribution
 			// (R-path); the leader completes its pending cycle with it.
-			ok, _, actual, err := e.exchangeReport(lagger, true, 0, laggerOut)
+			ok, _, actual, err := e.exchangeReport(lagger, true, 0, e.laggerOut)
 			if err != nil || !ok {
 				return committed, fmt.Errorf("core: success report: ok=%v err=%v", ok, err)
 			}
@@ -965,7 +973,7 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 		}
 
 		e.stats.ChecksTotal++
-		match := laggerOut == entry.Pred
+		match := e.laggerOut == entry.Pred
 		injected := false
 		if match && e.inject != nil && e.inject.Mispredict() {
 			match = false
@@ -1017,7 +1025,7 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 		}
 
 		// Prediction failure (L-5): report the actual contribution.
-		ok, idx, actual, err := e.exchangeReport(lagger, false, i, laggerOut)
+		ok, idx, actual, err := e.exchangeReport(lagger, false, i, e.laggerOut)
 		if err != nil || ok || idx != i {
 			return committed, fmt.Errorf("core: failure report: ok=%v idx=%d err=%v", ok, idx, err)
 		}
@@ -1035,10 +1043,9 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 			Domain: uint8(leader.ID()), Arg: int64(i + 1),
 		})
 		for r := 0; r <= i; r++ {
-			var replayOut amba.PartialState
-			leader.EvaluateInto(&e.ledger, &replayOut)
-			if replayOut != got[r].Out {
-				return committed, fmt.Errorf("core: roll-forth diverged at %d/%d:\nwas: %+v\nnow: %+v", r, i, got[r].Out, replayOut)
+			leader.EvaluateInto(&e.ledger, &e.replayOut)
+			if e.replayOut != got[r].Out {
+				return committed, fmt.Errorf("core: roll-forth diverged at %d/%d:\nwas: %+v\nnow: %+v", r, i, got[r].Out, e.replayOut)
 			}
 			remote := &actual
 			if r < i {

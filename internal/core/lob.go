@@ -50,11 +50,14 @@ func sameEntry(a, b *Entry) bool {
 // channel access per cycle; a flush ships the whole buffer as one burst.
 // Capacity is measured in 32-bit words, matching the paper's "LOB depth"
 // parameter (64 words in Table 2, 8 vs 64 in Figure 4).
+//
+// Entries are written in place: Slot hands out the next entry's
+// storage, the leader evaluates and predicts straight into it, and Keep
+// appends it.
 type LOB struct {
 	depth   int
 	entries []Entry
 	words   int
-	flushes int64
 	peak    int
 }
 
@@ -65,53 +68,59 @@ func NewLOB(depth int) *LOB {
 		panic(fmt.Sprintf("core: LOB depth %d < 1", depth))
 	}
 	// Every entry is at least one word, so depth entries is the most the
-	// buffer can ever hold: preallocating that keeps Push allocation-free.
+	// buffer can ever hold: preallocating that keeps Slot allocation-free
+	// and its storage fixed for the buffer's lifetime.
 	return &LOB{depth: depth, entries: make([]Entry, 0, depth)}
 }
 
 // Depth returns the configured capacity in words.
 func (l *LOB) Depth() int { return l.depth }
 
-// Len returns the number of buffered entries.
+// Len returns the number of kept entries.
 func (l *LOB) Len() int { return len(l.entries) }
 
 // Words returns the current payload size in words, including framing.
 func (l *LOB) Words() int { return l.words + 1 }
 
-// Fits reports whether an additional entry would still fit.
-func (l *LOB) Fits(e *Entry) bool { return l.Words()+e.Words() <= l.depth }
+// Slot returns the storage of the next entry with its size memo
+// cleared. Its other fields hold whatever an earlier transition left
+// there, so the caller writes Out, Pred and HasPred before Keep.
+func (l *LOB) Slot() *Entry {
+	e := &l.entries[:len(l.entries)+1][len(l.entries)]
+	e.words = 0
+	return e
+}
 
-// Push appends an entry (by value; the pointer only avoids an argument
-// copy). Pushing past capacity panics: the leader must check Fits
-// first — overflow is a channel-wrapper bug, not a condition to absorb.
-func (l *LOB) Push(e *Entry) {
+// Keep appends the entry Slot handed out. Keeping past capacity panics:
+// the leader must leave room before it fills a slot — overflow is a
+// channel-wrapper bug, not a condition to absorb. So does keeping an
+// entry after the final (prediction-less) one.
+func (l *LOB) Keep() {
+	n := len(l.entries)
+	e := &l.entries[:n+1][n]
 	w := e.Words()
 	after := l.words + 1 + w // Words() once the entry is in
 	if after > l.depth {
 		panic(fmt.Sprintf("core: LOB overflow (%d+%d > %d words)", l.words+1, w, l.depth))
 	}
-	if n := len(l.entries); n > 0 && !l.entries[n-1].HasPred {
-		panic("core: push after the final (prediction-less) entry")
+	if n > 0 && !l.entries[n-1].HasPred {
+		panic("core: entry kept after the final (prediction-less) entry")
 	}
-	l.entries = append(l.entries, *e)
+	l.entries = l.entries[:n+1]
 	l.words += w
 	if after > l.peak {
 		l.peak = after
 	}
 }
 
-// Entries returns the buffered entries in deposit order.
+// Entries returns the kept entries in deposit order.
 func (l *LOB) Entries() []Entry { return l.entries }
 
-// Reset empties the buffer (after a flush).
+// Reset empties the buffer (at the start of a transition).
 func (l *LOB) Reset() {
 	l.entries = l.entries[:0]
 	l.words = 0
-	l.flushes++
 }
-
-// Flushes returns how many times the buffer was flushed.
-func (l *LOB) Flushes() int64 { return l.flushes }
 
 // PeakWords returns the high-water mark of Words() across the run.
 func (l *LOB) PeakWords() int { return l.peak }

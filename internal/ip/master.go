@@ -219,14 +219,13 @@ func (m *TrafficMaster) beatWData(i int) amba.Word {
 	return ExtractLanes(raw<<laneShift(a, x.Size), a, x.Size)
 }
 
-// Drive implements bus.Master.
-func (m *TrafficMaster) Drive() bus.MasterDrive {
-	var d bus.MasterDrive
+// Drive implements bus.Master, writing every field of the bus's drive
+// slot d.
+func (m *TrafficMaster) Drive(d *bus.MasterDrive) {
 	cur := &m.st.Cur
 
-	if cur.Valid && m.st.Gap == 0 && cur.Issue < cur.Beats {
-		d.Req = true
-	}
+	d.Req = cur.Valid && m.st.Gap == 0 && cur.Issue < cur.Beats
+	d.WData = 0
 	if m.st.DataBeat >= 0 && cur.Valid && cur.X.Write {
 		d.WData = m.beatWData(m.st.DataBeat)
 	}
@@ -248,7 +247,6 @@ func (m *TrafficMaster) Drive() bus.MasterDrive {
 		d.AP = amba.AddrPhase{}
 	}
 	m.st.LastAP = d.AP
-	return d
 }
 
 // buildAP constructs the address phase for the next beat, inserting BUSY
