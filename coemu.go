@@ -179,7 +179,8 @@ func RunReference(d Design, cycles int64) ([]CycleState, error) {
 func NewSRAM(name string) *ip.Memory { return ip.NewSRAM(name) }
 
 // NewMemory creates a memory slave with a deterministic wait profile:
-// firstWait cycles for the first beat of a run, nextWait for later ones.
+// firstWait cycles for the first beat it ever serves, nextWait for
+// every later one.
 func NewMemory(name string, firstWait, nextWait int) *ip.Memory {
 	return ip.NewMemory(name, firstWait, nextWait)
 }

@@ -1,1 +1,14 @@
 package core
+
+// ModelRevision names the modeled behaviour this build implements: two
+// builds at the same revision turn one spec into the same report bytes.
+// spec.CanonicalHash mixes it in, so bumping it gives every spec a new
+// identity, and no cache or store entry, fleet result, resume-journal
+// record or remote peer from an earlier revision is matched with this
+// one. Bump it in any change that moves the canonical report of an
+// unchanged spec (testdata/report_digests.json catches such a move).
+//
+//   - 1: every build whose hashes mixed in no revision.
+//   - 2: slave-response prediction is pure; only Observe advances a
+//     wait model, so each wait cycle is counted once.
+const ModelRevision = 2

@@ -706,12 +706,11 @@ func (e *Engine) batchConservative(cycles int64, decl declinePair) error {
 type declinePair [2]DeclineReason
 
 // pickLeader picks the leading domain for the next transition (nil for
-// a conservative cycle) and returns which predictors declined. Its
-// only side effects are the Predict calls the protocol performs
-// anyway; the caller records the declines — separating the choice from
-// its accounting is what lets a batched quiescent stretch, across
-// which the choice is provably constant, replicate the per-cycle
-// decline statistics exactly.
+// a conservative cycle) and returns which predictors declined. It has
+// no side effects (predictions are pure); the caller records the
+// declines — separating the choice from its accounting is what lets a
+// batched quiescent stretch, across which the choice is provably
+// constant, replicate the per-cycle decline statistics exactly.
 func (e *Engine) pickLeader() (*Domain, declinePair) {
 	var decl declinePair
 	if e.cfg.Adaptive && e.failEWMA > e.cfg.AdaptiveThreshold {

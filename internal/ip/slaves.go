@@ -30,10 +30,9 @@ type memPage struct {
 }
 
 // Memory is a byte-addressable memory slave with a configurable,
-// deterministic wait-state profile: the first beat of a data-phase
-// sequence costs firstWait cycles, subsequent back-to-back beats cost
-// nextWait. With both zero it behaves as a zero-wait SRAM; with
-// firstWait > nextWait it approximates an SDRAM row hit/miss pattern.
+// deterministic wait-state profile: the first beat it ever serves costs
+// firstWait wait cycles, every later beat costs nextWait (see inBurst).
+// With both zero it behaves as a zero-wait SRAM.
 //
 // Deterministic wait profiles are what makes slave responses
 // "predictable" in the paper's sense: the leader-side response predictor
@@ -53,9 +52,12 @@ type Memory struct {
 	lastPage *memPage
 
 	waitLeft int
-	inBurst  bool
-	reads    int64
-	writes   int64
+	// inBurst is sticky: the first completed beat sets it and nothing
+	// clears it, so firstWait applies only to the first beat the memory
+	// ever serves. predict.WaitModel mirrors this rule.
+	inBurst bool
+	reads   int64
+	writes  int64
 
 	// Page stash: instead of deep-copying the pages on every save
 	// (O(footprint)), copy-on-write stash the prior content of each
@@ -243,13 +245,6 @@ func (s *Memory) Commit(ready bool) {
 		s.inBurst = true
 	}
 }
-
-// TickIdle informs the memory that a cycle passed with no beat addressed
-// to it, ending any back-to-back sequence. The bus does not call Commit
-// on idle slaves, so the engine (or the memory's own heuristic) resets
-// burst affinity lazily: the simplest correct model keeps inBurst sticky
-// within a data-phase run; Reset clears it.
-func (s *Memory) TickIdle() { s.inBurst = false }
 
 // memorySnap freezes a Memory's registers; Seq pins the snapshot to
 // the save interval whose page stash holds the memory content.

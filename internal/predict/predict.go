@@ -265,9 +265,12 @@ func (t *BurstTracker) Restore(s any) {
 
 // WaitModel predicts a slave's HREADY sequence with the same
 // producer-consumer wait machinery the deterministic memory slaves run:
-// the first beat of a run costs First wait states, later beats cost
-// Next. Observe keeps the model aligned with reality on conservative
-// cycles and during roll-forth.
+// the first beat the slave ever serves costs First wait states, every
+// later beat costs Next (ip.Memory's burst affinity is sticky). Predict
+// only reads the countdown; Observe, once per data-phase cycle, is the
+// one call that advances it, so each wait cycle is counted once and the
+// model stays aligned with reality on conservative cycles and during
+// roll-forth.
 type WaitModel struct {
 	First, Next int
 
@@ -285,31 +288,32 @@ func NewWaitModel(first, next int) *WaitModel {
 	return &WaitModel{First: first, Next: next, st: waitState{WaitLeft: -1}}
 }
 
+// budget returns the wait states of a fresh beat.
+func (w *WaitModel) budget() int {
+	if w.st.InBurst {
+		return w.Next
+	}
+	return w.First
+}
+
 // begin initializes the countdown for a new beat if none is in progress.
 func (w *WaitModel) begin() {
 	if w.st.WaitLeft < 0 {
-		if w.st.InBurst {
-			w.st.WaitLeft = w.Next
-		} else {
-			w.st.WaitLeft = w.First
-		}
+		w.st.WaitLeft = w.budget()
 	}
 }
 
 // Predict returns the predicted HREADY for the beat currently in the
-// data phase and advances the model as if the prediction were true.
+// data phase: ready once its countdown has run out. It is pure.
 func (w *WaitModel) Predict() bool {
-	w.begin()
-	if w.st.WaitLeft > 0 {
-		w.st.WaitLeft--
-		return false
+	if w.st.WaitLeft < 0 {
+		return w.budget() == 0
 	}
-	w.st.WaitLeft = -1
-	w.st.InBurst = true
-	return true
+	return w.st.WaitLeft == 0
 }
 
-// Observe aligns the model with the actual HREADY of a data-phase cycle.
+// Observe advances the model by one data-phase cycle with its actual
+// HREADY.
 func (w *WaitModel) Observe(ready bool) {
 	w.begin()
 	if ready {

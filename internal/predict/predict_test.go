@@ -93,21 +93,23 @@ func TestBurstTrackerSnapshot(t *testing.T) {
 	}
 }
 
+// step runs one data-phase cycle the way the engine does: predict,
+// then observe the outcome (here the prediction itself, as on a
+// run-ahead cycle).
+func step(w *WaitModel) bool {
+	ready := w.Predict()
+	w.Observe(ready)
+	return ready
+}
+
 func TestWaitModelMirrorsMemoryProfile(t *testing.T) {
 	w := NewWaitModel(2, 1)
-	// First beat: 2 waits then ready.
-	if w.Predict() || w.Predict() {
-		t.Fatal("first two cycles must be waits")
-	}
-	if !w.Predict() {
-		t.Fatal("third cycle must be ready")
-	}
-	// Next beat: 1 wait then ready.
-	if w.Predict() {
-		t.Fatal("next beat first cycle must wait")
-	}
-	if !w.Predict() {
-		t.Fatal("next beat second cycle must be ready")
+	// First beat: 2 waits then ready; next beat: 1 wait then ready.
+	want := []bool{false, false, true, false, true, false, true}
+	for i, r := range want {
+		if got := step(w); got != r {
+			t.Fatalf("cycle %d: predicted ready=%v, want %v", i, got, r)
+		}
 	}
 }
 
@@ -125,13 +127,17 @@ func TestWaitModelObserveRealigns(t *testing.T) {
 
 func TestWaitModelSnapshot(t *testing.T) {
 	w := NewWaitModel(3, 1)
-	w.Predict()
+	step(w) // one wait cycle into the first beat
 	s := w.SaveInto(nil)
-	a := w.Predict()
-	w.Restore(s)
-	b := w.Predict()
-	if a != b {
-		t.Fatal("snapshot replay diverged")
+	// Two more waits, the first beat completes, then a 1-wait beat.
+	want := []bool{false, false, true, false, true}
+	for pass := 0; pass < 2; pass++ {
+		for i, r := range want {
+			if got := step(w); got != r {
+				t.Fatalf("pass %d, cycle %d: predicted ready=%v, want %v", pass, i, got, r)
+			}
+		}
+		w.Restore(s)
 	}
 }
 

@@ -456,10 +456,12 @@ func (s *Spec) Normalized() (*Spec, error) {
 }
 
 // CanonicalHash returns the deterministic identity of the run the spec
-// describes: a sha256 over the canonical JSON encoding of the
-// normalized spec with the non-semantic Name stripped. Two specs with
-// equal hashes compile to runs with bit-identical reports, which is
-// what the job service's result cache keys on.
+// describes: a sha256 over core.ModelRevision and the canonical JSON
+// encoding of the normalized spec with the non-semantic Name stripped.
+// Two specs with equal hashes compile to runs with bit-identical
+// reports, which is what the job service's result cache keys on; the
+// revision keeps a build with a changed model from matching results an
+// earlier model produced.
 func (s *Spec) CanonicalHash() (string, error) {
 	n, err := s.Normalized()
 	if err != nil {
@@ -493,6 +495,8 @@ func (s *Spec) CanonicalHash() (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("spec: canonical encode: %w", err)
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	h := sha256.New()
+	fmt.Fprintf(h, "model-revision %d\n", core.ModelRevision)
+	h.Write(b)
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
