@@ -224,12 +224,7 @@ func TestBatchedTraceEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(single.Trace) != len(batched.Trace) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(single.Trace), len(batched.Trace))
-	}
-	for i := range single.Trace {
-		if !single.Trace[i].Equal(batched.Trace[i]) {
-			t.Fatalf("trace diverged at cycle %d", i)
-		}
+	if d := diffTraces("batch=1", "batch=64", single.Trace, batched.Trace); d != "" {
+		t.Fatal(d)
 	}
 }

@@ -16,11 +16,7 @@
 // `coemud -domain-serve addr` process, the spec ships in the connect
 // handshake, and both processes run mirrored lockstep engines over the
 // TCP channel (see internal/remote). The printed report is
-// bit-identical to the in-process run. If the spec sets
-// run.measured_latency, the client also samples the real link RTT and
-// prints a masked-performance estimate — what the prediction
-// packetizing would deliver against the measured link instead of the
-// modeled channel — to stderr.
+// bit-identical to the in-process run.
 //
 // With -trace-out trace.json, the run records its protocol events —
 // conservative stretches, run-ahead and follow-up spans, rollbacks,
@@ -92,10 +88,6 @@ func main() {
 		st := res.Transport
 		fmt.Fprintf(os.Stderr, "transport: %d frames sent, %d received, %d retransmits, %d resyncs, %d reconnects\n",
 			st.Sent, st.Received, st.Retransmits, st.Resyncs, st.Reconnects)
-		if m := res.Measured; m != nil {
-			fmt.Fprintf(os.Stderr, "measured link: rtt mean %v p99 %v (%d samples)\n", m.RTTMean, m.RTTP99, m.Samples)
-			fmt.Fprintf(os.Stderr, "masked performance against measured link: %.0f cyc/s\n", m.MaskedPerf)
-		}
 		if rec != nil {
 			// Fold the transport's connect/resync/retransmit events into
 			// the protocol trace so the wire shows up as its own track.

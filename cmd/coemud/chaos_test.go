@@ -66,7 +66,7 @@ func referenceSweep(t *testing.T, points []*spec.Spec) ([]service.SweepLine, map
 	t.Helper()
 	clean := service.New(service.Options{Workers: 2})
 	defer clean.Close()
-	sw, err := clean.StartSweepPoints(context.Background(), points, false)
+	sw, err := clean.StartSweepPoints(context.Background(), points)
 	if err != nil {
 		t.Fatal(err)
 	}

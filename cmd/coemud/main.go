@@ -11,48 +11,34 @@
 //
 //	coemud -addr :8080 -j 8 -cache 256 -store /var/lib/coemud
 //
-// API (JSON in, JSON out):
+// API (JSON in, JSON out). Work runs only on behalf of a waiting
+// request: POST /v1/run and POST /v1/sweep are the two ways to run it,
+// and a run lives exactly as long as some client waits on it.
 //
-//	POST   /v1/run              run a spec synchronously; the report is
-//	                            the response body. Aborting the request
-//	                            cancels the run (unless another client
-//	                            shares it).
-//	POST   /v1/jobs             submit a spec asynchronously; returns
-//	                            {id, hash, status, cached}.
-//	GET    /v1/jobs             list known jobs, newest first.
-//	GET    /v1/jobs/{id}        job status.
-//	GET    /v1/jobs/{id}/result block until the job completes, then
-//	                            return its report.
-//	GET    /v1/jobs/{id}/events stream the job's lifecycle as
-//	                            Server-Sent Events: one "status" event
-//	                            per state change, stream closed at the
-//	                            terminal state.
-//	GET    /v1/jobs/{id}/trace  a finished job's protocol event trace
-//	                            (submit with "run": {"trace": true}).
-//	                            Default JSON events; ?format=chrome
-//	                            emits a Chrome trace_event document for
-//	                            Perfetto / chrome://tracing.
-//	DELETE /v1/jobs/{id}        cancel a job.
-//	POST   /v1/sweep            a sweep document (spec + "sweep" grid
-//	                            block) or {"specs": [spec, ...]}: fan
-//	                            the points out over the pool, streaming
-//	                            one NDJSON result line per point in
-//	                            point order plus a final aggregate line.
-//	GET    /v1/stats            worker/cache/store/sweep counters.
-//	GET    /v1/results/{hash}   a completed run's canonical report bytes
-//	                            by canonical spec hash — cache/store
-//	                            only, never schedules work; 404 when
-//	                            unknown. HEAD probes presence. Fleet
-//	                            sweep clients use it to splice
-//	                            store-held points instead of re-running
-//	                            them.
-//	GET    /v1/healthz          readiness: {ok, queue, queue_capacity,
-//	                            saturated, store?}. ok goes false (HTTP
-//	                            503) while the worker queue is
-//	                            saturated; store carries entry/byte/
-//	                            quarantine occupancy so fleet probers
-//	                            can prefer lightly-loaded shards.
-//	GET    /healthz             liveness.
+//	POST /v1/run              run a spec synchronously; the report is
+//	                          the response body. Aborting the request
+//	                          cancels the run (unless another client
+//	                          shares it).
+//	POST /v1/sweep            a sweep document (spec + "sweep" grid
+//	                          block) or {"specs": [spec, ...]}: fan the
+//	                          points out over the pool, streaming one
+//	                          NDJSON result line per point in point
+//	                          order plus a final aggregate line.
+//	                          Aborting the request cancels the points
+//	                          no other client shares.
+//	GET  /v1/stats            worker/cache/store/sweep counters.
+//	GET  /v1/results/{hash}   a completed run's canonical report bytes
+//	                          by canonical spec hash — cache/store only,
+//	                          never schedules work; 404 when unknown.
+//	                          HEAD probes presence. Fleet sweep clients
+//	                          use it to splice store-held points instead
+//	                          of re-running them.
+//	GET  /v1/healthz          readiness: {ok, queue, queue_capacity,
+//	                          saturated, store?}. ok goes false (HTTP
+//	                          503) while the worker queue is saturated;
+//	                          store carries entry/byte/quarantine
+//	                          occupancy so fleet probers can prefer
+//	                          lightly-loaded shards.
 //
 // Overload is shed rather than queued without bound: when the worker
 // queue is full, submissions fail with 503 and a Retry-After hint, and
@@ -256,10 +242,6 @@ func shortHash(h string) string {
 func newMux(svc *service.Service, maxBody int64, sweepMax int) *http.ServeMux {
 	mux := http.NewServeMux()
 
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
-	})
-
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		pending, capacity := svc.QueueDepth()
 		saturated := svc.Saturated()
@@ -275,8 +257,8 @@ func newMux(svc *service.Service, maxBody int64, sweepMax int) *http.ServeMux {
 			"saturated":      saturated,
 		}
 		// Store occupancy rides along (absent without -store) so fleet
-		// probers can prefer lightly-loaded shards; the bare-200 contract
-		// for old clients is untouched — they simply ignore the field.
+		// probers can prefer lightly-loaded shards; a client that only
+		// checks for 200 simply ignores the field.
 		if st, ok := svc.StoreStats(); ok {
 			body["store"] = map[string]any{
 				"entries":     st.Entries,
@@ -319,9 +301,9 @@ func newMux(svc *service.Service, maxBody int64, sweepMax int) *http.ServeMux {
 		if !ok {
 			return
 		}
-		// Ephemeral: if this client aborts and nobody else shares the
-		// job, the run is canceled.
-		job, err := svc.Submit(sp, true)
+		// If this client aborts and nobody else shares the job, the run
+		// is canceled.
+		job, err := svc.Submit(sp)
 		if err != nil {
 			writeSubmitError(w, err)
 			return
@@ -332,57 +314,6 @@ func newMux(svc *service.Service, maxBody int64, sweepMax int) *http.ServeMux {
 			return
 		}
 		writeReport(w, res)
-	})
-
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		sp, ok := readSpec(w, r, maxBody)
-		if !ok {
-			return
-		}
-		job, err := svc.Submit(sp, false)
-		if err != nil {
-			writeSubmitError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, job.Info())
-	})
-
-	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, svc.Jobs())
-	})
-
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		job, err := svc.Job(r.PathValue("id"))
-		if err != nil {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, job.Info())
-	})
-
-	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		job, err := svc.Job(r.PathValue("id"))
-		if err != nil {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
-		res, err := job.Wait(r.Context())
-		if err != nil {
-			writeRunError(w, err)
-			return
-		}
-		writeReport(w, res)
-	})
-
-	mux.HandleFunc("GET /v1/jobs/{id}/events", handleJobEvents(svc))
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", handleJobTrace(svc))
-
-	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if err := svc.Cancel(r.PathValue("id")); err != nil {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "canceling"})
 	})
 
 	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) {
@@ -404,7 +335,7 @@ func newMux(svc *service.Service, maxBody int64, sweepMax int) *http.ServeMux {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		sw, err := svc.StartSweepPoints(r.Context(), points, true)
+		sw, err := svc.StartSweepPoints(r.Context(), points)
 		if err != nil {
 			writeSubmitError(w, err)
 			return
@@ -546,7 +477,7 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 func writeRunError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, context.Canceled):
-		// Client went away or the job was canceled under it.
+		// The client went away, or shutdown canceled the job under it.
 		writeError(w, http.StatusConflict, err)
 	default:
 		writeError(w, http.StatusInternalServerError, err)

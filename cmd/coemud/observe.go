@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -12,7 +11,6 @@ import (
 
 	"coemu/internal/metrics"
 	"coemu/internal/service"
-	"coemu/internal/trace"
 )
 
 // observeConfig selects the daemon's observability surfaces.
@@ -105,8 +103,6 @@ func mirrorCounters(reg *metrics.Registry, svc *service.Service) {
 		"Reports currently held by the in-memory result cache.")
 	storeEntries := reg.NewGauge("coemu_store_entries",
 		"Entries currently in the persistent store.")
-	jobsRetained := reg.NewGauge("coemu_jobs_retained",
-		"Jobs currently queryable by ID.")
 	queuePending := reg.NewGauge("coemu_queue_pending",
 		"Jobs waiting in the worker queue.")
 	queueCapacity := reg.NewGauge("coemu_queue_capacity",
@@ -119,7 +115,6 @@ func mirrorCounters(reg *metrics.Registry, svc *service.Service) {
 		}
 		cacheEntries.Set(float64(c.CacheSize))
 		storeEntries.Set(float64(c.StoreEntries))
-		jobsRetained.Set(float64(c.Jobs))
 		pending, capacity := svc.QueueDepth()
 		queuePending.Set(float64(pending))
 		queueCapacity.Set(float64(capacity))
@@ -141,8 +136,8 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-// Flush forwards to the underlying writer so streaming handlers (SSE,
-// NDJSON sweeps) still flush through the middleware.
+// Flush forwards to the underlying writer so the streaming /v1/sweep
+// handler still flushes NDJSON lines through the middleware.
 func (r *statusRecorder) Flush() {
 	if f, ok := r.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
@@ -182,93 +177,4 @@ func parseLogLevel(level string) (slog.Level, error) {
 	default:
 		return 0, fmt.Errorf("unknown log level %q (want debug, info, warn or error)", level)
 	}
-}
-
-// handleJobEvents streams a job's lifecycle over Server-Sent Events:
-// one "status" event per snapshot (the current state immediately, then
-// one per transition), then the stream closes when the job is terminal.
-func handleJobEvents(svc *service.Service) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		job, err := svc.Job(r.PathValue("id"))
-		if err != nil {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
-		flusher, ok := w.(http.Flusher)
-		if !ok {
-			writeError(w, http.StatusInternalServerError,
-				fmt.Errorf("response writer cannot stream"))
-			return
-		}
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-		w.WriteHeader(http.StatusOK)
-		flusher.Flush()
-
-		ch := job.Watch()
-		for {
-			select {
-			case info, open := <-ch:
-				if !open {
-					return
-				}
-				data, err := json.Marshal(info)
-				if err != nil {
-					return
-				}
-				fmt.Fprintf(w, "event: status\ndata: %s\n\n", data)
-				flusher.Flush()
-			case <-r.Context().Done():
-				return
-			}
-		}
-	}
-}
-
-// handleJobTrace serves a finished job's protocol event trace: the raw
-// event stream as JSON by default, or a Chrome trace_event document
-// (load it in Perfetto or chrome://tracing) with ?format=chrome.
-func handleJobTrace(svc *service.Service) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		job, err := svc.Job(r.PathValue("id"))
-		if err != nil {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
-		rec, err := job.Trace()
-		if err != nil {
-			// Unfinished jobs may still produce a trace; untraced runs
-			// never will.
-			status := http.StatusNotFound
-			if !jobFinished(job) {
-				status = http.StatusConflict
-			}
-			writeError(w, status, err)
-			return
-		}
-		switch format := r.URL.Query().Get("format"); format {
-		case "", "json":
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			trace.WriteEventsJSON(w, rec.Events(), rec.Dropped())
-		case "chrome", "perfetto":
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("Content-Disposition",
-				fmt.Sprintf("attachment; filename=%s-trace.json", job.ID()))
-			w.WriteHeader(http.StatusOK)
-			trace.WriteChromeTrace(w, rec.Events())
-		default:
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("unknown trace format %q (want json or chrome)", format))
-		}
-	}
-}
-
-// jobFinished reports whether a job has reached a terminal state.
-func jobFinished(job *service.Job) bool {
-	switch job.Info().Status {
-	case service.StatusDone, service.StatusFailed, service.StatusCanceled:
-		return true
-	}
-	return false
 }

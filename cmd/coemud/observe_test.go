@@ -1,9 +1,6 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -90,7 +87,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, name := range []string{
 		"coemu_job_seconds", "coemu_job_queue_seconds",
 		"coemu_engine_committed_cycles_total", "coemu_engine_transitions_total",
-		"coemu_cache_hits_total", "coemu_queue_capacity", "coemu_jobs_retained",
+		"coemu_cache_hits_total", "coemu_queue_capacity",
 	} {
 		if _, ok := fams[name]; !ok {
 			t.Errorf("family %s missing from exposition", name)
@@ -151,138 +148,6 @@ func TestMetricsDisabled(t *testing.T) {
 	}
 }
 
-func TestSSEJobEvents(t *testing.T) {
-	ts := newTestServer(t)
-
-	code, body := post(t, ts.URL+"/v1/jobs", specJSON(4000))
-	if code != http.StatusAccepted {
-		t.Fatalf("submit = %d: %s", code, body)
-	}
-	var info service.Info
-	if err := json.Unmarshal(body, &info); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/events", ts.URL, info.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("events = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q, want text/event-stream", ct)
-	}
-
-	// Read the whole stream: the server closes it at the terminal state.
-	var events int
-	var last service.Info
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if data, ok := strings.CutPrefix(line, "data: "); ok {
-			events++
-			if err := json.Unmarshal([]byte(data), &last); err != nil {
-				t.Fatalf("bad SSE data %q: %v", data, err)
-			}
-		} else if line != "" && line != "event: status" {
-			t.Fatalf("unexpected SSE line %q", line)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if events == 0 {
-		t.Fatal("no SSE events before stream close")
-	}
-	if last.Status != service.StatusDone {
-		t.Fatalf("last SSE status = %s, want done", last.Status)
-	}
-
-	// Unknown job IDs are a clean 404, not a hung stream.
-	resp2, err := http.Get(ts.URL + "/v1/jobs/job-999999/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown-job events = %d, want 404", resp2.StatusCode)
-	}
-}
-
-// tracedSpecJSON is specJSON with the host-only trace knob set.
-func tracedSpecJSON(cycles int64) string {
-	s := specJSON(cycles)
-	return strings.Replace(s, `"mode": "als"`, `"mode": "als", "trace": true`, 1)
-}
-
-func TestTraceEndpoint(t *testing.T) {
-	ts := newTestServer(t)
-
-	code, body := post(t, ts.URL+"/v1/jobs", tracedSpecJSON(3000))
-	if code != http.StatusAccepted {
-		t.Fatalf("submit = %d: %s", code, body)
-	}
-	var info service.Info
-	if err := json.Unmarshal(body, &info); err != nil {
-		t.Fatal(err)
-	}
-	if code, _ := get(t, fmt.Sprintf("%s/v1/jobs/%s/result", ts.URL, info.ID)); code != http.StatusOK {
-		t.Fatalf("result = %d", code)
-	}
-
-	// Default format: the raw event stream.
-	code, body = get(t, fmt.Sprintf("%s/v1/jobs/%s/trace", ts.URL, info.ID))
-	if code != http.StatusOK {
-		t.Fatalf("trace = %d: %s", code, body)
-	}
-	var doc struct {
-		Dropped int64             `json:"dropped"`
-		Events  []json.RawMessage `json:"events"`
-	}
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Events) == 0 {
-		t.Fatal("trace has no events")
-	}
-
-	// Chrome format: a trace_event document with named tracks.
-	code, body = get(t, fmt.Sprintf("%s/v1/jobs/%s/trace?format=chrome", ts.URL, info.ID))
-	if code != http.StatusOK {
-		t.Fatalf("chrome trace = %d", code)
-	}
-	var chrome []json.RawMessage
-	if err := json.Unmarshal(body, &chrome); err != nil {
-		t.Fatal(err)
-	}
-	if len(chrome) == 0 {
-		t.Fatal("chrome trace has no records")
-	}
-	if !strings.Contains(string(body), "thread_name") {
-		t.Fatal("chrome trace missing track metadata")
-	}
-
-	if code, _ = get(t, fmt.Sprintf("%s/v1/jobs/%s/trace?format=bogus", ts.URL, info.ID)); code != http.StatusBadRequest {
-		t.Fatalf("bogus format = %d, want 400", code)
-	}
-
-	// An untraced job has no trace.
-	code, body = post(t, ts.URL+"/v1/jobs", specJSON(1000))
-	if code != http.StatusAccepted {
-		t.Fatal("untraced submit failed")
-	}
-	var plain service.Info
-	if err := json.Unmarshal(body, &plain); err != nil {
-		t.Fatal(err)
-	}
-	get(t, fmt.Sprintf("%s/v1/jobs/%s/result", ts.URL, plain.ID))
-	if code, _ = get(t, fmt.Sprintf("%s/v1/jobs/%s/trace", ts.URL, plain.ID)); code != http.StatusNotFound {
-		t.Fatalf("untraced trace = %d, want 404", code)
-	}
-}
-
 func TestPprofGating(t *testing.T) {
 	off := newObservedServer(t, service.Options{Workers: 1}, observeConfig{})
 	if code, _ := get(t, off.URL+"/debug/pprof/"); code != http.StatusNotFound {
@@ -297,7 +162,7 @@ func TestPprofGating(t *testing.T) {
 func TestRequestIDHeader(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	ts := newObservedServer(t, service.Options{Workers: 1}, observeConfig{Logger: logger})
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"coemu"
+	"coemu/internal/trace"
 )
 
 // apiDesign builds a small design purely through the public façade.
@@ -58,11 +59,21 @@ func TestPublicAPIRunAndEquivalence(t *testing.T) {
 	if rep.Perf() <= 0 {
 		t.Fatal("no performance reported")
 	}
-	for i := range ref {
-		if !ref[i].Equal(rep.Trace[i]) {
-			t.Fatalf("trace diverged at cycle %d", i)
-		}
+	if d := diffTraces("ref", "coemu", ref, rep.Trace); d != "" {
+		t.Fatal(d)
 	}
+}
+
+// diffTraces returns "" when a and b agree cycle for cycle and in
+// length, and otherwise trace.WriteDiffReport's account of the first
+// divergence with two cycles of context either side.
+func diffTraces(nameA, nameB string, a, b []coemu.CycleState) string {
+	if trace.Diff(a, b).Identical() {
+		return ""
+	}
+	var report strings.Builder
+	trace.WriteDiffReport(&report, nameA, nameB, a, b, 2)
+	return report.String()
 }
 
 func TestPublicAPIModesOrdering(t *testing.T) {

@@ -29,13 +29,8 @@ func runAgainstReference(t *testing.T, d coemu.Design, cfg coemu.Config, cycles 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Trace) != len(want) {
-		t.Fatalf("%d trace records, reference has %d", len(rep.Trace), len(want))
-	}
-	for i := range want {
-		if !rep.Trace[i].Equal(want[i]) {
-			t.Fatalf("trace diverges from the reference at cycle %d:\nref:   %s\nsplit: %s", i, want[i], rep.Trace[i])
-		}
+	if d := diffTraces("ref", "split", want, rep.Trace); d != "" {
+		t.Fatalf("trace diverges from the reference: %s", d)
 	}
 	return rep
 }

@@ -9,6 +9,7 @@ import (
 	"coemu/internal/bus"
 	"coemu/internal/ip"
 	"coemu/internal/perfmodel"
+	"coemu/internal/trace"
 	"coemu/internal/workload"
 )
 
@@ -115,13 +116,22 @@ func runBoth(t *testing.T, d Design, cfg Config, cycles int64) *Report {
 	if int64(len(rep.Trace)) != cycles {
 		t.Fatalf("trace has %d cycles, want %d", len(rep.Trace), cycles)
 	}
-	for i := range want {
-		if !rep.Trace[i].Equal(want[i]) {
-			t.Fatalf("mode %v: trace diverged at cycle %d:\nref:   %s\nsplit: %s",
-				cfg.Mode, i, want[i], rep.Trace[i])
-		}
+	if d := diffTraces("ref", "split", want, rep.Trace); d != "" {
+		t.Fatalf("mode %v: %s", cfg.Mode, d)
 	}
 	return rep
+}
+
+// diffTraces returns "" when a and b agree cycle for cycle and in
+// length, and otherwise trace.WriteDiffReport's account of the first
+// divergence with two cycles of context either side.
+func diffTraces(nameA, nameB string, a, b []amba.CycleState) string {
+	if trace.Diff(a, b).Identical() {
+		return ""
+	}
+	var report strings.Builder
+	trace.WriteDiffReport(&report, nameA, nameB, a, b, 2)
+	return report.String()
 }
 
 // --- LOB -------------------------------------------------------------

@@ -58,13 +58,8 @@ func TestTracerDifferentialIdentity(t *testing.T) {
 		if !reflect.DeepEqual(off.Channel, on.Channel) {
 			t.Errorf("accuracy %v: channel stats diverged", accuracy)
 		}
-		if len(off.Trace) != len(on.Trace) {
-			t.Fatalf("accuracy %v: trace lengths diverged: %d vs %d", accuracy, len(off.Trace), len(on.Trace))
-		}
-		for i := range off.Trace {
-			if !off.Trace[i].Equal(on.Trace[i]) {
-				t.Fatalf("accuracy %v: committed trace diverged at cycle %d", accuracy, i)
-			}
+		if d := diffTraces("tracer off", "tracer on", off.Trace, on.Trace); d != "" {
+			t.Fatalf("accuracy %v: committed trace diverged: %s", accuracy, d)
 		}
 		if !reflect.DeepEqual(off.TransitionLengths, on.TransitionLengths) ||
 			!reflect.DeepEqual(off.RollForthLengths, on.RollForthLengths) {

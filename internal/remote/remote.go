@@ -27,32 +27,10 @@ import (
 	"coemu/internal/service"
 	"coemu/internal/spec"
 	"coemu/internal/trace"
-	"coemu/internal/vclock"
 )
 
 // sumTimeout bounds the end-of-run report digest exchange.
 const sumTimeout = 15 * time.Second
-
-// defaultPingEvery is the RTT sampling cadence used when the spec asks
-// for measured latency and the caller did not pick one.
-const defaultPingEvery = 20 * time.Millisecond
-
-// Measured is the host-side latency measurement collected when
-// run.measured_latency is set. It never enters the canonical report:
-// masking measured (wall-clock) round trips instead of the modeled Tch
-// is an observability estimate, not part of the deterministic
-// experiment.
-type Measured struct {
-	// RTTMean and RTTP99 summarize handshake + ping/pong samples.
-	RTTMean time.Duration
-	RTTP99  time.Duration
-	Samples int64
-	// MaskedPerf estimates target cycles per second with the modeled
-	// channel time replaced by measured round trips: the performance
-	// the predictor's packetizing would deliver against this link
-	// rather than against the modeled channel.
-	MaskedPerf float64
-}
 
 // Result is the client side's outcome of one remote run.
 type Result struct {
@@ -63,8 +41,7 @@ type Result struct {
 	Transport tcpchan.Stats
 	// Events are the transport's trace events (connects, resyncs,
 	// retransmits, reconnects), sequence-indexed.
-	Events   []trace.Event
-	Measured *Measured
+	Events []trace.Event
 }
 
 // RunOptions tunes the client endpoint.
@@ -181,9 +158,6 @@ func Run(ctx context.Context, addr string, sp *spec.Spec, o RunOptions) (*Result
 		InjectRTT: o.InjectRTT, Faults: o.Faults, FaultSeed: o.FaultSeed,
 		PingEvery: o.PingEvery,
 	}
-	if n.Run.MeasuredLatency && topts.PingEvery == 0 {
-		topts.PingEvery = defaultPingEvery
-	}
 	tr, err := tcpchan.Dial(addr, topts)
 	if err != nil {
 		return nil, err
@@ -196,29 +170,10 @@ func Run(ctx context.Context, addr string, sp *spec.Spec, o RunOptions) (*Result
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
+	return &Result{
 		Report: rep, View: view,
 		Transport: tr.Stats(), Events: tr.TraceEvents(),
-	}
-	if n.Run.MeasuredLatency {
-		res.Measured = measure(rep, res.Transport)
-	}
-	return res, nil
-}
-
-// measure builds the measured-latency estimate: the modeled channel
-// total is replaced by one measured round trip per channel access.
-func measure(rep *core.Report, st tcpchan.Stats) *Measured {
-	m := &Measured{RTTMean: st.RTTMean, RTTP99: st.RTTP99, Samples: st.RTTSamples}
-	if st.RTTSamples == 0 || rep.Cycles == 0 {
-		return m
-	}
-	modeled := rep.Ledger.Get(vclock.Channel)
-	masked := rep.Ledger.Total() - modeled + time.Duration(rep.Channel.TotalAccesses())*st.RTTMean
-	if masked > 0 {
-		m.MaskedPerf = float64(rep.Cycles) / masked.Seconds()
-	}
-	return m
+	}, nil
 }
 
 // VerifyMeta is the accept-side handshake check: the dialer's spec

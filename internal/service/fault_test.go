@@ -37,7 +37,7 @@ func TestWorkerPanicIsolatesJob(t *testing.T) {
 		Workers: 1,
 		Faults:  &faultplan.Plan{Seed: 3, Service: &faultplan.ServiceFault{WorkerPanic: 1}},
 	})
-	job, err := svc.Submit(testSpec(t, 2000), false)
+	job, err := svc.Submit(testSpec(t, 2000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestWorkerPanicIsolatesJob(t *testing.T) {
 	// service would be needed for success, so just verify the single
 	// worker still processes jobs (they fail by injection, not by a
 	// dead worker).
-	job2, err := svc.Submit(testSpec(t, 2500), false)
+	job2, err := svc.Submit(testSpec(t, 2500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestJobTimeoutFailsWithCounter(t *testing.T) {
 		Workers: 1,
 		Faults:  &faultplan.Plan{Seed: 5, Service: &faultplan.ServiceFault{SlowRun: 1, SlowDelayMS: 5000}},
 	})
-	job, err := svc.Submit(timeoutSpec(t, 2000, "50ms"), false)
+	job, err := svc.Submit(timeoutSpec(t, 2000, "50ms"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestClientCancelStillReportsCanceled(t *testing.T) {
 		Workers: 1,
 		Faults:  &faultplan.Plan{Seed: 5, Service: &faultplan.ServiceFault{SlowRun: 1, SlowDelayMS: 5000}},
 	})
-	job, err := svc.Submit(timeoutSpec(t, 2000, "1h"), false)
+	job, err := svc.Submit(timeoutSpec(t, 2000, "1h"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestServiceChannelFaultsPreserveResults(t *testing.T) {
 	// (duplicates only) must yield byte-identical results to a
 	// fault-free service.
 	clean := newTestService(t, Options{Workers: 1})
-	jc, err := clean.Submit(testSpec(t, 4000), false)
+	jc, err := clean.Submit(testSpec(t, 4000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestServiceChannelFaultsPreserveResults(t *testing.T) {
 		Workers: 1,
 		Faults:  &faultplan.Plan{Seed: 8, Channel: &faultplan.ChannelFault{Duplicate: 1}},
 	})
-	jf, err := chaotic.Submit(testSpec(t, 4000), false)
+	jf, err := chaotic.Submit(testSpec(t, 4000))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func TestCountersConsistentUnderLoad(t *testing.T) {
 				return
 			default:
 			}
-			job, err := svc.Submit(testSpec(t, int64(1000+i%8*250)), false)
+			job, err := svc.Submit(testSpec(t, int64(1000+i%8*250)))
 			if err != nil {
 				continue
 			}
@@ -93,11 +93,13 @@ func TestCountersConsistentUnderLoad(t *testing.T) {
 	}
 	// One short sweep riding along.
 	sw, err := svc.StartSweepPoints(context.Background(),
-		[]*spec.Spec{testSpec(t, 1100), testSpec(t, 1200), testSpec(t, 1300)}, false)
+		[]*spec.Spec{testSpec(t, 1100), testSpec(t, 1200), testSpec(t, 1300)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-sw.Done()
+	if got := len(collect(t, sw)); got != 3 {
+		t.Fatalf("sweep delivered %d results, want 3", got)
+	}
 	close(stopc)
 	wg.Wait()
 	select {
@@ -115,7 +117,7 @@ func TestMetricsObservations(t *testing.T) {
 	m := NewMetrics(reg)
 	svc := newTestService(t, Options{Workers: 2, Metrics: m})
 
-	job, err := svc.Submit(testSpec(t, 4000), false)
+	job, err := svc.Submit(testSpec(t, 4000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +125,15 @@ func TestMetricsObservations(t *testing.T) {
 		t.Fatal(err)
 	}
 	sw, err := svc.StartSweepPoints(context.Background(),
-		[]*spec.Spec{testSpec(t, 4000), testSpec(t, 4500)}, false)
+		[]*spec.Spec{testSpec(t, 4000), testSpec(t, 4500)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-sw.Done()
+	for i, pr := range collect(t, sw) {
+		if pr.Err != nil {
+			t.Fatalf("sweep point %d: %v", i, pr.Err)
+		}
+	}
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -174,95 +180,12 @@ func TestMetricsObservations(t *testing.T) {
 	}
 }
 
-func TestJobWatchLifecycle(t *testing.T) {
-	svc := newTestService(t, Options{Workers: 1})
-	job, err := svc.Submit(testSpec(t, 3000), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seen []Status
-	for info := range job.Watch() {
-		if len(seen) == 0 || seen[len(seen)-1] != info.Status {
-			seen = append(seen, info.Status)
-		}
-	}
-	if len(seen) == 0 || seen[len(seen)-1] != StatusDone {
-		t.Fatalf("watch statuses %v, want a sequence ending in done", seen)
-	}
-
-	// Watching a finished job yields exactly one terminal snapshot and
-	// an immediate close.
-	var after []Info
-	for info := range job.Watch() {
-		after = append(after, info)
-	}
-	if len(after) != 1 || after[0].Status != StatusDone {
-		t.Fatalf("finished-job watch = %+v, want one done snapshot", after)
-	}
-}
-
-func TestJobTraceCapture(t *testing.T) {
-	svc := newTestService(t, Options{Workers: 1})
-
-	// Untraced jobs expose no trace.
-	plain, err := svc.Submit(testSpec(t, 2000), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plain.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plain.Trace(); err == nil {
-		t.Fatal("untraced job returned a trace")
-	}
-
-	// A traced duplicate of a cached spec still runs fresh and records.
-	sp := testSpec(t, 2000)
-	sp.Run.Trace = true
-	sp.Run.TraceRing = 1 << 14
-	traced, err := svc.Submit(sp, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := traced.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if traced.Info().Cached {
-		t.Fatal("traced submission was served from cache; no events could have been recorded")
-	}
-	rec, err := traced.Trace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Len() == 0 {
-		t.Fatal("traced job recorded no events")
-	}
-
-	// The trace is unavailable while a job is still queued/running.
-	if _, err := (&Job{svc: svc, status: StatusRunning}).Trace(); err == nil {
-		t.Fatal("running job returned a trace")
-	}
-
-	// And the traced run still fed the shared result cache: an untraced
-	// duplicate is now a cache hit.
-	dup, err := svc.Submit(testSpec(t, 2000), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dup.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if !dup.Info().Cached {
-		t.Fatal("untraced duplicate of a traced run missed the cache")
-	}
-}
-
 func TestFaultsInjectedCounter(t *testing.T) {
 	svc := newTestService(t, Options{
 		Workers: 1,
 		Faults:  &faultplan.Plan{Seed: 5, Service: &faultplan.ServiceFault{WorkerPanic: 1}},
 	})
-	job, err := svc.Submit(testSpec(t, 1500), false)
+	job, err := svc.Submit(testSpec(t, 1500))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,11 @@
 // a submission that misses the memory cache is answered from the store
 // — so a restarted daemon, or a sibling process sharing the directory,
 // reuses every previously computed point with zero engine runs.
-// Parameter sweeps (spec.SweepSpec) fan out over the same pool via
-// StartSweep, one job per expanded point, deduplicated like any other
-// submission.
+// Parameter sweeps fan out over the same pool via StartSweepPoints, one
+// job per expanded point, deduplicated like any other submission.
+//
+// A job lives exactly as long as some caller waits on it: when the last
+// waiter abandons an unfinished job, the job is canceled.
 //
 // Concurrency model: engine runs are single-threaded and independent,
 // so the pool runs up to Workers of them in parallel (the cmd/sweep -j
@@ -24,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -33,7 +34,6 @@ import (
 	"coemu/internal/rng"
 	"coemu/internal/spec"
 	"coemu/internal/store"
-	"coemu/internal/trace"
 )
 
 // Status is a job's lifecycle state.
@@ -55,8 +55,6 @@ var (
 	ErrQueueFull = errors.New("service: job queue full")
 	// ErrClosed is returned by Submit after Close.
 	ErrClosed = errors.New("service: shut down")
-	// ErrUnknownJob is returned for job IDs the service does not know.
-	ErrUnknownJob = errors.New("service: unknown job")
 	// ErrWorkerPanic marks a job whose engine run panicked (organically
 	// or by fault injection). The worker recovers and keeps serving;
 	// only the job fails.
@@ -76,9 +74,6 @@ type Options struct {
 	CacheSize int
 	// QueueDepth bounds the pending-job queue. Default 256.
 	QueueDepth int
-	// RetainJobs bounds how many completed jobs stay queryable by ID
-	// before the oldest are forgotten. Default 1024.
-	RetainJobs int
 	// Store, when non-nil, is the persistent result store used as a
 	// write-through layer under the in-memory cache.
 	Store *store.Store
@@ -110,17 +105,13 @@ func (o Options) withDefaults() Options {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 256
 	}
-	if o.RetainJobs <= 0 {
-		o.RetainJobs = 1024
-	}
 	return o
 }
 
 // Job is one submitted run. All state is guarded by the owning
-// service's mutex; read it through Info, Wait and Result.
+// service's mutex; read it through Info and Wait.
 type Job struct {
 	svc  *Service
-	id   string
 	seq  int64
 	hash string
 	spec *spec.Spec
@@ -136,46 +127,25 @@ type Job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// waiters counts live Wait calls; ephemeral jobs (synchronous HTTP
-	// runs) cancel when the last waiter abandons them. A non-ephemeral
-	// (fire-and-forget) submission pins the job regardless of waiters.
-	// pendingRefs bridges the gap between an ephemeral Submit and that
-	// submitter's Wait: the Submit takes a reference under the service
-	// lock, and the first Wait per pending reference inherits it, so a
-	// concurrent abort by an earlier waiter cannot cancel a job another
-	// client was just handed. An ephemeral Submit must therefore be
+	// waiters counts live Wait calls; the job cancels when the last
+	// waiter abandons it. pendingRefs bridges the gap between a Submit
+	// and that submitter's Wait: the Submit takes a reference under the
+	// service lock, and the first Wait per pending reference inherits
+	// it, so a concurrent abort by an earlier waiter cannot cancel a job
+	// another client was just handed. A Submit must therefore be
 	// followed by Wait.
 	waiters     int
 	pendingRefs int
-	ephemeral   bool
-
-	// watchers are live Watch channels; each receives a snapshot on
-	// every status change and is closed at the terminal one.
-	watchers []chan Info
-
-	// tracer holds the run's protocol event recorder when the spec set
-	// run.trace. Written by the executing worker before the terminal
-	// state publishes, read only after Done closes — the service mutex
-	// in finishLocked orders the two.
-	tracer *trace.Recorder
 
 	submitted time.Time
 	started   time.Time
-	ended     time.Time
 }
 
-// Info is a point-in-time snapshot of a job, shaped for JSON.
+// Info is a point-in-time snapshot of a job's state.
 type Info struct {
-	ID        string     `json:"id"`
-	Name      string     `json:"name,omitempty"`
-	Hash      string     `json:"hash"`
-	Status    Status     `json:"status"`
-	Cached    bool       `json:"cached"`
-	FromStore bool       `json:"from_store,omitempty"`
-	Error     string     `json:"error,omitempty"`
-	Submitted time.Time  `json:"submitted"`
-	Started   *time.Time `json:"started,omitempty"`
-	Ended     *time.Time `json:"ended,omitempty"`
+	Status    Status
+	Cached    bool // completed without an engine run (cache or store)
+	FromStore bool // the cached result came from the persistent store
 }
 
 // Service is the co-emulation job service.
@@ -201,10 +171,7 @@ type Service struct {
 	mu       sync.Mutex
 	closed   bool
 	seq      int64
-	sweepSeq int64
-	jobs     map[string]*Job
 	inflight map[string]*Job // canonical hash -> queued/running job
-	retain   []string        // job IDs in submission order, for pruning
 
 	// Cumulative counters surfaced by Counters.
 	engineRuns     int64
@@ -227,7 +194,6 @@ func New(opts Options) *Service {
 		space:    make(chan struct{}, 1),
 		cache:    newResultCache(opts.CacheSize),
 		disk:     opts.Store,
-		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
 	}
 	if opts.Faults != nil {
@@ -283,23 +249,22 @@ func (s *Service) Close() {
 
 // Submit enqueues a run for the given spec, deduplicating against the
 // result cache (completed identical runs) and in-flight jobs (running
-// identical runs). ephemeral marks a submission that should not outlive
-// its waiters — a synchronous HTTP request whose client may abort.
+// identical runs).
 //
-// The returned job may already be complete (cache hit); callers should
-// Wait regardless.
-func (s *Service) Submit(sp *spec.Spec, ephemeral bool) (*Job, error) {
+// The returned job may already be complete (cache hit); callers must
+// Wait regardless: the job runs only as long as a waiter holds it.
+func (s *Service) Submit(sp *spec.Spec) (*Job, error) {
 	hash, err := sp.CanonicalHash()
 	if err != nil {
 		return nil, err
 	}
 
 	s.mu.Lock()
-	if job, err, handled := s.submitFastLocked(sp, hash, ephemeral); handled {
+	if job, err, handled := s.submitFastLocked(sp, hash); handled {
 		s.mu.Unlock()
 		return job, err
 	}
-	probeDisk := s.disk != nil && !sp.Run.Trace
+	probeDisk := s.disk != nil
 	s.mu.Unlock()
 
 	// Probe the persistent store outside the service lock: a store read
@@ -318,7 +283,7 @@ func (s *Service) Submit(sp *spec.Spec, ephemeral bool) (*Job, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if job, err, handled := s.submitFastLocked(sp, hash, ephemeral); handled {
+	if job, err, handled := s.submitFastLocked(sp, hash); handled {
 		return job, err
 	}
 	if stored != nil {
@@ -329,16 +294,11 @@ func (s *Service) Submit(sp *spec.Spec, ephemeral bool) (*Job, error) {
 	}
 
 	job := s.newJobLocked(sp, hash)
-	job.ephemeral = ephemeral
-	if ephemeral {
-		job.pendingRefs++
-	}
+	job.pendingRefs++
 	select {
 	case s.queue <- job:
 	default:
 		job.cancel()
-		delete(s.jobs, job.id)
-		s.retain = s.retain[:len(s.retain)-1] // newJobLocked appended it last
 		return nil, ErrQueueFull
 	}
 	s.inflight[hash] = job
@@ -348,31 +308,18 @@ func (s *Service) Submit(sp *spec.Spec, ephemeral bool) (*Job, error) {
 // submitFastLocked resolves a submission against the in-memory layers
 // — shutdown state, the result cache, and in-flight duplicates — and
 // reports whether it was handled. Caller holds s.mu.
-func (s *Service) submitFastLocked(sp *spec.Spec, hash string, ephemeral bool) (*Job, error, bool) {
+func (s *Service) submitFastLocked(sp *spec.Spec, hash string) (*Job, error, bool) {
 	if s.closed {
 		return nil, ErrClosed, true
-	}
-	if sp.Run.Trace {
-		// A traced submission wants the protocol event stream, which
-		// only a real engine run produces: skip every dedup layer and
-		// run fresh. run.trace is hash-excluded, so the result still
-		// lands in the cache for untraced duplicates.
-		return nil, nil, false
 	}
 	if res, ok := s.cache.Get(hash); ok {
 		return s.newCachedJobLocked(sp, hash, res, false), nil, true
 	}
 	if job, ok := s.inflight[hash]; ok {
-		if ephemeral {
-			// Hold a reference for this submitter until its Wait runs,
-			// so an abort by the original waiter in the interim cannot
-			// cancel a job we just handed out.
-			job.pendingRefs++
-		} else {
-			// A fire-and-forget submission pins the job even if the
-			// original (ephemeral) submitter aborts.
-			job.ephemeral = false
-		}
+		// Hold a reference for this submitter until its Wait runs, so
+		// an abort by the original waiter in the interim cannot cancel
+		// a job we just handed out.
+		job.pendingRefs++
 		return job, nil, true
 	}
 	return nil, nil, false
@@ -387,19 +334,16 @@ func (s *Service) newCachedJobLocked(sp *spec.Spec, hash string, res *Result, fr
 	job.cached = true
 	job.fromStore = fromStore
 	job.finished = true
-	job.started = job.submitted
-	job.ended = job.submitted
 	job.cancel() // release the context immediately; nothing runs
 	close(job.done)
 	return job
 }
 
-// newJobLocked allocates and registers a job. Caller holds s.mu.
+// newJobLocked allocates a job. Caller holds s.mu.
 func (s *Service) newJobLocked(sp *spec.Spec, hash string) *Job {
 	s.seq++
 	job := &Job{
 		svc:       s,
-		id:        fmt.Sprintf("job-%06d", s.seq),
 		seq:       s.seq,
 		hash:      hash,
 		spec:      sp,
@@ -408,77 +352,7 @@ func (s *Service) newJobLocked(sp *spec.Spec, hash string) *Job {
 		submitted: time.Now(),
 	}
 	job.ctx, job.cancel = context.WithCancel(s.ctx)
-	s.jobs[job.id] = job
-	s.retain = append(s.retain, job.id)
-	// Forget the oldest completed jobs past the retention bound. An
-	// unfinished job at the front stops pruning — active jobs are never
-	// dropped.
-	for len(s.jobs) > s.opts.RetainJobs && len(s.retain) > 0 {
-		old, ok := s.jobs[s.retain[0]]
-		if ok && !old.finished {
-			break
-		}
-		if ok {
-			delete(s.jobs, old.id)
-		}
-		s.retain = s.retain[1:]
-	}
 	return job
-}
-
-// Job looks a job up by ID.
-func (s *Service) Job(id string) (*Job, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	job, ok := s.jobs[id]
-	if !ok {
-		return nil, ErrUnknownJob
-	}
-	return job, nil
-}
-
-// Jobs snapshots every known job, newest first.
-func (s *Service) Jobs() []Info {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	type seqInfo struct {
-		seq  int64
-		info Info
-	}
-	all := make([]seqInfo, 0, len(s.jobs))
-	for _, job := range s.jobs {
-		all = append(all, seqInfo{job.seq, job.infoLocked()})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq > all[j].seq })
-	out := make([]Info, len(all))
-	for i, si := range all {
-		out[i] = si.info
-	}
-	return out
-}
-
-// JobCount returns how many jobs are currently known (retained).
-func (s *Service) JobCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.jobs)
-}
-
-// Cancel cancels a job by ID. Completed jobs are unaffected.
-func (s *Service) Cancel(id string) error {
-	job, err := s.Job(id)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	if job.status == StatusQueued {
-		// The worker will observe the canceled context when it dequeues
-		// the job, but flip the visible state now.
-		s.finishLocked(job, StatusCanceled, nil, context.Canceled)
-	}
-	s.mu.Unlock()
-	job.cancel()
-	return nil
 }
 
 // CacheStats reports result-cache hits, misses and current size.
@@ -545,8 +419,8 @@ type Counters struct {
 	// canceled while still queued).
 	EngineRuns int64 `json:"engine_runs"`
 
-	// Sweeps counts StartSweep calls; SweepPoints the points they
-	// expanded to.
+	// Sweeps counts StartSweepPoints calls; SweepPoints the points
+	// they expanded to.
 	Sweeps      int64 `json:"sweeps"`
 	SweepPoints int64 `json:"sweep_points"`
 
@@ -567,8 +441,6 @@ type Counters struct {
 	JobTimeouts      int64 `json:"job_timeouts"`
 	StoreQuarantined int64 `json:"store_quarantined"`
 	FaultsInjected   int64 `json:"faults_injected"`
-
-	Jobs int `json:"jobs"`
 }
 
 // Counters snapshots the service-wide counters. The whole snapshot is
@@ -592,7 +464,6 @@ func (s *Service) Counters() Counters {
 		WorkerPanics:   s.workerPanics,
 		JobTimeouts:    s.jobTimeouts,
 		FaultsInjected: s.faultsInjected,
-		Jobs:           len(s.jobs),
 	}
 	if s.disk != nil {
 		st := s.disk.Stats()
@@ -619,7 +490,6 @@ func (s *Service) runJob(job *Job) {
 	job.status = StatusRunning
 	job.started = time.Now()
 	s.engineRuns++
-	s.notifyLocked(job)
 	s.mu.Unlock()
 	s.opts.Metrics.observeQueueWait(job.started.Sub(job.submitted))
 
@@ -695,13 +565,8 @@ func (s *Service) executeJob(job *Job, timeout time.Duration) (rep *core.Report,
 			panic("faultplan: injected worker panic")
 		}
 	}
-	var rec *trace.Recorder
-	if job.spec.Run.Trace {
-		rec = trace.NewRecorder(job.spec.Run.TraceRing)
-		job.tracer = rec
-	}
 	chf, seed := s.jobChannelFaults(job)
-	return runSpec(ctx, job.spec, chf, seed, rec)
+	return runSpec(ctx, job.spec, chf, seed)
 }
 
 // noteFaultInjected counts one service-layer fault actually fired by
@@ -761,45 +626,20 @@ func (s *Service) finishLocked(job *Job, st Status, res *Result, err error) {
 	job.status = st
 	job.result = res
 	job.err = err
-	job.ended = time.Now()
 	if s.inflight[job.hash] == job {
 		delete(s.inflight, job.hash)
 	}
-	s.notifyLocked(job)
-	for _, ch := range job.watchers {
-		close(ch)
-	}
-	job.watchers = nil
 	// Release the job's context registration in s.ctx; leaving it would
 	// leak one context child per job for the service's lifetime.
 	job.cancel()
 	close(job.done)
 }
 
-// notifyLocked delivers the job's current snapshot to every watcher.
-// Sends are non-blocking: each watcher channel is buffered for the
-// full queued→running→terminal sequence, so a drop only happens to a
-// consumer that stopped reading — and the close still tells it the job
-// ended. Caller holds s.mu.
-func (s *Service) notifyLocked(job *Job) {
-	if len(job.watchers) == 0 {
-		return
-	}
-	info := job.infoLocked()
-	for _, ch := range job.watchers {
-		select {
-		case ch <- info:
-		default:
-		}
-	}
-}
-
 // runSpec compiles and executes a spec under ctx. chf, when non-nil,
 // is a service-level channel fault plan applied to the engine (a
 // spec-level plan was already compiled in and is never overridden —
-// jobChannelFaults returns nil for those specs). rec, when non-nil,
-// attaches the protocol event tracer.
-func runSpec(ctx context.Context, sp *spec.Spec, chf *faultplan.ChannelFault, seed uint64, rec *trace.Recorder) (*core.Report, error) {
+// jobChannelFaults returns nil for those specs).
+func runSpec(ctx context.Context, sp *spec.Spec, chf *faultplan.ChannelFault, seed uint64) (*core.Report, error) {
 	d, cfg, err := sp.Compile()
 	if err != nil {
 		return nil, err
@@ -808,7 +648,6 @@ func runSpec(ctx context.Context, sp *spec.Spec, chf *faultplan.ChannelFault, se
 		cfg.ChannelFaults = chf
 		cfg.ChannelFaultSeed = seed
 	}
-	cfg.Tracer = rec
 	e, err := core.NewEngine(d, cfg)
 	if err != nil {
 		return nil, err
@@ -816,102 +655,24 @@ func runSpec(ctx context.Context, sp *spec.Spec, chf *faultplan.ChannelFault, se
 	return e.RunContext(ctx, sp.Run.Cycles)
 }
 
-// ID returns the job's service-unique identifier.
-func (j *Job) ID() string { return j.id }
-
 // Hash returns the canonical spec hash the job runs under.
 func (j *Job) Hash() string { return j.hash }
-
-// Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Info snapshots the job state.
 func (j *Job) Info() Info {
 	j.svc.mu.Lock()
 	defer j.svc.mu.Unlock()
-	return j.infoLocked()
-}
-
-func (j *Job) infoLocked() Info {
-	info := Info{
-		ID:        j.id,
-		Name:      j.spec.Name,
-		Hash:      j.hash,
-		Status:    j.status,
-		Cached:    j.cached,
-		FromStore: j.fromStore,
-		Submitted: j.submitted,
-	}
-	if j.err != nil {
-		info.Error = j.err.Error()
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		info.Started = &t
-	}
-	if !j.ended.IsZero() {
-		t := j.ended
-		info.Ended = &t
-	}
-	return info
-}
-
-// Watch returns a channel delivering a status snapshot for every
-// lifecycle change — the current state immediately, then one per
-// transition — closed once the job is terminal. The channel is
-// buffered for the full lifecycle sequence; a consumer that stops
-// reading misses intermediate snapshots but still observes the close.
-func (j *Job) Watch() <-chan Info {
-	j.svc.mu.Lock()
-	defer j.svc.mu.Unlock()
-	// Capacity 4 covers the longest sequence (initial snapshot, queued
-	// → running, running → terminal) with room to spare.
-	ch := make(chan Info, 4)
-	ch <- j.infoLocked()
-	if j.finished {
-		close(ch)
-		return ch
-	}
-	j.watchers = append(j.watchers, ch)
-	return ch
-}
-
-// Trace returns the job's recorded protocol events. It is only
-// available after the job finished, and only for jobs whose spec set
-// run.trace that actually executed an engine run — a submission
-// answered from the cache or store replays a stored result and records
-// nothing.
-func (j *Job) Trace() (*trace.Recorder, error) {
-	j.svc.mu.Lock()
-	defer j.svc.mu.Unlock()
-	if !j.finished {
-		return nil, fmt.Errorf("service: job %s still %s", j.id, j.status)
-	}
-	if j.tracer == nil {
-		return nil, fmt.Errorf("service: job %s has no trace (submit with run.trace to record one)", j.id)
-	}
-	return j.tracer, nil
-}
-
-// Result returns the job's terminal outcome; call only after Done is
-// closed (Wait does this for you).
-func (j *Job) Result() (*Result, error) {
-	j.svc.mu.Lock()
-	defer j.svc.mu.Unlock()
-	if !j.finished {
-		return nil, fmt.Errorf("service: job %s still %s", j.id, j.status)
-	}
-	return j.result, j.err
+	return Info{Status: j.status, Cached: j.cached, FromStore: j.fromStore}
 }
 
 // Wait blocks until the job completes or ctx is done. If the waiting
-// client abandons an ephemeral job and no other waiter remains, the job
-// is canceled — the engine run stops within one domain cycle.
+// client abandons the job and no other waiter remains, the job is
+// canceled — the engine run stops within one domain cycle.
 func (j *Job) Wait(ctx context.Context) (*Result, error) {
 	j.svc.mu.Lock()
 	j.waiters++
 	if j.pendingRefs > 0 {
-		// Inherit the reference the ephemeral Submit took for us.
+		// Inherit the reference the Submit took for us.
 		j.pendingRefs--
 	}
 	j.svc.mu.Unlock()
@@ -919,18 +680,19 @@ func (j *Job) Wait(ctx context.Context) (*Result, error) {
 
 	select {
 	case <-j.done:
-		return j.Result()
+		j.svc.mu.Lock()
+		defer j.svc.mu.Unlock()
+		return j.result, j.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 }
 
-// release drops one waiter reference, canceling an abandoned ephemeral
-// job.
+// release drops one waiter reference, canceling an abandoned job.
 func (j *Job) release() {
 	j.svc.mu.Lock()
 	j.waiters--
-	abandon := j.ephemeral && j.waiters == 0 && j.pendingRefs == 0 && !j.finished
+	abandon := j.waiters == 0 && j.pendingRefs == 0 && !j.finished
 	j.svc.mu.Unlock()
 	if abandon {
 		j.cancel()

@@ -42,7 +42,7 @@ func newTestService(t *testing.T, opts Options) *Service {
 
 func TestSubmitAndWait(t *testing.T) {
 	svc := newTestService(t, Options{Workers: 2})
-	job, err := svc.Submit(testSpec(t, 2000), false)
+	job, err := svc.Submit(testSpec(t, 2000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSubmitAndWait(t *testing.T) {
 
 func TestDuplicateServedFromCacheBitIdentical(t *testing.T) {
 	svc := newTestService(t, Options{Workers: 2})
-	first, err := svc.Submit(testSpec(t, 3000), false)
+	first, err := svc.Submit(testSpec(t, 3000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestDuplicateServedFromCacheBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	second, err := svc.Submit(testSpec(t, 3000), false)
+	second, err := svc.Submit(testSpec(t, 3000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestConcurrentDistinctAndDuplicateSubmissions(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				job, err := svc.Submit(testSpec(t, cycles), false)
+				job, err := svc.Submit(testSpec(t, cycles))
 				if err != nil {
 					errs <- err
 					return
@@ -141,7 +141,7 @@ func TestConcurrentDistinctAndDuplicateSubmissions(t *testing.T) {
 		t.Fatalf("cache holds %d entries, want %d", size, distinct)
 	}
 	for d := 0; d < distinct; d++ {
-		job, err := svc.Submit(testSpec(t, int64(1000+500*d)), false)
+		job, err := svc.Submit(testSpec(t, int64(1000+500*d)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestClientAbortCancelsSoleWaiterJob(t *testing.T) {
 	svc := newTestService(t, Options{Workers: 1})
 	// A budget big enough that only cancellation finishes it quickly.
 	big := testSpec(t, int64(1)<<40)
-	job, err := svc.Submit(big, true)
+	job, err := svc.Submit(big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +167,8 @@ func TestClientAbortCancelsSoleWaiterJob(t *testing.T) {
 	if _, err := job.Wait(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("wait returned %v, want context.Canceled", err)
 	}
-	// The abandoned ephemeral job must reach a terminal canceled state
-	// promptly (the engine polls per domain cycle).
+	// The abandoned job must reach a terminal canceled state promptly
+	// (the engine polls per domain cycle).
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if info := job.Info(); info.Status == StatusCanceled {
@@ -182,51 +182,68 @@ func TestClientAbortCancelsSoleWaiterJob(t *testing.T) {
 }
 
 func TestSecondWaiterPinsEphemeralJob(t *testing.T) {
+	// Every job lives only as long as a waiter holds it. A second live
+	// waiter keeps the run going when the first one aborts.
 	svc := newTestService(t, Options{Workers: 1})
-	sp := testSpec(t, 200000)
-	job, err := svc.Submit(sp, true)
+	job, err := svc.Submit(testSpec(t, 200000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A duplicate non-ephemeral submission coalesces onto the same job
-	// and pins it.
-	job2, err := svc.Submit(testSpec(t, 200000), false)
-	if err != nil {
-		t.Fatal(err)
+	type outcome struct {
+		res *Result
+		err error
 	}
-	if job2 != job {
-		t.Fatal("duplicate in-flight submission created a second job")
+	held := make(chan outcome, 1)
+	go func() {
+		res, err := job.Wait(context.Background())
+		held <- outcome{res, err}
+	}()
+	// The aborting waiter must come second: had it inherited the
+	// Submit's reference and released it first, it would have been the
+	// last waiter.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		svc.mu.Lock()
+		n := job.waiters
+		svc.mu.Unlock()
+		if n == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("first waiter never registered")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := job.Wait(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("aborted wait returned %v", err)
 	}
-	// The job survives the abort because of the pinned submission.
-	res, err := job.Wait(context.Background())
-	if err != nil {
-		t.Fatalf("pinned job failed: %v", err)
+	// The job survives the abort because the first waiter still holds it.
+	got := <-held
+	if got.err != nil {
+		t.Fatalf("held job failed: %v", got.err)
 	}
-	if res.Report.Cycles != 200000 {
-		t.Fatalf("ran %d cycles", res.Report.Cycles)
+	if got.res.Report.Cycles != 200000 {
+		t.Fatalf("ran %d cycles", got.res.Report.Cycles)
 	}
 }
 
 func TestEphemeralDuplicateSurvivesFirstWaiterAbort(t *testing.T) {
 	svc := newTestService(t, Options{Workers: 1})
 	sp := testSpec(t, 300000)
-	j1, err := svc.Submit(sp, true)
+	j1, err := svc.Submit(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A second ephemeral client submits the same spec before the first
-	// one's Wait/abort resolves: the submit itself must hold the job.
-	j2, err := svc.Submit(testSpec(t, 300000), true)
+	// A second client submits the same spec before the first one's
+	// Wait/abort resolves: the submit itself must hold the job.
+	j2, err := svc.Submit(testSpec(t, 300000))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if j2 != j1 {
-		t.Fatal("duplicate ephemeral submission created a second job")
+		t.Fatal("duplicate in-flight submission created a second job")
 	}
 	// The first client aborts before the second client ever waits.
 	canceled, cancel := context.WithCancel(context.Background())
@@ -246,41 +263,13 @@ func TestEphemeralDuplicateSurvivesFirstWaiterAbort(t *testing.T) {
 	}
 }
 
-func TestCancelByID(t *testing.T) {
-	svc := newTestService(t, Options{Workers: 1})
-	// Occupy the single worker so the second job stays queued.
-	blocker, err := svc.Submit(testSpec(t, int64(1)<<40), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queued, err := svc.Submit(testSpec(t, int64(2)<<40), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Cancel(queued.ID()); err != nil {
-		t.Fatal(err)
-	}
-	if info := queued.Info(); info.Status != StatusCanceled {
-		t.Fatalf("queued job %s after cancel, want canceled", info.Status)
-	}
-	if err := svc.Cancel(blocker.ID()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := blocker.Wait(context.Background()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("running job wait returned %v, want context.Canceled", err)
-	}
-	if err := svc.Cancel("job-does-not-exist"); !errors.Is(err, ErrUnknownJob) {
-		t.Fatalf("unknown job cancel returned %v", err)
-	}
-}
-
 func TestCloseCancelsInFlight(t *testing.T) {
 	svc := New(Options{Workers: 2})
-	a, err := svc.Submit(testSpec(t, int64(1)<<40), false)
+	a, err := svc.Submit(testSpec(t, int64(1)<<40))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := svc.Submit(testSpec(t, int64(2)<<40), false)
+	b, err := svc.Submit(testSpec(t, int64(2)<<40))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +283,7 @@ func TestCloseCancelsInFlight(t *testing.T) {
 			t.Fatalf("job %s after close, want canceled", info.Status)
 		}
 	}
-	if _, err := svc.Submit(testSpec(t, 100), false); !errors.Is(err, ErrClosed) {
+	if _, err := svc.Submit(testSpec(t, 100)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close returned %v", err)
 	}
 }
@@ -303,21 +292,21 @@ func TestInvalidSpecRejectedAtSubmit(t *testing.T) {
 	svc := newTestService(t, Options{Workers: 1})
 	bad := testSpec(t, 100)
 	bad.Run.Mode = "bogus"
-	if _, err := svc.Submit(bad, false); err == nil {
+	if _, err := svc.Submit(bad); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
 }
 
 func TestQueueBackpressure(t *testing.T) {
 	svc := newTestService(t, Options{Workers: 1, QueueDepth: 1})
-	if _, err := svc.Submit(testSpec(t, int64(1)<<40), false); err != nil {
+	if _, err := svc.Submit(testSpec(t, int64(1)<<40)); err != nil {
 		t.Fatal(err)
 	}
 	// Fill the single queue slot, then overflow it. Distinct cycle
 	// budgets keep the specs from coalescing.
 	var sawFull bool
 	for i := int64(0); i < 10; i++ {
-		_, err := svc.Submit(testSpec(t, (3+i)<<40), false)
+		_, err := svc.Submit(testSpec(t, (3+i)<<40))
 		if errors.Is(err, ErrQueueFull) {
 			sawFull = true
 			break

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"coemu/internal/spec"
@@ -32,41 +31,24 @@ type PointResult struct {
 // SweepJob is one submitted sweep: every expanded point fanned out
 // over the service's worker pool as an ordinary (deduplicated,
 // cancelable) job. Results delivers per-point outcomes in point order
-// as they settle; Progress reports aggregate completion.
+// as they settle.
 type SweepJob struct {
-	id      string
 	total   int
 	results chan PointResult
-
-	svc  *Service
-	done chan struct{} // closed when every point has settled
-
-	// progress is guarded by svc.mu.
-	completed int
-	errors    int
+	svc     *Service
 }
 
-// StartSweep expands a sweep document and fans the points out over the
-// worker pool. Points are submitted eagerly (so the pool saturates)
-// and their results are delivered in point order on Results. ctx
-// governs the whole sweep: canceling it abandons every point the way
-// an aborting client abandons a single ephemeral run — points no other
-// client shares are canceled at domain-cycle granularity.
+// StartSweepPoints fans an expanded point list (spec.SweepSpec.Expand)
+// out over the worker pool. Points are submitted eagerly (so the pool
+// saturates) and their results are delivered in point order on
+// Results. ctx governs the whole sweep: canceling it abandons every
+// point the way an aborting client abandons a single run — points no
+// other client shares are canceled at domain-cycle granularity.
 //
 // Duplicate points — within the sweep or against other traffic —
 // coalesce exactly like duplicate Submit calls: one engine run per
 // distinct canonical hash, the rest served from the cache or store.
-func (s *Service) StartSweep(ctx context.Context, ss *spec.SweepSpec, ephemeral bool) (*SweepJob, error) {
-	points, err := ss.Expand()
-	if err != nil {
-		return nil, err
-	}
-	return s.StartSweepPoints(ctx, points, ephemeral)
-}
-
-// StartSweepPoints runs an already-expanded point list as a sweep; see
-// StartSweep.
-func (s *Service) StartSweepPoints(ctx context.Context, points []*spec.Spec, ephemeral bool) (*SweepJob, error) {
+func (s *Service) StartSweepPoints(ctx context.Context, points []*spec.Spec) (*SweepJob, error) {
 	if len(points) == 0 {
 		return nil, errors.New("service: sweep has no points")
 	}
@@ -75,24 +57,18 @@ func (s *Service) StartSweepPoints(ctx context.Context, points []*spec.Spec, eph
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	s.sweepSeq++
 	s.sweeps++
 	s.sweepPoints += int64(len(points))
+	s.mu.Unlock()
+
 	sw := &SweepJob{
-		id:      fmt.Sprintf("sweep-%04d", s.sweepSeq),
 		total:   len(points),
 		results: make(chan PointResult, len(points)),
 		svc:     s,
-		done:    make(chan struct{}),
 	}
-	s.mu.Unlock()
-
-	go sw.run(ctx, points, ephemeral)
+	go sw.run(ctx, points)
 	return sw, nil
 }
-
-// ID returns the sweep's service-unique identifier.
-func (sw *SweepJob) ID() string { return sw.id }
 
 // Total returns the number of expanded points.
 func (sw *SweepJob) Total() int { return sw.total }
@@ -101,24 +77,12 @@ func (sw *SweepJob) Total() int { return sw.total }
 // settle. The channel is closed after the last point.
 func (sw *SweepJob) Results() <-chan PointResult { return sw.results }
 
-// Done is closed once every point has settled.
-func (sw *SweepJob) Done() <-chan struct{} { return sw.done }
-
-// Progress reports how many points have settled, how many of those
-// failed, and the total.
-func (sw *SweepJob) Progress() (completed, failed, total int) {
-	sw.svc.mu.Lock()
-	defer sw.svc.mu.Unlock()
-	return sw.completed, sw.errors, sw.total
-}
-
 // run submits every point, then waits them out in order. Submission is
 // eager so up to Workers points run concurrently; waiting in order
 // keeps Results deterministic. On ctx cancellation the remaining
 // points are still waited (each Wait returns immediately) so every
-// ephemeral reference is released and unshared runs cancel.
-func (sw *SweepJob) run(ctx context.Context, points []*spec.Spec, ephemeral bool) {
-	defer close(sw.done)
+// reference is released and unshared runs cancel.
+func (sw *SweepJob) run(ctx context.Context, points []*spec.Spec) {
 	defer close(sw.results)
 
 	jobs := make([]*Job, len(points))
@@ -126,7 +90,7 @@ func (sw *SweepJob) run(ctx context.Context, points []*spec.Spec, ephemeral bool
 	submitted := make([]time.Time, len(points))
 	for i, sp := range points {
 		submitted[i] = time.Now()
-		jobs[i], errs[i] = sw.submitPoint(ctx, sp, ephemeral)
+		jobs[i], errs[i] = sw.submitPoint(ctx, sp)
 	}
 
 	for i := range points {
@@ -138,12 +102,6 @@ func (sw *SweepJob) run(ctx context.Context, points []*spec.Spec, ephemeral bool
 			pr.Cached, pr.FromStore = info.Cached, info.FromStore
 			sw.svc.opts.Metrics.observeSweepPoint(time.Since(submitted[i]))
 		}
-		sw.svc.mu.Lock()
-		sw.completed++
-		if pr.Err != nil {
-			sw.errors++
-		}
-		sw.svc.mu.Unlock()
 		sw.results <- pr // buffered to Total; never blocks
 	}
 }
@@ -155,9 +113,9 @@ func (sw *SweepJob) run(ctx context.Context, points []*spec.Spec, ephemeral bool
 // Several waiting sweeps may race for one slot; the losers miss the
 // signal, fail the next Submit, and park again, so progress is
 // guaranteed without a thundering herd.
-func (sw *SweepJob) submitPoint(ctx context.Context, sp *spec.Spec, ephemeral bool) (*Job, error) {
+func (sw *SweepJob) submitPoint(ctx context.Context, sp *spec.Spec) (*Job, error) {
 	for {
-		job, err := sw.svc.Submit(sp, ephemeral)
+		job, err := sw.svc.Submit(sp)
 		if err == nil || !errors.Is(err, ErrQueueFull) {
 			return job, err
 		}

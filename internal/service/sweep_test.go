@@ -48,7 +48,7 @@ func TestSweepFanOutOrderedResults(t *testing.T) {
 		{"field": "run.accuracy", "values": [1, 0.9, 0.5]},
 		{"field": "run.lob_depth", "values": [32, 64]}
 	]}`)
-	sw, err := svc.StartSweep(context.Background(), ss, false)
+	sw, err := svc.StartSweepPoints(context.Background(), mustExpand(t, ss))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +70,6 @@ func TestSweepFanOutOrderedResults(t *testing.T) {
 			t.Fatalf("point %d ran %d cycles", i, pr.Result.Report.Cycles)
 		}
 	}
-	completed, failed, total := sw.Progress()
-	if completed != 6 || failed != 0 || total != 6 {
-		t.Fatalf("progress %d/%d/%d", completed, failed, total)
-	}
 	c := svc.Counters()
 	if c.Sweeps != 1 || c.SweepPoints != 6 {
 		t.Fatalf("counters %+v", c)
@@ -90,7 +86,7 @@ func TestSweepDuplicatePointsCoalesce(t *testing.T) {
 	ss := testSweep(t, 1200, `{"axes": [
 		{"field": "run.cycle_batch", "values": [16, 64]}
 	]}`)
-	sw, err := svc.StartSweep(context.Background(), ss, false)
+	sw, err := svc.StartSweepPoints(context.Background(), mustExpand(t, ss))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +112,7 @@ func TestSweepSurvivesQueueBackpressure(t *testing.T) {
 	ss := testSweep(t, 800, `{"axes": [
 		{"field": "run.lob_depth", "values": [8, 16, 32, 64, 128, 256]}
 	]}`)
-	sw, err := svc.StartSweep(context.Background(), ss, false)
+	sw, err := svc.StartSweepPoints(context.Background(), mustExpand(t, ss))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,12 +128,13 @@ func TestSweepSurvivesQueueBackpressure(t *testing.T) {
 }
 
 func TestSweepCancellationAbandonsPoints(t *testing.T) {
+	// One worker: the first 2^40-cycle point runs, the other two queue.
 	svc := newTestService(t, Options{Workers: 1})
 	ss := testSweep(t, int64(1)<<40, `{"axes": [
 		{"field": "run.lob_depth", "values": [32, 64, 128]}
 	]}`)
 	ctx, cancel := context.WithCancel(context.Background())
-	sw, err := svc.StartSweep(ctx, ss, true)
+	sw, err := svc.StartSweepPoints(ctx, mustExpand(t, ss))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,22 +149,21 @@ func TestSweepCancellationAbandonsPoints(t *testing.T) {
 			t.Fatalf("point %d completed despite cancellation", i)
 		}
 	}
-	// Every ephemeral point must reach a terminal canceled state.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		canceled := 0
-		for _, info := range svc.Jobs() {
-			if info.Status == StatusCanceled {
-				canceled++
-			}
-		}
-		if canceled == 3 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/3 points canceled", canceled)
-		}
-		time.Sleep(10 * time.Millisecond)
+	// Every abandoned point must stop: a short run submitted now gets
+	// the single worker only once the running point has canceled and
+	// the queued ones have drained.
+	job, err := svc.Submit(testSpec(t, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer wcancel()
+	res, err := job.Wait(wctx)
+	if err != nil {
+		t.Fatalf("short run after the abort: %v (abandoned points still hold the worker)", err)
+	}
+	if res.Report.Cycles != 1000 {
+		t.Fatalf("short run committed %d cycles", res.Report.Cycles)
 	}
 }
 
@@ -178,7 +174,7 @@ func TestStoreWriteThroughAndRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := newTestService(t, Options{Workers: 2, Store: disk})
-	job, err := svc.Submit(testSpec(t, 1700), false)
+	job, err := svc.Submit(testSpec(t, 1700))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +193,7 @@ func TestStoreWriteThroughAndRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc2 := newTestService(t, Options{Workers: 2, Store: disk2})
-	job2, err := svc2.Submit(testSpec(t, 1700), false)
+	job2, err := svc2.Submit(testSpec(t, 1700))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +218,7 @@ func TestStoreWriteThroughAndRestart(t *testing.T) {
 
 	// The store hit was promoted into the memory cache: a third
 	// duplicate is a pure memory hit.
-	job3, err := svc2.Submit(testSpec(t, 1700), false)
+	job3, err := svc2.Submit(testSpec(t, 1700))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +246,7 @@ func TestSweepAfterRestartServedEntirelyFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := newTestService(t, Options{Workers: 4, Store: disk})
-	sw, err := svc.StartSweep(context.Background(), testSweep(t, 900, sweepBlock), false)
+	sw, err := svc.StartSweepPoints(context.Background(), mustExpand(t, testSweep(t, 900, sweepBlock)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +257,7 @@ func TestSweepAfterRestartServedEntirelyFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc2 := newTestService(t, Options{Workers: 4, Store: disk2})
-	sw2, err := svc2.StartSweepPoints(context.Background(), mustExpand(t, testSweep(t, 900, sweepBlock)), false)
+	sw2, err := svc2.StartSweepPoints(context.Background(), mustExpand(t, testSweep(t, 900, sweepBlock)))
 	if err != nil {
 		t.Fatal(err)
 	}

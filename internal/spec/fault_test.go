@@ -81,10 +81,6 @@ func TestHostKnobsDoNotSplitCanonicalHash(t *testing.T) {
 		{"timeout": "45s"},
 		{"fault_plan": map[string]any{"seed": 3, "channel": map[string]any{"duplicate": 1.0}}},
 		{"timeout": "1m", "fault_plan": map[string]any{"service": map[string]any{"worker_panic": 0.5}}},
-		{"trace": true},
-		{"trace": true, "trace_ring": 4096},
-		{"trace_ring": 128, "timeout": "30s"},
-		{"trace": true, "timeout": "20s"},
 	}
 	for i, extra := range variants {
 		s, err := Parse(withRun(t, extra))

@@ -195,27 +195,6 @@ type Run struct {
 	// excluded from the canonical hash — a run that survives its
 	// faults produces bit-identical results to the plan-free run.
 	FaultPlan *faultplan.Plan `json:"fault_plan,omitempty"`
-
-	// Trace attaches the cycle-granular protocol tracer to the run
-	// (run-ahead spans, rollbacks, batch commits — see internal/trace).
-	// Pure host-side observability: the modeled run is bit-identical
-	// with and without it, so it is excluded from the canonical hash
-	// like CycleBatch.
-	Trace bool `json:"trace,omitempty"`
-	// TraceRing caps the tracer's event ring (events retained; the
-	// oldest are overwritten past the cap). 0 selects the tracer
-	// default. Host-side knob, excluded from the canonical hash.
-	TraceRing int `json:"trace_ring,omitempty"`
-
-	// MeasuredLatency asks a cross-process run (coemu -remote-domain)
-	// to sample the real link round trip (handshake + ping/pong) and
-	// report a performance estimate with the modeled Tch replaced by
-	// the measured latency — the paper's prediction packetizing masking
-	// a physical channel instead of a modeled one. Pure host-side
-	// observability: the canonical report is bit-identical with and
-	// without it, so it is excluded from the canonical hash like
-	// Trace/TraceRing. In-process runs ignore it.
-	MeasuredLatency bool `json:"measured_latency,omitempty"`
 }
 
 // Spec is a complete declarative co-emulation run.
@@ -347,7 +326,7 @@ func (s *Spec) Validate() error {
 	if r.Cycles <= 0 {
 		return fmt.Errorf("spec: run.cycles must be positive, got %d", r.Cycles)
 	}
-	if r.SimSpeed < 0 || r.AccSpeed < 0 || r.LOBDepth < 0 || r.RollbackVars < 0 || r.CycleBatch < 0 || r.TraceRing < 0 {
+	if r.SimSpeed < 0 || r.AccSpeed < 0 || r.LOBDepth < 0 || r.RollbackVars < 0 || r.CycleBatch < 0 {
 		return fmt.Errorf("spec: negative run parameter")
 	}
 	for _, sp := range []struct {
@@ -481,16 +460,6 @@ func (s *Spec) CanonicalHash() (string, error) {
 	// deadline-bounded run shares its cache entry with the plain run.
 	n.Run.Timeout = ""
 	n.Run.FaultPlan = nil
-	// Trace and TraceRing attach a host-side observer whose runs are
-	// bit-identical to untraced ones (pinned by the tracer differential
-	// test). Both hash as absent so a traced run shares its cache entry
-	// with the plain run.
-	n.Run.Trace = false
-	n.Run.TraceRing = 0
-	// MeasuredLatency attaches host-side link measurement to a remote
-	// run; the canonical report is unaffected (the remote differential
-	// suite pins it), so it hashes as absent too.
-	n.Run.MeasuredLatency = false
 	b, err := json.Marshal(n)
 	if err != nil {
 		return "", fmt.Errorf("spec: canonical encode: %w", err)

@@ -95,6 +95,15 @@ func TestParseRejects(t *testing.T) {
 		{"stale workers", func(m map[string]any) {
 			m["run"].(map[string]any)["workers"] = 4
 		}, "workers"},
+		{"stale trace", func(m map[string]any) {
+			m["run"].(map[string]any)["trace"] = true
+		}, "trace"},
+		{"stale trace_ring", func(m map[string]any) {
+			m["run"].(map[string]any)["trace_ring"] = 4096
+		}, "trace_ring"},
+		{"stale measured_latency", func(m map[string]any) {
+			m["run"].(map[string]any)["measured_latency"] = true
+		}, "measured_latency"},
 		{"sim_speed overflows cycle time", func(m map[string]any) {
 			m["run"].(map[string]any)["sim_speed"] = 1e-11
 		}, "sim_speed"},
@@ -321,40 +330,5 @@ func TestCycleBatchNormalizationAndHash(t *testing.T) {
 	bad.Run.CycleBatch = -1
 	if err := bad.Validate(); err == nil {
 		t.Fatal("negative cycle_batch validated")
-	}
-}
-
-func TestTraceKnobsHostOnlyAndHashExcluded(t *testing.T) {
-	// The tracer is a host-side observer: reports are bit-identical
-	// with and without it (pinned by the tracer differential test in
-	// internal/core), so trace/trace_ring must not split the result
-	// cache. Both hash as absent, so canonical hashes — and every entry
-	// of a pre-existing persistent store — are unchanged from before
-	// the knobs existed.
-	h0, _ := parseOK(t, streamSpecJSON).CanonicalHash()
-	s1 := parseOK(t, streamSpecJSON)
-	s1.Run.Trace = true
-	s1.Run.TraceRing = 4096
-	h1, err := s1.CanonicalHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1 != h0 {
-		t.Fatal("trace knobs changed the canonical hash")
-	}
-	// Normalization preserves the knobs so the executing layer (which
-	// attaches the recorder) still sees them.
-	n, err := s1.Normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !n.Run.Trace || n.Run.TraceRing != 4096 {
-		t.Fatalf("normalization dropped trace knobs: trace=%v ring=%d", n.Run.Trace, n.Run.TraceRing)
-	}
-	// Negative ring sizes are rejected.
-	bad := parseOK(t, streamSpecJSON)
-	bad.Run.TraceRing = -1
-	if err := bad.Validate(); err == nil {
-		t.Fatal("negative trace_ring validated")
 	}
 }

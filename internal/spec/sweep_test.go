@@ -189,10 +189,10 @@ func TestSweepBadPointValuesFailExpand(t *testing.T) {
 }
 
 func TestSweepRejectsStaleRunFields(t *testing.T) {
-	// run.workers and run.delta_cadence left the schema: a sweep axis
-	// that sets one fails Expand, and a base document carrying one fails
-	// ParseSweep, each with an error naming the field.
-	for _, field := range []string{"workers", "delta_cadence"} {
+	// Removed run fields: a sweep axis that sets one fails Expand, and a
+	// base document carrying one fails ParseSweep, each with an error
+	// naming the field.
+	for _, field := range []string{"workers", "delta_cadence", "trace", "trace_ring", "measured_latency"} {
 		axis := fmt.Sprintf(`{"axes": [{"field": "run.%s", "values": [1, 2]}]}`, field)
 		ss, err := ParseSweep([]byte(sweepDoc(axis)))
 		if err != nil {

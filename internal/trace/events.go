@@ -62,8 +62,8 @@ const (
 	EvTransportReconnect
 )
 
-// eventKindNames maps kinds to their wire names (stable: the JSON
-// export and the Chrome track mapping both key on them).
+// eventKindNames maps kinds to their wire names (stable: the Chrome
+// trace export keys on them).
 var eventKindNames = [...]string{
 	EvConservative: "conservative",
 	EvRunAhead:     "run_ahead",
@@ -179,15 +179,6 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// eventJSON is the JSON projection of one event.
-type eventJSON struct {
-	Cycle  int64  `json:"cycle"`
-	N      int64  `json:"n,omitempty"`
-	Kind   string `json:"kind"`
-	Domain string `json:"domain,omitempty"`
-	Arg    int64  `json:"arg,omitempty"`
-}
-
 // domainName renders an event's domain for export.
 func domainName(d uint8) string {
 	switch d {
@@ -198,26 +189,6 @@ func domainName(d uint8) string {
 	default:
 		return ""
 	}
-}
-
-// WriteEventsJSON exports events as a JSON document:
-// {"dropped": d, "events": [...]}.
-func WriteEventsJSON(w io.Writer, events []Event, dropped int64) error {
-	doc := struct {
-		Dropped int64       `json:"dropped"`
-		Events  []eventJSON `json:"events"`
-	}{Dropped: dropped, Events: make([]eventJSON, len(events))}
-	for i, ev := range events {
-		doc.Events[i] = eventJSON{
-			Cycle:  ev.Cycle,
-			N:      ev.N,
-			Kind:   ev.Kind.String(),
-			Domain: domainName(ev.Domain),
-			Arg:    ev.Arg,
-		}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&doc)
 }
 
 // Chrome trace_event track ids: one lane per protocol phase so the

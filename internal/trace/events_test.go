@@ -44,43 +44,6 @@ func TestRecordDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestWriteEventsJSON(t *testing.T) {
-	events := []Event{
-		{Cycle: 10, N: 5, Kind: EvRunAhead, Domain: 1},
-		{Cycle: 15, Kind: EvMispredict, Domain: 0, Arg: 1},
-		{Cycle: 15, Kind: EvRollback, Domain: 1, Arg: 3},
-	}
-	var b strings.Builder
-	if err := WriteEventsJSON(&b, events, 7); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Dropped int64 `json:"dropped"`
-		Events  []struct {
-			Cycle  int64  `json:"cycle"`
-			N      int64  `json:"n"`
-			Kind   string `json:"kind"`
-			Domain string `json:"domain"`
-			Arg    int64  `json:"arg"`
-		} `json:"events"`
-	}
-	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
-		t.Fatalf("export is not valid JSON: %v", err)
-	}
-	if doc.Dropped != 7 || len(doc.Events) != 3 {
-		t.Fatalf("decoded %+v", doc)
-	}
-	if doc.Events[0].Kind != "run_ahead" || doc.Events[0].Domain != "acc" || doc.Events[0].N != 5 {
-		t.Errorf("run-ahead event decoded as %+v", doc.Events[0])
-	}
-	if doc.Events[2].Kind != "rollback" || doc.Events[2].Arg != 3 {
-		t.Errorf("rollback event decoded as %+v", doc.Events[2])
-	}
-}
-
-// TestWriteChromeTrace checks the Perfetto-loadable invariants: a valid
-// JSON array, process/thread metadata first, complete events carrying
-// ts+dur in target cycles, instants carrying a scope.
 func TestWriteChromeTrace(t *testing.T) {
 	events := []Event{
 		{Cycle: 0, N: 20, Kind: EvConservative},
