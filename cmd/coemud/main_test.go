@@ -340,6 +340,28 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestUnrunnableSpecRejected posts a LOB depth the engine could never
+// allocate, as a run body and as a sweep axis value. Allocating it is a
+// fatal runtime error that no worker recover catches, so before the
+// spec bound existed the daemon died; now each post is a 400 and the
+// daemon keeps answering.
+func TestUnrunnableSpecRejected(t *testing.T) {
+	ts := newTestServer(t)
+	run := strings.Replace(specJSON(200), `"cycles": 200`, `"cycles": 200, "lob_depth": 2000000000`, 1)
+	code, body := post(t, ts.URL+"/v1/run", run)
+	if code != http.StatusBadRequest || !strings.Contains(string(body), "lob_depth") {
+		t.Fatalf("run with lob_depth 2000000000: status %d: %s", code, body)
+	}
+	grid := strings.Replace(sweepDocJSON(200), `"values": [32, 64]`, `"values": [32, 2000000000]`, 1)
+	code, body = post(t, ts.URL+"/v1/sweep", grid)
+	if code != http.StatusBadRequest || !strings.Contains(string(body), "exceeds the maximum") {
+		t.Fatalf("sweep with lob_depth 2000000000: status %d: %s", code, body)
+	}
+	if code, body := get(t, ts.URL+"/v1/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after the rejected posts: status %d: %s", code, body)
+	}
+}
+
 func TestSweepServerPointBound(t *testing.T) {
 	// The test server caps sweeps at 100 points; a document declaring a
 	// bigger grid (and a permissive max_points of its own) must be

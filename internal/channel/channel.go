@@ -29,11 +29,16 @@ const (
 
 // Stats aggregates channel usage for one run.
 type Stats struct {
-	Accesses [2]int64 // per direction
-	Words    [2]int64
+	// Accesses counts, per direction, the channel accesses that paid
+	// the stack's startup overhead.
+	Accesses [2]int64
+	// Words counts, per direction, every payload word charged: those of
+	// accesses and those carried on another access (Carry).
+	Words [2]int64
 	// SizeHist counts accesses by payload size bucket: <=1, <=2, <=5,
 	// <=16, <=64, >64 words — chosen so the paper's "does not exceed
-	// five words" observation is directly visible.
+	// five words" observation is directly visible. Carried words start
+	// no access, so they have no bucket.
 	SizeHist [2][6]int64
 }
 
@@ -67,8 +72,9 @@ func (s *Stats) TotalAccesses() int64 { return s.Accesses[0] + s.Accesses[1] }
 func (s *Stats) TotalWords() int64 { return s.Words[0] + s.Words[1] }
 
 // Channel is the cost accountant of the link between the two
-// verification domains: it charges each access to the ledger and
-// collects Stats, and moves no packets — a Transport does that. It is
+// verification domains: it charges each access (startup plus payload)
+// and each carried payload (words only) to the ledger and collects
+// Stats, and moves no packets — a Transport does that. It is
 // deliberately synchronous and single-threaded: the engine interleaves
 // the domains deterministically, and the channel's job is bookkeeping,
 // not concurrency.
@@ -110,4 +116,14 @@ func (c *Channel) AccountN(d Dir, words int, n int64) {
 	c.stats.Accesses[d] += n
 	c.stats.Words[d] += n * int64(words)
 	c.stats.SizeHist[d][bucket(words)] += n
+}
+
+// Carry charges words of payload in direction d that ride on another
+// access instead of starting one: the per-word cost only, no startup.
+// The words count in Stats.Words; Accesses and SizeHist do not move.
+// The engine carries a transition's success report this way, the rule
+// the paper's calibrated model prices (ARCHITECTURE.md, Calibration).
+func (c *Channel) Carry(d Dir, words int) {
+	c.ledger.Charge(vclock.Channel, c.stack.WordCost(d, words))
+	c.stats.Words[d] += int64(words)
 }

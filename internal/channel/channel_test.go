@@ -22,6 +22,22 @@ func TestSendChargesStartupPlusPayload(t *testing.T) {
 	}
 }
 
+// TestCarryChargesWordsOnly pins the carried-payload rule: words that
+// ride on another access pay their direction's per-word cost and count
+// as words, but pay no startup and start no access.
+func TestCarryChargesWordsOnly(t *testing.T) {
+	var l vclock.Ledger
+	c := New(device.IPROVE(), &l)
+	c.Carry(AccToSim, 3)
+	if want := time.Duration(3 * 75730 / 1000); l.Get(vclock.Channel) != want {
+		t.Fatalf("carried 3 words charged %v, want %v", l.Get(vclock.Channel), want)
+	}
+	st := c.Stats()
+	if st.Words != [2]int64{0, 3} || st.TotalAccesses() != 0 || st.SizeHist != [2][6]int64{} {
+		t.Fatalf("stats after a carry %+v, want 3 acc->sim words and no access", st)
+	}
+}
+
 func TestRoundTripData(t *testing.T) {
 	q := NewQueues()
 	in := []amba.Word{0xDEAD, 0xBEEF}

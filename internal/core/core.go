@@ -11,4 +11,6 @@ package core
 //   - 1: every build whose hashes mixed in no revision.
 //   - 2: slave-response prediction is pure; only Observe advances a
 //     wait model, so each wait cycle is counted once.
-const ModelRevision = 2
+//   - 3: a transition's success report rides on the next channel
+//     access: it pays its payload words but no startup.
+const ModelRevision = 3

@@ -733,6 +733,22 @@ func TestEngineRejectsBadInput(t *testing.T) {
 			t.Errorf("%s 1e-11: err = %v, want an error naming %s", field, err, field)
 		}
 	}
+	// A LOB too deep to allocate used to kill the process with a fatal
+	// out-of-memory error, and a rollback-variable count whose store
+	// price overflows time.Duration panicked at the first snapshot.
+	for field, cfg := range map[string]Config{
+		"LOBDepth":     {Mode: ALS, LOBDepth: 2000000000},
+		"RollbackVars": {Mode: SLA, RollbackVars: 3e15},
+	} {
+		if _, err := NewEngine(d, cfg); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: err = %v, want an error naming %s", field, err, field)
+		}
+	}
+	bigVars := streamDesign(AccDomain, SimDomain, 0, 0)
+	bigVars.Slaves[0].Vars = 3e15
+	if _, err := NewEngine(bigVars, Config{Mode: SLA}); err == nil || !strings.Contains(err.Error(), "Vars") {
+		t.Errorf("slave Vars 3e15: err = %v, want an error naming Vars", err)
+	}
 	e, err := NewEngine(d, Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -104,6 +104,9 @@ func (d Design) Validate() error {
 		if m.Domain > AccDomain {
 			return fmt.Errorf("core: master %q has invalid domain", m.Name)
 		}
+		if m.Vars < 0 || m.Vars > MaxVars {
+			return fmt.Errorf("core: master %q Vars %d outside [0, %d]", m.Name, m.Vars, MaxVars)
+		}
 		if names[m.Name] {
 			return fmt.Errorf("core: duplicate component name %q", m.Name)
 		}
@@ -116,6 +119,9 @@ func (d Design) Validate() error {
 		}
 		if s.Domain > AccDomain {
 			return fmt.Errorf("core: slave %q has invalid domain", s.Name)
+		}
+		if s.Vars < 0 || s.Vars > MaxVars {
+			return fmt.Errorf("core: slave %q Vars %d outside [0, %d]", s.Name, s.Vars, MaxVars)
 		}
 		if names[s.Name] {
 			return fmt.Errorf("core: duplicate component name %q", s.Name)

@@ -249,6 +249,17 @@ const maxPartialWords = 7
 // worst-case bare entry. The paper's smallest evaluated depth is 8.
 const minLOBDepth = 1 + maxPartialWords
 
+// MaxLOBDepth is the largest LOB the engine accepts, in words: 64 times
+// the deepest LOB cmd/sweep explores (1,024). NewLOB preallocates one
+// entry per word, so an unbounded depth is an unbounded allocation
+// that kills the whole process, not just the run.
+const MaxLOBDepth = 1 << 16
+
+// MaxVars bounds every rollback-variable count (Config.RollbackVars and
+// each component's Vars): a store or restore is priced in picoseconds
+// per variable, and a larger count overflows the time.Duration charge.
+const MaxVars = 1 << 30
+
 // Stats collects the engine's behavioral counters.
 type Stats struct {
 	Committed          int64
@@ -430,6 +441,12 @@ func NewEngine(d Design, cfg Config) (*Engine, error) {
 	}
 	if cfg.LOBDepth < minLOBDepth {
 		return nil, fmt.Errorf("core: LOB depth %d words < minimum %d (one framing word plus one worst-case entry)", cfg.LOBDepth, minLOBDepth)
+	}
+	if cfg.LOBDepth > MaxLOBDepth {
+		return nil, fmt.Errorf("core: LOBDepth %d words > maximum %d", cfg.LOBDepth, MaxLOBDepth)
+	}
+	if cfg.RollbackVars > MaxVars {
+		return nil, fmt.Errorf("core: RollbackVars %d > maximum %d", cfg.RollbackVars, MaxVars)
 	}
 	if cfg.CycleBatch < 1 {
 		return nil, fmt.Errorf("core: cycle batch %d < 1 (0 selects the default, 1 disables batching)", cfg.CycleBatch)
@@ -1125,11 +1142,19 @@ func (e *Engine) followUpQuiescent(lagger *Domain, got []Entry, i int) int64 {
 
 // exchangeReport carries a follow-up report (success, or failure at
 // idx, plus the lagger's actual contribution) from lagger to leader
-// and returns it as the leader decodes it. The accounting path
-// accounts the access and hands the values through; a transport takes
-// the codec round trip.
+// and returns it as the leader decodes it. A success report rides on
+// the next access, so it pays its words but no startup; a failure
+// report is an access of its own, because the leader must roll back
+// before it can flush again. The accounting path charges the report
+// and hands the values through; a transport takes the codec round trip
+// either way, since the leader needs the lagger's values before its
+// next cycle.
 func (e *Engine) exchangeReport(lagger *Domain, success bool, idx int, actual amba.PartialState) (bool, int, amba.PartialState, error) {
-	e.ch.Account(dirFrom(lagger.ID()), 1+actual.PackedWords())
+	if words := 1 + actual.PackedWords(); success {
+		e.ch.Carry(dirFrom(lagger.ID()), words)
+	} else {
+		e.ch.Account(dirFrom(lagger.ID()), words)
+	}
 	if e.tr != nil {
 		e.packBuf = packReport(e.packBuf[:0], success, idx, actual)
 		if err := e.tr.Send(dirFrom(lagger.ID()), e.packBuf); err != nil {

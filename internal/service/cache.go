@@ -28,15 +28,22 @@ func newResultCache(max int) *resultCache {
 }
 
 // Get returns the cached result for key, marking it most recently used.
-func (c *resultCache) Get(key string) (*Result, bool) {
+// It counts the lookup as a hit or a miss unless recheck says that the
+// caller already counted one for this key.
+func (c *resultCache) Get(key string, recheck bool) (*Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
-	if !ok {
+	switch {
+	case recheck:
+	case ok:
+		c.hits++
+	default:
 		c.misses++
+	}
+	if !ok {
 		return nil, false
 	}
-	c.hits++
 	c.order.MoveToFront(el)
 	return el.Value.(*cacheEntry).res, true
 }

@@ -260,7 +260,7 @@ func (s *Service) Submit(sp *spec.Spec) (*Job, error) {
 	}
 
 	s.mu.Lock()
-	if job, err, handled := s.submitFastLocked(sp, hash); handled {
+	if job, err, handled := s.submitFastLocked(sp, hash, false); handled {
 		s.mu.Unlock()
 		return job, err
 	}
@@ -271,7 +271,7 @@ func (s *Service) Submit(sp *spec.Spec) (*Job, error) {
 	// is file I/O and must not stall job bookkeeping. The memory layers
 	// are re-checked under the lock afterwards, so whatever landed in
 	// the meantime (a finished duplicate, an in-flight submission)
-	// still wins.
+	// still wins; the re-check does not count a second cache lookup.
 	var stored *Result
 	if probeDisk {
 		rstart := time.Now()
@@ -283,7 +283,7 @@ func (s *Service) Submit(sp *spec.Spec) (*Job, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if job, err, handled := s.submitFastLocked(sp, hash); handled {
+	if job, err, handled := s.submitFastLocked(sp, hash, true); handled {
 		return job, err
 	}
 	if stored != nil {
@@ -307,12 +307,13 @@ func (s *Service) Submit(sp *spec.Spec) (*Job, error) {
 
 // submitFastLocked resolves a submission against the in-memory layers
 // — shutdown state, the result cache, and in-flight duplicates — and
-// reports whether it was handled. Caller holds s.mu.
-func (s *Service) submitFastLocked(sp *spec.Spec, hash string) (*Job, error, bool) {
+// reports whether it was handled. A recheck does not count a cache
+// lookup, so each submission counts one hit or miss. Caller holds s.mu.
+func (s *Service) submitFastLocked(sp *spec.Spec, hash string, recheck bool) (*Job, error, bool) {
 	if s.closed {
 		return nil, ErrClosed, true
 	}
-	if res, ok := s.cache.Get(hash); ok {
+	if res, ok := s.cache.Get(hash, recheck); ok {
 		return s.newCachedJobLocked(sp, hash, res, false), nil, true
 	}
 	if job, ok := s.inflight[hash]; ok {
@@ -373,7 +374,7 @@ func (s *Service) Lookup(hash string) (*Result, bool) {
 		s.mu.Unlock()
 		return nil, false
 	}
-	if res, ok := s.cache.Get(hash); ok {
+	if res, ok := s.cache.Get(hash, false); ok {
 		s.mu.Unlock()
 		return res, true
 	}

@@ -99,6 +99,26 @@ func TestDuplicateServedFromCacheBitIdentical(t *testing.T) {
 	}
 }
 
+// TestCacheCountsOneLookupPerSubmission pins the cache counters to one
+// lookup per submission: Submit re-checks the memory layers after its
+// store probe, and that re-check used to count a second miss.
+func TestCacheCountsOneLookupPerSubmission(t *testing.T) {
+	svc := newTestService(t, Options{Workers: 1})
+	for i, want := range []struct{ hits, misses int64 }{{0, 1}, {1, 1}} {
+		job, err := svc.Submit(testSpec(t, 1000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := job.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if hits, misses, _ := svc.CacheStats(); hits != want.hits || misses != want.misses {
+			t.Fatalf("after submission %d: cache hits %d, misses %d, want %d and %d",
+				i+1, hits, misses, want.hits, want.misses)
+		}
+	}
+}
+
 func TestConcurrentDistinctAndDuplicateSubmissions(t *testing.T) {
 	svc := newTestService(t, Options{Workers: 4})
 	// 4 distinct specs, each submitted 4 times concurrently: every

@@ -279,6 +279,9 @@ func (s *Spec) Validate() error {
 		if m.BusyEvery < 0 || m.Vars < 0 {
 			return fmt.Errorf("spec: master %q: negative busy_every or vars", m.Name)
 		}
+		if m.Vars > core.MaxVars {
+			return fmt.Errorf("spec: master %q: vars %d exceeds the maximum %d", m.Name, m.Vars, core.MaxVars)
+		}
 		k, ok := generatorKinds[m.Generator.Kind]
 		if !ok {
 			return fmt.Errorf("spec: master %q: unknown generator kind %q (have %s)",
@@ -305,6 +308,9 @@ func (s *Spec) Validate() error {
 		if sl.Vars < 0 {
 			return fmt.Errorf("spec: slave %q: negative vars", sl.Name)
 		}
+		if sl.Vars > core.MaxVars {
+			return fmt.Errorf("spec: slave %q: vars %d exceeds the maximum %d", sl.Name, sl.Vars, core.MaxVars)
+		}
 		k, ok := slaveKinds[sl.Kind]
 		if !ok {
 			return fmt.Errorf("spec: slave %q: unknown slave kind %q (have %s)",
@@ -328,6 +334,14 @@ func (s *Spec) Validate() error {
 	}
 	if r.SimSpeed < 0 || r.AccSpeed < 0 || r.LOBDepth < 0 || r.RollbackVars < 0 || r.CycleBatch < 0 {
 		return fmt.Errorf("spec: negative run parameter")
+	}
+	// The engine preallocates its LOB and prices stores per variable:
+	// past these bounds a run would exhaust memory or overflow a charge.
+	if r.LOBDepth > core.MaxLOBDepth {
+		return fmt.Errorf("spec: run.lob_depth %d words exceeds the maximum %d", r.LOBDepth, core.MaxLOBDepth)
+	}
+	if r.RollbackVars > core.MaxVars {
+		return fmt.Errorf("spec: run.rollback_vars %d exceeds the maximum %d", r.RollbackVars, core.MaxVars)
 	}
 	for _, sp := range []struct {
 		field string

@@ -110,6 +110,20 @@ func TestParseRejects(t *testing.T) {
 		{"acc_speed overflows cycle time", func(m map[string]any) {
 			m["run"].(map[string]any)["acc_speed"] = 1e-11
 		}, "acc_speed"},
+		// Values the engine cannot run: a LOB it cannot allocate, a
+		// store price that overflows its time.Duration charge.
+		{"lob_depth exhausts memory", func(m map[string]any) {
+			m["run"].(map[string]any)["lob_depth"] = 2000000000
+		}, "lob_depth"},
+		{"rollback_vars overflows store cost", func(m map[string]any) {
+			m["run"].(map[string]any)["rollback_vars"] = 3e15
+		}, "rollback_vars"},
+		{"master vars overflows store cost", func(m map[string]any) {
+			master0(m)["vars"] = 3e15
+		}, "vars"},
+		{"slave vars overflows store cost", func(m map[string]any) {
+			m["design"].(map[string]any)["slaves"].([]any)[0].(map[string]any)["vars"] = 3e15
+		}, "vars"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
