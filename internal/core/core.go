@@ -13,4 +13,8 @@ package core
 //     wait model, so each wait cycle is counted once.
 //   - 3: a transition's success report rides on the next channel
 //     access: it pays its payload words but no startup.
-const ModelRevision = 3
+//   - 4: the leader predicts remote masters from the AHB protocol: the
+//     INCR rebuild of a burst that lost the grant with beats left, and
+//     the rise of a request line whose last two low runs were equally
+//     long.
+const ModelRevision = 4

@@ -11,9 +11,12 @@ import (
 // remotePredictor composes the paper's §3 predictors into a single
 // predictor of the other domain's per-cycle contribution:
 //
-//   - bus requests and interrupt lines: last-value,
-//   - address/control of a remotely-granted master: burst continuation
-//     (one tracker per remote master),
+//   - bus requests: last-value, plus the scheduled rise of a line whose
+//     last two low runs were equally long (predict.RequestModel),
+//   - interrupt lines: last-value,
+//   - address/control of a remotely-granted master: burst continuation,
+//     including the INCR rebuild of a burst that lost the grant with
+//     beats left (one tracker per remote master),
 //   - responses of a remote active slave: producer-consumer wait model
 //     (one per remote slave, configured with its nominal profile),
 //   - default-slave replies (when owned remotely): a two-cycle ERROR
@@ -39,7 +42,7 @@ type remotePredictor struct {
 	// mispredict on the request-line blip between bursts).
 	coupleReq bool
 
-	req predict.LastValue
+	req predict.RequestModel
 	irq predict.LastValue
 	// trackers/waits are dense slices indexed by global master/slave
 	// number (nil for local components): the per-cycle Predict lookups
@@ -92,6 +95,7 @@ func newRemotePredictor(b *bus.Bus, ownsDefault bool, waitProfiles map[int][2]in
 		trackers:      make([]*predict.BurstTracker, b.Masters()),
 		waits:         make([]*predict.WaitModel, b.Slaves()),
 	}
+	p.req = predict.NewRequestModel(p.remoteReqMask)
 	p.coupleReq = opts.Starts
 	for i := 0; i < b.Masters(); i++ {
 		if !b.MasterLocal(i) {
@@ -140,7 +144,7 @@ func (p *remotePredictor) PredictInto(dst *amba.PartialState) DeclineReason {
 	out := dst
 	*out = amba.PartialState{
 		ReqMask: p.remoteReqMask,
-		Req:     p.req.Predict() & p.remoteReqMask,
+		Req:     p.req.Predict(),
 		IRQMask: p.remoteIRQMask,
 		IRQ:     p.irq.Predict() & p.remoteIRQMask,
 		// HSPLITx lines are pulses; last-value prediction of a raised
@@ -206,13 +210,19 @@ func (p *remotePredictor) PredictInto(dst *amba.PartialState) DeclineReason {
 // merged state of a cycle the domain just committed, both read in
 // place (once per committed cycle; value args showed in profiles).
 func (p *remotePredictor) Observe(full *amba.CycleState, remote *amba.PartialState) {
-	p.req.Observe(remote.Req & p.remoteReqMask)
+	p.req.Observe(remote.Req)
 	p.irq.Observe(remote.IRQ & p.remoteIRQMask)
 
 	// Address-phase progression carries information only on ready
-	// cycles; during wait states the value is held.
+	// cycles; during wait states the value is held. The bus has
+	// already arbitrated, so a grant that moves on a ready cycle cuts
+	// the master's burst.
 	if remote.HasAP && full.Reply.Ready {
-		p.trackers[full.Grant].Observe(remote.AP)
+		t := p.trackers[full.Grant]
+		t.Observe(remote.AP)
+		if p.b.Grant() != full.Grant {
+			t.Cut()
+		}
 	}
 
 	// The bus has already committed, so its DataPhase() now describes
@@ -257,11 +267,12 @@ func (p *remotePredictor) StashDataPhase() {
 // exactly as it is now, provided only idle cycles are observed in the
 // meantime. A data phase in flight or a wait state pins the horizon to
 // 0 (response predictions evolve per cycle); otherwise the only
-// idle-time evolution is the granted remote master's gap model, whose
-// remaining span bounds the horizon. The engine uses this bound both
-// to keep per-cycle leader-choice decisions (and their decline
-// accounting) replicable across a batched stretch and to guarantee a
-// leader's run-ahead predictions stay constant.
+// idle-time evolution is the request model's low-run counters and the
+// granted remote master's gap model, and the nearer of a scheduled
+// request rise and the remaining gap bounds the horizon. The engine
+// uses this bound both to keep per-cycle leader-choice decisions (and
+// their decline accounting) replicable across a batched stretch and to
+// guarantee a leader's run-ahead predictions stay constant.
 func (p *remotePredictor) PredictStableFor() int64 {
 	if v, _, _, _ := p.b.DataPhase(); v {
 		return 0
@@ -269,31 +280,33 @@ func (p *remotePredictor) PredictStableFor() int64 {
 	if p.lastValid && !p.lastFull.Reply.Ready {
 		return 0
 	}
+	h := p.req.IdleStableFor()
 	if t := p.trackers[p.b.Grant()]; t != nil {
-		return t.IdleStableFor()
+		h = min(h, t.IdleStableFor())
 	}
-	return predict.Unbounded
+	return h
 }
 
 // SkipIdle advances the predictor across n committed idle cycles in
 // one step, bit-identically to n Observe calls with the constant idle
-// contribution the stretch repeats: the request/IRQ last-value
-// predictors and the wait models are already at fixed points, the
-// last-seen full state is unchanged, and only the granted remote
-// master's burst tracker accumulates idle time. Callers must have
-// proven the stretch (Domain.QuiescentCycles plus PredictStableFor or
-// an entry-run check) before skipping.
+// contribution the stretch repeats: the IRQ last-value predictor and
+// the wait models are already at fixed points, the last-seen full
+// state is unchanged, and only the request model's low runs and the
+// granted remote master's burst tracker accumulate idle time. Callers
+// must have proven the stretch (Domain.QuiescentCycles plus
+// PredictStableFor or an entry-run check) before skipping.
 func (p *remotePredictor) SkipIdle(n int64) {
+	p.req.SkipIdle(n)
 	if t := p.trackers[p.b.Grant()]; t != nil {
 		t.SkipIdle(n)
 	}
 }
 
-// predictorSnap freezes a remotePredictor. The request/IRQ last-value
-// predictors are stored inline (no boxing); tracker and wait-model
-// state is boxed per slot, with slots recycled across saves.
+// predictorSnap freezes a remotePredictor. The request model and the
+// IRQ last-value predictor are stored inline (no boxing); tracker and
+// wait-model state is boxed per slot, with slots recycled across saves.
 type predictorSnap struct {
-	Req      uint32
+	Req      predict.RequestModel
 	IRQ      uint32
 	Trackers []any
 	Waits    []any
@@ -315,7 +328,7 @@ func (p *remotePredictor) SaveInto(prev any) any {
 			Waits:    make([]any, len(p.waits)),
 		}
 	}
-	s.Req = p.req.Predict()
+	s.Req = p.req
 	s.IRQ = p.irq.Predict()
 	s.DefErr = p.defErr
 	s.LastV = p.lastValid
@@ -340,7 +353,7 @@ func (p *remotePredictor) Restore(v any) {
 	if !ok {
 		panic(fmt.Sprintf("core: predictor: bad snapshot %T", v))
 	}
-	p.req.Observe(s.Req)
+	p.req = s.Req
 	p.irq.Observe(s.IRQ)
 	for i, t := range p.trackers {
 		if t != nil {

@@ -99,3 +99,138 @@ func TestLeaderPredictionPure(t *testing.T) {
 		t.Fatal("no sync point predicted a remote wait state; the check proves little")
 	}
 }
+
+// TestPredictorSnapshotRoundTripsRequestModel: the request model's
+// low-run history lives inline in the predictor snapshot. A restore
+// brings back exactly the saved model, and a recycled save allocates
+// nothing.
+func TestPredictorSnapshotRoundTripsRequestModel(t *testing.T) {
+	b := bus.New("sim")
+	b.AddExternalMaster("a")
+	b.AddMaster(ip.NewTrafficMaster("cpu", workload.NewSequence(), 0))
+	b.AddExternalMaster("c")
+	p := newRemotePredictor(b, true, nil, predictorOptions{})
+	var full amba.CycleState
+	observe := func(req uint32, n int) {
+		for i := 0; i < n; i++ {
+			p.Observe(&full, &amba.PartialState{ReqMask: p.remoteReqMask, Req: req})
+		}
+	}
+	// Line 0 repeats a 4-cycle low run, line 2 a 6-cycle one.
+	for r := 0; r < 3; r++ {
+		observe(0, 4)
+		observe(1<<0, 2)
+		observe(1<<2, 2)
+	}
+	observe(0, 2)
+	want := p.req
+	s := p.SaveInto(nil)
+	observe(1<<0|1<<2, 3)
+	observe(0, 9)
+	if p.req == want {
+		t.Fatal("the observations after the save left the request model unchanged; the check proves little")
+	}
+	p.Restore(s)
+	if p.req != want {
+		t.Fatalf("restored request model %+v, saved %+v", p.req, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s = p.SaveInto(s) }); allocs != 0 {
+		t.Fatalf("recycled predictor save allocates %v times", allocs)
+	}
+}
+
+// fixedGapDesign puts an INCR4 write stream with a fixed gap on the
+// accelerator (master 0, the highest priority) beside a gapless read
+// stream on the simulator, both on zero-wait simulator SRAMs. Under SLA
+// the simulator leads through the stream's gaps, where the only remote
+// signal that moves is the stream's request line.
+func fixedGapDesign(gap int) Design {
+	return Design{
+		Masters: []MasterSpec{
+			{Name: "stream", Domain: AccDomain, NewGen: func() ip.Generator {
+				return workload.NewStream(workload.Window{Lo: 0, Hi: 0x8000}, true,
+					amba.BurstIncr4, amba.Size32, 0, gap, 0)
+			}},
+			{Name: "cpu", Domain: SimDomain, NewGen: func() ip.Generator {
+				return workload.NewStream(workload.Window{Lo: 0x10000, Hi: 0x18000}, false,
+					amba.BurstIncr8, amba.Size32, 0, 0, 0)
+			}},
+		},
+		Slaves: []SlaveSpec{
+			{Name: "buf", Domain: SimDomain, Region: bus.Region{Lo: 0, Hi: 0x8000},
+				New: func() bus.Slave { return ip.NewSRAM("buf") }},
+			{Name: "mem", Domain: SimDomain, Region: bus.Region{Lo: 0x10000, Hi: 0x18000},
+				New: func() bus.Slave { return ip.NewSRAM("mem") }},
+		},
+	}
+}
+
+// TestFixedGapRequestRisePredicted: once the stream has shown its gap
+// twice, the simulator leader predicts every rise of its request line.
+// The engine is driven transition by transition; after a rollback the
+// mispredicted entry is the last one the lagger committed, and its
+// prediction is compared with the lagger's actual contribution.
+func TestFixedGapRequestRisePredicted(t *testing.T) {
+	const cycles = 6000
+	const streamBit = 1 << 0
+	d := fixedGapDesign(5)
+	ref, err := RunReference(d, cycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The stream's third rise ends its second gap (the first ends the
+	// idle stretch before its first burst).
+	learned, rises := int64(-1), 0
+	for k := 1; k < len(ref) && learned < 0; k++ {
+		if ref[k].Req&streamBit != 0 && ref[k-1].Req&streamBit == 0 {
+			if rises++; rises == 3 {
+				learned = int64(k)
+			}
+		}
+	}
+	if learned < 0 {
+		t.Fatal("the stream never rose three times")
+	}
+
+	e, err := NewEngine(d, Config{Mode: SLA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	predictedRises := 0
+	for e.stats.Committed < cycles {
+		leader := e.chooseLeader()
+		if leader == nil {
+			if err := e.conservativeCycle(); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		base, rb := e.stats.Committed, e.stats.Rollbacks
+		n, err := e.transition(leader, cycles-base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := e.lob.Entries()
+		checked := len(entries) - 1 // the final entry carries no prediction
+		if e.stats.Rollbacks > rb {
+			i := int(n) - 1
+			pred, actual := entries[i].Pred, e.laggerOut
+			if pred == actual {
+				t.Fatalf("cycle %d: rolled back on entry %d, whose prediction matches", base+int64(i), i)
+			}
+			if base+int64(i) > learned && (pred.Req^actual.Req)&streamBit != 0 {
+				t.Fatalf("cycle %d (stream gap learned by cycle %d): predicted request %#x, stream drove %#x",
+					base+int64(i), learned, pred.Req, actual.Req)
+			}
+			checked = i
+		}
+		for j := 1; j < checked; j++ {
+			if entries[j].Pred.Req&streamBit != 0 && entries[j-1].Pred.Req&streamBit == 0 {
+				predictedRises++
+			}
+		}
+	}
+	if predictedRises < 50 {
+		t.Fatalf("only %d request rises were predicted inside a run-ahead; the check proves little", predictedRises)
+	}
+}

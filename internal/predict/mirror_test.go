@@ -3,11 +3,14 @@ package predict_test
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"coemu/internal/amba"
+	"coemu/internal/bus"
 	"coemu/internal/ip"
 	"coemu/internal/predict"
+	"coemu/internal/workload"
 )
 
 // The wait model is the leader's copy of a remote memory slave's wait
@@ -104,5 +107,170 @@ func FuzzWaitModelMirror(f *testing.F) {
 			sched = append(sched, xfer{burst: bursts[c&3], write: c&4 != 0, gap: int(c>>3) & 3})
 		}
 		checkMirror(t, first, next, sched)
+	})
+}
+
+// A master that loses the grant with beats left rebuilds the remainder
+// on its next grant. These tests drive an ip.TrafficMaster through its
+// bus.Master methods, exactly as the bus does, next to a BurstTracker
+// fed the way the leader's predictor feeds it: Observe on ready cycles
+// while the master is granted, and Cut when the grant then moves away.
+
+// rebuildCounts tallies the cycles a rebuild mirror checked.
+type rebuildCounts struct {
+	regrants int // first beats of a rebuilt remainder
+	wraps    int // fresh NONSEQs at a rebuilt WRAP burst's wrap point
+	beats    int // every beat of a rebuilt remainder, the above included
+}
+
+// checkRebuildMirror runs a master fed xfers (all OKAY, no BUSY) under
+// sched, one letter per cycle: 'g' is a ready cycle after which the
+// master is granted, 'x' a ready cycle after which it is not, and 'w' a
+// wait state (a ready cycle that keeps the grant when no beat is in the
+// data phase). On every cycle Predict must give the same answer twice
+// and leave the tracker's saved state unchanged; on the regrant cycle
+// and on each beat of a rebuilt remainder it must confidently predict
+// the master's address phase.
+func checkRebuildMirror(t testing.TB, tr *predict.BurstTracker, xfers []ip.Xfer, sched string) rebuildCounts {
+	t.Helper()
+	m := ip.NewTrafficMaster("m", workload.NewSequence(xfers...), 0)
+	var n rebuildCounts
+	granted, lastReady, dataValid := false, true, false
+	// The test's own account of the master: transfer xi has issued
+	// beats, and was cut with beats left (rebuilding); regrant marks
+	// the first beat after a cut.
+	xi, issued, rebuilding, regrant := 0, 0, false, false
+	for cycle, c := range sched {
+		before := tr.SaveInto(nil)
+		pred, ok := tr.Predict()
+		if again, okAgain := tr.Predict(); again != pred || okAgain != ok {
+			t.Fatalf("cycle %d: Predict gave %v (%v), then %v (%v)", cycle, pred, ok, again, okAgain)
+		}
+		if after := tr.SaveInto(nil); !reflect.DeepEqual(before, after) {
+			t.Fatalf("cycle %d: Predict moved the tracker state from %+v to %+v", cycle, before, after)
+		}
+
+		var d bus.MasterDrive
+		m.Drive(&d)
+		if granted && lastReady && rebuilding {
+			if !ok || pred != d.AP {
+				t.Fatalf("cycle %d of %q, transfer %d beat %d: predicted %v (confident %v), master drove %v",
+					cycle, sched, xi, issued, pred, ok, d.AP)
+			}
+			n.beats++
+			switch {
+			case regrant:
+				n.regrants++
+				regrant = false
+			case d.AP.Trans == amba.TransNonSeq:
+				n.wraps++
+			}
+		}
+
+		ready := c != 'w' || !dataValid
+		grantNext := granted
+		if c != 'w' {
+			grantNext = c == 'g'
+		}
+		m.Commit(bus.MasterFeedback{Granted: granted, GrantNext: grantNext, Ready: ready, OwnsData: dataValid, Resp: amba.RespOkay})
+		if granted && ready {
+			tr.Observe(d.AP)
+			if !grantNext {
+				tr.Cut()
+			}
+		}
+
+		if ready {
+			dataValid = granted && d.AP.Trans.Active()
+			if dataValid {
+				if issued++; issued == xfers[xi].Beats() {
+					xi, issued, rebuilding, regrant = xi+1, 0, false, false
+				}
+			}
+			if granted && !grantNext && issued > 0 {
+				rebuilding, regrant = true, true
+			}
+		}
+		lastReady = ready
+		granted = grantNext
+	}
+	return n
+}
+
+// rebuildBursts are the burst types a rebuild can cut: every
+// multi-beat type of the AHB protocol.
+var rebuildBursts = [...]amba.Burst{
+	amba.BurstIncr, amba.BurstIncr4, amba.BurstIncr8, amba.BurstIncr16,
+	amba.BurstWrap4, amba.BurstWrap8, amba.BurstWrap16,
+}
+
+// TestBurstRebuildMirror cuts one burst of each type twice, with wait
+// states around the cuts: after its first beat, and after the second
+// beat of the rebuilt remainder. Each WRAP burst starts two beats below
+// its wrap boundary, so the remainder reaches the wrap point on its
+// second beat.
+func TestBurstRebuildMirror(t *testing.T) {
+	sched := "gxwxxggxwxg" + strings.Repeat("g", 24)
+	for _, burst := range rebuildBursts {
+		for _, write := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/write=%v", burst, write), func(t *testing.T) {
+				x := ip.Xfer{Addr: 0x1000, Write: write, Size: amba.Size32, Burst: burst, Len: 9}
+				if burst.Wrapping() {
+					x.Addr += amba.Addr(amba.WrapBoundaryBytes(burst, amba.Size32) - 2*4)
+				}
+				n := checkRebuildMirror(t, &predict.BurstTracker{}, []ip.Xfer{x, x}, sched)
+				if n.regrants != 2 {
+					t.Fatalf("%d regrant cycles checked, want 2 (%+v)", n.regrants, n)
+				}
+				if burst.Wrapping() && n.wraps != 1 {
+					t.Fatalf("%d wrap points checked, want 1 (%+v)", n.wraps, n)
+				}
+				if want := x.Beats() - 1; n.beats != want {
+					t.Fatalf("%d rebuilt beats checked, want %d (%+v)", n.beats, want, n)
+				}
+			})
+		}
+	}
+}
+
+// FuzzBurstRebuildMirror decodes tracker extensions, a transfer list
+// and a grant/wait schedule from the fuzzer's bytes and runs the
+// rebuild mirror over them.
+func FuzzBurstRebuildMirror(f *testing.F) {
+	f.Add([]byte{0, 4, 0x00, 0x41, 0x24, 0x10, 0x63, 0x08, 0x05, 0x00, 0x36, 0xe2, 0x2d, 0x18, 0x00})
+	f.Add([]byte{2, 1, 0x1d, 0x2c, 0x6c, 0xc9, 0x26, 0x91, 0x00})
+	f.Add([]byte{3, 2, 0x16, 0xf0, 0x3a, 0x00, 0x94, 0x55, 0x2b, 0x00, 0x00})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) < 2 {
+			return
+		}
+		tr := &predict.BurstTracker{PredictIdle: b[0]&1 != 0, PredictStarts: b[0]&2 != 0}
+		nx := 1 + int(b[1]%4)
+		b = b[2:]
+		if len(b) < 2*nx {
+			return
+		}
+		xfers := make([]ip.Xfer, nx)
+		for i := range xfers {
+			c0, c1 := b[2*i], b[2*i+1]
+			xfers[i] = ip.Xfer{
+				Addr:  0x1000 + amba.Addr(c0>>3)*4,
+				Write: c1&1 != 0,
+				Size:  amba.Size32,
+				Burst: rebuildBursts[int(c0)%len(rebuildBursts)],
+				Len:   1 + int(c1>>3)&15,
+				Gap:   int(c1>>1) & 3,
+			}
+		}
+		// Two bits per cycle: mostly granted, with grant losses and
+		// wait states.
+		letters := [4]byte{'g', 'g', 'x', 'w'}
+		var sched []byte
+		for _, c := range b[2*nx:] {
+			for k := 0; k < 4; k++ {
+				sched = append(sched, letters[(c>>(2*k))&3])
+			}
+		}
+		checkRebuildMirror(t, tr, xfers, string(sched))
 	})
 }

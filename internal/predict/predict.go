@@ -2,10 +2,14 @@
 //
 //   - address/control of the active bus master: burst continuation
 //     ("their values either increase linearly over time or remain
-//     constant throughout a single burst transaction"),
+//     constant throughout a single burst transaction"), including the
+//     INCR remainder a master rebuilds after losing the grant mid-burst,
 //   - responses of the active bus slave: a producer-consumer wait-state
 //     model,
-//   - arbitration requests and interrupt lines: last-value prediction,
+//   - arbitration requests: last-value prediction, plus the rise of a
+//     line whose last two low runs were equally long (a master that
+//     requests the bus after a fixed gap),
+//   - interrupt lines: last-value prediction,
 //
 // plus a fault injector used by the evaluation harness to pin prediction
 // accuracy to an exact probability, the way the paper's Table 2 and
@@ -22,6 +26,7 @@ package predict
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"coemu/internal/amba"
 	"coemu/internal/rng"
@@ -67,11 +72,128 @@ func (l *LastValue) Restore(s any) {
 	l.v = *v
 }
 
+// RequestModel predicts the bus-request lines (HBUSREQx) of the masters
+// in mask. A line is predicted as its last value, except that a low
+// line is predicted to rise once it has been low exactly as long as
+// each of its last two completed low runs, when those two were equally
+// long: a master that requests the bus after a fixed gap rises on a
+// schedule. A line whose rise does not come falls back to its last
+// value. The counters saturate, and a saturated run is never trusted.
+// All state is a value, so a struct copy is a snapshot.
+type RequestModel struct {
+	mask uint32
+	st   reqState
+}
+
+type reqState struct {
+	Last  uint32 // last observed value of every modeled line
+	Lines [amba.MaxMasters]reqLine
+}
+
+// reqLine is one line's low-run history, in observed cycles.
+type reqLine struct {
+	Low       uint32 // length of the current low run (0 while high)
+	Run, Prev uint32 // the last two completed low runs (0 = none yet)
+}
+
+// runSat is the saturation value of the low-run counters.
+const runSat = math.MaxUint32
+
+// NewRequestModel creates a model of the request lines in mask (bit i
+// is master i's HBUSREQ).
+func NewRequestModel(mask uint32) RequestModel {
+	return RequestModel{mask: mask & (1<<amba.MaxMasters - 1)}
+}
+
+// period returns the low-run length the line repeats, or 0 when its
+// last two runs do not agree.
+func (l *reqLine) period() uint32 {
+	if l.Run == l.Prev && l.Run != runSat {
+		return l.Run
+	}
+	return 0
+}
+
+// Predict returns the predicted request lines. It is pure.
+func (r *RequestModel) Predict() uint32 {
+	v := r.st.Last
+	for m := r.mask &^ v; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		if l := &r.st.Lines[i]; l.Low != 0 && l.Low == l.period() {
+			v |= 1 << uint(i)
+		}
+	}
+	return v
+}
+
+// Observe records the lines' actual value for one cycle.
+func (r *RequestModel) Observe(v uint32) {
+	v &= r.mask
+	for m := r.mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		l := &r.st.Lines[i]
+		switch {
+		case v&(1<<uint(i)) == 0:
+			if l.Low < runSat {
+				l.Low++
+			}
+		case l.Low != 0: // a rise completes the low run
+			l.Prev, l.Run, l.Low = l.Run, l.Low, 0
+		}
+	}
+	r.st.Last = v
+}
+
+// IdleStableFor reports for how many further cycles with every line
+// observed low Predict is guaranteed not to change: until the earliest
+// scheduled rise, 0 at it or while a line is high (a low observation
+// changes it), and Unbounded when no rise is scheduled.
+func (r *RequestModel) IdleStableFor() int64 {
+	if r.st.Last != 0 {
+		return 0
+	}
+	h := Unbounded
+	for m := r.mask; m != 0; m &= m - 1 {
+		l := &r.st.Lines[bits.TrailingZeros32(m)]
+		p := l.period()
+		switch {
+		case p == 0 || l.Low > p:
+		case l.Low == p:
+			return 0
+		case int64(p-l.Low) < h:
+			h = int64(p - l.Low)
+		}
+	}
+	return h
+}
+
+// SkipIdle applies n observations with every line low in one step,
+// bit-identically to n Observe(0) calls.
+func (r *RequestModel) SkipIdle(n int64) {
+	for m := r.mask; m != 0; m &= m - 1 {
+		l := &r.st.Lines[bits.TrailingZeros32(m)]
+		if n >= int64(runSat-l.Low) {
+			l.Low = runSat
+		} else {
+			l.Low += uint32(n)
+		}
+	}
+	r.st.Last = 0
+}
+
 // BurstTracker predicts the address/control signals of a remote bus
 // master by extrapolating its current burst. A prediction is only
 // offered mid-burst; at burst boundaries the tracker declines (the
 // start-of-burst values must genuinely cross the channel) — unless the
 // extensions below are enabled.
+//
+// A master that loses the grant with beats left rebuilds the remainder
+// when it is granted again (ip.TrafficMaster's restart): an INCR burst
+// that opens with a NONSEQ at the next beat's address, follows the
+// original burst's addresses and keeps its beat count, and takes a
+// fresh NONSEQ at a WRAP burst's wrap point. The caller reports the
+// grant loss with Cut; the tracker then predicts the rebuild and treats
+// it as the same burst.
 //
 // Extensions beyond the paper:
 //
@@ -94,6 +216,14 @@ type burstState struct {
 	Valid     bool
 	Last      amba.AddrPhase
 	Remaining int // beats after Last; -1 = INCR (unbounded)
+	// Seq is the burst whose address sequence the beats follow: the
+	// burst's own type, kept through a rebuild that drives INCR.
+	Seq amba.Burst
+	// Cut: the burst lost the grant with beats left, so its next beat
+	// is the NONSEQ that rebuilds the remainder.
+	Cut bool
+	// Rebuilt: the burst's remainder is being reissued as INCR.
+	Rebuilt bool
 
 	// Stride extrapolation over burst starts.
 	LastStart amba.AddrPhase
@@ -115,6 +245,15 @@ type burstState struct {
 func (t *BurstTracker) Observe(ap amba.AddrPhase) {
 	switch ap.Trans {
 	case amba.TransNonSeq:
+		if (t.st.Cut || t.st.Rebuilt) && t.midBurst() && ap == t.nextBeat() {
+			// The rebuild of a cut burst, or its fresh NONSEQ at a wrap
+			// point: the same burst goes on.
+			t.st.Rebuilt = true
+			t.advance(ap)
+			return
+		}
+		t.st.Cut, t.st.Rebuilt = false, false
+		t.st.Seq = ap.Burst
 		t.st.Valid = true
 		t.st.Last = ap
 		if beats := ap.Burst.Beats(); beats > 0 {
@@ -141,26 +280,66 @@ func (t *BurstTracker) Observe(ap amba.AddrPhase) {
 			t.st.Ended = true
 		}
 	case amba.TransSeq:
-		t.st.Last = ap
-		if t.st.Remaining > 0 {
-			t.st.Remaining--
-		}
-		if t.st.Remaining == 0 {
-			t.st.Ended = true
-			t.st.IdleRun = 0
-		}
+		t.advance(ap)
 	case amba.TransBusy:
 		// The burst is paused; nothing advances.
 	case amba.TransIdle:
 		t.st.Valid = false
+		t.st.Cut, t.st.Rebuilt = false, false
 		if t.st.Ended {
 			t.st.IdleRun++
 		}
 	}
 }
 
+// advance records ap as the burst's next beat.
+func (t *BurstTracker) advance(ap amba.AddrPhase) {
+	t.st.Cut = false
+	t.st.Last = ap
+	if t.st.Remaining > 0 {
+		t.st.Remaining--
+	}
+	if t.st.Remaining == 0 {
+		t.st.Ended = true
+		t.st.IdleRun = 0
+	}
+}
+
+// midBurst reports whether the tracked burst has beats left.
+func (t *BurstTracker) midBurst() bool {
+	return t.st.Valid && t.st.Last.Trans.Active() && t.st.Remaining != 0
+}
+
+// nextBeat returns the beat that follows Last in a burst with beats
+// left.
+func (t *BurstTracker) nextBeat() amba.AddrPhase {
+	next := t.st.Last
+	next.Addr = amba.NextAddr(next.Addr, next.Size, t.st.Seq)
+	switch {
+	case t.st.Cut:
+		next.Trans = amba.TransNonSeq
+		next.Burst = amba.BurstIncr
+	case t.st.Rebuilt && next.Addr != t.st.Last.Addr+amba.Addr(next.Size.Bytes()):
+		next.Trans = amba.TransNonSeq // a WRAP burst's wrap point
+	default:
+		next.Trans = amba.TransSeq
+	}
+	return next
+}
+
+// Cut reports that the tracked master lost the grant on the ready cycle
+// just observed. A burst with beats left is rebuilt on the next grant,
+// which Predict then offers.
+func (t *BurstTracker) Cut() {
+	if t.midBurst() {
+		t.st.Cut = true
+	}
+}
+
 // Predict returns the predicted next address phase and whether a
-// confident prediction exists. Mid-burst it predicts the SEQ successor.
+// confident prediction exists. Mid-burst it predicts the SEQ successor,
+// or the NONSEQ that rebuilds a cut burst or restarts a rebuilt one at
+// its wrap point.
 // After the final beat of a fixed-length burst it predicts the next
 // burst start by stride (when PredictStarts is enabled and a stride is
 // known) or IDLE. With no burst context it predicts IDLE continuation
@@ -204,10 +383,7 @@ func (t *BurstTracker) Predict() (amba.AddrPhase, bool) {
 		}
 		return amba.AddrPhase{}, true
 	}
-	next := t.st.Last
-	next.Trans = amba.TransSeq
-	next.Addr = amba.NextAddr(next.Addr, next.Size, next.Burst)
-	return next, true
+	return t.nextBeat(), true
 }
 
 // IdleStableFor reports for how many further idle-observed cycles the
@@ -238,6 +414,7 @@ func (t *BurstTracker) IdleStableFor() int64 {
 // batching; callers single-step the cycle that wakes the master.
 func (t *BurstTracker) SkipIdle(n int64) {
 	t.st.Valid = false
+	t.st.Cut, t.st.Rebuilt = false, false
 	if t.st.Ended {
 		t.st.IdleRun += int(n)
 	}

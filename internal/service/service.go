@@ -670,13 +670,7 @@ func (j *Job) Info() Info {
 // client abandons the job and no other waiter remains, the job is
 // canceled — the engine run stops within one domain cycle.
 func (j *Job) Wait(ctx context.Context) (*Result, error) {
-	j.svc.mu.Lock()
-	j.waiters++
-	if j.pendingRefs > 0 {
-		// Inherit the reference the Submit took for us.
-		j.pendingRefs--
-	}
-	j.svc.mu.Unlock()
+	j.hold()
 	defer j.release()
 
 	select {
@@ -689,6 +683,17 @@ func (j *Job) Wait(ctx context.Context) (*Result, error) {
 	}
 }
 
+// hold takes a waiter reference, inheriting the one the caller's
+// Submit took.
+func (j *Job) hold() {
+	j.svc.mu.Lock()
+	j.waiters++
+	if j.pendingRefs > 0 {
+		j.pendingRefs--
+	}
+	j.svc.mu.Unlock()
+}
+
 // release drops one waiter reference, canceling an abandoned job.
 func (j *Job) release() {
 	j.svc.mu.Lock()
@@ -698,4 +703,22 @@ func (j *Job) release() {
 	if abandon {
 		j.cancel()
 	}
+}
+
+// drop is a Wait that gives up at once, canceling the job if no other
+// client holds it. The caller must not Wait afterwards.
+func (j *Job) drop() {
+	j.hold()
+	j.release()
+}
+
+// outcome returns a dropped job's result: its own once it has
+// finished, otherwise err.
+func (j *Job) outcome(err error) (*Result, error) {
+	j.svc.mu.Lock()
+	defer j.svc.mu.Unlock()
+	if j.finished {
+		return j.result, j.err
+	}
+	return nil, err
 }

@@ -79,9 +79,10 @@ func (sw *SweepJob) Results() <-chan PointResult { return sw.results }
 
 // run submits every point, then waits them out in order. Submission is
 // eager so up to Workers points run concurrently; waiting in order
-// keeps Results deterministic. On ctx cancellation the remaining
-// points are still waited (each Wait returns immediately) so every
-// reference is released and unshared runs cancel.
+// keeps Results deterministic. On ctx cancellation every point not yet
+// waited is released at once, the last point first: released in point
+// order, a worker freed by one canceled point could dequeue the next
+// before its release landed and start its engine.
 func (sw *SweepJob) run(ctx context.Context, points []*spec.Spec) {
 	defer close(sw.results)
 
@@ -93,11 +94,25 @@ func (sw *SweepJob) run(ctx context.Context, points []*spec.Spec) {
 		jobs[i], errs[i] = sw.submitPoint(ctx, sp)
 	}
 
+	canceled := false
 	for i := range points {
 		pr := PointResult{Index: i, Name: points[i].Name, Err: errs[i]}
 		if job := jobs[i]; job != nil {
 			pr.Hash = job.Hash()
-			pr.Result, pr.Err = job.Wait(ctx)
+			if !canceled {
+				select {
+				case <-job.done:
+					job.drop()
+				case <-ctx.Done():
+					for k := len(jobs) - 1; k >= i; k-- {
+						if jobs[k] != nil {
+							jobs[k].drop()
+						}
+					}
+					canceled = true
+				}
+			}
+			pr.Result, pr.Err = job.outcome(ctx.Err())
 			info := job.Info()
 			pr.Cached, pr.FromStore = info.Cached, info.FromStore
 			sw.svc.opts.Metrics.observeSweepPoint(time.Since(submitted[i]))

@@ -138,6 +138,12 @@ func TestSweepCancellationAbandonsPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for deadline := time.Now().Add(10 * time.Second); svc.Counters().EngineRuns == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the first point never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	time.Sleep(30 * time.Millisecond)
 	cancel()
 	results := collect(t, sw)
@@ -148,6 +154,11 @@ func TestSweepCancellationAbandonsPoints(t *testing.T) {
 		if pr.Err == nil {
 			t.Fatalf("point %d completed despite cancellation", i)
 		}
+	}
+	// The queued points were released before the running one, so the
+	// worker it frees finds them canceled and starts no engine.
+	if n := svc.Counters().EngineRuns; n != 1 {
+		t.Fatalf("%d engine runs once the results are in, want 1 (a canceled point started its engine)", n)
 	}
 	// Every abandoned point must stop: a short run submitted now gets
 	// the single worker only once the running point has canceled and
@@ -164,6 +175,9 @@ func TestSweepCancellationAbandonsPoints(t *testing.T) {
 	}
 	if res.Report.Cycles != 1000 {
 		t.Fatalf("short run committed %d cycles", res.Report.Cycles)
+	}
+	if n := svc.Counters().EngineRuns; n != 2 {
+		t.Fatalf("%d engine runs after the short run, want 2", n)
 	}
 }
 
