@@ -160,7 +160,7 @@ func TestBatchSweepBitIdenticalUnderInjectedFaults(t *testing.T) {
 func TestBatchSweepBitIdenticalUnderAdaptiveGovernor(t *testing.T) {
 	const cycles = 50000
 	cfgFor := func(k int) coemu.Config {
-		return coemu.Config{Mode: coemu.ALS, PredictIdle: true, Adaptive: true,
+		return coemu.Config{Mode: coemu.ALS, Adaptive: true,
 			Accuracy: 0.5, FaultSeed: 9, CycleBatch: k}
 	}
 	want, wantRep := runDesign(t, gappedStreamDesign(48), cfgFor(1), cycles)

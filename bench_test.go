@@ -272,7 +272,7 @@ func BenchmarkHeadlineAnalytic(b *testing.B) {
 
 // readStreamDesign puts the master in the simulator reading from an
 // accelerator memory, the topology where remote address-phase
-// prediction (and its extensions) is on the critical path.
+// prediction is on the critical path.
 func readStreamDesign() coemu.Design {
 	return coemu.Design{
 		Masters: []coemu.MasterSpec{{
@@ -292,27 +292,15 @@ func readStreamDesign() coemu.Design {
 	}
 }
 
-// BenchmarkAblation quantifies the design choices beyond the paper that
-// ARCHITECTURE.md lists under "The paper's contribution": the
-// prediction extensions (idle continuation, stride-predicted burst
-// starts) and the adaptive mode governor.
+// BenchmarkAblation quantifies the design choice beyond the paper that
+// ARCHITECTURE.md lists under "The paper's contribution": the adaptive
+// mode governor, next to the paper's own ALS predictors on a read
+// stream.
 func BenchmarkAblation(b *testing.B) {
 	d := readStreamDesign()
-	conv := conventionalPerf(b, d)
-	cases := []struct {
-		name string
-		cfg  coemu.Config
-	}{
-		{"als-paper", coemu.Config{Mode: coemu.ALS}},
-		{"als+predict-idle", coemu.Config{Mode: coemu.ALS, PredictIdle: true}},
-		{"als+predict-starts", coemu.Config{Mode: coemu.ALS, PredictBurstStarts: true}},
-		{"als+both", coemu.Config{Mode: coemu.ALS, PredictIdle: true, PredictBurstStarts: true}},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			runModeled(b, d, c.cfg, conv)
-		})
-	}
+	b.Run("als-paper", func(b *testing.B) {
+		runModeled(b, d, coemu.Config{Mode: coemu.ALS}, conventionalPerf(b, d))
+	})
 	// Governor ablation at hostile accuracy: plain ALS drops below the
 	// conventional baseline; the governor holds the floor near it.
 	ds := streamDesign()

@@ -55,8 +55,6 @@ func main() {
 	accuracy := flag.Float64("accuracy", 1, "pinned prediction accuracy (1 = organic)")
 	seed := flag.Uint64("seed", 1, "workload / fault seed")
 	vars := flag.Int("vars", 0, "rollback variable override (0 = actual)")
-	predictIdle := flag.Bool("predict-idle", false, "extension: predict idle continuation of remote masters")
-	predictStarts := flag.Bool("predict-starts", false, "extension: predict burst starts by stride")
 	adaptive := flag.Bool("adaptive", false, "extension: adaptive conservative fallback governor")
 	specPath := flag.String("spec", "", "run a declarative JSON spec file (ignores the scenario flags)")
 	remoteDomain := flag.String("remote-domain", "", "dial a `coemud -domain-serve` accelerator-domain host at this TCP address and run -spec cross-process")
@@ -151,10 +149,7 @@ func main() {
 	cfg := coemu.Config{
 		Mode: m, SimSpeed: *simSpeed, AccSpeed: *accSpeed,
 		LOBDepth: *lob, Accuracy: *accuracy, FaultSeed: *seed,
-		RollbackVars: *vars,
-		PredictIdle:  *predictIdle, PredictBurstStarts: *predictStarts,
-		Adaptive: *adaptive,
-		Tracer:   rec,
+		RollbackVars: *vars, Adaptive: *adaptive, Tracer: rec,
 	}
 	rep, err := coemu.Run(design, cfg, *cycles)
 	if err != nil {

@@ -357,6 +357,14 @@ func TestUnrunnableSpecRejected(t *testing.T) {
 	if code != http.StatusBadRequest || !strings.Contains(string(body), "exceeds the maximum") {
 		t.Fatalf("sweep with lob_depth 2000000000: status %d: %s", code, body)
 	}
+	// No spec can keep the merged trace: it would grow by one record
+	// per committed cycle, so the cycle budget would size the daemon's
+	// memory.
+	run = strings.Replace(specJSON(200), `"cycles": 200`, `"cycles": 200, "keep_trace": true`, 1)
+	code, body = post(t, ts.URL+"/v1/run", run)
+	if code != http.StatusBadRequest || !strings.Contains(string(body), "keep_trace") {
+		t.Fatalf("run with keep_trace: status %d: %s", code, body)
+	}
 	if code, body := get(t, ts.URL+"/v1/healthz"); code != http.StatusOK {
 		t.Fatalf("healthz after the rejected posts: status %d: %s", code, body)
 	}

@@ -163,31 +163,3 @@ func TestPublicComponentConstructors(t *testing.T) {
 		t.Fatal("generator constructor returned nil")
 	}
 }
-
-func TestPublicExtensions(t *testing.T) {
-	d := coemu.Design{
-		Masters: []coemu.MasterSpec{{
-			Name: "rdr", Domain: coemu.SimDomain,
-			NewGen: func() coemu.Generator {
-				return coemu.NewStream(coemu.Window{Lo: 0, Hi: 0x8000}, false,
-					coemu.BurstIncr8, coemu.Size32, 0, 0, 0)
-			},
-		}},
-		Slaves: []coemu.SlaveSpec{{
-			Name: "mem", Domain: coemu.AccDomain,
-			Region: coemu.Region{Lo: 0, Hi: 0x10000},
-			New:    func() coemu.Slave { return coemu.NewSRAM("mem") },
-		}},
-	}
-	base, err := coemu.Run(d, coemu.Config{Mode: coemu.ALS}, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext, err := coemu.Run(d, coemu.Config{Mode: coemu.ALS, PredictBurstStarts: true}, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ext.Perf() <= base.Perf() {
-		t.Fatalf("stride extension did not help: %.0f vs %.0f", ext.Perf(), base.Perf())
-	}
-}

@@ -516,75 +516,14 @@ func TestEquivalenceAllModesManySeeds(t *testing.T) {
 	}
 }
 
-// --- extensions ---------------------------------------------------------
-
-// readStreamDesign puts the master in the simulator reading from an
-// accelerator memory: in ALS the leading accelerator must predict the
-// *remote* master's address phase, which is where the burst tracker and
-// its extensions act.
-func readStreamDesign(gap int) Design {
-	return Design{
-		Masters: []MasterSpec{{
-			Name: "rdr", Domain: SimDomain,
-			NewGen: func() ip.Generator {
-				return workload.NewStream(workload.Window{Lo: 0, Hi: 0x4000}, false,
-					amba.BurstIncr8, amba.Size32, 0, gap, 0)
-			},
-		}},
-		Slaves: []SlaveSpec{{
-			Name: "mem", Domain: AccDomain,
-			Region: bus.Region{Lo: 0, Hi: 0x8000},
-			New:    func() bus.Slave { return ip.NewSRAM("mem") },
-		}},
-	}
-}
-
-func TestPredictBurstStartsExtendsTransitions(t *testing.T) {
-	d := readStreamDesign(0)
-	base := runBoth(t, d, Config{Mode: ALS}, 600)
-	ext := runBoth(t, d, Config{Mode: ALS, PredictBurstStarts: true}, 600)
-	// Transitions stay LOB-bound either way; the stride win is that the
-	// burst-boundary prediction is now right, eliminating the rollback
-	// that base pays roughly once per burst.
-	if base.Stats.Rollbacks == 0 {
-		t.Fatal("baseline should roll back at burst boundaries (IDLE predicted, NONSEQ driven)")
-	}
-	if ext.Stats.Rollbacks >= base.Stats.Rollbacks {
-		t.Fatalf("stride prediction did not cut burst-boundary rollbacks: %d vs %d",
-			ext.Stats.Rollbacks, base.Stats.Rollbacks)
-	}
-	if ext.Perf() <= base.Perf() {
-		t.Fatalf("stride prediction did not improve performance: %.0f vs %.0f cyc/s",
-			ext.Perf(), base.Perf())
-	}
-}
-
-func TestPredictIdleCrossesGaps(t *testing.T) {
-	// A gappy read stream: without idle prediction the leader declines
-	// at every idle stretch of the remote master; with it the idle
-	// cycles ride the run-ahead.
-	d := readStreamDesign(5)
-	base := runBoth(t, d, Config{Mode: ALS}, 600)
-	ext := runBoth(t, d, Config{Mode: ALS, PredictIdle: true}, 600)
-	if ext.Stats.RunAheadCycles <= base.Stats.RunAheadCycles {
-		t.Fatalf("idle prediction did not extend run-ahead: %d vs %d",
-			ext.Stats.RunAheadCycles, base.Stats.RunAheadCycles)
-	}
-	// Waking from idle costs rollbacks; they must not break equivalence
-	// (runBoth already checked) and must actually occur.
-	if ext.Stats.Mispredicts == 0 {
-		t.Fatal("idle prediction across burst starts must mispredict sometimes")
-	}
-}
+// --- adaptive governor ---------------------------------------------------
 
 func TestExtensionsEquivalenceMatrix(t *testing.T) {
 	for _, seed := range []uint64{3, 9} {
 		d := duplexDesign(seed)
 		for _, cfg := range []Config{
-			{Mode: Auto, PredictIdle: true},
-			{Mode: Auto, PredictBurstStarts: true},
-			{Mode: Auto, PredictIdle: true, PredictBurstStarts: true},
-			{Mode: Auto, PredictIdle: true, PredictBurstStarts: true, Adaptive: true},
+			{Mode: Auto},
+			{Mode: Auto, Adaptive: true},
 		} {
 			runBoth(t, d, cfg, 500)
 		}
@@ -620,23 +559,6 @@ func TestAdaptiveGovernorLimitsLowAccuracyLoss(t *testing.T) {
 	if good.Perf() < 0.95*ref.Perf() {
 		t.Fatalf("governor throttled a healthy run: %.0f vs %.0f", good.Perf(), ref.Perf())
 	}
-}
-
-func TestPaperStrictTransitions(t *testing.T) {
-	d := streamDesign(AccDomain, SimDomain, 0, 0)
-	strict := runBoth(t, d, Config{Mode: ALS, PaperStrictTransitions: true}, 600)
-	loose := runBoth(t, d, Config{Mode: ALS}, 600)
-	// Every strict transition opens with a conservative cycle.
-	if strict.Stats.ConservativeCycles < strict.Stats.Transitions {
-		t.Fatalf("strict mode: %d conservative cycles for %d transitions",
-			strict.Stats.ConservativeCycles, strict.Stats.Transitions)
-	}
-	// The extra cycle per transition costs performance but nothing else.
-	if strict.Perf() >= loose.Perf() {
-		t.Fatalf("strict %.0f should be slower than loose %.0f", strict.Perf(), loose.Perf())
-	}
-	// Under fault injection the strict path must stay equivalent too.
-	runBoth(t, d, Config{Mode: ALS, PaperStrictTransitions: true, Accuracy: 0.6, FaultSeed: 5}, 500)
 }
 
 // TestDESMatchesAnalyticConventional cross-validates the executable

@@ -51,7 +51,7 @@ type Domain struct {
 
 // buildDomain constructs one half of the split system. leads reports
 // whether the engine's mode ever lets the domain lead.
-func buildDomain(d Design, id DomainID, cycleCost time.Duration, costModel rollback.CostModel, opts predictorOptions, leads bool) *Domain {
+func buildDomain(d Design, id DomainID, cycleCost time.Duration, costModel rollback.CostModel, leads bool) *Domain {
 	dom := &Domain{
 		id:        id,
 		bus:       bus.New(id.String()),
@@ -116,7 +116,7 @@ func buildDomain(d Design, id DomainID, cycleCost time.Duration, costModel rollb
 		}
 	}
 
-	dom.pred = newRemotePredictor(dom.bus, d.OwnsDefault == id, waitProfiles, opts)
+	dom.pred = newRemotePredictor(dom.bus, d.OwnsDefault == id, waitProfiles)
 	dom.pred.setRemoteIRQMask(remoteIRQ)
 	if remoteSplit {
 		dom.pred.setRemoteSplitMask((1 << uint(dom.bus.Masters())) - 1)
@@ -183,17 +183,11 @@ func (d *Domain) CommitFrom(remote *amba.PartialState) *amba.CycleState {
 	return &res.State
 }
 
-// Predict returns the predicted remote contribution for the upcoming
-// cycle, or the reason no prediction is possible. Predict is legal both
-// before and after Evaluate: it touches only registered bus state. A
-// domain that never leads observes nothing, so its predictions rest on
-// no history.
-func (d *Domain) Predict() (amba.PartialState, DeclineReason) {
-	return d.pred.Predict()
-}
-
-// PredictInto is Predict writing the prediction through dst (zeroed on
-// decline).
+// PredictInto writes the predicted remote contribution for the upcoming
+// cycle through dst, or zeroes it and returns the reason no prediction
+// is possible. It is legal both before and after Evaluate: it touches
+// only registered bus state. A domain that never leads observes
+// nothing, so its predictions rest on no history.
 func (d *Domain) PredictInto(dst *amba.PartialState) DeclineReason {
 	return d.pred.PredictInto(dst)
 }

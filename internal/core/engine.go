@@ -133,23 +133,6 @@ type Config struct {
 	// trace stream.
 	CheckProtocol bool
 
-	// PredictIdle is an extension beyond the paper: idle remote masters
-	// are predicted to stay idle, so leaders run ahead through bus-idle
-	// stretches and pay a rollback when the master wakes.
-	PredictIdle bool
-	// PredictBurstStarts is an extension beyond the paper: the next
-	// burst start of a remote master is predicted by stride
-	// extrapolation, letting streaming leaders cross burst boundaries
-	// without synchronizing.
-	PredictBurstStarts bool
-	// PaperStrictTransitions reproduces the paper's P-5/P-6 sequence
-	// exactly: each transition opens with one conservative cycle, with
-	// the rollback state stored at its end ("This is to store the
-	// state of leader before taking 'optimistic' operations"), and a
-	// transition whose prediction fails immediately afterwards wastes
-	// the store (footnote 6). Off by default: snapshotting directly at
-	// the sync point is behaviorally identical and one cycle cheaper.
-	PaperStrictTransitions bool
 	// CycleBatch caps the predicted-quiescence fast path: when ground
 	// truth (idle masters, quiet peripherals, an idle bus fixed point)
 	// and the predictor together prove that the next cycles are exact
@@ -183,13 +166,10 @@ type Config struct {
 	Transport channel.Transport
 	// Adaptive enables the dynamic mode governor (the paper's §3 item 4
 	// "dynamic decisions among SLA, ALS and conservative operating
-	// modes"): when the recent misprediction rate exceeds
-	// AdaptiveThreshold the engine falls back to conservative cycles,
-	// probing optimism again as the estimate decays.
+	// modes"): when an EWMA of the misprediction rate exceeds 0.35
+	// (adaptiveThreshold) the engine falls back to conservative
+	// cycles, probing optimism again as the estimate decays.
 	Adaptive bool
-	// AdaptiveThreshold is the misprediction-rate EWMA above which the
-	// governor forces conservative operation. Default 0.35.
-	AdaptiveThreshold float64
 	// Tracer, when non-nil, records cycle-granular protocol events
 	// (run-ahead spans, mispredictions, rollbacks, batch commits,
 	// channel flushes) into a ring buffer for post-run export. It is a
@@ -230,9 +210,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Accuracy == 0 {
 		c.Accuracy = 1
-	}
-	if c.AdaptiveThreshold == 0 {
-		c.AdaptiveThreshold = 0.35
 	}
 	if c.CycleBatch == 0 {
 		c.CycleBatch = DefaultCycleBatch
@@ -403,12 +380,14 @@ func (e *Engine) runErr(ctx context.Context, err error) error {
 	return err
 }
 
-// EWMA constants of the adaptive governor: per-check blending and the
-// per-conservative-cycle decay that lets the engine probe optimism again
-// after backing off.
+// Constants of the adaptive governor: the misprediction-rate EWMA
+// above which it forces conservative operation, the EWMA's per-check
+// blending, and the per-conservative-cycle decay that lets the engine
+// probe optimism again after backing off.
 const (
-	ewmaBlend = 0.05
-	ewmaDecay = 0.995
+	adaptiveThreshold = 0.35
+	ewmaBlend         = 0.05
+	ewmaDecay         = 0.995
 )
 
 // cycleTime converts a domain speed in cycles/s to its per-cycle
@@ -465,9 +444,8 @@ func NewEngine(d Design, cfg Config) (*Engine, error) {
 		}
 		e.tr = channel.NewFaultEndpoint(e.tr, cfg.ChannelFaults, cfg.ChannelFaultSeed)
 	}
-	opts := predictorOptions{Idle: cfg.PredictIdle, Starts: cfg.PredictBurstStarts}
-	e.domains[SimDomain] = buildDomain(d, SimDomain, simCyc, *cfg.SimCost, opts, cfg.Mode.mayLead(SimDomain))
-	e.domains[AccDomain] = buildDomain(d, AccDomain, accCyc, *cfg.AccCost, opts, cfg.Mode.mayLead(AccDomain))
+	e.domains[SimDomain] = buildDomain(d, SimDomain, simCyc, *cfg.SimCost, cfg.Mode.mayLead(SimDomain))
+	e.domains[AccDomain] = buildDomain(d, AccDomain, accCyc, *cfg.AccCost, cfg.Mode.mayLead(AccDomain))
 	if cfg.Accuracy < 1 {
 		e.inject = predict.NewFaultInjector(cfg.Accuracy, cfg.FaultSeed)
 	}
@@ -730,7 +708,7 @@ type declinePair [2]DeclineReason
 // constant, replicate the per-cycle decline statistics exactly.
 func (e *Engine) pickLeader() (*Domain, declinePair) {
 	var decl declinePair
-	if e.cfg.Adaptive && e.failEWMA > e.cfg.AdaptiveThreshold {
+	if e.cfg.Adaptive && e.failEWMA > adaptiveThreshold {
 		// Governor back-off: recent predictions were too unreliable for
 		// optimism to pay; run conservative and let the estimate decay.
 		return nil, decl
@@ -828,22 +806,10 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 		})
 	}
 
-	committedLead := int64(0)
-	if e.cfg.PaperStrictTransitions {
-		// P-6: the first P-path cycle runs conservatively; the state
-		// store registered in P-5 happens once it completes and the
-		// leader's variables have stabilized (footnote 5).
-		if err := e.conservativeCycle(); err != nil {
-			return 0, err
-		}
-		committedLead = 1
-		budget--
-		if budget <= 0 {
-			return committedLead, nil
-		}
-	}
-
 	// rb_store (P-5): capture the leader before optimistic operation.
+	// The paper opens each transition with one conservative cycle and
+	// stores after it (P-6); storing at the sync point instead is
+	// behaviorally identical and one cycle cheaper.
 	snap := leader.Snapshot(&e.ledger, e.vars(leader))
 	e.stats.Stores++
 	e.lob.Reset()
@@ -854,16 +820,6 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 	raStart := e.stats.RunAheadCycles
 	e.traceEvent(trace.Event{Cycle: base, Kind: trace.EvStore, Domain: uint8(leader.ID())})
 
-	if e.cfg.PaperStrictTransitions {
-		if _, reason := leader.Predict(); reason != DeclineNone {
-			// Footnote 6: the leader can no longer predict at the very
-			// next cycle; the transition ends with the state store
-			// spent for nothing.
-			e.stats.Declines[reason]++
-			return committedLead, nil
-		}
-	}
-
 	// Run-Ahead (P-path): commit cycles against predictions until the
 	// predictor declines, the LOB fills, or the budget is reached. The
 	// buffer always keeps room for the final, prediction-less entry
@@ -873,7 +829,7 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 	// written once, where the flush and the follow-up read it.
 	for {
 		if e.canceled() {
-			return committedLead, errCanceled
+			return 0, errCanceled
 		}
 		entry := e.lob.Slot()
 		leader.EvaluateInto(&e.ledger, &entry.Out)
@@ -907,7 +863,7 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 		// slots (so the flush on the wire is unchanged).
 		if n := e.runAheadQuiescent(leader, entry, budget); n > 0 {
 			if e.canceled() {
-				return committedLead, errCanceled
+				return 0, errCanceled
 			}
 			for k := int64(0); k < n; k++ {
 				*e.lob.Slot() = *entry
@@ -943,23 +899,23 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 	if e.tr != nil {
 		e.packBuf = packFlush(e.packBuf[:0], entries)
 		if err := e.tr.Send(dirFrom(leader.ID()), e.packBuf); err != nil {
-			return committedLead, fmt.Errorf("core: flush: %w", err)
+			return 0, fmt.Errorf("core: flush: %w", err)
 		}
 		flushPkt, err := e.tr.Recv(dirFrom(leader.ID()))
 		if err != nil {
-			return committedLead, fmt.Errorf("core: flush: %w", err)
+			return 0, fmt.Errorf("core: flush: %w", err)
 		}
 		got, err = unpackFlush(e.flushEnt[:0], flushPkt, leader.LocalIRQMask(), lagger.LocalIRQMask())
 		e.flushEnt = got[:0]
 		e.tr.Release(flushPkt)
 		if err != nil {
-			return committedLead, err
+			return 0, err
 		}
 	}
 
 	// Follow-Up (L-path): the lagger replays each cycle with the
 	// leader's outputs and checks each prediction (L-1).
-	committed := committedLead
+	committed := int64(0)
 	for i := 0; i < len(got); i++ {
 		entry := &got[i]
 		if e.canceled() {
@@ -982,7 +938,7 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 			}
 			leader.CommitFrom(&actual)
 			e.traceEvent(trace.Event{
-				Cycle: base, N: committed - committedLead,
+				Cycle: base, N: committed,
 				Kind: trace.EvFollowUp, Domain: uint8(lagger.ID()),
 			})
 			return committed, nil
@@ -1017,7 +973,7 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 				committed += n
 				i += int(n)
 				e.traceEvent(trace.Event{
-					Cycle: base + (committed - committedLead), N: n,
+					Cycle: base + committed, N: n,
 					Kind: trace.EvBatchCommit, Domain: uint8(lagger.ID()), Arg: trace.BatchFollowUp,
 				})
 			}
@@ -1035,7 +991,7 @@ func (e *Engine) transition(leader *Domain, budget int64) (int64, error) {
 				Domain: uint8(lagger.ID()), Arg: arg,
 			})
 			e.traceEvent(trace.Event{
-				Cycle: base, N: committed - committedLead,
+				Cycle: base, N: committed,
 				Kind: trace.EvFollowUp, Domain: uint8(lagger.ID()),
 			})
 		}

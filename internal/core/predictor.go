@@ -21,14 +21,16 @@ import (
 //     (one per remote slave, configured with its nominal profile),
 //   - default-slave replies (when owned remotely): a two-cycle ERROR
 //     mirror,
-//   - read data and remote write data: never predicted — Predict
+//   - read data and remote write data: never predicted — PredictInto
 //     declines, forcing the channel wrapper to synchronize, which is how
 //     the "data source leads" rule emerges.
 //
 // The predictor advances exclusively through Observe calls, one per
 // committed cycle, regardless of whether the committed remote values
-// were real or predicted. Predict itself is pure. That discipline makes
-// roll-forth replay trivially consistent: restore, then re-Observe.
+// were real or predicted. PredictInto itself is pure. That discipline
+// makes roll-forth replay trivially consistent: restore, then
+// re-Observe. Every model it composes is a plain value, so its snapshot
+// is a set of value copies.
 type remotePredictor struct {
 	b *bus.Bus
 
@@ -36,21 +38,16 @@ type remotePredictor struct {
 	remoteIRQMask   uint32
 	remoteSplitMask uint32
 	ownsDefault     bool
-	// coupleReq derives the granted remote master's request bit from
-	// its predicted address phase instead of last-value (enabled with
-	// the burst-start extension, whose boundary cycles otherwise
-	// mispredict on the request-line blip between bursts).
-	coupleReq bool
 
 	req predict.RequestModel
 	irq predict.LastValue
-	// trackers/waits are dense slices indexed by global master/slave
-	// number (nil for local components): the per-cycle Predict lookups
-	// and the per-transition snapshot walks cost array indexing
-	// instead of the map accesses and map iteration that used to
-	// dominate the rollback-heavy store/restore profile.
-	trackers []*predict.BurstTracker // per remote master
-	waits    []*predict.WaitModel    // per remote slave
+	// trackers/waits are dense slices of values indexed by global
+	// master/slave number, so a lookup is array indexing and a snapshot
+	// is a copy. Only the remote masters' and remote slaves' slots are
+	// ever observed; a local master's slot stays a fresh tracker, which
+	// bounds no idle stretch and which SkipIdle leaves as it is.
+	trackers []predict.BurstTracker // per remote master
+	waits    []predict.WaitModel    // per remote slave
 	defErr   defMirror
 
 	lastValid bool
@@ -78,30 +75,18 @@ func (m *defMirror) Observe(r amba.SlaveReply) {
 	m.InErr = r.Resp == amba.RespError && !r.Ready
 }
 
-// predictorOptions carries the extension knobs into the tracker setup.
-type predictorOptions struct {
-	Idle   bool // predict idle continuation
-	Starts bool // predict burst starts by stride
-}
-
 // newRemotePredictor builds the composite for a domain whose half-bus is
 // b. waitProfiles maps global slave indexes of *remote* slaves to their
-// nominal (first, next) wait profile.
-func newRemotePredictor(b *bus.Bus, ownsDefault bool, waitProfiles map[int][2]int, opts predictorOptions) *remotePredictor {
+// nominal (first, next) wait profile; every remote slave has one.
+func newRemotePredictor(b *bus.Bus, ownsDefault bool, waitProfiles map[int][2]int) *remotePredictor {
 	p := &remotePredictor{
 		b:             b,
 		remoteReqMask: ^b.LocalReqMask() & ((1 << uint(b.Masters())) - 1),
 		ownsDefault:   ownsDefault,
-		trackers:      make([]*predict.BurstTracker, b.Masters()),
-		waits:         make([]*predict.WaitModel, b.Slaves()),
+		trackers:      make([]predict.BurstTracker, b.Masters()),
+		waits:         make([]predict.WaitModel, b.Slaves()),
 	}
 	p.req = predict.NewRequestModel(p.remoteReqMask)
-	p.coupleReq = opts.Starts
-	for i := 0; i < b.Masters(); i++ {
-		if !b.MasterLocal(i) {
-			p.trackers[i] = &predict.BurstTracker{PredictIdle: opts.Idle, PredictStarts: opts.Starts}
-		}
-	}
 	for idx, prof := range waitProfiles {
 		p.waits[idx] = predict.NewWaitModel(prof[0], prof[1])
 	}
@@ -126,20 +111,12 @@ const (
 	DeclineBurstStart DeclineReason = "remote master at unpredictable burst boundary"
 	DeclineReadData   DeclineReason = "read data from remote slave"
 	DeclineWriteData  DeclineReason = "write data from remote master"
-	DeclineNoModel    DeclineReason = "no wait model for remote slave"
 )
 
-// Predict computes the predicted remote contribution for the upcoming
-// cycle. It is pure: calling it any number of times between Observes
-// returns the same value.
-func (p *remotePredictor) Predict() (amba.PartialState, DeclineReason) {
-	var out amba.PartialState
-	reason := p.PredictInto(&out)
-	return out, reason
-}
-
-// PredictInto is Predict writing the prediction through dst (zeroed on
-// decline) — the engine deposits it straight into a LOB entry.
+// PredictInto computes the predicted remote contribution for the
+// upcoming cycle into dst (zeroed on decline) — the engine deposits it
+// straight into a LOB entry. It is pure: calling it any number of times
+// between Observes writes the same value.
 func (p *remotePredictor) PredictInto(dst *amba.PartialState) DeclineReason {
 	out := dst
 	*out = amba.PartialState{
@@ -167,14 +144,6 @@ func (p *remotePredictor) PredictInto(dst *amba.PartialState) DeclineReason {
 			}
 			out.AP = ap
 		}
-		if p.coupleReq {
-			bit := uint32(1) << uint(grant)
-			if out.AP.Trans != amba.TransIdle {
-				out.Req |= bit & p.remoteReqMask
-			} else {
-				out.Req &^= bit
-			}
-		}
 	}
 
 	dpValid, dpAP, dpMaster, dpSlave := p.b.DataPhase()
@@ -194,13 +163,8 @@ func (p *remotePredictor) PredictInto(dst *amba.PartialState) DeclineReason {
 				*out = amba.PartialState{}
 				return DeclineReadData
 			}
-			wm := p.waits[dpSlave]
-			if wm == nil {
-				*out = amba.PartialState{}
-				return DeclineNoModel
-			}
 			out.HasReply = true
-			out.Reply = amba.SlaveReply{Ready: wm.Predict(), Resp: amba.RespOkay}
+			out.Reply = amba.SlaveReply{Ready: p.waits[dpSlave].Predict(), Resp: amba.RespOkay}
 		}
 	}
 	return DeclineNone
@@ -218,7 +182,7 @@ func (p *remotePredictor) Observe(full *amba.CycleState, remote *amba.PartialSta
 	// already arbitrated, so a grant that moves on a ready cycle cuts
 	// the master's burst.
 	if remote.HasAP && full.Reply.Ready {
-		t := p.trackers[full.Grant]
+		t := &p.trackers[full.Grant]
 		t.Observe(remote.AP)
 		if p.b.Grant() != full.Grant {
 			t.Cut()
@@ -234,9 +198,7 @@ func (p *remotePredictor) Observe(full *amba.CycleState, remote *amba.PartialSta
 				p.defErr.Observe(full.Reply)
 			}
 		} else if !p.b.SlaveLocal(p.pendingDPSlave) {
-			if wm := p.waits[p.pendingDPSlave]; wm != nil {
-				wm.Observe(full.Reply.Ready)
-			}
+			p.waits[p.pendingDPSlave].Observe(full.Reply.Ready)
 		}
 	}
 
@@ -262,14 +224,14 @@ func (p *remotePredictor) StashDataPhase() {
 }
 
 // PredictStableFor reports for how many upcoming cycles the
-// predictor's Predict outcome — the predicted remote contribution and
-// the confident/declined verdict alike — is guaranteed to stay
+// predictor's PredictInto outcome — the predicted remote contribution
+// and the confident/declined verdict alike — is guaranteed to stay
 // exactly as it is now, provided only idle cycles are observed in the
 // meantime. A data phase in flight or a wait state pins the horizon to
-// 0 (response predictions evolve per cycle); otherwise the only
-// idle-time evolution is the request model's low-run counters and the
-// granted remote master's gap model, and the nearer of a scheduled
-// request rise and the remaining gap bounds the horizon. The engine
+// 0 (response predictions evolve per cycle), and so does a granted
+// remote master whose last ready cycle carried a beat; otherwise the
+// only idle-time evolution is the request model's low-run counters,
+// and the next scheduled request rise bounds the horizon. The engine
 // uses this bound both to keep per-cycle leader-choice decisions (and
 // their decline accounting) replicable across a batched stretch and to
 // guarantee a leader's run-ahead predictions stay constant.
@@ -280,70 +242,56 @@ func (p *remotePredictor) PredictStableFor() int64 {
 	if p.lastValid && !p.lastFull.Reply.Ready {
 		return 0
 	}
-	h := p.req.IdleStableFor()
-	if t := p.trackers[p.b.Grant()]; t != nil {
-		h = min(h, t.IdleStableFor())
-	}
-	return h
+	return min(p.req.IdleStableFor(), p.trackers[p.b.Grant()].IdleStableFor())
 }
 
 // SkipIdle advances the predictor across n committed idle cycles in
 // one step, bit-identically to n Observe calls with the constant idle
 // contribution the stretch repeats: the IRQ last-value predictor and
 // the wait models are already at fixed points, the last-seen full
-// state is unchanged, and only the request model's low runs and the
-// granted remote master's burst tracker accumulate idle time. Callers
-// must have proven the stretch (Domain.QuiescentCycles plus
-// PredictStableFor or an entry-run check) before skipping.
+// state is unchanged, the request model's low runs accumulate idle
+// time, and the granted remote master's burst tracker drops its burst
+// context. Callers must have proven the stretch
+// (Domain.QuiescentCycles plus PredictStableFor or an entry-run check)
+// before skipping.
 func (p *remotePredictor) SkipIdle(n int64) {
 	p.req.SkipIdle(n)
-	if t := p.trackers[p.b.Grant()]; t != nil {
-		t.SkipIdle(n)
-	}
+	p.trackers[p.b.Grant()].SkipIdle()
 }
 
-// predictorSnap freezes a remotePredictor. The request model and the
-// IRQ last-value predictor are stored inline (no boxing); tracker and
-// wait-model state is boxed per slot, with slots recycled across saves.
+// predictorSnap freezes a remotePredictor as a set of value copies: the
+// request model and the IRQ last-value predictor inline, the trackers
+// and wait models in slices recycled across saves.
 type predictorSnap struct {
 	Req      predict.RequestModel
-	IRQ      uint32
-	Trackers []any
-	Waits    []any
+	IRQ      predict.LastValue
+	Trackers []predict.BurstTracker
+	Waits    []predict.WaitModel
 	DefErr   defMirror
 	LastV    bool
 	LastFull amba.CycleState
 	Pending  pendingDP
 }
 
-// SaveInto implements rollback.Snapshotter: the snapshot struct,
-// its slices and the per-tracker state buffers inside them are all
-// recycled from prev, so the once-per-transition store allocates
-// nothing in the steady state.
+// SaveInto implements rollback.Snapshotter: the snapshot struct and
+// its slices are recycled from prev, so the once-per-transition store
+// allocates nothing in the steady state.
 func (p *remotePredictor) SaveInto(prev any) any {
 	s, ok := prev.(*predictorSnap)
 	if !ok {
 		s = &predictorSnap{
-			Trackers: make([]any, len(p.trackers)),
-			Waits:    make([]any, len(p.waits)),
+			Trackers: make([]predict.BurstTracker, len(p.trackers)),
+			Waits:    make([]predict.WaitModel, len(p.waits)),
 		}
 	}
 	s.Req = p.req
-	s.IRQ = p.irq.Predict()
+	s.IRQ = p.irq
+	copy(s.Trackers, p.trackers)
+	copy(s.Waits, p.waits)
 	s.DefErr = p.defErr
 	s.LastV = p.lastValid
 	s.LastFull = p.lastFull
 	s.Pending = p.pendingDP
-	for i, t := range p.trackers {
-		if t != nil {
-			s.Trackers[i] = t.SaveInto(s.Trackers[i])
-		}
-	}
-	for i, w := range p.waits {
-		if w != nil {
-			s.Waits[i] = w.SaveInto(s.Waits[i])
-		}
-	}
 	return s
 }
 
@@ -354,17 +302,9 @@ func (p *remotePredictor) Restore(v any) {
 		panic(fmt.Sprintf("core: predictor: bad snapshot %T", v))
 	}
 	p.req = s.Req
-	p.irq.Observe(s.IRQ)
-	for i, t := range p.trackers {
-		if t != nil {
-			t.Restore(s.Trackers[i])
-		}
-	}
-	for i, w := range p.waits {
-		if w != nil {
-			w.Restore(s.Waits[i])
-		}
-	}
+	p.irq = s.IRQ
+	copy(p.trackers, s.Trackers)
+	copy(p.waits, s.Waits)
 	p.defErr = s.DefErr
 	p.lastValid = s.LastV
 	p.lastFull = s.LastFull

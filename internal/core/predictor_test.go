@@ -101,15 +101,17 @@ func TestLeaderPredictionPure(t *testing.T) {
 }
 
 // TestPredictorSnapshotRoundTripsRequestModel: the request model's
-// low-run history lives inline in the predictor snapshot. A restore
-// brings back exactly the saved model, and a recycled save allocates
-// nothing.
+// low-run history, the remote masters' burst trackers and the remote
+// slaves' wait models are value copies in the predictor snapshot. A
+// restore brings back exactly the saved models, and a recycled save
+// allocates nothing.
 func TestPredictorSnapshotRoundTripsRequestModel(t *testing.T) {
 	b := bus.New("sim")
 	b.AddExternalMaster("a")
 	b.AddMaster(ip.NewTrafficMaster("cpu", workload.NewSequence(), 0))
 	b.AddExternalMaster("c")
-	p := newRemotePredictor(b, true, nil, predictorOptions{})
+	mem := b.MapExternalSlave("mem", bus.Region{Lo: 0, Hi: 0x1000})
+	p := newRemotePredictor(b, true, map[int][2]int{mem: {3, 1}})
 	var full amba.CycleState
 	observe := func(req uint32, n int) {
 		for i := 0; i < n; i++ {
@@ -123,16 +125,29 @@ func TestPredictorSnapshotRoundTripsRequestModel(t *testing.T) {
 		observe(1<<2, 2)
 	}
 	observe(0, 2)
-	want := p.req
+	// Master 2 is one beat into an INCR4 write; the memory's first beat
+	// has waited once of its three wait states.
+	ap := amba.AddrPhase{Addr: 0x100, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: amba.BurstIncr4, Write: true}
+	p.trackers[2].Observe(ap)
+	p.waits[mem].Observe(false)
+	want, wantTracker, wantWait := p.req, p.trackers[2], p.waits[mem]
 	s := p.SaveInto(nil)
 	observe(1<<0|1<<2, 3)
 	observe(0, 9)
-	if p.req == want {
-		t.Fatal("the observations after the save left the request model unchanged; the check proves little")
+	next, _ := p.trackers[2].Predict()
+	p.trackers[2].Observe(next)
+	p.waits[mem].Observe(false)
+	p.waits[mem].Observe(true)
+	if p.req == want || p.trackers[2] == wantTracker || p.waits[mem] == wantWait {
+		t.Fatal("the observations after the save left a model unchanged; the check proves little")
 	}
 	p.Restore(s)
 	if p.req != want {
 		t.Fatalf("restored request model %+v, saved %+v", p.req, want)
+	}
+	if p.trackers[2] != wantTracker || p.waits[mem] != wantWait {
+		t.Fatalf("restored tracker %+v and wait model %+v, saved %+v and %+v",
+			p.trackers[2], p.waits[mem], wantTracker, wantWait)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { s = p.SaveInto(s) }); allocs != 0 {
 		t.Fatalf("recycled predictor save allocates %v times", allocs)

@@ -13,8 +13,8 @@ import (
 
 // randomDesign builds a structurally random but valid design from a
 // seed: 1-3 masters with random workloads and domains, 1-3 slaves of
-// random kinds and domains, random extension configuration. This is the
-// property-test generator for the equivalence invariant.
+// random kinds and domains. This is the property-test generator for the
+// equivalence invariant.
 func randomDesign(seed uint64) Design {
 	r := rng.New(seed)
 	var d Design
@@ -107,8 +107,8 @@ func randomDesign(seed uint64) Design {
 }
 
 // TestEquivalenceRandomDesigns is the repository's heaviest property
-// test: random designs × random modes × random extension settings, each
-// checked cycle-exact against the monolithic reference.
+// test: random designs × random modes × random governor and accuracy
+// settings, each checked cycle-exact against the monolithic reference.
 func TestEquivalenceRandomDesigns(t *testing.T) {
 	n := 25
 	if testing.Short() {
@@ -121,12 +121,12 @@ func TestEquivalenceRandomDesigns(t *testing.T) {
 			t.Fatalf("seed %d: generator produced invalid design: %v", seed, err)
 		}
 		r := rng.New(seed)
-		cfg := Config{
-			Mode:               modes[r.Intn(len(modes))],
-			PredictIdle:        r.Intn(2) == 0,
-			PredictBurstStarts: r.Intn(2) == 0,
-			Adaptive:           r.Intn(2) == 0,
-		}
+		mode := modes[r.Intn(len(modes))]
+		// Two draws are discarded so that each seed keeps its
+		// configuration.
+		r.Intn(2)
+		r.Intn(2)
+		cfg := Config{Mode: mode, Adaptive: r.Intn(2) == 0}
 		if r.Intn(3) == 0 {
 			cfg.Accuracy = 0.5 + r.Float64()/2
 			cfg.FaultSeed = seed

@@ -7,67 +7,50 @@ import (
 )
 
 // TestBurstTrackerSkipIdleMatchesObserves pins the batch contract:
-// SkipIdle(n) leaves the tracker bit-identical to n idle Observes, for
-// every extension configuration.
+// SkipIdle leaves the tracker bit-identical to any positive number of
+// idle Observes, from an idle tracker and from the boundary cycle
+// after a burst's final beat.
 func TestBurstTrackerSkipIdleMatchesObserves(t *testing.T) {
-	configs := []struct{ idle, starts bool }{
-		{false, false}, {true, false}, {false, true}, {true, true},
-	}
-	for _, c := range configs {
-		seq := &BurstTracker{PredictIdle: c.idle, PredictStarts: c.starts}
-		bat := &BurstTracker{PredictIdle: c.idle, PredictStarts: c.starts}
-		for _, tr := range []*BurstTracker{seq, bat} {
-			observeBurst(tr, 0x1000, amba.BurstIncr4)
-			tr.Observe(amba.AddrPhase{Trans: amba.TransIdle}) // the seed idle cycle
-		}
-		const n = 17
-		for i := 0; i < n; i++ {
-			seq.Observe(amba.AddrPhase{Trans: amba.TransIdle})
-		}
-		bat.SkipIdle(n)
-		if seq.st != bat.st {
-			t.Errorf("idle=%v starts=%v: SkipIdle diverged: seq %+v, batch %+v",
-				c.idle, c.starts, seq.st, bat.st)
+	for _, seedIdle := range []bool{true, false} {
+		for _, n := range []int{1, 17} {
+			var seq, bat BurstTracker
+			for _, tr := range []*BurstTracker{&seq, &bat} {
+				observeBurst(tr, 0x1000, amba.BurstIncr4)
+				if seedIdle {
+					tr.Observe(amba.AddrPhase{Trans: amba.TransIdle})
+				}
+			}
+			for i := 0; i < n; i++ {
+				seq.Observe(amba.AddrPhase{Trans: amba.TransIdle})
+			}
+			bat.SkipIdle()
+			if seq != bat {
+				t.Errorf("seed idle %v, n=%d: SkipIdle diverged: seq %+v, batch %+v", seedIdle, n, seq, bat)
+			}
 		}
 	}
 }
 
-// TestIdleStableForGapModel pins the stability horizon: with the
-// burst-start extension armed, predictions hold exactly until the
-// learned inter-burst gap elapses.
-func TestIdleStableForGapModel(t *testing.T) {
-	tr := &BurstTracker{PredictStarts: true}
-	// Two bursts separated by a 5-cycle idle gap teach stride and gap.
-	observeBurst(tr, 0x1000, amba.BurstIncr4)
-	for i := 0; i < 5; i++ {
-		tr.Observe(amba.AddrPhase{Trans: amba.TransIdle})
-	}
-	observeBurst(tr, 0x2000, amba.BurstIncr4)
-	tr.Observe(amba.AddrPhase{Trans: amba.TransIdle}) // 1 idle cycle into the gap
-	if got := tr.IdleStableFor(); got != 4 {
-		t.Fatalf("IdleStableFor = %d, want 4 (5-cycle gap, 1 elapsed)", got)
-	}
-	// Crossing the horizon flips the prediction to a burst start.
-	if ap, ok := tr.Predict(); !ok || ap.Trans.Active() {
-		t.Fatalf("inside the gap: predicted %+v ok=%v, want confident idle", ap, ok)
-	}
-	tr.SkipIdle(4)
-	if got := tr.IdleStableFor(); got != 0 {
-		t.Fatalf("IdleStableFor after gap = %d, want 0", got)
-	}
-	if ap, ok := tr.Predict(); !ok || ap.Trans != amba.TransNonSeq || ap.Addr != 0x3000 {
-		t.Fatalf("after the gap: predicted %+v ok=%v, want NONSEQ @0x3000", ap, ok)
-	}
-}
-
-// TestIdleStableForUnboundedWithoutGapModel pins the horizon for
-// trackers whose idle prediction cannot change: last-value idle or a
-// plain decline, forever.
+// TestIdleStableForUnboundedWithoutGapModel pins the horizon: an idle
+// tracker declines forever, so its horizon is Unbounded; a tracker
+// whose last ready cycle carried a beat, the final one included, is
+// pinned to 0.
 func TestIdleStableForUnboundedWithoutGapModel(t *testing.T) {
-	tr := &BurstTracker{PredictIdle: true}
-	observeBurst(tr, 0x1000, amba.BurstIncr4)
+	var tr BurstTracker
+	if got := tr.IdleStableFor(); got != Unbounded {
+		t.Fatalf("fresh tracker: IdleStableFor = %d, want Unbounded", got)
+	}
+	tr.Observe(amba.AddrPhase{Addr: 0x1000, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: amba.BurstIncr4})
+	if got := tr.IdleStableFor(); got != 0 {
+		t.Fatalf("mid-burst: IdleStableFor = %d, want 0", got)
+	}
+	tr = BurstTracker{}
+	observeBurst(&tr, 0x1000, amba.BurstIncr4)
+	if got := tr.IdleStableFor(); got != 0 {
+		t.Fatalf("after the final beat: IdleStableFor = %d, want 0", got)
+	}
 	tr.Observe(amba.AddrPhase{Trans: amba.TransIdle})
 	if got := tr.IdleStableFor(); got != Unbounded {
-		t.Fatalf("IdleStableFor = %d, want Unbounded", got)
+		t.Fatalf("idle: IdleStableFor = %d, want Unbounded", got)
 	}
 }

@@ -20,7 +20,9 @@
 // *source* domain as leader so data only flows leader→lagger.
 //
 // Predictors and injectors are single-goroutine state machines, driven
-// by the engine that owns them.
+// by the engine that owns them. Every predictor keeps its state in
+// plain values, so a struct copy is its snapshot: the engine saves and
+// restores predictors by copying them.
 package predict
 
 import (
@@ -50,27 +52,6 @@ func (l *LastValue) Predict() uint32 { return l.v }
 
 // Observe records the actual value.
 func (l *LastValue) Observe(v uint32) { l.v = v }
-
-// SaveInto implements rollback.Snapshotter, recycling prev when
-// it came from an earlier SaveInto of a LastValue (boxing a uint32
-// heap-allocates once the value leaves the runtime's small-int cache).
-func (l *LastValue) SaveInto(prev any) any {
-	v, ok := prev.(*uint32)
-	if !ok {
-		v = new(uint32)
-	}
-	*v = l.v
-	return v
-}
-
-// Restore implements rollback.Snapshotter.
-func (l *LastValue) Restore(s any) {
-	v, ok := s.(*uint32)
-	if !ok {
-		panic(fmt.Sprintf("predict: lastvalue: bad snapshot %T", s))
-	}
-	l.v = *v
-}
 
 // RequestModel predicts the bus-request lines (HBUSREQx) of the masters
 // in mask. A line is predicted as its last value, except that a low
@@ -183,9 +164,9 @@ func (r *RequestModel) SkipIdle(n int64) {
 
 // BurstTracker predicts the address/control signals of a remote bus
 // master by extrapolating its current burst. A prediction is only
-// offered mid-burst; at burst boundaries the tracker declines (the
-// start-of-burst values must genuinely cross the channel) — unless the
-// extensions below are enabled.
+// offered mid-burst and on the cycle after a fixed-length burst's final
+// beat (IDLE); for an idle master the tracker declines, because the
+// start-of-burst values must genuinely cross the channel.
 //
 // A master that loses the grant with beats left rebuilds the remainder
 // when it is granted again (ip.TrafficMaster's restart): an INCR burst
@@ -195,20 +176,8 @@ func (r *RequestModel) SkipIdle(n int64) {
 // grant loss with Cut; the tracker then predicts the rebuild and treats
 // it as the same burst.
 //
-// Extensions beyond the paper:
-//
-//   - PredictIdle: an idle master is predicted to stay idle, letting the
-//     leader run ahead through bus-idle stretches at the cost of one
-//     rollback whenever the master wakes up.
-//   - PredictStarts: after a burst completes, the next burst's start is
-//     predicted by stride extrapolation over observed NONSEQ addresses,
-//     letting streaming leaders run ahead across burst boundaries.
+// The zero value is a tracker that has seen nothing.
 type BurstTracker struct {
-	// PredictIdle predicts IDLE continuation for an idle master.
-	PredictIdle bool
-	// PredictStarts predicts the next NONSEQ by stride extrapolation.
-	PredictStarts bool
-
 	st burstState
 }
 
@@ -224,19 +193,6 @@ type burstState struct {
 	Cut bool
 	// Rebuilt: the burst's remainder is being reissued as INCR.
 	Rebuilt bool
-
-	// Stride extrapolation over burst starts.
-	LastStart amba.AddrPhase
-	HasStart  bool
-	Stride    amba.Addr
-	HasStride bool
-
-	// Inter-burst gap tracking: how many IDLE cycles the master spends
-	// between the last beat of a burst and the next NONSEQ.
-	Ended   bool // a burst completed; counting the idle run
-	IdleRun int
-	GapLen  int
-	HasGap  bool
 }
 
 // Observe feeds the actual address phase driven by the tracked master on
@@ -261,34 +217,12 @@ func (t *BurstTracker) Observe(ap amba.AddrPhase) {
 		} else {
 			t.st.Remaining = -1
 		}
-		if t.st.HasStart {
-			// Last-stride predictor: one inter-start distance is
-			// enough; a changed stride self-corrects after the
-			// rollback the change causes.
-			t.st.Stride = ap.Addr - t.st.LastStart.Addr
-			t.st.HasStride = true
-		}
-		t.st.LastStart = ap
-		t.st.HasStart = true
-		if t.st.Ended {
-			t.st.GapLen = t.st.IdleRun
-			t.st.HasGap = true
-			t.st.Ended = false
-		}
-		t.st.IdleRun = 0
-		if ap.Burst == amba.BurstSingle {
-			t.st.Ended = true
-		}
 	case amba.TransSeq:
 		t.advance(ap)
 	case amba.TransBusy:
 		// The burst is paused; nothing advances.
 	case amba.TransIdle:
-		t.st.Valid = false
-		t.st.Cut, t.st.Rebuilt = false, false
-		if t.st.Ended {
-			t.st.IdleRun++
-		}
+		t.SkipIdle()
 	}
 }
 
@@ -298,10 +232,6 @@ func (t *BurstTracker) advance(ap amba.AddrPhase) {
 	t.st.Last = ap
 	if t.st.Remaining > 0 {
 		t.st.Remaining--
-	}
-	if t.st.Remaining == 0 {
-		t.st.Ended = true
-		t.st.IdleRun = 0
 	}
 }
 
@@ -339,48 +269,16 @@ func (t *BurstTracker) Cut() {
 // Predict returns the predicted next address phase and whether a
 // confident prediction exists. Mid-burst it predicts the SEQ successor,
 // or the NONSEQ that rebuilds a cut burst or restarts a rebuilt one at
-// its wrap point.
-// After the final beat of a fixed-length burst it predicts the next
-// burst start by stride (when PredictStarts is enabled and a stride is
-// known) or IDLE. With no burst context it predicts IDLE continuation
-// when PredictIdle is enabled; otherwise it declines.
+// its wrap point. After the final beat of a fixed-length burst it
+// predicts IDLE. For an idle master it declines.
 func (t *BurstTracker) Predict() (amba.AddrPhase, bool) {
-	// nextStart predicts the upcoming NONSEQ by stride when the
-	// observed inter-burst idle gap has elapsed.
-	nextStart := func() (amba.AddrPhase, bool) {
-		if !t.PredictStarts || !t.st.HasStride || !t.st.HasGap || t.st.IdleRun < t.st.GapLen {
-			return amba.AddrPhase{}, false
-		}
-		next := t.st.LastStart
-		next.Addr = t.st.LastStart.Addr + t.st.Stride
-		next.Trans = amba.TransNonSeq
-		return next, true
-	}
-
 	if !t.st.Valid || !t.st.Last.Trans.Active() {
-		// Master is idle. Predict the next burst start once the gap is
-		// due. While inside a learned gap the IDLE cycles themselves
-		// are confident predictions (the gap model covers them), so
-		// PredictStarts alone rides through known gaps.
-		if ap, ok := nextStart(); ok {
-			return ap, true
-		}
-		if t.PredictStarts && t.st.Ended && t.st.HasGap && t.st.IdleRun < t.st.GapLen {
-			return amba.AddrPhase{}, true
-		}
-		if t.PredictIdle {
-			return amba.AddrPhase{}, true
-		}
 		return amba.AddrPhase{}, false
 	}
 	if t.st.Remaining == 0 {
 		// Fixed-length burst exhausted: the only legal continuations
-		// are IDLE or a new NONSEQ. With a known zero gap the next
-		// start follows immediately; otherwise IDLE is the right call
-		// for the boundary cycle.
-		if ap, ok := nextStart(); ok {
-			return ap, true
-		}
+		// are IDLE or a new NONSEQ, and IDLE is the call for the
+		// boundary cycle.
 		return amba.AddrPhase{}, true
 	}
 	return t.nextBeat(), true
@@ -388,56 +286,25 @@ func (t *BurstTracker) Predict() (amba.AddrPhase, bool) {
 
 // IdleStableFor reports for how many further idle-observed cycles the
 // tracker's Predict outcome (both the predicted value and the
-// confident/declined verdict) is guaranteed not to change. It is
-// meaningful right after an idle observation (the tracked master drove
-// TransIdle on the last ready cycle); a tracker still inside a burst
-// returns 0. The only idle-time state the tracker evolves is the
-// inter-burst gap counter, so the horizon is the remaining learned gap
-// when the gap model is armed and Unbounded otherwise.
+// confident/declined verdict) is guaranteed not to change: 0 while the
+// last ready cycle carried a beat (the next idle observation ends the
+// burst), and Unbounded once the master is idle, because idle
+// observations leave an idle tracker as it is.
 func (t *BurstTracker) IdleStableFor() int64 {
 	if t.st.Valid && t.st.Last.Trans.Active() {
 		return 0
 	}
-	if t.PredictStarts && t.st.Ended && t.st.HasGap {
-		r := int64(t.st.GapLen - t.st.IdleRun)
-		if r < 0 {
-			r = 0
-		}
-		return r
-	}
 	return Unbounded
 }
 
-// SkipIdle applies n idle observations in one step: the state after
-// SkipIdle(n) is bit-identical to n sequential Observe calls with an
-// IDLE address phase. Used by the engine's predicted-quiescence
-// batching; callers single-step the cycle that wakes the master.
-func (t *BurstTracker) SkipIdle(n int64) {
+// SkipIdle applies any positive number of idle observations in one
+// step: it drops the burst context, exactly as one Observe with an IDLE
+// address phase does, and further idle observations change nothing.
+// Used by the engine's predicted-quiescence batching; callers
+// single-step the cycle that wakes the master.
+func (t *BurstTracker) SkipIdle() {
 	t.st.Valid = false
 	t.st.Cut, t.st.Rebuilt = false, false
-	if t.st.Ended {
-		t.st.IdleRun += int(n)
-	}
-}
-
-// SaveInto implements rollback.Snapshotter, recycling prev when
-// it came from an earlier SaveInto of a tracker.
-func (t *BurstTracker) SaveInto(prev any) any {
-	st, ok := prev.(*burstState)
-	if !ok {
-		st = new(burstState)
-	}
-	*st = t.st
-	return st
-}
-
-// Restore implements rollback.Snapshotter.
-func (t *BurstTracker) Restore(s any) {
-	st, ok := s.(*burstState)
-	if !ok {
-		panic(fmt.Sprintf("predict: bursttracker: bad snapshot %T", s))
-	}
-	t.st = *st
 }
 
 // WaitModel predicts a slave's HREADY sequence with the same
@@ -461,8 +328,8 @@ type waitState struct {
 
 // NewWaitModel creates a wait model mirroring a slave with the given
 // deterministic profile.
-func NewWaitModel(first, next int) *WaitModel {
-	return &WaitModel{First: first, Next: next, st: waitState{WaitLeft: -1}}
+func NewWaitModel(first, next int) WaitModel {
+	return WaitModel{First: first, Next: next, st: waitState{WaitLeft: -1}}
 }
 
 // budget returns the wait states of a fresh beat.
@@ -501,26 +368,6 @@ func (w *WaitModel) Observe(ready bool) {
 	if w.st.WaitLeft > 0 {
 		w.st.WaitLeft--
 	}
-}
-
-// SaveInto implements rollback.Snapshotter, recycling prev when
-// it came from an earlier SaveInto of a wait model.
-func (w *WaitModel) SaveInto(prev any) any {
-	st, ok := prev.(*waitState)
-	if !ok {
-		st = new(waitState)
-	}
-	*st = w.st
-	return st
-}
-
-// Restore implements rollback.Snapshotter.
-func (w *WaitModel) Restore(s any) {
-	st, ok := s.(*waitState)
-	if !ok {
-		panic(fmt.Sprintf("predict: waitmodel: bad snapshot %T", s))
-	}
-	w.st = *st
 }
 
 // FaultInjector pins prediction accuracy for the evaluation sweeps: each

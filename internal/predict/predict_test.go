@@ -15,9 +15,9 @@ func TestLastValue(t *testing.T) {
 	if l.Predict() != 0b101 {
 		t.Fatal("last value not tracked")
 	}
-	s := l.SaveInto(nil)
+	s := l
 	l.Observe(0b111)
-	l.Restore(s)
+	l = s
 	if l.Predict() != 0b101 {
 		t.Fatal("restore failed")
 	}
@@ -68,6 +68,31 @@ func TestBurstTrackerDeclinesWithoutContext(t *testing.T) {
 	}
 }
 
+// observeBurst feeds a full fixed burst starting at addr.
+func observeBurst(t *BurstTracker, addr amba.Addr, burst amba.Burst) {
+	ap := amba.AddrPhase{Addr: addr, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: burst, Write: true}
+	t.Observe(ap)
+	for i := 1; i < burst.Beats(); i++ {
+		ap.Trans = amba.TransSeq
+		ap.Addr = amba.NextAddr(ap.Addr, ap.Size, ap.Burst)
+		t.Observe(ap)
+	}
+}
+
+func TestPredictStartsDisabledStaysPaperFaithful(t *testing.T) {
+	var tr BurstTracker
+	observeBurst(&tr, 0x100, amba.BurstIncr8)
+	observeBurst(&tr, 0x120, amba.BurstIncr8)
+	ap, ok := tr.Predict()
+	if !ok || !ap.Idle() {
+		t.Fatalf("paper-faithful tracker must predict IDLE at burst end, got %v ok=%v", ap, ok)
+	}
+	tr.Observe(amba.AddrPhase{})
+	if _, ok := tr.Predict(); ok {
+		t.Fatal("paper-faithful tracker must decline for an idle master")
+	}
+}
+
 func TestBurstTrackerIncrUnbounded(t *testing.T) {
 	var b BurstTracker
 	b.Observe(amba.AddrPhase{Addr: 0x0, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: amba.BurstIncr})
@@ -83,10 +108,10 @@ func TestBurstTrackerIncrUnbounded(t *testing.T) {
 func TestBurstTrackerSnapshot(t *testing.T) {
 	var b BurstTracker
 	b.Observe(amba.AddrPhase{Addr: 0x10, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: amba.BurstIncr8})
-	s := b.SaveInto(nil)
+	s := b
 	p1, _ := b.Predict()
 	b.Observe(p1)
-	b.Restore(s)
+	b = s
 	p2, _ := b.Predict()
 	if p1 != p2 {
 		t.Fatal("snapshot replay diverged")
@@ -107,7 +132,7 @@ func TestWaitModelMirrorsMemoryProfile(t *testing.T) {
 	// First beat: 2 waits then ready; next beat: 1 wait then ready.
 	want := []bool{false, false, true, false, true, false, true}
 	for i, r := range want {
-		if got := step(w); got != r {
+		if got := step(&w); got != r {
 			t.Fatalf("cycle %d: predicted ready=%v, want %v", i, got, r)
 		}
 	}
@@ -127,17 +152,17 @@ func TestWaitModelObserveRealigns(t *testing.T) {
 
 func TestWaitModelSnapshot(t *testing.T) {
 	w := NewWaitModel(3, 1)
-	step(w) // one wait cycle into the first beat
-	s := w.SaveInto(nil)
+	step(&w) // one wait cycle into the first beat
+	s := w
 	// Two more waits, the first beat completes, then a 1-wait beat.
 	want := []bool{false, false, true, false, true}
 	for pass := 0; pass < 2; pass++ {
 		for i, r := range want {
-			if got := step(w); got != r {
+			if got := step(&w); got != r {
 				t.Fatalf("pass %d, cycle %d: predicted ready=%v, want %v", pass, i, got, r)
 			}
 		}
-		w.Restore(s)
+		w = s
 	}
 }
 

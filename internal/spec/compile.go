@@ -53,21 +53,16 @@ func (s *Spec) Compile() (core.Design, core.Config, error) {
 	}
 
 	cfg := core.Config{
-		Mode:                   core.Mode(modeNames[n.Run.Mode]),
-		SimSpeed:               n.Run.SimSpeed,
-		AccSpeed:               n.Run.AccSpeed,
-		LOBDepth:               n.Run.LOBDepth,
-		Accuracy:               n.Run.Accuracy,
-		FaultSeed:              n.Run.FaultSeed,
-		RollbackVars:           n.Run.RollbackVars,
-		CycleBatch:             n.Run.CycleBatch,
-		PredictIdle:            n.Run.PredictIdle,
-		PredictBurstStarts:     n.Run.PredictBurstStarts,
-		Adaptive:               n.Run.Adaptive,
-		AdaptiveThreshold:      n.Run.AdaptiveThreshold,
-		PaperStrictTransitions: n.Run.PaperStrict,
-		KeepTrace:              n.Run.KeepTrace,
-		CheckProtocol:          n.Run.CheckProtocol,
+		Mode:          core.Mode(modeNames[n.Run.Mode]),
+		SimSpeed:      n.Run.SimSpeed,
+		AccSpeed:      n.Run.AccSpeed,
+		LOBDepth:      n.Run.LOBDepth,
+		Accuracy:      n.Run.Accuracy,
+		FaultSeed:     n.Run.FaultSeed,
+		RollbackVars:  n.Run.RollbackVars,
+		CycleBatch:    n.Run.CycleBatch,
+		Adaptive:      n.Run.Adaptive,
+		CheckProtocol: n.Run.CheckProtocol,
 	}
 	// The channel section of a spec-level fault plan rides into the
 	// engine config; the service and store sections are consumed by

@@ -176,13 +176,7 @@ type Run struct {
 	// disables batching.
 	CycleBatch int `json:"cycle_batch,omitempty"`
 
-	PredictIdle        bool    `json:"predict_idle,omitempty"`
-	PredictBurstStarts bool    `json:"predict_burst_starts,omitempty"`
-	Adaptive           bool    `json:"adaptive,omitempty"`
-	AdaptiveThreshold  float64 `json:"adaptive_threshold,omitempty"`
-	PaperStrict        bool    `json:"paper_strict,omitempty"`
-
-	KeepTrace     bool `json:"keep_trace,omitempty"`
+	Adaptive      bool `json:"adaptive,omitempty"`
 	CheckProtocol bool `json:"check_protocol,omitempty"`
 
 	// Timeout is the per-job wall-clock deadline as a Go duration
@@ -355,9 +349,6 @@ func (s *Spec) Validate() error {
 	if r.Accuracy < 0 || r.Accuracy > 1 {
 		return fmt.Errorf("spec: accuracy %v outside [0, 1]", r.Accuracy)
 	}
-	if r.AdaptiveThreshold < 0 || r.AdaptiveThreshold > 1 {
-		return fmt.Errorf("spec: adaptive_threshold %v outside [0, 1]", r.AdaptiveThreshold)
-	}
 	if r.Timeout != "" {
 		d, err := time.ParseDuration(r.Timeout)
 		if err != nil {
@@ -437,13 +428,6 @@ func (s *Spec) Normalized() (*Spec, error) {
 	if r.Accuracy == 1 {
 		// No fault injector: the seed cannot influence the run.
 		r.FaultSeed = 0
-	}
-	if r.Adaptive {
-		if r.AdaptiveThreshold == 0 {
-			r.AdaptiveThreshold = 0.35
-		}
-	} else {
-		r.AdaptiveThreshold = 0
 	}
 	return &n, nil
 }

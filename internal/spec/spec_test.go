@@ -104,6 +104,21 @@ func TestParseRejects(t *testing.T) {
 		{"stale measured_latency", func(m map[string]any) {
 			m["run"].(map[string]any)["measured_latency"] = true
 		}, "measured_latency"},
+		{"stale predict_idle", func(m map[string]any) {
+			m["run"].(map[string]any)["predict_idle"] = true
+		}, "predict_idle"},
+		{"stale predict_burst_starts", func(m map[string]any) {
+			m["run"].(map[string]any)["predict_burst_starts"] = true
+		}, "predict_burst_starts"},
+		{"stale paper_strict", func(m map[string]any) {
+			m["run"].(map[string]any)["paper_strict"] = true
+		}, "paper_strict"},
+		{"stale adaptive_threshold", func(m map[string]any) {
+			m["run"].(map[string]any)["adaptive_threshold"] = 0.35
+		}, "adaptive_threshold"},
+		{"stale keep_trace", func(m map[string]any) {
+			m["run"].(map[string]any)["keep_trace"] = true
+		}, "keep_trace"},
 		{"sim_speed overflows cycle time", func(m map[string]any) {
 			m["run"].(map[string]any)["sim_speed"] = 1e-11
 		}, "sim_speed"},

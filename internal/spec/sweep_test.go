@@ -192,7 +192,10 @@ func TestSweepRejectsStaleRunFields(t *testing.T) {
 	// Removed run fields: a sweep axis that sets one fails Expand, and a
 	// base document carrying one fails ParseSweep, each with an error
 	// naming the field.
-	for _, field := range []string{"workers", "delta_cadence", "trace", "trace_ring", "measured_latency"} {
+	for _, field := range []string{
+		"workers", "delta_cadence", "trace", "trace_ring", "measured_latency",
+		"predict_idle", "predict_burst_starts", "paper_strict", "adaptive_threshold", "keep_trace",
+	} {
 		axis := fmt.Sprintf(`{"axes": [{"field": "run.%s", "values": [1, 2]}]}`, field)
 		ss, err := ParseSweep([]byte(sweepDoc(axis)))
 		if err != nil {

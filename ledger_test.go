@@ -21,44 +21,52 @@ import (
 // still matches the reference.
 
 // TestLedgerReconcilesWithCounts runs every example spec in every mode
-// at its own config and under the digest test's injected storm.
+// at its own config and under the digest test's injected storm, and
+// again in each optimistic mode with the adaptive governor on, whose
+// back-off stretches interleave conservative cycles with transitions.
 func TestLedgerReconcilesWithCounts(t *testing.T) {
 	modes := []coemu.Mode{coemu.Conservative, coemu.SLA, coemu.ALS, coemu.Auto}
 	for name, sp := range exampleSpecs(t) {
 		for _, mode := range modes {
-			for _, storm := range []bool{false, true} {
-				label := name + "/" + mode.String()
-				if storm {
-					label += "/storm"
+			for _, adaptive := range []bool{false, true} {
+				if adaptive && mode == coemu.Conservative {
+					continue // the governor only backs off from optimism
 				}
-				t.Run(label, func(t *testing.T) {
-					d, cfg, err := sp.Compile()
-					if err != nil {
-						t.Fatal(err)
+				for _, storm := range []bool{false, true} {
+					label := name + "/" + mode.String()
+					if adaptive {
+						label += "/adaptive"
 					}
-					cfg.Mode = mode
 					if storm {
-						stormConfig(&cfg)
+						label += "/storm"
 					}
-					e, err := core.NewEngine(d, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rep, err := e.Run(sp.Run.Cycles)
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkLedger(t, e, cfg, rep)
-				})
+					t.Run(label, func(t *testing.T) {
+						d, cfg, err := sp.Compile()
+						if err != nil {
+							t.Fatal(err)
+						}
+						cfg.Mode = mode
+						cfg.Adaptive = adaptive
+						if storm {
+							stormConfig(&cfg)
+						}
+						e, err := core.NewEngine(d, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						rep, err := e.Run(sp.Run.Cycles)
+						if err != nil {
+							t.Fatal(err)
+						}
+						checkLedger(t, e, cfg, rep)
+					})
+				}
 			}
 		}
 	}
 }
 
 // checkLedger asserts the three reconciliation identities on one run.
-// The access and store counts assume paper_strict off, as in every
-// example: a paper-strict transition can end before its snapshot or
-// its flush.
 func checkLedger(t *testing.T, e *core.Engine, cfg coemu.Config, rep *coemu.Report) {
 	t.Helper()
 	stack := device.IPROVE()
