@@ -93,7 +93,7 @@ func main() {
 	}
 	fmt.Printf("conventional %.1f kcycles/s, auto %.1f kcycles/s (%.2fx)\n",
 		conv.Perf()/1e3, auto.Perf()/1e3, auto.Perf()/conv.Perf())
-	fmt.Printf("rollbacks: %d (every remote SPLIT and release pulse defeats the wait model)\n",
+	fmt.Printf("rollbacks: %d (the first cycle of every remote SPLIT defeats the wait model; the second is predicted)\n",
 		auto.Stats.Rollbacks)
 	fmt.Println("\nSPLIT responses park the fetcher; the HSPLITx release crosses the")
 	fmt.Println("channel as an MSABS member, exactly as the paper's signal grouping")

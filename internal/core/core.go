@@ -17,4 +17,10 @@ package core
 //     INCR rebuild of a burst that lost the grant with beats left, and
 //     the rise of a request line whose last two low runs were equally
 //     long.
-const ModelRevision = 4
+//   - 5: the leader predicts three events the bus protocol fixes: a
+//     remote master's request fall on the cycle after its fixed-length
+//     burst's final beat, the burst start (a decline, not IDLE) when a
+//     master that lost the grant on its final beat is granted again,
+//     and the second cycle of a remote slave's two-cycle ERROR, RETRY
+//     or SPLIT response.
+const ModelRevision = 5

@@ -12,18 +12,23 @@ import (
 // predictor of the other domain's per-cycle contribution:
 //
 //   - bus requests: last-value, plus the scheduled rise of a line whose
-//     last two low runs were equally long (predict.RequestModel),
+//     last two low runs were equally long, and the fall on the cycle
+//     after a fixed-length burst's final beat (predict.RequestModel,
+//     told of the final beat by the master's tracker),
 //   - interrupt lines: last-value,
 //   - address/control of a remotely-granted master: burst continuation,
 //     including the INCR rebuild of a burst that lost the grant with
 //     beats left (one tracker per remote master),
-//   - responses of a remote active slave: producer-consumer wait model
-//     (one per remote slave, configured with its nominal profile),
-//   - default-slave replies (when owned remotely): a two-cycle ERROR
-//     mirror,
+//   - responses of a remote active slave: the second cycle of a
+//     two-cycle ERROR, RETRY or SPLIT response once its first cycle is
+//     seen (predict.SecondCycle), otherwise the producer-consumer wait
+//     model (one per remote slave, configured with its nominal profile),
+//   - default-slave replies (when owned remotely): the first cycle of
+//     its two-cycle ERROR, a constant,
 //   - read data and remote write data: never predicted — PredictInto
 //     declines, forcing the channel wrapper to synchronize, which is how
-//     the "data source leads" rule emerges.
+//     the "data source leads" rule emerges. (The second cycle of a
+//     two-cycle response carries no read data.)
 //
 // The predictor advances exclusively through Observe calls, one per
 // committed cycle, regardless of whether the committed remote values
@@ -48,7 +53,6 @@ type remotePredictor struct {
 	// bounds no idle stretch and which SkipIdle leaves as it is.
 	trackers []predict.BurstTracker // per remote master
 	waits    []predict.WaitModel    // per remote slave
-	defErr   defMirror
 
 	lastValid bool
 	lastFull  amba.CycleState
@@ -56,24 +60,9 @@ type remotePredictor struct {
 	pendingDP
 }
 
-// defMirror predicts the two-cycle ERROR sequence of a remotely-owned
-// default slave.
-type defMirror struct {
-	InErr bool
-}
-
-// Predict returns the reply the remote default slave will drive.
-func (m *defMirror) Predict() amba.SlaveReply {
-	if m.InErr {
-		return amba.SlaveReply{Ready: true, Resp: amba.RespError}
-	}
-	return amba.SlaveReply{Ready: false, Resp: amba.RespError}
-}
-
-// Observe aligns the mirror with an actual default-slave reply.
-func (m *defMirror) Observe(r amba.SlaveReply) {
-	m.InErr = r.Resp == amba.RespError && !r.Ready
-}
+// defaultSlaveFirst is the first cycle of the default slave's two-cycle
+// ERROR; predict.SecondCycle gives the second.
+var defaultSlaveFirst = amba.SlaveReply{Ready: false, Resp: amba.RespError}
 
 // newRemotePredictor builds the composite for a domain whose half-bus is
 // b. waitProfiles maps global slave indexes of *remote* slaves to their
@@ -147,25 +136,33 @@ func (p *remotePredictor) PredictInto(dst *amba.PartialState) DeclineReason {
 	}
 
 	dpValid, dpAP, dpMaster, dpSlave := p.b.DataPhase()
-	if dpValid {
-		if dpAP.Write && !p.b.MasterLocal(dpMaster) {
-			*out = amba.PartialState{}
-			return DeclineWriteData
-		}
-		switch {
-		case dpSlave == bus.DefaultSlaveIndex:
-			if !p.ownsDefault {
-				out.HasReply = true
-				out.Reply = p.defErr.Predict()
-			}
-		case !p.b.SlaveLocal(dpSlave):
-			if !dpAP.Write {
-				*out = amba.PartialState{}
-				return DeclineReadData
-			}
-			out.HasReply = true
-			out.Reply = amba.SlaveReply{Ready: p.waits[dpSlave].Predict(), Resp: amba.RespOkay}
-		}
+	if !dpValid {
+		return DeclineNone
+	}
+	if dpAP.Write && !p.b.MasterLocal(dpMaster) {
+		*out = amba.PartialState{}
+		return DeclineWriteData
+	}
+	if p.b.SlaveLocal(dpSlave) || dpSlave == bus.DefaultSlaveIndex && p.ownsDefault {
+		return DeclineNone
+	}
+	// The active slave is remote. A data phase that stalled on the first
+	// cycle of a two-cycle response is still the same data phase, so its
+	// second cycle follows (lastFull is zero, an OKAY, before the first
+	// observation).
+	out.HasReply = true
+	if second, ok := predict.SecondCycle(p.lastFull.Reply); ok {
+		out.Reply = second
+		return DeclineNone
+	}
+	switch {
+	case dpSlave == bus.DefaultSlaveIndex:
+		out.Reply = defaultSlaveFirst
+	case !dpAP.Write:
+		*out = amba.PartialState{}
+		return DeclineReadData
+	default:
+		out.Reply = amba.SlaveReply{Ready: p.waits[dpSlave].Predict(), Resp: amba.RespOkay}
 	}
 	return DeclineNone
 }
@@ -178,12 +175,17 @@ func (p *remotePredictor) Observe(full *amba.CycleState, remote *amba.PartialSta
 	p.irq.Observe(remote.IRQ & p.remoteIRQMask)
 
 	// Address-phase progression carries information only on ready
-	// cycles; during wait states the value is held. The bus has
-	// already arbitrated, so a grant that moves on a ready cycle cuts
-	// the master's burst.
+	// cycles; during wait states the value is held. A master whose
+	// fixed-length burst's final beat was just accepted drops its
+	// request on the next cycle. The bus has already arbitrated, so a
+	// grant that moves on a ready cycle cuts the master's burst; the
+	// announced fall outlives the cut.
 	if remote.HasAP && full.Reply.Ready {
 		t := &p.trackers[full.Grant]
 		t.Observe(remote.AP)
+		if t.Final() {
+			p.req.Fall(full.Grant)
+		}
 		if p.b.Grant() != full.Grant {
 			t.Cut()
 		}
@@ -192,14 +194,8 @@ func (p *remotePredictor) Observe(full *amba.CycleState, remote *amba.PartialSta
 	// The bus has already committed, so its DataPhase() now describes
 	// the NEXT cycle. The reply just observed belongs to the cycle that
 	// ended; use the data phase stashed before the commit.
-	if p.pendingDPValid {
-		if p.pendingDPSlave == bus.DefaultSlaveIndex {
-			if !p.ownsDefault {
-				p.defErr.Observe(full.Reply)
-			}
-		} else if !p.b.SlaveLocal(p.pendingDPSlave) {
-			p.waits[p.pendingDPSlave].Observe(full.Reply.Ready)
-		}
+	if p.pendingDPValid && p.pendingDPSlave != bus.DefaultSlaveIndex && !p.b.SlaveLocal(p.pendingDPSlave) {
+		p.waits[p.pendingDPSlave].Observe(full.Reply.Ready)
 	}
 
 	p.lastValid = true
@@ -228,13 +224,14 @@ func (p *remotePredictor) StashDataPhase() {
 // and the confident/declined verdict alike — is guaranteed to stay
 // exactly as it is now, provided only idle cycles are observed in the
 // meantime. A data phase in flight or a wait state pins the horizon to
-// 0 (response predictions evolve per cycle), and so does a granted
-// remote master whose last ready cycle carried a beat; otherwise the
-// only idle-time evolution is the request model's low-run counters,
-// and the next scheduled request rise bounds the horizon. The engine
-// uses this bound both to keep per-cycle leader-choice decisions (and
-// their decline accounting) replicable across a batched stretch and to
-// guarantee a leader's run-ahead predictions stay constant.
+// 0 (response predictions evolve per cycle), and so do a granted
+// remote master whose last ready cycle carried a beat and an announced
+// request fall; otherwise the only idle-time evolution is the request
+// model's low-run counters, and the next scheduled request rise bounds
+// the horizon. The engine uses this bound both to keep per-cycle
+// leader-choice decisions (and their decline accounting) replicable
+// across a batched stretch and to guarantee a leader's run-ahead
+// predictions stay constant.
 func (p *remotePredictor) PredictStableFor() int64 {
 	if v, _, _, _ := p.b.DataPhase(); v {
 		return 0
@@ -267,7 +264,6 @@ type predictorSnap struct {
 	IRQ      predict.LastValue
 	Trackers []predict.BurstTracker
 	Waits    []predict.WaitModel
-	DefErr   defMirror
 	LastV    bool
 	LastFull amba.CycleState
 	Pending  pendingDP
@@ -288,7 +284,6 @@ func (p *remotePredictor) SaveInto(prev any) any {
 	s.IRQ = p.irq
 	copy(s.Trackers, p.trackers)
 	copy(s.Waits, p.waits)
-	s.DefErr = p.defErr
 	s.LastV = p.lastValid
 	s.LastFull = p.lastFull
 	s.Pending = p.pendingDP
@@ -305,7 +300,6 @@ func (p *remotePredictor) Restore(v any) {
 	p.irq = s.IRQ
 	copy(p.trackers, s.Trackers)
 	copy(p.waits, s.Waits)
-	p.defErr = s.DefErr
 	p.lastValid = s.LastV
 	p.lastFull = s.LastFull
 	p.pendingDP = s.Pending

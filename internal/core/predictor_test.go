@@ -8,6 +8,7 @@ import (
 	"coemu/internal/amba"
 	"coemu/internal/bus"
 	"coemu/internal/ip"
+	"coemu/internal/predict"
 	"coemu/internal/workload"
 )
 
@@ -101,10 +102,11 @@ func TestLeaderPredictionPure(t *testing.T) {
 }
 
 // TestPredictorSnapshotRoundTripsRequestModel: the request model's
-// low-run history, the remote masters' burst trackers and the remote
-// slaves' wait models are value copies in the predictor snapshot. A
-// restore brings back exactly the saved models, and a recycled save
-// allocates nothing.
+// low-run history and announced falls, the remote masters' burst
+// trackers (a dropped burst context included) and the remote slaves'
+// wait models are value copies in the predictor snapshot. A restore
+// brings back exactly the saved models, and a recycled save allocates
+// nothing.
 func TestPredictorSnapshotRoundTripsRequestModel(t *testing.T) {
 	b := bus.New("sim")
 	b.AddExternalMaster("a")
@@ -130,24 +132,37 @@ func TestPredictorSnapshotRoundTripsRequestModel(t *testing.T) {
 	ap := amba.AddrPhase{Addr: 0x100, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: amba.BurstIncr4, Write: true}
 	p.trackers[2].Observe(ap)
 	p.waits[mem].Observe(false)
-	want, wantTracker, wantWait := p.req, p.trackers[2], p.waits[mem]
+	// Master 0 requested for a SINGLE and lost the grant on it: its fall
+	// is announced and its burst context dropped.
+	observe(1<<0, 1)
+	p.trackers[0].Observe(amba.AddrPhase{Addr: 0x200, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: amba.BurstSingle})
+	if !p.trackers[0].Final() {
+		t.Fatal("a SINGLE's beat is not final")
+	}
+	p.req.Fall(0)
+	p.trackers[0].Cut()
+	if p.req.Predict()&1 != 0 || p.trackers[0] == (predict.BurstTracker{}) {
+		t.Fatal("no fall announced or no burst context dropped; the check proves little")
+	}
+	want, wantTrackers, wantWait := p.req, [2]predict.BurstTracker{p.trackers[0], p.trackers[2]}, p.waits[mem]
 	s := p.SaveInto(nil)
 	observe(1<<0|1<<2, 3)
 	observe(0, 9)
 	next, _ := p.trackers[2].Predict()
 	p.trackers[2].Observe(next)
+	p.trackers[0].Observe(ap)
 	p.waits[mem].Observe(false)
 	p.waits[mem].Observe(true)
-	if p.req == want || p.trackers[2] == wantTracker || p.waits[mem] == wantWait {
+	if p.req == want || p.trackers[0] == wantTrackers[0] || p.trackers[2] == wantTrackers[1] || p.waits[mem] == wantWait {
 		t.Fatal("the observations after the save left a model unchanged; the check proves little")
 	}
 	p.Restore(s)
-	if p.req != want {
+	if p.req != want || p.req.Predict()&1 != 0 {
 		t.Fatalf("restored request model %+v, saved %+v", p.req, want)
 	}
-	if p.trackers[2] != wantTracker || p.waits[mem] != wantWait {
-		t.Fatalf("restored tracker %+v and wait model %+v, saved %+v and %+v",
-			p.trackers[2], p.waits[mem], wantTracker, wantWait)
+	if got := [2]predict.BurstTracker{p.trackers[0], p.trackers[2]}; got != wantTrackers || p.waits[mem] != wantWait {
+		t.Fatalf("restored trackers %+v and wait model %+v, saved %+v and %+v",
+			got, p.waits[mem], wantTrackers, wantWait)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { s = p.SaveInto(s) }); allocs != 0 {
 		t.Fatalf("recycled predictor save allocates %v times", allocs)
@@ -180,11 +195,71 @@ func fixedGapDesign(gap int) Design {
 	}
 }
 
+// eachTransition drives an engine for the given number of committed
+// cycles, leader choice by leader choice as the run loop does (without
+// its batching, which commits the same cycles). After every transition
+// it calls visit with the cycle the transition started at, its LOB
+// entries and the index of the entry whose check rolled back, or -1.
+// After a rollback the mispredicted entry is the last one the lagger
+// committed, and e.laggerOut still holds the lagger's actual
+// contribution for it. The engine must inject no faults.
+func eachTransition(t testing.TB, e *Engine, cycles int64, visit func(base int64, entries []Entry, failed int)) {
+	t.Helper()
+	for e.stats.Committed < cycles {
+		leader := e.chooseLeader()
+		if leader == nil {
+			if err := e.conservativeCycle(); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		base, rb := e.stats.Committed, e.stats.Rollbacks
+		n, err := e.transition(leader, cycles-base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		failed := -1
+		if e.stats.Rollbacks > rb {
+			failed = int(n) - 1
+			if e.lob.Entries()[failed].Pred == e.laggerOut {
+				t.Fatalf("cycle %d: rolled back on entry %d, whose prediction matches", base+int64(failed), failed)
+			}
+		}
+		visit(base, e.lob.Entries(), failed)
+	}
+}
+
+// mispredict is one check that rolled back: the cycle it failed at,
+// the leader's prediction and the lagger's actual contribution.
+type mispredict struct {
+	cycle        int64
+	pred, actual amba.PartialState
+}
+
+// runMispredicts runs d under cfg for the given cycles and returns the
+// engine and every check it rolled back on.
+func runMispredicts(t testing.TB, d Design, cfg Config, cycles int64) (*Engine, []mispredict) {
+	t.Helper()
+	e, err := NewEngine(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []mispredict
+	eachTransition(t, e, cycles, func(base int64, entries []Entry, failed int) {
+		if failed >= 0 {
+			out = append(out, mispredict{base + int64(failed), entries[failed].Pred, e.laggerOut})
+		}
+	})
+	if int64(len(out)) != e.stats.Rollbacks {
+		t.Fatalf("%d mispredicts recorded, %d rollbacks", len(out), e.stats.Rollbacks)
+	}
+	return e, out
+}
+
 // TestFixedGapRequestRisePredicted: once the stream has shown its gap
 // twice, the simulator leader predicts every rise of its request line.
-// The engine is driven transition by transition; after a rollback the
-// mispredicted entry is the last one the lagger committed, and its
-// prediction is compared with the lagger's actual contribution.
+// After a rollback the mispredicted entry's prediction is compared with
+// the lagger's actual contribution.
 func TestFixedGapRequestRisePredicted(t *testing.T) {
 	const cycles = 6000
 	const streamBit = 1 << 0
@@ -212,40 +287,181 @@ func TestFixedGapRequestRisePredicted(t *testing.T) {
 		t.Fatal(err)
 	}
 	predictedRises := 0
-	for e.stats.Committed < cycles {
-		leader := e.chooseLeader()
-		if leader == nil {
-			if err := e.conservativeCycle(); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		base, rb := e.stats.Committed, e.stats.Rollbacks
-		n, err := e.transition(leader, cycles-base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries := e.lob.Entries()
+	eachTransition(t, e, cycles, func(base int64, entries []Entry, failed int) {
 		checked := len(entries) - 1 // the final entry carries no prediction
-		if e.stats.Rollbacks > rb {
-			i := int(n) - 1
-			pred, actual := entries[i].Pred, e.laggerOut
-			if pred == actual {
-				t.Fatalf("cycle %d: rolled back on entry %d, whose prediction matches", base+int64(i), i)
-			}
-			if base+int64(i) > learned && (pred.Req^actual.Req)&streamBit != 0 {
+		if failed >= 0 {
+			pred, actual := entries[failed].Pred, e.laggerOut
+			if base+int64(failed) > learned && (pred.Req^actual.Req)&streamBit != 0 {
 				t.Fatalf("cycle %d (stream gap learned by cycle %d): predicted request %#x, stream drove %#x",
-					base+int64(i), learned, pred.Req, actual.Req)
+					base+int64(failed), learned, pred.Req, actual.Req)
 			}
-			checked = i
+			checked = failed
 		}
 		for j := 1; j < checked; j++ {
 			if entries[j].Pred.Req&streamBit != 0 && entries[j-1].Pred.Req&streamBit == 0 {
 				predictedRises++
 			}
 		}
-	}
+	})
 	if predictedRises < 50 {
 		t.Fatalf("only %d request rises were predicted inside a run-ahead; the check proves little", predictedRises)
+	}
+}
+
+// multimasterDesign is examples/multimaster's design: an INCR8 write
+// stream and an INCR4 DMA copy on the accelerator beside a random CPU
+// on the simulator, over a simulator DRAM, an accelerator scratchpad
+// and an accelerator timer.
+func multimasterDesign() Design {
+	return Design{
+		Masters: []MasterSpec{
+			{Name: "vdma", Domain: AccDomain, NewGen: func() ip.Generator {
+				return workload.NewStream(workload.Window{Lo: 0, Hi: 0x8000}, true,
+					amba.BurstIncr8, amba.Size32, 0, 4, 0)
+			}},
+			{Name: "cpu", Domain: SimDomain, NewGen: func() ip.Generator {
+				return workload.NewCPU([]workload.Window{{Lo: 0, Hi: 0x8000}, {Lo: 0x10000, Hi: 0x12000}},
+					0.6, 5, 0, 2024)
+			}},
+			{Name: "pdma", Domain: AccDomain, NewGen: func() ip.Generator {
+				return workload.NewDMACopy(workload.Window{Lo: 0, Hi: 0x4000},
+					workload.Window{Lo: 0x10000, Hi: 0x11000}, amba.BurstIncr4, 6, 0)
+			}},
+		},
+		Slaves: []SlaveSpec{
+			{Name: "dram", Domain: SimDomain, Region: bus.Region{Lo: 0, Hi: 0x10000},
+				New:       func() bus.Slave { return ip.NewMemory("dram", 2, 1) },
+				WaitFirst: 2, WaitNext: 1},
+			{Name: "spm", Domain: AccDomain, Region: bus.Region{Lo: 0x10000, Hi: 0x14000},
+				New: func() bus.Slave { return ip.NewSRAM("spm") }},
+			{Name: "timer", Domain: AccDomain, Region: bus.Region{Lo: 0x20000, Hi: 0x20100},
+				New:     func() bus.Slave { return ip.NewIRQPeriph("timer", 0x1) },
+				IRQMask: 0x1, WaitFirst: 1, WaitNext: 1},
+		},
+	}
+}
+
+// fallDesign puts an INCR4 read stream with gap 5 on the accelerator
+// (master 0) beside an INCR4 write stream with gap 7 on the simulator,
+// each on its own simulator SRAM. The reader drops its request on the
+// cycle after each burst's final address phase.
+func fallDesign() Design {
+	return Design{
+		Masters: []MasterSpec{
+			{Name: "reader", Domain: AccDomain, NewGen: func() ip.Generator {
+				return workload.NewStream(workload.Window{Lo: 0, Hi: 0x8000}, false,
+					amba.BurstIncr4, amba.Size32, 0, 5, 0)
+			}},
+			{Name: "writer", Domain: SimDomain, NewGen: func() ip.Generator {
+				return workload.NewStream(workload.Window{Lo: 0x10000, Hi: 0x18000}, true,
+					amba.BurstIncr4, amba.Size32, 0, 7, 0)
+			}},
+		},
+		Slaves: []SlaveSpec{
+			{Name: "buf", Domain: SimDomain, Region: bus.Region{Lo: 0, Hi: 0x8000},
+				New: func() bus.Slave { return ip.NewSRAM("buf") }},
+			{Name: "mem", Domain: SimDomain, Region: bus.Region{Lo: 0x10000, Hi: 0x18000},
+				New: func() bus.Slave { return ip.NewSRAM("mem") }},
+		},
+	}
+}
+
+// TestRequestFallAfterFinalBeatPredicted: the leader predicts a remote
+// master's request fall on the cycle after its fixed-length burst's
+// final address phase. Under SLA the simulator leads through the
+// reader's bursts; under auto both domains lead, and the writer also
+// loses the grant on final beats. At model revision 4, last-value
+// prediction missed every fall: 2,729 rollbacks under SLA and 3,412
+// under auto, against 1 and 4 now.
+func TestRequestFallAfterFinalBeatPredicted(t *testing.T) {
+	const cycles = 30000
+	ref, err := RunReference(fallDesign(), cycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	falls := 0
+	for k := 1; k < len(ref); k++ {
+		if ref[k-1].Req&^ref[k].Req != 0 {
+			falls++
+		}
+	}
+	if falls < 2000 {
+		t.Fatalf("only %d request falls in %d cycles; the check proves little", falls, cycles)
+	}
+	for _, mode := range []Mode{SLA, Auto} {
+		e, mis := runMispredicts(t, fallDesign(), Config{Mode: mode}, cycles)
+		for _, m := range mis {
+			if fell := ref[m.cycle-1].Req &^ m.actual.Req; fell&m.pred.Req != 0 {
+				t.Fatalf("%v, cycle %d: predicted request %#x, the lagger's masters drove %#x after %#x",
+					mode, m.cycle, m.pred.Req, m.actual.Req, ref[m.cycle-1].Req)
+			}
+		}
+		if st := e.stats; st.Rollbacks > 8 || st.RunAheadCycles < cycles/2 {
+			t.Fatalf("%v: %d rollbacks and %d run-ahead cycles in %d, want at most 8 and at least half",
+				mode, st.Rollbacks, st.RunAheadCycles, cycles)
+		}
+	}
+}
+
+// TestTwoCycleResponseSecondCyclePredicted: under ALS the accelerator
+// leads examples/quickstart's INCR8 write stream into a simulator slave
+// that answers with two-cycle responses: a memory that retries every
+// fourth beat, and an error slave. The first cycle of each response is
+// a surprise, but the second follows from it, so the run rolls back at
+// most once per response. At model revision 4 it rolled back on both
+// cycles: 3,477 and 13,332 times, against 1,738 and 6,666 now.
+func TestTwoCycleResponseSecondCyclePredicted(t *testing.T) {
+	const cycles = 20000
+	slaves := []struct {
+		name  string
+		new   func() bus.Slave
+		waits int
+	}{
+		{"retry", func() bus.Slave { return ip.NewRetryMemory("mem", 1, 4) }, 1},
+		{"error", func() bus.Slave { return ip.NewErrorSlave("mem") }, 0},
+	}
+	for _, s := range slaves {
+		d := quickstartMemoryDesign(s.waits, s.waits)
+		d.Slaves[0].New = s.new
+		ref, err := RunReference(d, cycles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		responses := int64(0)
+		for _, c := range ref {
+			if !c.Reply.Ready && c.Reply.Resp != amba.RespOkay {
+				responses++
+			}
+		}
+		if responses < 1000 {
+			t.Fatalf("%s: only %d two-cycle responses; the check proves little", s.name, responses)
+		}
+		e, mis := runMispredicts(t, d, Config{Mode: ALS}, cycles)
+		for _, m := range mis {
+			if r := m.actual.Reply; m.actual.HasReply && r.Ready && r.Resp != amba.RespOkay {
+				t.Fatalf("%s, cycle %d: predicted %v for the second cycle of a two-cycle response, the slave drove %v",
+					s.name, m.cycle, m.pred.Reply, r)
+			}
+		}
+		if e.stats.Rollbacks > responses {
+			t.Fatalf("%s: %d rollbacks for %d two-cycle responses, want at most one each", s.name, e.stats.Rollbacks, responses)
+		}
+	}
+}
+
+// TestRegrantAfterFinalBeatDeclines: on examples/multimaster in auto
+// mode, a remote master that lost the grant on its final beat opens a
+// new burst with a NONSEQ when it is granted again, so the leader
+// declines there instead of predicting IDLE. At model revision 4 that
+// IDLE cost 161 of the run's 875 rollbacks.
+func TestRegrantAfterFinalBeatDeclines(t *testing.T) {
+	e, mis := runMispredicts(t, multimasterDesign(), Config{Mode: Auto}, 30000)
+	for _, m := range mis {
+		if m.pred.HasAP && m.pred.AP.Trans == amba.TransIdle && m.actual.AP.Trans == amba.TransNonSeq {
+			t.Fatalf("cycle %d: predicted IDLE, the granted master drove %v", m.cycle, m.actual.AP)
+		}
+	}
+	if e.stats.Declines[DeclineBurstStart] == 0 {
+		t.Fatal("no leader declined at a remote burst start; the check proves little")
 	}
 }

@@ -274,3 +274,278 @@ func FuzzBurstRebuildMirror(f *testing.F) {
 		checkRebuildMirror(t, tr, xfers, string(sched))
 	})
 }
+
+// A master drops its request on the cycle after the ready cycle that
+// accepts its fixed-length burst's final address phase. These tests
+// drive an ip.TrafficMaster through its bus.Master methods next to a
+// BurstTracker and a RequestModel fed the way the leader's predictor
+// feeds them: the request line every cycle; on a ready cycle while the
+// master is granted, its address phase, then Fall when that was a
+// fixed-length burst's final beat, then Cut when the grant moves away.
+
+// fallCounts tallies the cycles a request-fall mirror checked.
+type fallCounts struct {
+	falls    int // boundary cycles of fixed-length bursts
+	incr     int // boundary cycles of INCR bursts
+	regrants int // NONSEQs that open a burst after a cut on a final beat
+}
+
+// checkRequestFall runs a master fed xfers against a slave that waits
+// waits cycles on every beat, all OKAY. When cuts[i] is set, the grant
+// moves away on the ready cycle that accepts transfer i's final address
+// phase and returns two ready cycles later. On the boundary cycle after
+// each final address phase, the predicted request line must equal the
+// master's HBUSREQ (low) for a fixed-length burst, and keep its last
+// value (high) for an INCR burst, whose length the tracker cannot know.
+// On every cycle the master is granted after a ready one, a confident
+// address-phase prediction must equal the master's address phase,
+// unless it continues an INCR burst (a guess at its length). On every
+// cycle Predict must give the same answer twice.
+func checkRequestFall(t testing.TB, xfers []ip.Xfer, cuts []bool, waits int) fallCounts {
+	t.Helper()
+	m := ip.NewTrafficMaster("m", workload.NewSequence(xfers...), 0)
+	var tr predict.BurstTracker
+	req := predict.NewRequestModel(1)
+	var n fallCounts
+	granted, lastReady := true, true
+	dataValid, waitLeft, away := false, 0, 0
+	// The test's own account: transfer xi has issued beats; boundary
+	// marks the cycle after a final address phase, of a fixed-length
+	// burst when fixed; recut marks a master whose burst ended on a cut.
+	xi, issued := 0, 0
+	boundary, fixed, recut := false, false, false
+	limit := 64
+	for _, x := range xfers {
+		limit += (x.Beats()+2)*(waits+1) + x.Gap
+	}
+	for cycle := 0; !m.Idle() || boundary; cycle++ {
+		if cycle > limit {
+			t.Fatalf("the master is still busy after %d cycles", cycle)
+		}
+		predReq := req.Predict()
+		pred, ok := tr.Predict()
+		if again, okAgain := tr.Predict(); again != pred || okAgain != ok || req.Predict() != predReq {
+			t.Fatalf("cycle %d: Predict is not pure", cycle)
+		}
+		var d bus.MasterDrive
+		m.Drive(&d)
+		if boundary {
+			switch {
+			case d.Req:
+				t.Fatalf("cycle %d: the master requests on the boundary cycle after transfer %d", cycle, xi-1)
+			case fixed:
+				n.falls++
+				if predReq != 0 {
+					t.Fatalf("cycle %d, boundary after transfer %d (%v, gap %d, waits %d, cut %v): predicted request %#x, master drove it low",
+						cycle, xi-1, xfers[xi-1].Burst, xfers[xi-1].Gap, waits, cuts[xi-1], predReq)
+				}
+			default:
+				n.incr++
+				if predReq != 1 {
+					t.Fatalf("cycle %d, boundary after INCR transfer %d: predicted request %#x, want no fall (the last value)", cycle, xi-1, predReq)
+				}
+			}
+		}
+		last := xi
+		if issued == 0 {
+			last = xi - 1 // the transfer whose beats the tracker saw last
+		}
+		guess := last >= 0 && xfers[last].Burst.Beats() == 0
+		if granted && lastReady && !guess {
+			if ok && pred != d.AP {
+				t.Fatalf("cycle %d, transfer %d beat %d: predicted %v, master drove %v", cycle, xi, issued, pred, d.AP)
+			}
+			if recut && d.AP.Trans == amba.TransNonSeq {
+				n.regrants++
+				recut = false
+			}
+		}
+
+		ready := true
+		if dataValid && waitLeft > 0 {
+			ready = false
+			waitLeft--
+		}
+		final := granted && ready && d.AP.Trans.Active() && issued+1 == xfers[xi].Beats()
+		grantNext := granted
+		switch {
+		case !ready:
+		case final && cuts[xi]:
+			grantNext, away, recut = false, 2, true
+		case !granted:
+			away--
+			grantNext = away == 0
+		}
+		m.Commit(bus.MasterFeedback{Granted: granted, GrantNext: grantNext, Ready: ready, OwnsData: dataValid, Resp: amba.RespOkay})
+		var line uint32
+		if d.Req {
+			line = 1
+		}
+		req.Observe(line)
+		if granted && ready {
+			tr.Observe(d.AP)
+			if tr.Final() {
+				req.Fall(0)
+			}
+			if !grantNext {
+				tr.Cut()
+			}
+		}
+
+		boundary = false
+		if ready {
+			dataValid = granted && d.AP.Trans.Active()
+			waitLeft = waits
+			if dataValid {
+				if issued++; final {
+					boundary, fixed = true, xfers[xi].Burst.Beats() > 0
+					xi, issued = xi+1, 0
+				}
+			}
+		}
+		lastReady, granted = ready, grantNext
+	}
+	return n
+}
+
+// fallBursts are the burst types of the request-fall mirror: every
+// fixed-length type, and INCR, which gets no fall.
+var fallBursts = [...]amba.Burst{
+	amba.BurstSingle, amba.BurstIncr4, amba.BurstIncr8, amba.BurstIncr16,
+	amba.BurstWrap4, amba.BurstWrap8, amba.BurstWrap16, amba.BurstIncr,
+}
+
+// TestRequestFallMirrorsMaster runs three transfers of each burst type
+// at gaps 0-3 and slave waits 0-2, with the grant kept and with it lost
+// on every final beat.
+func TestRequestFallMirrorsMaster(t *testing.T) {
+	var total fallCounts
+	for _, burst := range fallBursts {
+		for gap := 0; gap <= 3; gap++ {
+			for waits := 0; waits <= 2; waits++ {
+				for _, cut := range []bool{false, true} {
+					name := fmt.Sprintf("%v/gap=%d/waits=%d/cut=%v", burst, gap, waits, cut)
+					t.Run(name, func(t *testing.T) {
+						x := ip.Xfer{Addr: 0x1000, Write: waits == 1, Size: amba.Size32, Burst: burst, Len: 5, Gap: gap}
+						xfers := []ip.Xfer{x, x, x}
+						n := checkRequestFall(t, xfers, []bool{cut, cut, cut}, waits)
+						if got := n.falls + n.incr; got != len(xfers) {
+							t.Fatalf("%d boundary cycles checked, want %d (%+v)", got, len(xfers), n)
+						}
+						total.falls += n.falls
+						total.incr += n.incr
+						total.regrants += n.regrants
+					})
+				}
+			}
+		}
+	}
+	// Every cut fixed-length transfer but the last is followed by a
+	// regrant.
+	if want := 2 * 4 * 3 * (len(fallBursts) - 1); total.regrants != want {
+		t.Fatalf("%d regrants after a cut on a final beat checked, want %d (%+v)", total.regrants, want, total)
+	}
+}
+
+// FuzzRequestFallMirror decodes the slave's wait states and a transfer
+// list from the fuzzer's bytes and runs the request-fall mirror over
+// them: one byte per transfer gives its burst type (bits 0-2), gap
+// (bits 3-4), INCR length (bit 5), direction (bit 6) and whether the
+// grant moves away on its final beat (bit 7).
+func FuzzRequestFallMirror(f *testing.F) {
+	f.Add([]byte{0, 0x00, 0x09, 0x32, 0x0f, 0x1c})
+	f.Add([]byte{1, 0x81, 0x82, 0x8c, 0x05, 0xc0})
+	f.Add([]byte{2, 0x3b, 0x84, 0xa7, 0x16, 0xca, 0x3f})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) < 2 {
+			return
+		}
+		waits := int(b[0] % 3)
+		b = b[1:]
+		if len(b) > 16 {
+			b = b[:16]
+		}
+		xfers := make([]ip.Xfer, len(b))
+		cuts := make([]bool, len(b))
+		for i, c := range b {
+			xfers[i] = ip.Xfer{
+				Addr:  0x1000 + amba.Addr(i)*0x40,
+				Write: c&0x40 != 0,
+				Size:  amba.Size32,
+				Burst: fallBursts[c&7],
+				Len:   1 + 4*int(c>>5&1),
+				Gap:   int(c>>3) & 3,
+			}
+			cuts[i] = c&0x80 != 0
+		}
+		checkRequestFall(t, xfers, cuts, waits)
+	})
+}
+
+// The second cycle of a two-cycle response. checkSecondCycle drives a
+// slave through its bus.Slave methods the way the bus does (Respond,
+// WriteCommit on an accepted OKAY write, Commit), presenting beats
+// back to back and presenting a beat that got RETRY or SPLIT again. On
+// the cycle after every first cycle of a non-OKAY response,
+// predict.SecondCycle of that first cycle must equal the slave's reply.
+// It returns the number of second cycles checked.
+func checkSecondCycle(t testing.TB, s bus.Slave, beats int, write bool) int {
+	t.Helper()
+	checked := 0
+	var prev amba.SlaveReply
+	ap := amba.AddrPhase{Addr: 0x100, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: amba.BurstIncr, Write: write}
+	for beat, cycle := 0, 0; beat < beats; cycle++ {
+		if cycle > 16*beats {
+			t.Fatalf("%s: beat %d still pending after %d cycles", s.Name(), beat, cycle)
+		}
+		reply := s.Respond(ap)
+		if want, ok := predict.SecondCycle(prev); ok {
+			checked++
+			if reply != want {
+				t.Fatalf("%s, cycle %d, beat %d (write %v): predicted %v after %v, slave drove %v",
+					s.Name(), cycle, beat, write, want, prev, reply)
+			}
+		}
+		if reply.Ready && reply.Resp == amba.RespOkay && write {
+			s.WriteCommit(ap, amba.Word(cycle))
+		}
+		s.Commit(reply.Ready)
+		prev = reply
+		if reply.Ready && (reply.Resp == amba.RespOkay || reply.Resp == amba.RespError) {
+			beat++
+			ap.Trans = amba.TransSeq
+			ap.Addr += 4
+		}
+	}
+	return checked
+}
+
+// TestTwoCycleResponseMirror checks every two-cycle response of a
+// splitting memory, a retrying memory and an error slave, for reads and
+// writes and at wait states 0-2.
+func TestTwoCycleResponseMirror(t *testing.T) {
+	const beats = 40
+	for waits := 0; waits <= 2; waits++ {
+		for _, write := range []bool{false, true} {
+			for _, every := range []int{1, 3, 4} {
+				slaves := []bus.Slave{
+					ip.NewSplitMemory("split", waits, every, 2),
+					ip.NewRetryMemory("retry", waits, every),
+				}
+				if every == 1 {
+					slaves = append(slaves, ip.NewErrorSlave("error"))
+				}
+				for _, s := range slaves {
+					want := beats / every
+					if s.Name() == "error" {
+						want = beats
+					}
+					if got := checkSecondCycle(t, s, beats, write); got != want {
+						t.Fatalf("%s every %d, waits %d, write %v: %d second cycles checked, want %d",
+							s.Name(), every, waits, write, got, want)
+					}
+				}
+			}
+		}
+	}
+}

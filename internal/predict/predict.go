@@ -8,8 +8,10 @@
 //     model,
 //   - arbitration requests: last-value prediction, plus the rise of a
 //     line whose last two low runs were equally long (a master that
-//     requests the bus after a fixed gap),
+//     requests the bus after a fixed gap) and the fall on the cycle
+//     after a fixed-length burst's final beat,
 //   - interrupt lines: last-value prediction,
+//   - the second cycle of a two-cycle ERROR, RETRY or SPLIT response,
 //
 // plus a fault injector used by the evaluation harness to pin prediction
 // accuracy to an exact probability, the way the paper's Table 2 and
@@ -54,13 +56,14 @@ func (l *LastValue) Predict() uint32 { return l.v }
 func (l *LastValue) Observe(v uint32) { l.v = v }
 
 // RequestModel predicts the bus-request lines (HBUSREQx) of the masters
-// in mask. A line is predicted as its last value, except that a low
-// line is predicted to rise once it has been low exactly as long as
-// each of its last two completed low runs, when those two were equally
-// long: a master that requests the bus after a fixed gap rises on a
-// schedule. A line whose rise does not come falls back to its last
-// value. The counters saturate, and a saturated run is never trusted.
-// All state is a value, so a struct copy is a snapshot.
+// in mask. A line is predicted as its last value, with two exceptions.
+// A low line is predicted to rise once it has been low exactly as long
+// as each of its last two completed low runs, when those two were
+// equally long: a master that requests the bus after a fixed gap rises
+// on a schedule. A line whose rise does not come falls back to its last
+// value. And a line announced with Fall is predicted low for the one
+// cycle that follows. The counters saturate, and a saturated run is
+// never trusted. All state is a value, so a struct copy is a snapshot.
 type RequestModel struct {
 	mask uint32
 	st   reqState
@@ -68,6 +71,7 @@ type RequestModel struct {
 
 type reqState struct {
 	Last  uint32 // last observed value of every modeled line
+	Fall  uint32 // lines announced to fall on the next cycle
 	Lines [amba.MaxMasters]reqLine
 }
 
@@ -104,11 +108,20 @@ func (r *RequestModel) Predict() uint32 {
 			v |= 1 << uint(i)
 		}
 	}
-	return v
+	return v &^ r.st.Fall
+}
+
+// Fall announces that master i's line is low on the next cycle:
+// ip.TrafficMaster drops HBUSREQ on the cycle after the ready cycle that
+// accepts a fixed-length burst's final address phase. The next Observe
+// ends the announcement, and the line's last value takes over.
+func (r *RequestModel) Fall(i int) {
+	r.st.Fall |= r.mask & (1 << uint(i))
 }
 
 // Observe records the lines' actual value for one cycle.
 func (r *RequestModel) Observe(v uint32) {
+	r.st.Fall = 0
 	v &= r.mask
 	for m := r.mask; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros32(m)
@@ -127,10 +140,11 @@ func (r *RequestModel) Observe(v uint32) {
 
 // IdleStableFor reports for how many further cycles with every line
 // observed low Predict is guaranteed not to change: until the earliest
-// scheduled rise, 0 at it or while a line is high (a low observation
-// changes it), and Unbounded when no rise is scheduled.
+// scheduled rise, 0 at it, while a line is high or while a fall is
+// announced (a low observation changes it), and Unbounded when no rise
+// is scheduled.
 func (r *RequestModel) IdleStableFor() int64 {
-	if r.st.Last != 0 {
+	if r.st.Last|r.st.Fall != 0 {
 		return 0
 	}
 	h := Unbounded
@@ -159,14 +173,15 @@ func (r *RequestModel) SkipIdle(n int64) {
 			l.Low += uint32(n)
 		}
 	}
-	r.st.Last = 0
+	r.st.Last, r.st.Fall = 0, 0
 }
 
 // BurstTracker predicts the address/control signals of a remote bus
 // master by extrapolating its current burst. A prediction is only
 // offered mid-burst and on the cycle after a fixed-length burst's final
 // beat (IDLE); for an idle master the tracker declines, because the
-// start-of-burst values must genuinely cross the channel.
+// start-of-burst values must genuinely cross the channel. Final reports
+// that final beat, after which the master also drops its request.
 //
 // A master that loses the grant with beats left rebuilds the remainder
 // when it is granted again (ip.TrafficMaster's restart): an INCR burst
@@ -174,7 +189,9 @@ func (r *RequestModel) SkipIdle(n int64) {
 // original burst's addresses and keeps its beat count, and takes a
 // fresh NONSEQ at a WRAP burst's wrap point. The caller reports the
 // grant loss with Cut; the tracker then predicts the rebuild and treats
-// it as the same burst.
+// it as the same burst. A master that loses the grant on its final beat
+// has nothing to rebuild: its next grant starts a new burst, so Cut
+// drops the burst context and the tracker declines there.
 //
 // The zero value is a tracker that has seen nothing.
 type BurstTracker struct {
@@ -259,11 +276,23 @@ func (t *BurstTracker) nextBeat() amba.AddrPhase {
 
 // Cut reports that the tracked master lost the grant on the ready cycle
 // just observed. A burst with beats left is rebuilt on the next grant,
-// which Predict then offers.
+// which Predict then offers. Otherwise the next grant starts a new
+// burst, so Cut drops the burst context exactly as one idle observation
+// does.
 func (t *BurstTracker) Cut() {
 	if t.midBurst() {
 		t.st.Cut = true
+	} else {
+		t.SkipIdle()
 	}
+}
+
+// Final reports whether the beat last observed was the final beat of a
+// fixed-length burst (SINGLE, INCR4/8/16, WRAP4/8/16, or a rebuilt
+// remainder of one). An INCR burst's length is unknown, so it never has
+// a final beat.
+func (t *BurstTracker) Final() bool {
+	return t.st.Valid && t.st.Last.Trans.Active() && t.st.Remaining == 0
 }
 
 // Predict returns the predicted next address phase and whether a
@@ -368,6 +397,19 @@ func (w *WaitModel) Observe(ready bool) {
 	if w.st.WaitLeft > 0 {
 		w.st.WaitLeft--
 	}
+}
+
+// SecondCycle predicts the reply that follows r. An ERROR, RETRY or
+// SPLIT response takes two cycles (AMBA AHB, ARM IHI 0011A): {HREADY
+// low, resp}, then {HREADY high, the same resp}. Neither carries read
+// data, so the slaves (ip and the bus's default slave) drive HRDATA 0.
+// When r is such a first cycle, SecondCycle returns the second and
+// true; otherwise it returns false.
+func SecondCycle(r amba.SlaveReply) (amba.SlaveReply, bool) {
+	if r.Ready || r.Resp == amba.RespOkay {
+		return amba.SlaveReply{}, false
+	}
+	return amba.SlaveReply{Ready: true, Resp: r.Resp}, true
 }
 
 // FaultInjector pins prediction accuracy for the evaluation sweeps: each

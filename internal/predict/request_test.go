@@ -72,15 +72,50 @@ func TestRequestModelUnequalRunsFallBack(t *testing.T) {
 	}
 }
 
+// TestRequestModelFall: a high line announced to fall is predicted low
+// for the one cycle that follows; the next Observe ends the
+// announcement, and the line's last value takes over. A rise scheduled
+// on another line is unaffected, and a line outside the mask cannot be
+// announced.
+func TestRequestModelFall(t *testing.T) {
+	const a, b = 1 << 1, 1 << 4
+	m := NewRequestModel(a | b)
+	feedRuns(&m, b, 2, 3, 3)
+	for i := 0; i < 2; i++ {
+		m.Observe(a)
+	}
+	m.Fall(1)
+	m.Fall(7) // not a modeled line
+	if got := m.Predict(); got != 0 {
+		t.Fatalf("fall announced: predicted %#x, want 0", got)
+	}
+	if m.st.Fall != a {
+		t.Fatalf("announced falls %#x, want %#x", m.st.Fall, uint32(a))
+	}
+	m.Observe(0)
+	if got := m.Predict(); got != b {
+		t.Fatalf("the cycle after the fall, b's rise due: predicted %#x, want %#x", got, uint32(b))
+	}
+	m.Observe(a | b)
+	m.Fall(1)
+	m.Observe(a | b) // the fall did not come: last value again
+	if got := m.Predict(); got != a|b {
+		t.Fatalf("after a fall that did not come: predicted %#x, want the last value %#x", got, uint32(a|b))
+	}
+}
+
 // requestStates builds request models in every kind of state an idle
-// stretch can start from: no history, one line high, unequal runs, and
-// a learned period at each point of its low run and past it.
+// stretch can start from: no history, one line high (with and without
+// its fall announced), unequal runs, and a learned period at each point
+// of its low run and past it.
 func requestStates() map[string]RequestModel {
 	const a, b = 1 << 0, 1 << 3
 	states := map[string]RequestModel{"fresh": NewRequestModel(a | b)}
 	m := NewRequestModel(a | b)
 	m.Observe(a)
 	states["line high"] = m
+	m.Fall(0)
+	states["fall announced"] = m
 	m = NewRequestModel(a | b)
 	feedRuns(&m, a, 1, 3, 7)
 	m.Observe(0)
@@ -136,8 +171,8 @@ func TestRequestModelIdleStableForHorizon(t *testing.T) {
 	const look = 1000
 	for name, m := range requestStates() {
 		h := m.IdleStableFor()
-		if m.st.Last != 0 && h != 0 {
-			t.Errorf("%s: horizon %d with a line high, want 0", name, h)
+		if m.st.Last|m.st.Fall != 0 && h != 0 {
+			t.Errorf("%s: horizon %d with a line high or a fall announced, want 0", name, h)
 			continue
 		}
 		p0 := m.Predict()

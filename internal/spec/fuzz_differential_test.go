@@ -46,6 +46,46 @@ func FuzzRemoteDifferential(f *testing.F) {
 	  },
 	  "run": {"mode": "conservative", "cycles": 300}
 	}`))
+	// The smoke mostly runs its seeds, so these two make the remote
+	// path run the predictions the bus protocol fixes: an accelerator
+	// reader whose request falls after each burst's final beat beside a
+	// simulator writer that loses the grant on its final beats, and
+	// retry, split, error and default-slave responses to accelerator
+	// reads and writes, each second cycle predicted from its first.
+	f.Add([]byte(`{
+	  "design": {
+	    "masters": [
+	      {"name": "reader", "domain": "acc",
+	       "generator": {"kind": "stream", "window": {"lo": 0, "hi": "0x8000"}, "burst": "INCR4", "gap": 5}},
+	      {"name": "writer", "domain": "sim",
+	       "generator": {"kind": "stream", "window": {"lo": "0x10000", "hi": "0x18000"},
+	                     "write": true, "burst": "INCR4", "gap": 7}}
+	    ],
+	    "slaves": [
+	      {"name": "buf", "domain": "sim", "kind": "sram", "region": {"lo": 0, "hi": "0x8000"}},
+	      {"name": "mem", "domain": "sim", "kind": "sram", "region": {"lo": "0x10000", "hi": "0x18000"}}
+	    ]
+	  },
+	  "run": {"mode": "auto", "cycles": 1200}
+	}`))
+	f.Add([]byte(`{
+	  "design": {
+	    "masters": [
+	      {"name": "w", "domain": "acc",
+	       "generator": {"kind": "stream", "window": {"lo": 0, "hi": "0x400"}, "write": true, "burst": "INCR8"}},
+	      {"name": "r", "domain": "acc",
+	       "generator": {"kind": "stream", "window": {"lo": 0, "hi": "0x400"}, "burst": "INCR4", "gap": 2}}
+	    ],
+	    "slaves": [
+	      {"name": "retry", "domain": "sim", "kind": "retry", "region": {"lo": 0, "hi": "0x100"},
+	       "waits": 1, "retry_every": 4, "wait_first": 1, "wait_next": 1},
+	      {"name": "split", "domain": "sim", "kind": "split", "region": {"lo": "0x100", "hi": "0x200"},
+	       "waits": 1, "split_every": 3, "release_after": 4, "wait_first": 1, "wait_next": 1},
+	      {"name": "err", "domain": "sim", "kind": "error", "region": {"lo": "0x200", "hi": "0x300"}}
+	    ]
+	  },
+	  "run": {"mode": "auto", "cycles": 1200}
+	}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp, err := spec.Parse(data)
