@@ -7,7 +7,11 @@
 //	tables -exp figure4    # Figure 4: accuracy sweep, four configs
 //	tables -exp sla        # §6 SLA claims
 //	tables -exp headline   # abstract's 1500% claim
-//	tables -exp des        # executable-engine accuracy sweep (DES)
+//	tables -exp des        # executable-engine accuracy and LOB sweeps (DES)
+//
+// The DES experiments run the sweep documents embedded from the
+// experiments directory (des_accuracy.json and des_lob.json), so the
+// engine runs exactly the designs `sweep -grid` runs from those files.
 package main
 
 import (
@@ -16,6 +20,7 @@ import (
 	"os"
 
 	"coemu"
+	"coemu/experiments"
 	"coemu/internal/device"
 	"coemu/internal/perfmodel"
 	"coemu/internal/vclock"
@@ -23,7 +28,6 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: channel|table2|figure4|sla|headline|des|all")
-	cycles := flag.Int64("cycles", 20000, "target cycles per DES run")
 	flag.Parse()
 
 	switch *exp {
@@ -38,7 +42,7 @@ func main() {
 	case "headline":
 		headlineExp()
 	case "des":
-		desExp(*cycles)
+		desExp()
 	case "all":
 		channelExp()
 		fmt.Println()
@@ -50,7 +54,7 @@ func main() {
 		fmt.Println()
 		headlineExp()
 		fmt.Println()
-		desExp(*cycles)
+		desExp()
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)
@@ -118,9 +122,6 @@ func figure4Exp() {
 		fmt.Println()
 	}
 	fmt.Println("\nconventional baselines (horizontal lines in the figure):")
-	for _, s := range series[:1] {
-		_ = s
-	}
 	fmt.Printf("  sim=100k:  %.1f kcyc/s (paper: 28.8)\n", series[0].Conventional/1e3)
 	fmt.Printf("  sim=1000k: %.1f kcyc/s (paper: 38.9)\n", series[2].Conventional/1e3)
 }
@@ -143,52 +144,74 @@ func headlineExp() {
 		coemu.HeadlineGainPercent())
 }
 
-// desExp sweeps the executable engine over the accuracy grid using the
-// canonical ALS configuration (streaming RTL master in the accelerator,
-// TL memory in the simulator) with injected fault rates, demonstrating
-// that the discrete-event system reproduces the analytic shape.
-func desExp(cycles int64) {
-	fmt.Println("== E6: executable engine (DES) accuracy sweep, ALS streaming design ==")
-	design := coemu.Design{
-		Masters: []coemu.MasterSpec{{
-			Name:   "dma",
-			Domain: coemu.AccDomain,
-			NewGen: func() coemu.Generator {
-				return coemu.NewStream(coemu.Window{Lo: 0, Hi: 0x40000}, true,
-					coemu.BurstIncr8, coemu.Size32, 0, 0, 0)
-			},
-		}},
-		Slaves: []coemu.SlaveSpec{{
-			Name:   "mem",
-			Domain: coemu.SimDomain,
-			Region: coemu.Region{Lo: 0, Hi: 0x80000},
-			New:    func() coemu.Slave { return coemu.NewSRAM("mem") },
-		}},
-	}
-	conv, err := coemu.Run(design, coemu.Config{Mode: coemu.Conservative}, cycles)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("conventional: %.1f kcyc/s (%d channel accesses)\n\n",
-		conv.Perf()/1e3, conv.Channel.TotalAccesses())
+// desExp runs the executable engine over the checked-in DES sweep
+// documents: the canonical ALS configuration (streaming RTL master in
+// the accelerator, TL memory in the simulator) across injected
+// accuracies and across LOB depths, demonstrating that the
+// discrete-event system reproduces the analytic shape. Each ratio
+// divides by the document's base design run conservatively.
+func desExp() {
+	points, reps, conv := runExperiment("des_accuracy.json",
+		"== E6: executable engine (DES) accuracy sweep, ALS streaming design ==")
 	fmt.Println(" p      perf       ratio  transitions  rollbacks  accesses  words")
-	for _, p := range []float64{1, 0.99, 0.96, 0.9, 0.8, 0.6, 0.3, 0.1} {
-		rep, err := coemu.Run(design, coemu.Config{
-			Mode: coemu.ALS, Accuracy: p, FaultSeed: 12345, RollbackVars: 1000,
-		}, cycles)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	for i, rep := range reps {
 		fmt.Printf("%5.2f  %8.1fk  %6.2f  %11d  %9d  %8d  %6d\n",
-			p, rep.Perf()/1e3, rep.Perf()/conv.Perf(),
+			points[i].Run.Accuracy, rep.Perf()/1e3, rep.Perf()/conv.Perf(),
 			rep.Stats.Transitions, rep.Stats.Rollbacks,
 			rep.Channel.TotalAccesses(), rep.Channel.TotalWords())
 	}
-	fmt.Println("\nper-cycle cost breakdown at p=1 (compare Table 2 row 1):")
-	rep, _ := coemu.Run(design, coemu.Config{Mode: coemu.ALS, RollbackVars: 1000}, cycles)
+	first := reps[0]
+	fmt.Printf("\nper-cycle cost breakdown at p=%g (compare Table 2 row 1):\n", points[0].Run.Accuracy)
 	for _, c := range []vclock.Category{vclock.Sim, vclock.Acc, vclock.Store, vclock.Restore, vclock.Channel} {
-		fmt.Printf("  %-9s %v/cycle\n", c, rep.Ledger.PerCycle(c, rep.Cycles))
+		fmt.Printf("  %-9s %v/cycle\n", c, first.Ledger.PerCycle(c, first.Cycles))
+	}
+
+	fmt.Println()
+	points, reps, conv = runExperiment("des_lob.json",
+		"== E7: executable engine (DES) LOB-depth sweep, ALS streaming design ==")
+	fmt.Println("  LOB      perf   ratio  mean transition  accesses")
+	for i, rep := range reps {
+		fmt.Printf("%5d  %7.1fk  %6.2f  %15.2f  %8d\n",
+			points[i].Run.LOBDepth, rep.Perf()/1e3, rep.Perf()/conv.Perf(),
+			rep.TransitionLengths.Mean(), rep.Channel.TotalAccesses())
+	}
+}
+
+// runExperiment expands and runs the named document from
+// experiments.FS, and runs its base spec in conservative mode as the
+// baseline every ratio divides by. It prints title and the baseline,
+// and exits on any error.
+func runExperiment(name, title string) (points []*coemu.Spec, reps []*coemu.Report, conv *coemu.Report) {
+	data, err := experiments.FS.ReadFile(name)
+	exitOn(err)
+	ss, err := coemu.ParseSweepSpec(data)
+	exitOn(err)
+	points, err = ss.Expand()
+	exitOn(err)
+	base := ss.Spec
+	base.Run.Mode = "conservative"
+	conv = runSpec(&base)
+	for _, sp := range points {
+		reps = append(reps, runSpec(sp))
+	}
+	fmt.Println(title)
+	fmt.Printf("conventional: %.1f kcyc/s (%d channel accesses)\n\n",
+		conv.Perf()/1e3, conv.Channel.TotalAccesses())
+	return points, reps, conv
+}
+
+// runSpec compiles and runs one spec for its own cycle budget.
+func runSpec(sp *coemu.Spec) *coemu.Report {
+	d, cfg, err := sp.Compile()
+	exitOn(err)
+	rep, err := coemu.Run(d, cfg, sp.Run.Cycles)
+	exitOn(err)
+	return rep
+}
+
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }

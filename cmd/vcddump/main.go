@@ -1,9 +1,14 @@
-// Command vcddump runs a small co-emulation scenario and writes both the
-// reference and co-emulated bus traces as VCD waveforms (plus CSV),
-// letting the cycle-exact equivalence be inspected in a waveform viewer.
+// Command vcddump runs a spec twice, on the monolithic reference model
+// and co-emulated, and writes both bus traces as VCD waveforms (plus
+// the co-emulated trace as CSV), letting the cycle-exact equivalence
+// be inspected in a waveform viewer:
 //
-//	vcddump -cycles 200 -mode auto -out trace
+//	vcddump -spec experiments/dma-copy.json -out trace
 //	# writes trace_ref.vcd, trace_coemu.vcd, trace.csv
+//
+// The design, mode, configuration and cycle budget all come from the
+// spec named by the required -spec flag (see internal/spec). Both
+// traces hold one record per cycle, so keep the budget small.
 package main
 
 import (
@@ -15,53 +20,32 @@ import (
 )
 
 func main() {
-	cycles := flag.Int64("cycles", 200, "target cycles")
-	modeName := flag.String("mode", "auto", "conservative|sla|als|auto")
+	specPath := flag.String("spec", "", "declarative JSON spec file to run (required)")
 	out := flag.String("out", "trace", "output file prefix")
 	flag.Parse()
-
-	mode, ok := map[string]coemu.Mode{
-		"conservative": coemu.Conservative,
-		"sla":          coemu.SLA,
-		"als":          coemu.ALS,
-		"auto":         coemu.Auto,
-	}[*modeName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *modeName)
+	if *specPath == "" {
+		fmt.Fprintln(os.Stderr, "vcddump: -spec is required")
+		flag.Usage()
 		os.Exit(2)
 	}
-
-	design := coemu.Design{
-		Masters: []coemu.MasterSpec{{
-			Name: "dma", Domain: coemu.AccDomain,
-			NewGen: func() coemu.Generator {
-				return coemu.NewDMACopy(
-					coemu.Window{Lo: 0x0000, Hi: 0x1000},
-					coemu.Window{Lo: 0x8000, Hi: 0x9000},
-					coemu.BurstIncr8, 1, 0)
-			},
-		}},
-		Slaves: []coemu.SlaveSpec{
-			{
-				Name: "sram", Domain: coemu.SimDomain,
-				Region: coemu.Region{Lo: 0x0000, Hi: 0x4000},
-				New:    func() coemu.Slave { return coemu.NewSRAM("sram") },
-			},
-			{
-				Name: "ddr", Domain: coemu.AccDomain,
-				Region:    coemu.Region{Lo: 0x8000, Hi: 0xC000},
-				New:       func() coemu.Slave { return coemu.NewMemory("ddr", 1, 0) },
-				WaitFirst: 1, WaitNext: 0,
-			},
-		},
+	s, err := coemu.LoadSpec(*specPath)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
+	design, cfg, err := s.Compile()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	cfg.KeepTrace = true
 
-	ref, err := coemu.RunReference(design, *cycles)
+	ref, err := coemu.RunReference(design, s.Run.Cycles)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	rep, err := coemu.Run(design, coemu.Config{Mode: mode, KeepTrace: true}, *cycles)
+	rep, err := coemu.Run(design, cfg, s.Run.Cycles)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

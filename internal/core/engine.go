@@ -227,9 +227,9 @@ const maxPartialWords = 7
 const minLOBDepth = 1 + maxPartialWords
 
 // MaxLOBDepth is the largest LOB the engine accepts, in words: 64 times
-// the deepest LOB cmd/sweep explores (1,024). NewLOB preallocates one
-// entry per word, so an unbounded depth is an unbounded allocation
-// that kills the whole process, not just the run.
+// the deepest LOB experiments/des_lob.json sweeps (1,024). NewLOB
+// preallocates one entry per word, so an unbounded depth is an
+// unbounded allocation that kills the whole process, not just the run.
 const MaxLOBDepth = 1 << 16
 
 // MaxVars bounds every rollback-variable count (Config.RollbackVars and

@@ -4,8 +4,9 @@
 // engine configuration and cycle budget.
 //
 // A Spec is the wire format of the system: it is what cmd/coemud
-// accepts over HTTP, what cmd/coemu and cmd/sweep load with -spec, and
-// what the result cache keys on. Where the Go API builds designs from
+// accepts over HTTP, what cmd/coemu and cmd/vcddump load with -spec,
+// what cmd/sweep expands from a -grid sweep document, and what the
+// result cache keys on. Where the Go API builds designs from
 // closures (coemu.MasterSpec.NewGen, coemu.SlaveSpec.New), a Spec names
 // component kinds from a registry of the built-in IP blocks and
 // workload generators, so new scenarios need a JSON file rather than a
