@@ -16,9 +16,11 @@
 // and a run lives exactly as long as some client waits on it.
 //
 //	POST /v1/run              run a spec synchronously; the report is
-//	                          the response body. Aborting the request
-//	                          cancels the run (unless another client
-//	                          shares it).
+//	                          the response body and a Server-Timing
+//	                          header gives the answering job's queue,
+//	                          engine, store and encode milliseconds.
+//	                          Aborting the request cancels the run
+//	                          (unless another client shares it).
 //	POST /v1/sweep            a sweep document (spec + "sweep" grid
 //	                          block) or {"specs": [spec, ...]}: fan the
 //	                          points out over the pool, streaming one
@@ -34,16 +36,20 @@
 //	                          use it to splice store-held points instead
 //	                          of re-running them.
 //	GET  /v1/healthz          readiness: {ok, queue, queue_capacity,
-//	                          saturated, store?}. ok goes false (HTTP
-//	                          503) while the worker queue is saturated;
-//	                          store carries entry/byte/quarantine
-//	                          occupancy so fleet probers can prefer
-//	                          lightly-loaded shards.
+//	                          saturated, store?}. queue and
+//	                          queue_capacity sum the run and sweep-point
+//	                          classes; ok goes false (HTTP 503) while
+//	                          either class is full; store carries
+//	                          entry/byte/quarantine occupancy so fleet
+//	                          probers can prefer lightly-loaded shards.
 //
-// Overload is shed rather than queued without bound: when the worker
-// queue is full, submissions fail with 503 and a Retry-After hint, and
-// /v1/sweep rejects new sweeps while saturated — resilient clients
-// (cmd/sweep -remote, internal/sweepclient) back off and fail over.
+// Runs and sweep points queue in separate classes, each bounded by
+// -queue, and the workers alternate between them, so a run never waits
+// behind a whole grid. Overload is shed rather than queued without
+// bound: /v1/run fails with 503 and a Retry-After hint when the run
+// class is full, and /v1/sweep rejects new sweeps while either class
+// is full — resilient clients (cmd/sweep -remote,
+// internal/sweepclient) back off and fail over.
 //
 // With -fault-plan plan.json, a seeded fault-injection plan (see
 // internal/faultplan) is armed daemon-wide for chaos testing: worker
@@ -99,7 +105,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	jobs := flag.Int("j", runtime.NumCPU(), "worker pool width (parallel engine runs)")
 	cache := flag.Int("cache", 128, "result cache capacity in reports (negative disables)")
-	queue := flag.Int("queue", 256, "pending job queue depth")
+	queue := flag.Int("queue", 256, "pending job bound of each queue class (runs, sweep points)")
 	maxBody := flag.Int64("max-body", 1<<20, "maximum request body bytes")
 	sweepMax := flag.Int("sweep-max", spec.MaxSweepPoints, "maximum points one /v1/sweep request may expand to")
 	storeDir := flag.String("store", "", "persistent result store directory (empty disables)")
@@ -313,12 +319,12 @@ func newMux(svc *service.Service, maxBody int64, sweepMax int) *http.ServeMux {
 			writeRunError(w, err)
 			return
 		}
-		writeReport(w, res)
+		writeReport(w, res, job.Info())
 	})
 
 	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) {
-		// Shed new sweeps while the worker queue is saturated: one
-		// sweep fans out many jobs, and rejecting it up front with a
+		// Shed new sweeps while either queue class is full: one sweep
+		// fans out many jobs, and rejecting it up front with a
 		// Retry-After hint lets a resilient client back off or fail
 		// over instead of stalling mid-stream on a full queue.
 		if svc.Saturated() {
@@ -407,19 +413,42 @@ func sweepPoints(body []byte, sweepMax int) ([]*spec.Spec, error) {
 // writeReport serves a run result: the stored canonical bytes,
 // re-indented. Using the canonical bytes (rather than re-projecting a
 // report) keeps responses byte-identical across cache hits, store hits
-// and fresh runs.
-func writeReport(w http.ResponseWriter, res *service.Result) {
+// and fresh runs. info is the answering job's, for Server-Timing.
+func writeReport(w http.ResponseWriter, res *service.Result, info service.Info) {
+	start := time.Now()
 	var buf bytes.Buffer
 	if err := json.Indent(&buf, res.JSON, "", "  "); err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	buf.WriteByte('\n')
+	w.Header().Set("Server-Timing", serverTiming(info, time.Since(start)))
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	if _, err := w.Write(buf.Bytes()); err != nil {
 		log.Printf("write response: %v", err)
 	}
+}
+
+// serverTiming renders a /v1/run Server-Timing header in
+// milliseconds: the answering job's queue wait, engine run and store
+// write-through ("cache-hit" or "store-hit" instead when no engine
+// ran), then the response encode.
+func serverTiming(info service.Info, encode time.Duration) string {
+	ms := func(d time.Duration) string {
+		return strconv.FormatFloat(float64(d)/float64(time.Millisecond), 'f', 3, 64)
+	}
+	var head string
+	switch {
+	case info.FromStore:
+		head = "store-hit"
+	case info.Cached:
+		head = "cache-hit"
+	default:
+		head = "queue;dur=" + ms(info.Queue) + ", engine;dur=" + ms(info.Engine) +
+			", store;dur=" + ms(info.StoreWrite)
+	}
+	return head + ", encode;dur=" + ms(encode)
 }
 
 // readRaw reads a bounded request body, reporting HTTP errors itself.

@@ -8,11 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"coemu/internal/service"
+	"coemu/internal/spec"
 	"coemu/internal/store"
 )
 
@@ -390,5 +392,108 @@ func TestSweepServerPointBound(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "server bound") {
 		t.Fatalf("unexpected error body: %s", body)
+	}
+}
+
+// parseServerTiming splits a Server-Timing header into its metric
+// names, in order, and each metric's dur in milliseconds.
+func parseServerTiming(t *testing.T, h string) ([]string, map[string]float64) {
+	t.Helper()
+	var names []string
+	durs := map[string]float64{}
+	for _, m := range strings.Split(h, ",") {
+		parts := strings.Split(strings.TrimSpace(m), ";")
+		names = append(names, parts[0])
+		for _, p := range parts[1:] {
+			v, ok := strings.CutPrefix(p, "dur=")
+			if !ok {
+				t.Fatalf("Server-Timing %q: parameter %q is not dur", h, p)
+			}
+			d, err := strconv.ParseFloat(v, 64)
+			if err != nil || d < 0 {
+				t.Fatalf("Server-Timing %q: bad dur %q", h, v)
+			}
+			durs[parts[0]] = d
+		}
+	}
+	return names, durs
+}
+
+// TestRunServerTiming reads /v1/run's Server-Timing header for a fresh
+// run (queue, engine, store, encode), a memory-cache repeat and a
+// store hit after a restart, and checks that all three bodies are the
+// canonical report bytes, indented, as before the header existed.
+func TestRunServerTiming(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *httptest.Server {
+		disk, err := store.Open(dir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newTestServerOpts(t, service.Options{Workers: 2, Store: disk})
+	}
+	run := func(url string) (string, []byte) {
+		resp, err := http.Post(url+"/v1/run", "application/json", strings.NewReader(specJSON(4000)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		return resp.Header.Get("Server-Timing"), body
+	}
+
+	sp, err := spec.Parse([]byte(specJSON(4000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := service.New(service.Options{Workers: 1})
+	defer ref.Close()
+	job, err := ref.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := job.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := json.Indent(&want, res.JSON, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	want.WriteByte('\n')
+
+	ts := open()
+	for _, c := range []struct {
+		label   string
+		restart bool // a second daemon over the same store, cold cache
+		names   []string
+	}{
+		{"fresh run", false, []string{"queue", "engine", "store", "encode"}},
+		{"memory-cache repeat", false, []string{"cache-hit", "encode"}},
+		{"store hit after a restart", true, []string{"store-hit", "encode"}},
+	} {
+		if c.restart {
+			ts = open()
+		}
+		h, body := run(ts.URL)
+		names, durs := parseServerTiming(t, h)
+		if strings.Join(names, ",") != strings.Join(c.names, ",") {
+			t.Fatalf("%s: Server-Timing %q, want metrics %v", c.label, h, c.names)
+		}
+		if _, ok := durs["encode"]; !ok {
+			t.Fatalf("%s: Server-Timing %q has no encode dur", c.label, h)
+		}
+		if c.names[0] == "queue" && durs["engine"] <= 0 {
+			t.Fatalf("%s: Server-Timing %q reads no engine time", c.label, h)
+		}
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Fatalf("%s: body differs from the canonical report bytes", c.label)
+		}
 	}
 }

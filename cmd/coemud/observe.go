@@ -104,9 +104,9 @@ func mirrorCounters(reg *metrics.Registry, svc *service.Service) {
 	storeEntries := reg.NewGauge("coemu_store_entries",
 		"Entries currently in the persistent store.")
 	queuePending := reg.NewGauge("coemu_queue_pending",
-		"Jobs waiting in the worker queue.")
+		"Jobs waiting in the worker queue, runs and sweep points summed.")
 	queueCapacity := reg.NewGauge("coemu_queue_capacity",
-		"Worker-queue capacity.")
+		"Worker-queue capacity, the run and sweep-point classes summed.")
 
 	reg.OnCollect(func() {
 		c := svc.Counters()

@@ -18,7 +18,12 @@
 //
 // Concurrency model: engine runs are single-threaded and independent,
 // so the pool runs up to Workers of them in parallel (the cmd/sweep -j
-// pattern); all job bookkeeping is guarded by one service mutex.
+// pattern); all job bookkeeping is guarded by one service mutex. Queued
+// jobs wait in one of two FIFO classes, each bounded by QueueDepth:
+// runs (Submit) and sweep points (StartSweepPoints). When both classes
+// hold jobs, a free worker takes the head of the class it did not take
+// last, so a run waits behind at most one point per worker however
+// large the grids ahead of it are, and no sweep is starved by runs.
 package service
 
 import (
@@ -72,7 +77,8 @@ type Options struct {
 	// CacheSize is the LRU result-cache capacity in reports. Default
 	// 128; negative disables caching.
 	CacheSize int
-	// QueueDepth bounds the pending-job queue. Default 256.
+	// QueueDepth bounds each of the two queue classes (runs and sweep
+	// points). Default 256.
 	QueueDepth int
 	// Store, when non-nil, is the persistent result store used as a
 	// write-through layer under the in-memory cache.
@@ -137,8 +143,13 @@ type Job struct {
 	waiters     int
 	pendingRefs int
 
-	submitted time.Time
-	started   time.Time
+	// Host timings of an executed job, kept for Info: submitted and
+	// started bound its queue wait, engine is the engine run's wall
+	// time and storeWrite the persistent store's write-through.
+	submitted  time.Time
+	started    time.Time
+	engine     time.Duration
+	storeWrite time.Duration
 }
 
 // Info is a point-in-time snapshot of a job's state.
@@ -146,6 +157,11 @@ type Info struct {
 	Status    Status
 	Cached    bool // completed without an engine run (cache or store)
 	FromStore bool // the cached result came from the persistent store
+
+	// Host timings of a finished engine run (zero otherwise): the wait
+	// in its queue class, the engine run, and the store write-through
+	// (zero without a store).
+	Queue, Engine, StoreWrite time.Duration
 }
 
 // Service is the co-emulation job service.
@@ -154,13 +170,17 @@ type Service struct {
 	ctx   context.Context
 	stop  context.CancelFunc
 	wg    sync.WaitGroup
-	queue chan *Job
 	cache *resultCache
 	disk  *store.Store // optional persistent layer (nil = disabled)
 
+	// runs and points are the two queue classes, each bounded by
+	// QueueDepth: jobs from Submit and jobs from sweep points. Workers
+	// alternate between them (see work).
+	runs, points chan *Job
+
 	// space is a capacity-1 wakeup channel: workers signal it after
-	// every dequeue so sweep submission can wait for queue room instead
-	// of spinning (see SweepJob.submitPoint).
+	// every point dequeue so sweep submission can wait for room in the
+	// point class instead of spinning (see SweepJob.submitPoint).
 	space chan struct{}
 
 	// frngMu guards frng, the seeded stream behind every service-layer
@@ -190,7 +210,8 @@ func New(opts Options) *Service {
 		opts:     opts,
 		ctx:      ctx,
 		stop:     stop,
-		queue:    make(chan *Job, opts.QueueDepth),
+		runs:     make(chan *Job, opts.QueueDepth),
+		points:   make(chan *Job, opts.QueueDepth),
 		space:    make(chan struct{}, 1),
 		cache:    newResultCache(opts.CacheSize),
 		disk:     opts.Store,
@@ -199,34 +220,87 @@ func New(opts Options) *Service {
 	if opts.Faults != nil {
 		s.frng = rng.New(faultplan.Mix(opts.Faults.Seed, 0x5e54))
 	}
+	s.wg.Add(opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			for job := range s.queue {
-				// Queue room opened up: wake one submitter waiting out
-				// backpressure (non-blocking; the flag is level-triggered).
-				select {
-				case s.space <- struct{}{}:
-				default:
-				}
-				s.runJob(job)
-			}
-		}()
+		go s.work()
 	}
 	return s
 }
 
-// QueueDepth reports the pending-job queue's occupancy and capacity.
-func (s *Service) QueueDepth() (pending, capacity int) {
-	return len(s.queue), cap(s.queue)
+// The queue classes, as indexes into a worker's class array.
+const (
+	classRun = iota
+	classPoint
+)
+
+// work is one worker's loop. When both queue classes hold jobs it takes
+// the head of the class it did not take last; otherwise it takes
+// whichever job comes first. It returns once Close has closed both
+// classes and they are drained.
+func (s *Service) work() {
+	defer s.wg.Done()
+	classes := [2]chan *Job{classRun: s.runs, classPoint: s.points}
+	last := classPoint // a fresh worker serves a run first
+	for {
+		c, job := take(&classes, 1-last)
+		if job == nil {
+			return
+		}
+		last = c
+		if c == classPoint {
+			// Point-class room opened up: wake one sweep waiting out
+			// backpressure (non-blocking; the flag is level-triggered).
+			select {
+			case s.space <- struct{}{}:
+			default:
+			}
+		}
+		s.runJob(job)
+	}
 }
 
-// Saturated reports whether the pending-job queue is full — the state
-// in which Submit returns ErrQueueFull and an HTTP front end should
-// shed load instead of stalling clients.
+// take dequeues the next job and the index of its class: the head of
+// class first if it holds one, else whichever job the other class holds
+// or arrives first. Each pass makes one receive; a receive that finds
+// its class closed and drained sets it to nil, so later passes skip
+// it, and take returns a nil job once both are.
+func take(classes *[2]chan *Job, first int) (int, *Job) {
+	for classes[0] != nil || classes[1] != nil {
+		var c int
+		var job *Job
+		var ok bool
+		select {
+		case job, ok = <-classes[first]:
+			c = first
+		default:
+			select {
+			case job, ok = <-classes[0]:
+				c = 0
+			case job, ok = <-classes[1]:
+				c = 1
+			}
+		}
+		if ok {
+			return c, job
+		}
+		classes[c] = nil
+	}
+	return 0, nil
+}
+
+// QueueDepth reports the backlog and capacity summed over both queue
+// classes (runs and sweep points), so a prober's occupancy ratio reads
+// the whole backlog.
+func (s *Service) QueueDepth() (pending, capacity int) {
+	return len(s.runs) + len(s.points), cap(s.runs) + cap(s.points)
+}
+
+// Saturated reports whether either queue class is full: the run class
+// (Submit returns ErrQueueFull) or the point class (sweep points wait
+// for room). An HTTP front end sheds new sweeps and fails its health
+// check while it holds, instead of stalling clients.
 func (s *Service) Saturated() bool {
-	return len(s.queue) >= cap(s.queue)
+	return len(s.runs) >= cap(s.runs) || len(s.points) >= cap(s.points)
 }
 
 // Close shuts the service down: no new submissions, every queued and
@@ -240,20 +314,29 @@ func (s *Service) Close() {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	// Cancel in-flight engine runs, then let the workers drain the
-	// queue (each queued job is already canceled, so draining is fast).
+	// Cancel in-flight engine runs, then let the workers drain both
+	// classes (each queued job is already canceled, so draining is
+	// fast and settles every waiter).
 	s.stop()
-	close(s.queue)
+	close(s.runs)
+	close(s.points)
 	s.wg.Wait()
 }
 
-// Submit enqueues a run for the given spec, deduplicating against the
-// result cache (completed identical runs) and in-flight jobs (running
-// identical runs).
+// Submit enqueues a run for the given spec in the run class,
+// deduplicating against the result cache (completed identical runs)
+// and in-flight jobs (queued or running identical runs, sweep points
+// included). It returns ErrQueueFull only when the run class is full;
+// a backlog of sweep points never sheds a run.
 //
 // The returned job may already be complete (cache hit); callers must
 // Wait regardless: the job runs only as long as a waiter holds it.
 func (s *Service) Submit(sp *spec.Spec) (*Job, error) {
+	return s.submit(sp, s.runs)
+}
+
+// submit is Submit into the given queue class.
+func (s *Service) submit(sp *spec.Spec, class chan *Job) (*Job, error) {
 	hash, err := sp.CanonicalHash()
 	if err != nil {
 		return nil, err
@@ -296,7 +379,7 @@ func (s *Service) Submit(sp *spec.Spec) (*Job, error) {
 	job := s.newJobLocked(sp, hash)
 	job.pendingRefs++
 	select {
-	case s.queue <- job:
+	case class <- job:
 	default:
 		job.cancel()
 		return nil, ErrQueueFull
@@ -496,7 +579,8 @@ func (s *Service) runJob(job *Job) {
 
 	timeout := job.spec.Run.JobTimeout()
 	rep, err := s.executeJob(job, timeout)
-	s.opts.Metrics.observeJob(time.Since(job.started))
+	engine := time.Since(job.started)
+	s.opts.Metrics.observeJob(engine)
 	if err == nil {
 		s.opts.Metrics.observeReport(rep)
 	}
@@ -505,6 +589,7 @@ func (s *Service) runJob(job *Job) {
 	if err == nil {
 		res, err = NewResult(rep)
 	}
+	var storeWrite time.Duration
 	if err == nil && s.disk != nil {
 		// Write-through before the result becomes observable: once a
 		// waiter sees the job done, a restarted daemon can serve it. A
@@ -513,11 +598,13 @@ func (s *Service) runJob(job *Job) {
 		if perr := s.disk.Put(job.hash, res.JSON); perr != nil {
 			s.logf("store write-through for %s: %v", job.hash, perr)
 		}
-		s.opts.Metrics.observeStoreWrite(time.Since(wstart))
+		storeWrite = time.Since(wstart)
+		s.opts.Metrics.observeStoreWrite(storeWrite)
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	job.engine, job.storeWrite = engine, storeWrite
 	switch {
 	case err == nil:
 		s.cache.Put(job.hash, res)
@@ -663,7 +750,12 @@ func (j *Job) Hash() string { return j.hash }
 func (j *Job) Info() Info {
 	j.svc.mu.Lock()
 	defer j.svc.mu.Unlock()
-	return Info{Status: j.status, Cached: j.cached, FromStore: j.fromStore}
+	info := Info{Status: j.status, Cached: j.cached, FromStore: j.fromStore}
+	if j.finished && !j.started.IsZero() {
+		info.Queue = j.started.Sub(j.submitted)
+		info.Engine, info.StoreWrite = j.engine, j.storeWrite
+	}
+	return info
 }
 
 // Wait blocks until the job completes or ctx is done. If the waiting

@@ -39,11 +39,14 @@ type SweepJob struct {
 }
 
 // StartSweepPoints fans an expanded point list (spec.SweepSpec.Expand)
-// out over the worker pool. Points are submitted eagerly (so the pool
-// saturates) and their results are delivered in point order on
-// Results. ctx governs the whole sweep: canceling it abandons every
-// point the way an aborting client abandons a single run — points no
-// other client shares are canceled at domain-cycle granularity.
+// out over the worker pool through the point class, the queue class
+// beside Submit's runs. Points are submitted eagerly (so the pool
+// saturates); a point that finds the point class full waits for room
+// instead of failing, and runs keep their own class meanwhile. Results
+// are delivered in point order on Results. ctx governs the whole
+// sweep: canceling it abandons every point the way an aborting client
+// abandons a single run — points no other client shares are canceled
+// at domain-cycle granularity.
 //
 // Duplicate points — within the sweep or against other traffic —
 // coalesce exactly like duplicate Submit calls: one engine run per
@@ -121,16 +124,17 @@ func (sw *SweepJob) run(ctx context.Context, points []*spec.Spec) {
 	}
 }
 
-// submitPoint submits one point, riding out queue backpressure until
-// ctx is canceled. Instead of polling on a timer it parks on the
-// service's wakeup channel, which a worker signals on every dequeue —
-// a full queue costs one channel receive per freed slot, not a spin.
+// submitPoint submits one point to the point class, riding out its
+// backpressure until ctx is canceled. Instead of polling on a timer it
+// parks on the service's wakeup channel, which a worker signals on
+// every point dequeue — a full class costs one channel receive per
+// freed slot, not a spin.
 // Several waiting sweeps may race for one slot; the losers miss the
 // signal, fail the next Submit, and park again, so progress is
 // guaranteed without a thundering herd.
 func (sw *SweepJob) submitPoint(ctx context.Context, sp *spec.Spec) (*Job, error) {
 	for {
-		job, err := sw.svc.Submit(sp)
+		job, err := sw.svc.submit(sp, sw.svc.points)
 		if err == nil || !errors.Is(err, ErrQueueFull) {
 			return job, err
 		}
