@@ -71,10 +71,10 @@ func main() {
 		}
 		print(os.Stdout, res.Report)
 		st := res.Transport
-		fmt.Fprintf(os.Stderr, "transport: %d frames sent, %d received, %d retransmits, %d resyncs, %d reconnects\n",
-			st.Sent, st.Received, st.Retransmits, st.Resyncs, st.Reconnects)
+		fmt.Fprintf(os.Stderr, "transport: %d frames sent, %d received, %d retransmits, %d reconnects\n",
+			st.Sent, st.Received, st.Retransmits, st.Reconnects)
 		if rec != nil {
-			// Fold the transport's connect/resync/retransmit events into
+			// Fold the transport's connect/retransmit/reconnect events into
 			// the protocol trace so the wire shows up as its own track.
 			for _, ev := range res.Events {
 				rec.Record(ev)

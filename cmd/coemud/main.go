@@ -222,9 +222,7 @@ func runDomainServe(addr string, logger *slog.Logger) {
 			logger.Info("session transport",
 				"hash", shortHash(info.Hash),
 				"frames_sent", st.Sent, "frames_received", st.Received,
-				"retransmits", st.Retransmits, "resyncs", st.Resyncs,
-				"reconnects", st.Reconnects, "wire_faults", st.WireFaults,
-				"rtt_mean", st.RTTMean, "rtt_p99", st.RTTP99, "rtt_samples", st.RTTSamples)
+				"retransmits", st.Retransmits, "reconnects", st.Reconnects)
 		},
 	})
 	if err != nil && ctx.Err() == nil {

@@ -31,8 +31,9 @@ func waitKeeperReading(t *testing.T, tr *Transport) {
 }
 
 // rawPeer accepts an acc-role transport whose sim-role peer is a bare
-// socket, so a test can put arbitrary bytes on the wire.
-func rawPeer(t *testing.T, srv Options) (*Transport, net.Conn) {
+// socket, so a test can put arbitrary bytes on the wire. It also
+// returns the listener address, for the peer's resumes.
+func rawPeer(t *testing.T, srv Options) (*Transport, net.Conn, string) {
 	t.Helper()
 	l, err := Listen("127.0.0.1:0")
 	if err != nil {
@@ -49,28 +50,38 @@ func rawPeer(t *testing.T, srv Options) (*Transport, net.Conn) {
 		tr, _, err := l.Accept(srv)
 		ch <- accepted{tr, err}
 	}()
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	if _, err := handshake(conn, helloMsg{
-		Magic: protocolMagic, Version: protocolVersion,
-		Role: RoleSim.String(), Hash: "h",
-	}, 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	conn, _ := rawHello(t, l.Addr().String(), false, 0)
 	acc := <-ch
 	if acc.err != nil {
 		t.Fatal(acc.err)
 	}
 	t.Cleanup(func() { acc.tr.Close() })
-	return acc.tr, conn
+	return acc.tr, conn, l.Addr().String()
+}
+
+// rawHello dials addr and runs a sim-role handshake on a bare socket,
+// as a fresh session or as a resume expecting sequence expect. It
+// returns the socket and the peer's next expected sequence.
+func rawHello(t *testing.T, addr string, resume bool, expect uint32) (net.Conn, uint32) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	ok, err := handshake(conn, helloMsg{
+		Magic: protocolMagic, Version: protocolVersion,
+		Role: RoleSim.String(), Hash: "h", Resume: resume, Expect: expect,
+	}, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conn, ok.Expect
 }
 
 func TestRecvTakesOverFromIdleKeeper(t *testing.T) {
 	const tick = 300 * time.Millisecond
-	sim, acc := newPair(t, Options{ResyncEvery: tick}, Options{ResyncEvery: tick})
+	sim, acc := newPair(t, Options{tick: tick}, Options{tick: tick})
 	for round := 0; round < 3; round++ {
 		waitKeeperReading(t, acc)
 		for i := 0; i < 3; i++ {
@@ -102,8 +113,9 @@ func TestRecvTakesOverFromIdleKeeper(t *testing.T) {
 }
 
 func TestKickMidFrameKeepsStream(t *testing.T) {
-	// A long tick keeps the blocked receive below its first resync.
-	acc, raw := rawPeer(t, Options{ResyncEvery: 300 * time.Millisecond})
+	// A long tick keeps the keeper from starting a fresh idle read
+	// between the test's kicks.
+	acc, raw, _ := rawPeer(t, Options{tick: 300 * time.Millisecond})
 	frame := appendDataFrame(nil, byte(channel.SimToAcc), 1, 0, []amba.Word{0xDEADBEEF, 7, 0, 42})
 	half := len(frame) / 2
 
@@ -165,15 +177,15 @@ func TestKickMidFrameKeepsStream(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("frame split by a kick was never delivered")
 	}
-	if st := acc.Stats(); st.Resyncs != 0 || st.Gaps != 0 || st.CorruptFrames != 0 || st.Reconnects != 0 {
-		t.Fatalf("stats %+v: a kick mid-frame must cost no resync, gap or reconnect", st)
+	if st := acc.Stats(); st.Gaps != 0 || st.CorruptFrames != 0 || st.Reconnects != 0 {
+		t.Fatalf("stats %+v: a kick mid-frame must cost no gap, corrupt frame or reconnect", st)
 	}
 }
 
 func TestCloseWaitsForPeerToHoldSum(t *testing.T) {
-	// A long resync interval keeps both keepers from reading on their
-	// own while the test stages the exchange.
-	opts := Options{RedialWait: 5 * time.Millisecond, ResyncEvery: time.Second}
+	// A long tick keeps both keepers from reading on their own while the
+	// test stages the exchange.
+	opts := Options{RedialWait: 5 * time.Millisecond, tick: time.Second}
 	sim, acc := newPair(t, opts, opts)
 	accDone := make(chan error, 1)
 	go func() {
@@ -205,7 +217,7 @@ func TestCloseWaitsForPeerToHoldSum(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	sim.Kill()
+	sim.kill()
 	got, err := sim.ExchangeSum([]byte("sim-digest"), 5*time.Second)
 	if err != nil || string(got) != "acc-digest" {
 		t.Fatalf("sim's exchange after the kill: %q, %v", got, err)
@@ -237,7 +249,7 @@ func (r *kickedReader) Read(p []byte) (int, error) {
 }
 
 func TestFrameReaderResumesAfterKick(t *testing.T) {
-	a := appendFrame(nil, kindPing, 0, 5, 0, nil)
+	a := appendFrame(nil, kindAck, 0, 5, 0, nil)
 	b := appendDataFrame(nil, 0, 9, 0, []amba.Word{1, 2, 3})
 	stream := append(append([]byte{}, a...), b...)
 	cut := len(a) + 7 // inside b's header
@@ -314,11 +326,11 @@ func (c *choppyReader) Read(p []byte) (int, error) {
 
 func FuzzReadFrame(f *testing.F) {
 	data := appendDataFrame(nil, 1, 3, 2, []amba.Word{0xDEADBEEF, 1})
-	ping := appendFrame(nil, kindPing, 0, 7, 1, nil)
+	ack := appendFrame(nil, kindAck, 0, 7, 1, nil)
 	corrupt := append([]byte{}, data...)
 	corrupt[9] ^= 0x10
-	f.Add(append(append([]byte{}, data...), ping...), uint8(5), false)
-	f.Add(append(append([]byte{}, ping...), corrupt...), uint8(1), true)
+	f.Add(append(append([]byte{}, data...), ack...), uint8(5), false)
+	f.Add(append(append([]byte{}, ack...), corrupt...), uint8(1), true)
 	f.Add(data[:len(data)-3], uint8(64), false)
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 1, 2, 3}, uint8(2), true)
 	f.Fuzz(func(t *testing.T, stream []byte, chunk uint8, exact bool) {

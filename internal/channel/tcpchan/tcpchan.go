@@ -30,20 +30,25 @@
 // carried on a length-prefixed byte stream: the checksum constants are
 // identical, and summing the little-endian bytes of a word sequence
 // equals channel.FrameSum of those words. Each endpoint keeps a
-// retransmission window of unacknowledged authoritative frames;
-// cumulative acks piggyback on data frames, duplicates are dropped by
-// sequence number, and a corrupt or out-of-order frame triggers a
-// RESYNC carrying the next expected sequence, answered by retransmission.
-// A receiver that waits too long re-sends its resync periodically
-// (backing off exponentially, and never faster than the measured round
-// trip), and a dead connection is healed by redial (client) or
-// re-accept (server) with a resume handshake exchanging next-expected
-// sequences — the invariant being that a frame leaves the window only
-// once the peer has acknowledged it, so a reconnect can always resume
-// exactly where the stream broke. Both healing paths are bounded: the
-// dialer by its Redial budget, the acceptor by an equivalent re-accept
-// budget, after which the transport goes down instead of waiting
-// forever for a peer that crashed.
+// retransmission window of unacknowledged authoritative frames, and
+// cumulative acks piggyback on data frames.
+//
+// TCP delivers a live connection's bytes in order, without loss or
+// duplication, so reconnecting is the one recovery path. A receiver
+// accepts exactly the next sequence: a frame failing its checksum, a
+// data payload that is not whole words, a sequence gap or a length
+// prefix out of range kills the connection. A dead connection is healed
+// by redial (client) or re-accept (server) with a resume handshake
+// exchanging next-expected sequences, and each side replays its window
+// from the peer's position — the invariant being that a frame leaves
+// the window only once the peer has acknowledged it, so a reconnect can
+// always resume exactly where the stream broke. A frame below the next
+// sequence is dropped as a copy of one already delivered: a reader can
+// still deliver a buffered frame of the old connection after the resume
+// handshake announced its position, and the peer replays that frame.
+// Both healing paths are bounded: the dialer by its Redial budget, the
+// acceptor by an equivalent re-accept budget, after which the transport
+// goes down instead of waiting forever for a peer that crashed.
 //
 // The end-of-run digest exchange is acknowledged. A transport that sent
 // its digest stays up in Close, for at most RecvTimeout, until the peer
@@ -55,30 +60,28 @@
 // One goroutine at a time reads the socket, and while the engine runs
 // it is the engine's own. Recv in the peer direction and ExchangeSum
 // read and handle frames on the calling goroutine until their packet or
-// sum has arrived. Every frame kind (data, ack, resync, ping, pong,
-// sum, sum ack, bye, and frames failing their checksum) goes through one
-// handler under the transport mutex, and delivered packets wait in a
-// FIFO under that mutex. A receive therefore costs no goroutine hop and
-// no timer.
+// sum has arrived. Every frame kind (data, ack, sum, sum ack, bye, and
+// frames failing their checksum) goes through one handler under the
+// transport mutex, and delivered packets wait in a FIFO under that
+// mutex. A receive therefore costs no goroutine hop and no timer.
 //
 // Each endpoint runs one background keeper goroutine on one ticker,
-// whose period is ResyncEvery (or PingEvery, if shorter). On every tick
-// the keeper:
+// whose period is keeperTick. On every tick the keeper:
 //
-//   - watches a blocked receive: it re-sends the resync request on the
-//     backoff schedule, and past the receive timeout it fails the
+//   - times a blocked receive: past the receive timeout it fails the
 //     receive, kicking the engine out of its blocked read by setting
 //     the read deadline to the past;
 //   - reads the socket itself when the engine has not received for a
-//     whole tick, so pings, resyncs and acks keep being answered for an
-//     idle or send-only engine. An engine entering a receive kicks this
-//     read the same way and takes the socket over;
+//     whole tick, so acks, sums and byes keep being handled, and a dead
+//     connection noticed, for an idle or send-only engine. An engine
+//     entering a receive kicks this read the same way and takes the
+//     socket over;
 //   - heals a dead connection by redial or bounded re-accept;
-//   - sends pings and refreshes the write deadline.
+//   - refreshes the write deadline.
 //
 // A kick can land mid-frame. The frame reader keeps the partial frame
 // in its buffer, so the next reader resumes it where the last one
-// stopped, with no resync and no reconnect.
+// stopped, with no reconnect.
 package tcpchan
 
 import (
@@ -93,9 +96,6 @@ import (
 
 	"coemu/internal/amba"
 	"coemu/internal/channel"
-	"coemu/internal/faultplan"
-	"coemu/internal/rng"
-	"coemu/internal/stats"
 	"coemu/internal/trace"
 )
 
@@ -138,15 +138,12 @@ func (r Role) peerDir() channel.Dir {
 // Wire protocol constants.
 const (
 	protocolMagic   = "coemu-tcpchan"
-	protocolVersion = 2
+	protocolVersion = 3
 
 	kindHello   = 1
 	kindHelloOK = 2
 	kindData    = 3
-	kindResync  = 4
 	kindAck     = 5
-	kindPing    = 6
-	kindPong    = 7
 	kindSum     = 8
 	// kindBye announces a deliberate shutdown. It is what separates a
 	// clean teardown from a crash: a reader that saw a bye goes down
@@ -164,7 +161,7 @@ const (
 	// frameSumBytes trails the payload.
 	frameSumBytes = 4
 	// maxFrameBytes bounds a frame body; a longer length prefix means
-	// the stream is corrupt beyond resync and kills the connection.
+	// the stream is damaged and kills the connection.
 	maxFrameBytes = 16 << 20
 	// readBufBytes is the frame reader's initial buffer; it grows to fit
 	// a larger frame.
@@ -183,17 +180,15 @@ const (
 	DefaultWriteTimeout = 10 * time.Second
 	DefaultRedial       = 8
 	DefaultRedialWait   = 50 * time.Millisecond
-	DefaultResyncEvery  = 25 * time.Millisecond
 )
+
+// keeperTick is the keeper's period (see the package doc).
+const keeperTick = 25 * time.Millisecond
 
 // windowMax bounds the retransmission window; the engine's exchange
 // protocol keeps at most a handful of frames in flight, so hitting the
 // bound means the peer stopped acknowledging long ago.
 const windowMax = 8192
-
-// maxResyncWait caps the exponential backoff between successive
-// resync requests within one blocked Recv.
-const maxResyncWait = time.Second
 
 // kickDeadline is a read deadline in the past: setting it makes a
 // blocked read on the connection return at once.
@@ -223,25 +218,9 @@ type Options struct {
 	// attempts.
 	Redial     int
 	RedialWait time.Duration
-	// ResyncEvery is the floor of the interval at which a blocked
-	// receiver re-sends its resync request: the actual wait starts at
-	// max(ResyncEvery, 2×measured RTT) and backs off exponentially up
-	// to maxResyncWait while the receiver stays blocked. It is also the
-	// keeper's tick (see the package doc).
-	ResyncEvery time.Duration
 
-	// InjectRTT simulates link latency: every authoritative data send
-	// sleeps InjectRTT/2 (one way) before hitting the socket.
-	// Host-side only; the modeled run is unaffected.
-	InjectRTT time.Duration
-	// Faults injects wire-level byte faults (delay, duplication, bit
-	// corruption) into outgoing data frames, seeded by FaultSeed. The
-	// ARQ layer must heal all of them; reports are unaffected.
-	Faults    *faultplan.ChannelFault
-	FaultSeed uint64
-	// PingEvery, when positive, makes the keeper ping the peer at this
-	// cadence, sampling round-trip latency into Stats.
-	PingEvery time.Duration
+	// tick overrides keeperTick, for in-package tests.
+	tick time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -260,19 +239,10 @@ func (o Options) withDefaults() Options {
 	if o.RedialWait <= 0 {
 		o.RedialWait = DefaultRedialWait
 	}
-	if o.ResyncEvery <= 0 {
-		o.ResyncEvery = DefaultResyncEvery
+	if o.tick <= 0 {
+		o.tick = keeperTick
 	}
 	return o
-}
-
-// tick is the keeper's period: the resync floor, or the ping cadence
-// when that is shorter.
-func (o Options) tick() time.Duration {
-	if o.PingEvery > 0 && o.PingEvery < o.ResyncEvery {
-		return o.PingEvery
-	}
-	return o.ResyncEvery
 }
 
 // reacceptBudget is how long the acceptor side waits for a crashed
@@ -287,22 +257,15 @@ func reacceptBudget(o Options) time.Duration {
 	return b
 }
 
-// Stats summarizes one endpoint's wire activity. RTT fields are filled
-// from the handshake and ping/pong samples.
+// Stats summarizes one endpoint's wire activity.
 type Stats struct {
 	Sent          int64 // authoritative data frames first-sent
 	Received      int64 // in-order data frames delivered
-	Dups          int64 // duplicate frames dropped
-	Gaps          int64 // out-of-order frames observed (resync sent)
-	CorruptFrames int64 // checksum mismatches observed (resync sent)
-	Retransmits   int64 // frames re-sent answering peer resyncs
-	Resyncs       int64 // resync requests sent
+	Dups          int64 // copies of delivered frames dropped
+	Gaps          int64 // connections killed by a sequence gap
+	CorruptFrames int64 // connections killed by a damaged frame
+	Retransmits   int64 // frames replayed on a resumed connection
 	Reconnects    int64 // connection deaths healed
-	WireFaults    int64 // injected wire faults (Options.Faults)
-
-	RTTSamples int64
-	RTTMean    time.Duration
-	RTTP99     time.Duration
 }
 
 // winFrame is one unacknowledged authoritative frame.
@@ -385,13 +348,9 @@ type Transport struct {
 	recvs, seenRecvs  uint64
 	waiting           bool
 	waitSeq, watchSeq uint64
-	waitWant          want
 	waitLimit         time.Duration
 	timedOut          bool
 	waitStart         time.Time
-	resyncGap         time.Duration
-	resyncAt          time.Time
-	pingAt            time.Time
 
 	gen      int64 // connection generation, for trace/debug
 	sendSeq  uint32
@@ -410,14 +369,8 @@ type Transport struct {
 	wfree    [][]amba.Word
 	unacked  int // delivered frames since last ack we sent
 	wbuf     []byte
-	frng     *rng.Source
 	st       Stats
-	rtt      *stats.Hist // microseconds
-	pingSeq  uint32
-	pingT0   time.Time
 	trc      *trace.Recorder
-
-	killed int64 // test hook: connections killed via Kill
 }
 
 func newTransport(role Role, opts Options, hash string) *Transport {
@@ -430,13 +383,9 @@ func newTransport(role Role, opts Options, hash string) *Transport {
 		keeperDone: make(chan struct{}),
 		wake:       make(chan struct{}, 1),
 		recvNext:   1,
-		rtt:        stats.NewHist(),
 		trc:        trace.NewRecorder(4096),
 	}
 	t.cond = sync.NewCond(&t.mu)
-	if opts.Faults != nil {
-		t.frng = rng.New(opts.FaultSeed)
-	}
 	return t
 }
 
@@ -450,8 +399,7 @@ func (t *Transport) start(conn net.Conn) {
 
 // Dial connects to a listening endpoint, performs the handshake
 // (announcing o.Role, o.Hash and shipping o.Meta), and returns the
-// ready transport. The handshake round trip is recorded as the first
-// RTT sample.
+// ready transport.
 func Dial(addr string, o Options) (*Transport, error) {
 	o = o.withDefaults()
 	t := newTransport(o.Role, o, o.Hash)
@@ -490,7 +438,6 @@ func (t *Transport) dialOnce(resume bool) (net.Conn, uint32, error) {
 		t.dialing = nil
 		t.mu.Unlock()
 	}()
-	t0 := time.Now()
 	h := helloMsg{
 		Magic: protocolMagic, Version: protocolVersion,
 		Role: t.role.String(), Hash: t.hash,
@@ -512,9 +459,6 @@ func (t *Transport) dialOnce(resume bool) (net.Conn, uint32, error) {
 		conn.Close()
 		return nil, 0, fmt.Errorf("tcpchan: spec hash mismatch: ours %s, peer %s", t.hash, ok.Hash)
 	}
-	t.mu.Lock()
-	t.addSampleLocked(time.Since(t0))
-	t.mu.Unlock()
 	return conn, ok.Expect, nil
 }
 
@@ -728,23 +672,6 @@ func (t *Transport) Send(d channel.Dir, payload []amba.Word) error {
 	if d != t.role.dir() {
 		return nil
 	}
-	if t.opts.InjectRTT > 0 {
-		time.Sleep(t.opts.InjectRTT / 2)
-	}
-	// Wire-fault dice roll before the lock: delay must not stall the
-	// protocol responses of whoever is reading.
-	var dup, corrupt, corrupt2 bool
-	if t.frng != nil {
-		p := t.opts.Faults
-		if p.Delay > 0 && p.MaxDelayUS > 0 && t.frng.Bool(p.Delay) {
-			time.Sleep(time.Duration(1+t.frng.Intn(p.MaxDelayUS)) * time.Microsecond)
-		}
-		dup = t.frng.Bool(p.Duplicate)
-		corrupt = t.frng.Bool(p.Corrupt)
-		if dup {
-			corrupt2 = t.frng.Bool(p.Corrupt)
-		}
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -767,14 +694,7 @@ func (t *Transport) Send(d channel.Dir, payload []amba.Word) error {
 	}
 	t.window = append(t.window, winFrame{seq: seq, payload: buf})
 	t.st.Sent++
-	t.writeDataLocked(seq, buf, corrupt)
-	if dup {
-		t.st.WireFaults++
-		t.writeDataLocked(seq, buf, corrupt2)
-	}
-	if corrupt || corrupt2 {
-		t.st.WireFaults++
-	}
+	t.writeDataLocked(seq, buf)
 	// Local echo: the engine on this side receives its own
 	// contribution exactly as an in-process transport would deliver it.
 	return t.q.Send(d, payload)
@@ -783,12 +703,8 @@ func (t *Transport) Send(d channel.Dir, payload []amba.Word) error {
 // writeDataLocked encodes and writes one data frame. A write failure
 // marks the connection dead (the keeper heals it); the frame stays in
 // the window either way.
-func (t *Transport) writeDataLocked(seq uint32, payload []amba.Word, corrupt bool) {
+func (t *Transport) writeDataLocked(seq uint32, payload []amba.Word) {
 	t.wbuf = appendDataFrame(t.wbuf[:0], byte(t.role.dir()), seq, t.recvNext-1, payload)
-	if corrupt && len(t.wbuf) > 4 {
-		bit := t.frng.Intn((len(t.wbuf) - 4) * 8)
-		t.wbuf[4+bit/8] ^= 1 << (bit % 8)
-	}
 	t.unacked = 0
 	t.writeRawLocked(t.wbuf)
 }
@@ -828,13 +744,7 @@ func (t *Transport) markDeadLocked() {
 // the local echo — empty means the engine broke its own exchange
 // protocol, reported immediately. The peer direction reads the socket
 // on the calling goroutine until a packet is delivered, up to
-// RecvTimeout. While it waits the keeper re-requests a resync (harmless
-// when nothing was lost: a resync for a sequence the peer has not
-// produced retransmits nothing). The resync cadence starts at
-// resyncWait — never faster than the measured round trip — and backs
-// off exponentially, because each resync makes the peer retransmit its
-// whole in-flight window: a fixed short cadence would amplify traffic
-// on exactly the high-latency links this transport targets.
+// RecvTimeout.
 func (t *Transport) Recv(d channel.Dir) ([]amba.Word, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -869,7 +779,7 @@ func (t *Transport) awaitLocked(w want, limit time.Duration) error {
 	}
 	t.waiting = true
 	t.waitSeq++
-	t.waitWant, t.waitLimit, t.timedOut = w, limit, false
+	t.waitLimit, t.timedOut = limit, false
 	defer func() { t.waiting = false }()
 	if t.reading {
 		t.kickLocked()
@@ -916,36 +826,15 @@ func (t *Transport) readLocked() bool {
 	t.reading = false
 	if err != nil {
 		if fr == t.fr && !t.dead && !t.closed && !errors.Is(err, os.ErrDeadlineExceeded) {
+			if errors.Is(err, errFrameLength) {
+				t.st.CorruptFrames++
+			}
 			t.markDeadLocked()
 		}
 		return false
 	}
 	t.handleFrameLocked(body)
 	return true
-}
-
-// sendResyncLocked asks the peer to retransmit from recvNext.
-func (t *Transport) sendResyncLocked() {
-	t.st.Resyncs++
-	t.traceLocked(trace.Event{Kind: trace.EvTransportResync, Domain: uint8(t.role), Arg: int64(t.recvNext)})
-	t.writeCtrlLocked(kindResync, t.recvNext, t.recvNext-1, nil)
-}
-
-// resyncWaitLocked is the initial resync interval for one blocked
-// Recv: at least ResyncEvery, and at least two measured mean round
-// trips, so a healthy link whose genuine RTT exceeds ResyncEvery is not
-// flooded with redundant retransmission requests.
-func (t *Transport) resyncWaitLocked() time.Duration {
-	w := t.opts.ResyncEvery
-	if t.rtt.N() > 0 {
-		if m := time.Duration(2 * t.rtt.Mean() * float64(time.Microsecond)); m > w {
-			w = m
-		}
-	}
-	if w > maxResyncWait {
-		w = maxResyncWait
-	}
-	return w
 }
 
 // Release implements channel.Transport. Echo and receive buffers share
@@ -996,18 +885,6 @@ func (t *Transport) Close() error {
 	return nil
 }
 
-// Kill severs the current connection without closing the transport —
-// a test hook standing in for a mid-run network failure. The keeper
-// notices and heals via the reconnect path.
-func (t *Transport) Kill() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.conn != nil && !t.dead {
-		t.killed++
-		t.markDeadLocked()
-	}
-}
-
 // ExchangeSum sends blob to the peer and returns the peer's blob — the
 // end-of-run cross-check both mirrors use to compare canonical report
 // digests. Symmetric: both sides call it.
@@ -1032,31 +909,16 @@ func (t *Transport) ExchangeSum(blob []byte, timeout time.Duration) ([]byte, err
 func (t *Transport) Stats() Stats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := t.st
-	s.RTTSamples = t.rtt.N()
-	if s.RTTSamples > 0 {
-		s.RTTMean = time.Duration(t.rtt.Mean() * float64(time.Microsecond))
-		s.RTTP99 = time.Duration(t.rtt.Quantile(0.99)) * time.Microsecond
-	}
-	return s
+	return t.st
 }
 
 // TraceEvents returns the transport's recorded trace events (connects,
-// resyncs, retransmissions, reconnects). Event.Cycle carries the frame
-// sequence position, not a target cycle.
+// replays, reconnects). Event.Cycle carries the frame sequence
+// position, not a target cycle.
 func (t *Transport) TraceEvents() []trace.Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.trc.Events()
-}
-
-// addSampleLocked records one RTT sample in microseconds.
-func (t *Transport) addSampleLocked(d time.Duration) {
-	us := int(d / time.Microsecond)
-	if us < 0 {
-		return
-	}
-	t.rtt.Add(us)
 }
 
 func (t *Transport) traceLocked(ev trace.Event) {
@@ -1084,7 +946,7 @@ func (t *Transport) ackWindowLocked(ack uint32) {
 // connection dies between ticks.
 func (t *Transport) keep() {
 	defer close(t.keeperDone)
-	tk := time.NewTicker(t.opts.tick())
+	tk := time.NewTicker(t.opts.tick)
 	defer tk.Stop()
 	for {
 		select {
@@ -1136,40 +998,24 @@ func (t *Transport) watch() bool {
 	return !t.closed
 }
 
-// watchLocked runs the keeper's timed duties: the resync cadence and
-// the timeout of a blocked engine wait, pings, and the write deadline.
-// A wait is timed from the first tick that sees it.
+// watchLocked runs the keeper's timed duties: the timeout of a blocked
+// engine wait, and the write deadline. A wait is timed from the first
+// tick that sees it.
 func (t *Transport) watchLocked(now time.Time) {
-	live := t.conn != nil && !t.dead
 	if t.waiting {
 		if t.watchSeq != t.waitSeq {
 			t.watchSeq = t.waitSeq
 			t.waitStart = now
-			t.resyncGap = t.resyncWaitLocked()
-			t.resyncAt = now.Add(t.resyncGap)
 		}
-		switch {
-		case now.Sub(t.waitStart) >= t.waitLimit:
+		if now.Sub(t.waitStart) >= t.waitLimit {
 			t.timedOut = true
 			if t.reading {
 				t.kickLocked()
 			}
 			t.cond.Broadcast()
-		case t.waitWant == wantPacket && !now.Before(t.resyncAt):
-			t.sendResyncLocked()
-			if t.resyncGap *= 2; t.resyncGap > maxResyncWait {
-				t.resyncGap = maxResyncWait
-			}
-			t.resyncAt = now.Add(t.resyncGap)
 		}
 	}
-	if live && t.opts.PingEvery > 0 && !now.Before(t.pingAt) {
-		t.pingAt = now.Add(t.opts.PingEvery)
-		t.pingSeq++
-		t.pingT0 = now
-		t.writeCtrlLocked(kindPing, t.pingSeq, t.recvNext-1, nil)
-	}
-	if live {
+	if t.conn != nil && !t.dead {
 		t.conn.SetWriteDeadline(now.Add(t.opts.WriteTimeout))
 	}
 }
@@ -1178,7 +1024,7 @@ func (t *Transport) watchLocked(now time.Time) {
 // one tick. It stops as soon as the engine waits to receive (the
 // engine's arrival kicks the read), and hands the socket back.
 func (t *Transport) idleReadLocked(now time.Time) {
-	t.conn.SetReadDeadline(now.Add(t.opts.tick()))
+	t.conn.SetReadDeadline(now.Add(t.opts.tick))
 	t.deadlineSet = true
 	for !t.waiting && !t.dead && !t.closed && !t.down && t.readLocked() {
 	}
@@ -1236,7 +1082,7 @@ func (t *Transport) adopt(conn net.Conn, peerExpect uint32) bool {
 	t.gen++
 	t.st.Reconnects++
 	t.traceLocked(trace.Event{Kind: trace.EvTransportReconnect, Domain: uint8(t.role), Arg: t.gen})
-	t.retransmitLocked(0)
+	t.retransmitLocked()
 	if t.pendingSum != nil && !t.sumAcked {
 		// The peer keeps the first copy and confirms every copy.
 		t.writeCtrlLocked(kindSum, 0, t.recvNext-1, t.pendingSum)
@@ -1245,19 +1091,13 @@ func (t *Transport) adopt(conn net.Conn, peerExpect uint32) bool {
 	return true
 }
 
-// retransmitLocked re-sends every window frame with seq >= from (0
-// replays the whole window).
-func (t *Transport) retransmitLocked(from uint32) {
-	n := int64(0)
+// retransmitLocked replays the whole window in order.
+func (t *Transport) retransmitLocked() {
 	for _, wf := range t.window {
-		if wf.seq < from {
-			continue
-		}
 		t.wbuf = appendDataFrame(t.wbuf[:0], byte(t.role.dir()), wf.seq, t.recvNext-1, wf.payload)
 		t.writeRawLocked(t.wbuf)
-		n++
 	}
-	if n > 0 {
+	if n := int64(len(t.window)); n > 0 {
 		t.st.Retransmits += n
 		t.traceLocked(trace.Event{Kind: trace.EvTransportRetransmit, Domain: uint8(t.role), N: n})
 	}
@@ -1270,18 +1110,8 @@ func (t *Transport) handleFrameLocked(body []byte) {
 	switch kind {
 	case kindData:
 		t.handleDataLocked(seq, ack, payload)
-	case kindResync:
-		t.ackWindowLocked(seq - 1)
-		t.retransmitLocked(seq)
 	case kindAck:
 		t.ackWindowLocked(ack)
-	case kindPing:
-		t.writeCtrlLocked(kindPong, seq, t.recvNext-1, nil)
-	case kindPong:
-		if seq == t.pingSeq && !t.pingT0.IsZero() {
-			t.addSampleLocked(time.Since(t.pingT0))
-			t.pingT0 = time.Time{}
-		}
 	case kindSum:
 		if t.peerSum == nil {
 			t.peerSum = append([]byte{}, payload...)
@@ -1298,21 +1128,22 @@ func (t *Transport) handleFrameLocked(body []byte) {
 		t.conn.Close()
 		t.cond.Broadcast()
 	case frameCorrupt:
-		// The stream framing held but the checksum failed: request
-		// retransmission of everything undelivered.
+		// The stream framing held but the checksum failed: the stream
+		// is untrusted from here, and the resume replays what is lost.
 		t.st.CorruptFrames++
-		t.sendResyncLocked()
+		t.markDeadLocked()
 	default:
 		// Unknown control frame: ignore (forward compatibility).
 	}
 }
 
 // handleDataLocked runs the receive side of the ARQ for one data
-// frame, queueing an in-order payload for the engine.
+// frame, queueing the next in-order payload for the engine. A damaged
+// payload or a gap kills the connection.
 func (t *Transport) handleDataLocked(seq, ack uint32, payload []byte) {
 	if len(payload)%amba.WordBytes != 0 {
 		t.st.CorruptFrames++
-		t.sendResyncLocked()
+		t.markDeadLocked()
 		return
 	}
 	t.ackWindowLocked(ack)
@@ -1322,7 +1153,7 @@ func (t *Transport) handleDataLocked(seq, ack uint32, payload []byte) {
 		return
 	case seq > t.recvNext:
 		t.st.Gaps++
-		t.sendResyncLocked()
+		t.markDeadLocked()
 		return
 	}
 	t.recvNext++
@@ -1340,9 +1171,12 @@ func (t *Transport) handleDataLocked(seq, ack uint32, payload []byte) {
 }
 
 // frameCorrupt is the in-band kind decodeFrame returns for a frame
-// whose stream framing held but whose checksum failed: the connection
-// is still usable, the frame is not.
+// whose stream framing held but whose checksum failed.
 const frameCorrupt = 0xFF
+
+// errFrameLength is the frame reader's error for a length prefix
+// outside the protocol bounds.
+var errFrameLength = errors.New("tcpchan: frame length out of range")
 
 // appendFrame encodes one frame with a byte payload:
 //
@@ -1398,15 +1232,14 @@ func newFrameReader(src io.Reader) *frameReader {
 // next returns the body of the next frame (kind through checksum),
 // valid until the following call. A read error returns with any
 // partial frame kept. A length prefix outside the protocol bounds is
-// stream damage beyond resync and returns an error, killing the
-// connection.
+// stream damage and returns errFrameLength, killing the connection.
 func (fr *frameReader) next() ([]byte, error) {
 	need := 4
 	for {
 		if avail := fr.w - fr.r; avail >= 4 {
 			n := int(getLE32(fr.buf[fr.r:]))
 			if n < frameHeadBytes+frameSumBytes || n > maxFrameBytes {
-				return nil, fmt.Errorf("tcpchan: frame length %d out of range", n)
+				return nil, fmt.Errorf("%w: %d", errFrameLength, n)
 			}
 			if avail >= 4+n {
 				body := fr.buf[fr.r+4 : fr.r+4+n]

@@ -2,15 +2,24 @@ package tcpchan
 
 import (
 	"errors"
-	"net"
+	"io"
 	"sync"
 	"testing"
 	"time"
 
 	"coemu/internal/amba"
 	"coemu/internal/channel"
-	"coemu/internal/faultplan"
 )
+
+// kill severs the current connection without closing the transport, as
+// a network failure does. The keeper heals it by reconnecting.
+func (t *Transport) kill() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.conn != nil && !t.dead {
+		t.markDeadLocked()
+	}
+}
 
 // newPair connects a sim-role dialer to an acc-role acceptor over a
 // loopback listener and returns both ready transports.
@@ -117,48 +126,80 @@ func TestEmptyEchoIsImmediateError(t *testing.T) {
 	}
 }
 
+// TestWireFaultsHealedByARQ puts damaged frames on the wire from a bare
+// socket. Each must kill the connection (the socket reads EOF), count
+// once and deliver nothing; the socket's resume then learns that the
+// transport still expects sequence 1. A frame sent twice and then the
+// next frame deliver once each, with the copy dropped on the live
+// connection.
 func TestWireFaultsHealedByARQ(t *testing.T) {
-	plan := &faultplan.ChannelFault{Corrupt: 0.2, Duplicate: 0.3, Delay: 0.1, MaxDelayUS: 50}
-	sim, acc := newPair(t,
-		Options{Faults: plan, FaultSeed: 41, ResyncEvery: 5 * time.Millisecond},
-		Options{Faults: plan, FaultSeed: 42, ResyncEvery: 5 * time.Millisecond})
-	const n = 300
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < n; i++ {
-			if err := sim.Send(channel.SimToAcc, []amba.Word{amba.Word(i), amba.Word(i ^ 0xABCD)}); err != nil {
-				t.Errorf("send %d: %v", i, err)
-				return
-			}
+	acc, raw, addr := rawPeer(t, Options{})
+	data := func(seq uint32) []byte {
+		return appendDataFrame(nil, byte(channel.SimToAcc), seq, 0, []amba.Word{amba.Word(seq), 7})
+	}
+	flipped := data(1)
+	flipped[len(flipped)-1] ^= 0x08 // a checksum bit
+	corrupt := func(s Stats) int64 { return s.CorruptFrames }
+	damaged := []struct {
+		name  string
+		frame []byte
+		count func(Stats) int64
+	}{
+		{"checksum", flipped, corrupt},
+		{"payload of 3 bytes", appendFrame(nil, kindData, byte(channel.SimToAcc), 1, 0, []byte{1, 2, 3}), corrupt},
+		{"sequence gap", data(2), func(s Stats) int64 { return s.Gaps }},
+		{"length prefix", []byte{0xFF, 0xFF, 0xFF, 0x7F}, corrupt},
+	}
+	for _, c := range damaged {
+		before := acc.Stats()
+		if _, err := raw.Write(c.frame); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	for i := 0; i < n; i++ {
+		raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := raw.Read(make([]byte, 64)); n != 0 || err != io.EOF {
+			t.Fatalf("%s: the transport kept the connection (read %d bytes, %v)", c.name, n, err)
+		}
+		var expect uint32
+		raw, expect = rawHello(t, addr, true, 1)
+		if expect != 1 {
+			t.Fatalf("%s: resume expects sequence %d, want 1", c.name, expect)
+		}
+		after := acc.Stats()
+		if c.count(after) != c.count(before)+1 || after.Gaps+after.CorruptFrames != before.Gaps+before.CorruptFrames+1 {
+			t.Fatalf("%s: stats %+v after %+v, want one kill counted", c.name, after, before)
+		}
+		if after.Received != 0 || acc.Pending(channel.SimToAcc) != 0 {
+			t.Fatalf("%s: a damaged frame was delivered (%+v)", c.name, after)
+		}
+	}
+	for _, seq := range []uint32{1, 1, 2} {
+		if _, err := raw.Write(data(seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seq := amba.Word(1); seq <= 2; seq++ {
 		pkt, err := acc.Recv(channel.SimToAcc)
 		if err != nil {
-			t.Fatalf("recv %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if len(pkt) != 2 || pkt[0] != amba.Word(i) || pkt[1] != amba.Word(i^0xABCD) {
-			t.Fatalf("recv %d = %v: ARQ delivered out of order", i, pkt)
+		if len(pkt) != 2 || pkt[0] != seq || pkt[1] != 7 {
+			t.Fatalf("recv %d = %v", seq, pkt)
 		}
 		acc.Release(pkt)
 	}
-	wg.Wait()
-	st := sim.Stats()
-	if st.WireFaults == 0 {
-		t.Fatal("fault plan injected nothing; test is vacuous")
+	if n := acc.Pending(channel.SimToAcc); n != 0 {
+		t.Fatalf("%d packets left over: the copy was delivered", n)
 	}
-	ast := acc.Stats()
-	if ast.CorruptFrames == 0 && ast.Dups == 0 {
-		t.Fatalf("receiver observed no faults (%+v); test is vacuous", ast)
+	// One reconnect per damaged frame, none for the copy.
+	if st := acc.Stats(); st.Received != 2 || st.Dups != 1 || st.Reconnects != int64(len(damaged)) {
+		t.Fatalf("stats %+v: want 2 delivered, 1 copy dropped, %d reconnects", st, len(damaged))
 	}
 }
 
 func TestKillHealsWithReconnect(t *testing.T) {
 	sim, acc := newPair(t,
-		Options{RedialWait: 10 * time.Millisecond, ResyncEvery: 5 * time.Millisecond},
-		Options{ResyncEvery: 5 * time.Millisecond})
+		Options{RedialWait: 10 * time.Millisecond, tick: 5 * time.Millisecond},
+		Options{tick: 5 * time.Millisecond})
 	const n = 60
 	done := make(chan struct{})
 	go func() {
@@ -169,10 +210,10 @@ func TestKillHealsWithReconnect(t *testing.T) {
 				return
 			}
 			if i == 20 {
-				sim.Kill()
+				sim.kill()
 			}
 			if i == 40 {
-				acc.Kill()
+				acc.kill()
 			}
 		}
 	}()
@@ -200,38 +241,9 @@ func TestKillHealsWithReconnect(t *testing.T) {
 // arrive, so the acceptor's reader is left in its re-accept wait.
 func crashedAcceptor(t *testing.T, srv Options) *Transport {
 	t.Helper()
-	l, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	srv.Role = RoleAcc
-	type accepted struct {
-		tr  *Transport
-		err error
-	}
-	ch := make(chan accepted, 1)
-	go func() {
-		tr, _, err := l.Accept(srv)
-		ch <- accepted{tr, err}
-	}()
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := handshake(conn, helloMsg{
-		Magic: protocolMagic, Version: protocolVersion,
-		Role: RoleSim.String(), Hash: "h",
-	}, 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	acc := <-ch
-	if acc.err != nil {
-		t.Fatal(acc.err)
-	}
-	t.Cleanup(func() { acc.tr.Close() })
+	acc, conn, _ := rawPeer(t, srv)
 	conn.Close()
-	return acc.tr
+	return acc
 }
 
 func TestAcceptorCloseUnblocksAfterPeerCrash(t *testing.T) {
@@ -286,7 +298,7 @@ func TestExchangeSumSurvivesReconnect(t *testing.T) {
 		Options{RedialWait: 5 * time.Millisecond})
 	// Kill the connection first: the sum writes land on a dead (or
 	// dying) socket and must be re-sent by the reconnect path.
-	sim.Kill()
+	sim.kill()
 	var got [2][]byte
 	var errs [2]error
 	var wg sync.WaitGroup
@@ -300,32 +312,6 @@ func TestExchangeSumSurvivesReconnect(t *testing.T) {
 	if string(got[0]) != "acc-digest" || string(got[1]) != "sim-digest" {
 		t.Fatalf("sum exchange delivered wrong blobs: %q / %q", got[0], got[1])
 	}
-}
-
-func TestResyncBacksOffWhileBlocked(t *testing.T) {
-	sim, _ := newPair(t,
-		Options{ResyncEvery: time.Millisecond, RecvTimeout: 300 * time.Millisecond},
-		Options{})
-	if _, err := sim.Recv(channel.AccToSim); !errors.Is(err, channel.ErrChannelDown) {
-		t.Fatalf("recv err = %v, want ErrChannelDown", err)
-	}
-	// A fixed 1ms cadence would send ~300 resyncs in 300ms; the
-	// exponential backoff keeps it to a handful.
-	if st := sim.Stats(); st.Resyncs > 20 {
-		t.Fatalf("blocked Recv sent %d resyncs; backoff is not applied", st.Resyncs)
-	}
-}
-
-func TestPingSamplesRTT(t *testing.T) {
-	sim, _ := newPair(t, Options{PingEvery: 5 * time.Millisecond}, Options{})
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if st := sim.Stats(); st.RTTSamples >= 2 { // handshake + ≥1 ping
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("no ping RTT samples after 2s: %+v", sim.Stats())
 }
 
 func TestByteSumMatchesFrameSum(t *testing.T) {

@@ -23,7 +23,6 @@ import (
 
 	"coemu/internal/channel/tcpchan"
 	"coemu/internal/core"
-	"coemu/internal/faultplan"
 	"coemu/internal/service"
 	"coemu/internal/spec"
 	"coemu/internal/trace"
@@ -39,8 +38,8 @@ type Result struct {
 	// differential suites compare and the digest exchange hashes).
 	View      []byte
 	Transport tcpchan.Stats
-	// Events are the transport's trace events (connects, resyncs,
-	// retransmits, reconnects), sequence-indexed.
+	// Events are the transport's trace events (connects, window replays,
+	// reconnects), sequence-indexed.
 	Events []trace.Event
 }
 
@@ -48,28 +47,11 @@ type Result struct {
 type RunOptions struct {
 	// Tracer optionally records engine protocol events, exactly as an
 	// in-process run's Config.Tracer would.
-	Tracer      *trace.Recorder
-	DialTimeout time.Duration
-	RecvTimeout time.Duration
-	// InjectRTT / Faults / FaultSeed inject wire-level latency and
-	// byte faults into this endpoint's sends (host-side; the ARQ layer
-	// heals faults and the report is unaffected).
-	InjectRTT time.Duration
-	Faults    *faultplan.ChannelFault
-	FaultSeed uint64
-	PingEvery time.Duration
-	// OnTransport observes the connected transport before the engine
-	// starts — the chaos suite uses it to schedule mid-run connection
-	// kills.
-	OnTransport func(*tcpchan.Transport)
+	Tracer *trace.Recorder
 }
 
 // ServeOptions tunes the serving endpoint.
 type ServeOptions struct {
-	RecvTimeout time.Duration
-	InjectRTT   time.Duration
-	Faults      *faultplan.ChannelFault
-	FaultSeed   uint64
 	// Once serves a single session and returns its error instead of
 	// accepting forever.
 	Once bool
@@ -152,20 +134,11 @@ func Run(ctx context.Context, addr string, sp *spec.Spec, o RunOptions) (*Result
 	if err != nil {
 		return nil, err
 	}
-	topts := tcpchan.Options{
-		Role: tcpchan.RoleSim, Hash: hash, Meta: meta,
-		DialTimeout: o.DialTimeout, RecvTimeout: o.RecvTimeout,
-		InjectRTT: o.InjectRTT, Faults: o.Faults, FaultSeed: o.FaultSeed,
-		PingEvery: o.PingEvery,
-	}
-	tr, err := tcpchan.Dial(addr, topts)
+	tr, err := tcpchan.Dial(addr, tcpchan.Options{Role: tcpchan.RoleSim, Hash: hash, Meta: meta})
 	if err != nil {
 		return nil, err
 	}
 	defer tr.Close()
-	if o.OnTransport != nil {
-		o.OnTransport(tr)
-	}
 	rep, view, err := runEngine(ctx, n, tr, o.Tracer)
 	if err != nil {
 		return nil, err
@@ -210,12 +183,7 @@ func Serve(ctx context.Context, l *tcpchan.Listener, o ServeOptions) error {
 		logf = func(string, ...any) {}
 	}
 	for {
-		topts := tcpchan.Options{
-			Role: tcpchan.RoleAcc, VerifyMeta: VerifyMeta,
-			RecvTimeout: o.RecvTimeout,
-			InjectRTT:   o.InjectRTT, Faults: o.Faults, FaultSeed: o.FaultSeed,
-		}
-		tr, meta, err := l.Accept(topts)
+		tr, meta, err := l.Accept(tcpchan.Options{Role: tcpchan.RoleAcc, VerifyMeta: VerifyMeta})
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -227,8 +195,8 @@ func Serve(ctx context.Context, l *tcpchan.Listener, o ServeOptions) error {
 		if info.Err != nil {
 			logf("session %s failed: %v", info.Hash, info.Err)
 		} else {
-			logf("session %s: %d cycles, perf %.0f cyc/s, rtt %v (%d samples)",
-				info.Hash, info.Report.Cycles, info.Report.Perf(), info.Transport.RTTMean, info.Transport.RTTSamples)
+			logf("session %s: %d cycles, perf %.0f cyc/s",
+				info.Hash, info.Report.Cycles, info.Report.Perf())
 		}
 		if o.OnSession != nil {
 			o.OnSession(info)

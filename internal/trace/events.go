@@ -51,11 +51,8 @@ const (
 	// number in Cycle — host wall time is not cycle time, and the
 	// sequence axis keeps the export deterministic.
 	EvTransportConnect
-	// EvTransportResync marks a resync request sent to the peer; Arg is
-	// the next expected sequence number.
-	EvTransportResync
-	// EvTransportRetransmit marks a retransmission burst answering a
-	// peer resync; N is the number of frames re-sent.
+	// EvTransportRetransmit marks the retransmission window replayed on
+	// a resumed connection; N is the number of frames re-sent.
 	EvTransportRetransmit
 	// EvTransportReconnect marks a connection loss healed by redial (or
 	// re-accept); Arg is the new connection generation.
@@ -77,7 +74,6 @@ var eventKindNames = [...]string{
 	EvStore:        "store",
 
 	EvTransportConnect:    "transport_connect",
-	EvTransportResync:     "transport_resync",
 	EvTransportRetransmit: "transport_retransmit",
 	EvTransportReconnect:  "transport_reconnect",
 }
@@ -315,9 +311,6 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 		case EvTransportConnect, EvTransportReconnect:
 			s.Ph, s.Tid, s.S = "i", tidTransport, "t"
 			addArg("generation", ev.Arg)
-		case EvTransportResync:
-			s.Ph, s.Tid, s.S = "i", tidTransport, "t"
-			addArg("expect", ev.Arg)
 		case EvTransportRetransmit:
 			s.Ph, s.Tid, s.S = "i", tidTransport, "t"
 			addArg("frames", ev.N)

@@ -1,12 +1,10 @@
 package coemu_test
 
 import (
-	"context"
 	"fmt"
 	"testing"
 	"time"
 
-	"coemu/internal/remote"
 	"coemu/internal/spec"
 )
 
@@ -15,9 +13,10 @@ import (
 // TCP split with injected round-trip time the predictive (ALS,
 // batched) engine must hold its throughput while the synchronous
 // (conservative, per-cycle exchange) engine collapses linearly with
-// RTT. Each endpoint sleeps RTT/2 before its authoritative data sends;
-// the modeled reports stay bit-identical throughout — latency moves
-// host wall-clock only.
+// RTT. The mirrors talk through the test proxy (remote_proxy_test.go),
+// which releases every frame RTT/2 after it arrived; the modeled
+// reports stay bit-identical throughout — latency moves host
+// wall-clock only.
 
 // remoteBenchCycles keeps one synchronous iteration at 2 ms RTT around
 // a second of wall clock.
@@ -50,12 +49,7 @@ func remoteBenchSpec(tb testing.TB, mode string, cycleBatch int) *spec.Spec {
 // injected RTT and fails the benchmark on any error or divergence.
 func runRemotePair(tb testing.TB, sp *spec.Spec, rtt time.Duration) {
 	tb.Helper()
-	res, err := remote.Pair(context.Background(), sp,
-		remote.RunOptions{InjectRTT: rtt},
-		remote.ServeOptions{InjectRTT: rtt})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	res, _ := pairVia(tb, sp, proxyPlan{Latency: rtt / 2})
 	if res.ClientErr != nil || res.ServerErr != nil {
 		tb.Fatalf("remote run failed: client %v, server %v", res.ClientErr, res.ServerErr)
 	}

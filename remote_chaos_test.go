@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"runtime"
 	"testing"
-	"time"
 
 	"coemu/internal/channel"
-	"coemu/internal/channel/tcpchan"
 	"coemu/internal/faultplan"
 	"coemu/internal/remote"
 	"coemu/internal/spec"
@@ -19,10 +16,11 @@ import (
 // the in-process chaos suite absorbs, plus the failure modes only a
 // real network has. Two fault surfaces compose here:
 //
-//   - wire faults (tcpchan Options.Faults): frames corrupted, delayed
-//     or duplicated on the socket itself, healed below the engine by
-//     the transport's checksum-and-retransmit ARQ — the modeled run
-//     never sees them;
+//   - wire faults (the test proxy in remote_proxy_test.go): frames
+//     corrupted, held back or duplicated between the two sockets, and
+//     connections cut. tcpchan heals them below the engine: a damaged
+//     frame kills the connection, a copy is dropped, and the resume
+//     handshake replays the window — the modeled run never sees them;
 //   - modeled faults (spec fault_plan.channel): the FaultEndpoint
 //     chaos layer riding above the transport, mirrored identically in
 //     both processes by the shared spec seed — survivable plans are
@@ -30,8 +28,8 @@ import (
 //     mirrors.
 //
 // Every surviving run must stay byte-identical to the fault-free
-// in-process run, including across a mid-run connection kill healed by
-// reconnect-resync.
+// in-process run, including across mid-run connection cuts healed by
+// reconnect and resume.
 
 // chaosVariant is remoteVariant for the chaos suite, with an optional
 // modeled channel fault plan attached to the spec (so both mirrors
@@ -45,23 +43,18 @@ func chaosVariant(t *testing.T, sp *spec.Spec, cf *faultplan.ChannelFault, seed 
 	return v
 }
 
-// TestChaosRemoteWireFaultsBitIdentical injects corruption, duplicates
-// and delay into the socket frames of both endpoints. The transport's
-// ARQ must heal all of it: the reports stay byte-identical to the
-// clean in-process run, and the transport counters prove the faults
-// actually fired.
+// TestChaosRemoteWireFaultsBitIdentical corrupts, duplicates and holds
+// back data frames in both directions through the test proxy. The
+// transport must heal all of it: the reports stay byte-identical to
+// the clean in-process run, the proxy's counts prove the faults fired,
+// and a run that saw corrupt frames healed them by reconnecting.
 func TestChaosRemoteWireFaultsBitIdentical(t *testing.T) {
 	wire := &faultplan.ChannelFault{Corrupt: 0.02, Duplicate: 0.05, Delay: 0.02, MaxDelayUS: 30}
 	for name, sp := range exampleSpecs(t) {
 		t.Run(name, func(t *testing.T) {
 			v := chaosVariant(t, sp, nil, 0)
 			want, _ := runSpec(t, v, nil)
-			res, err := remote.Pair(context.Background(), v,
-				remote.RunOptions{Faults: wire, FaultSeed: 1001},
-				remote.ServeOptions{Faults: wire, FaultSeed: 2002})
-			if err != nil {
-				t.Fatal(err)
-			}
+			res, n := pairVia(t, v, proxyPlan{Faults: wire, Seed: [2]uint64{1001, 2002}})
 			if res.ClientErr != nil || res.ServerErr != nil {
 				t.Fatalf("wire faults broke the run: client %v, server %v", res.ClientErr, res.ServerErr)
 			}
@@ -69,15 +62,17 @@ func TestChaosRemoteWireFaultsBitIdentical(t *testing.T) {
 				t.Errorf("report diverged under wire faults\nclient: %s\nserver: %s\nclean:  %s",
 					res.Client.View, res.ServerView, want)
 			}
-			injected := res.Client.Transport.WireFaults + res.ServerStats.WireFaults
-			if injected == 0 {
-				t.Fatal("no wire faults injected; test is vacuous")
+			if n.Corrupted+n.Duplicated+n.Held == 0 {
+				t.Fatal("the proxy injected no wire faults; test is vacuous")
 			}
-			healed := res.Client.Transport.CorruptFrames + res.Client.Transport.Dups +
-				res.ServerStats.CorruptFrames + res.ServerStats.Dups
-			if healed == 0 {
-				t.Fatalf("%d faults injected but no receiver ever noticed one", injected)
+			cl, sv := res.Client.Transport, res.ServerStats
+			if cl.CorruptFrames+cl.Dups+sv.CorruptFrames+sv.Dups == 0 {
+				t.Fatalf("proxy injected %+v but no receiver ever noticed a fault", n)
 			}
+			if cl.CorruptFrames+sv.CorruptFrames > 0 && cl.Reconnects == 0 {
+				t.Fatalf("corrupt frames were seen but never healed by a reconnect (client %+v, server %+v)", cl, sv)
+			}
+			t.Logf("proxy %+v; client %+v; server %+v", n, cl, sv)
 		})
 	}
 }
@@ -129,7 +124,7 @@ func TestChaosRemoteCorruptionSurfacesBothMirrors(t *testing.T) {
 	}
 }
 
-// TestChaosRemoteKillMidRunBitIdentical severs the TCP connection
+// TestChaosRemoteKillMidRunBitIdentical cuts the TCP connection twice
 // while the run is in flight. The client transport must redial, resume
 // via the handshake's expect position, replay its retransmission
 // window, and finish with the byte-identical report.
@@ -138,26 +133,13 @@ func TestChaosRemoteKillMidRunBitIdentical(t *testing.T) {
 	v := chaosVariant(t, sp, nil, 0)
 	want, _ := runSpec(t, v, nil)
 
-	res, err := remote.Pair(context.Background(), v,
-		remote.RunOptions{OnTransport: func(tr *tcpchan.Transport) {
-			// Kill by frame progress, not by wall clock: the capped run
-			// sends about 445 frames, and a fast link finishes it before
-			// a timer (which can fire milliseconds late on a busy host)
-			// would land. The poll yields instead of sleeping for the
-			// same reason.
-			go func() {
-				deadline := time.Now().Add(10 * time.Second)
-				for _, at := range []int64{100, 300} {
-					for tr.Stats().Sent < at && time.Now().Before(deadline) {
-						runtime.Gosched()
-					}
-					tr.Kill()
-				}
-			}()
-		}},
-		remote.ServeOptions{})
-	if err != nil {
-		t.Fatal(err)
+	// Cut by frame progress, not by wall clock: the capped run sends
+	// about 445 client frames, and a fast link finishes it before a
+	// timer (which can fire milliseconds late on a busy host) would
+	// land.
+	res, n := pairVia(t, v, proxyPlan{CutAt: []int64{100, 300}})
+	if n.Cuts != 2 {
+		t.Fatalf("the proxy cut %d times, want 2", n.Cuts)
 	}
 	if res.ClientErr != nil || res.ServerErr != nil {
 		t.Fatalf("killed run never healed: client %v, server %v", res.ClientErr, res.ServerErr)

@@ -53,10 +53,11 @@ func remoteVariant(t *testing.T, sp *coemu.Spec, batch int) *coemu.Spec {
 // TestRemoteDifferentialBitIdentical runs every example spec
 // in-process and cross-process (two mirrored engines over a loopback
 // TCP socket pair in this binary), sweeping the host-side batching
-// knob and the link's ping cadence (the client keeper pings every
-// cadence milliseconds, interleaving ping/pong frames with the data
-// stream), and requires byte-identical canonical report JSON on all
-// three reports plus identical channel statistics.
+// knob and the link's write cadence (the test proxy forwards every
+// frame in writes of at most 16·cadence bytes, so at cadence 1 each
+// frame's 16-byte head arrives on its own), and requires
+// byte-identical canonical report JSON on all three reports plus
+// identical channel statistics.
 func TestRemoteDifferentialBitIdentical(t *testing.T) {
 	for name, sp := range exampleSpecs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -65,11 +66,7 @@ func TestRemoteDifferentialBitIdentical(t *testing.T) {
 				for _, cadence := range []int{1, 16} {
 					t.Run(fmt.Sprintf("batch=%d_cadence=%d", batch, cadence), func(t *testing.T) {
 						v := remoteVariant(t, sp, batch)
-						ro := remote.RunOptions{PingEvery: time.Duration(cadence) * time.Millisecond}
-						res, err := remote.Pair(context.Background(), v, ro, remote.ServeOptions{})
-						if err != nil {
-							t.Fatal(err)
-						}
+						res, _ := pairVia(t, v, proxyPlan{Chunk: 16 * cadence})
 						if res.ClientErr != nil {
 							t.Fatalf("client mirror: %v", res.ClientErr)
 						}
