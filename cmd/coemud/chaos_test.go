@@ -2,13 +2,12 @@ package main
 
 // The chaos differential suite: a remote sweep driven through two
 // daemons under an aggressive fault plan — injected worker panics,
-// slow runs, channel corruption/duplication/delay, store write errors
-// and torn writes, two store entries corrupted on disk up front, and
-// one daemon killed mid-sweep — must converge to the exact NDJSON
-// point lines a fault-free in-process sweep produces: every point
-// present, byte-identical reports, no daemon crash. This is the
-// end-to-end proof that fault injection perturbs only scheduling and
-// effort, never results.
+// slow runs, store write errors and torn writes, two store entries
+// corrupted on disk up front, and one daemon killed mid-sweep — must
+// converge to the exact NDJSON point lines a fault-free in-process
+// sweep produces: every point present, byte-identical reports, no
+// daemon crash. This is the end-to-end proof that fault injection
+// perturbs only scheduling and effort, never results.
 
 import (
 	"context"
@@ -126,14 +125,8 @@ func TestChaosDifferentialSweep(t *testing.T) {
 		corrupted++
 	}
 
-	// Channel faults are the absorbed kinds (duplication, delay): with
-	// per-frame corruption even a tiny probability compounds over the
-	// thousands of frames in one run and no retry budget converges;
-	// corruption → typed error → retry is pinned deterministically in
-	// the channel, engine and sweepclient tests instead.
 	plan := &faultplan.Plan{
 		Seed:    42,
-		Channel: &faultplan.ChannelFault{Duplicate: 0.35, Delay: 0.05, MaxDelayUS: 200},
 		Service: &faultplan.ServiceFault{WorkerPanic: 0.25, SlowRun: 0.5, SlowDelayMS: 20},
 		Store:   &faultplan.StoreFault{WriteError: 0.3, TornWrite: 0.3},
 	}

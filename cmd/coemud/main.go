@@ -54,8 +54,7 @@
 // With -fault-plan plan.json, a seeded fault-injection plan (see
 // internal/faultplan) is armed daemon-wide for chaos testing: worker
 // panics and slow runs at the service layer, write errors and torn
-// writes at the store, packet duplication/corruption/delay on every
-// job's channel. All injection is off without the flag.
+// writes at the store. All injection is off without the flag.
 //
 // With -domain-serve addr, the daemon runs in a different mode
 // entirely: instead of the HTTP service it hosts the accelerator

@@ -2,8 +2,7 @@
 // accountant that charges every access to the virtual clock with the
 // startup + per-word cost structure measured in the paper, and the
 // Transport interface that carries packets when the engine builds them
-// (in-memory Queues, the fault-injecting FaultEndpoint, and a TCP
-// socket in package tcpchan).
+// (in-memory Queues, and a TCP socket in package tcpchan).
 //
 // The channel is the scarce resource of the whole system. Conventional
 // co-emulation performs two accesses per target cycle (one transfer each

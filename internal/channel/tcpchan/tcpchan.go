@@ -26,12 +26,10 @@
 //
 // # Framing and recovery
 //
-// Frames reuse the seq + FNV-1a scheme of channel.FaultEndpoint,
-// carried on a length-prefixed byte stream: the checksum constants are
-// identical, and summing the little-endian bytes of a word sequence
-// equals channel.FrameSum of those words. Each endpoint keeps a
-// retransmission window of unacknowledged authoritative frames, and
-// cumulative acks piggyback on data frames.
+// Frames travel on a length-prefixed byte stream, each with a sequence
+// number and a 32-bit FNV-1a checksum over its body. Each endpoint
+// keeps a retransmission window of unacknowledged authoritative
+// frames, and cumulative acks piggyback on data frames.
 //
 // TCP delivers a live connection's bytes in order, without loss or
 // duplication, so reconnecting is the one recovery path. A receiver
@@ -1183,10 +1181,7 @@ var errFrameLength = errors.New("tcpchan: frame length out of range")
 //	u32 length | u8 kind | u8 dir | u16 reserved | u32 seq | u32 ack |
 //	payload bytes | u32 sum
 //
-// sum is FNV-1a over the body (kind through payload) with the
-// channel.FrameSum constants; over a word payload encoded
-// little-endian this equals FrameSum of those words, so the framing is
-// byte-for-byte the FaultEndpoint scheme carried onto a stream.
+// sum is 32-bit FNV-1a over the body, kind through payload.
 func appendFrame(dst []byte, kind, dir byte, seq, ack uint32, payload []byte) []byte {
 	body := frameHeadBytes + len(payload) + frameSumBytes
 	dst = le32(dst, uint32(body))
@@ -1290,7 +1285,9 @@ func decodeFrame(body []byte) (kind, dir byte, seq, ack uint32, payload []byte) 
 	return body[0], body[1], getLE32(body[4:]), getLE32(body[8:]), body[frameHeadBytes : n-frameSumBytes]
 }
 
-// byteSum is FNV-1a with the channel.FrameSum constants, over bytes.
+// byteSum is 32-bit FNV-1a over b. It is written out, rather than
+// taken from hash/fnv, because it runs on every frame and must not
+// allocate.
 func byteSum(b []byte) uint32 {
 	h := uint32(2166136261)
 	for _, c := range b {

@@ -2,6 +2,7 @@ package tcpchan
 
 import (
 	"errors"
+	"hash/fnv"
 	"io"
 	"sync"
 	"testing"
@@ -314,14 +315,16 @@ func TestExchangeSumSurvivesReconnect(t *testing.T) {
 	}
 }
 
-func TestByteSumMatchesFrameSum(t *testing.T) {
+func TestByteSumIsFNV1a(t *testing.T) {
 	words := []amba.Word{0xDEADBEEF, 1, 0, 0xFFFFFFFF, 0x12345678}
 	var b []byte
 	for _, w := range words {
 		b = amba.PutWord(b, w)
 	}
-	if byteSum(b) != uint32(channel.FrameSum(words)) {
-		t.Fatalf("byteSum %#x != FrameSum %#x: framing is not the FaultEndpoint scheme", byteSum(b), uint32(channel.FrameSum(words)))
+	h := fnv.New32a()
+	h.Write(b)
+	if byteSum(b) != h.Sum32() {
+		t.Fatalf("byteSum %#x != FNV-1a %#x", byteSum(b), h.Sum32())
 	}
 }
 

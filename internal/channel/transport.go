@@ -17,9 +17,8 @@ var ErrChannelDown = errors.New("channel: transport down")
 // Transport moves materialized wire packets between the two
 // verification domains. It is the physical layer under the engine's
 // packed codec: implementations are the same-process Queues and a real
-// TCP socket (package tcpchan), with FaultEndpoint wrapping either for
-// seeded fault injection. The engine builds packets only when it has a
-// Transport; without one it takes the accounting path.
+// TCP socket (package tcpchan). The engine builds packets only when it
+// has a Transport; without one it takes the accounting path.
 //
 // Transports carry bits only — they never touch the virtual-clock
 // ledger or channel Stats. The engine charges every access explicitly
@@ -46,9 +45,8 @@ type Transport interface {
 
 // Queues is the in-memory packet transport: a pair of FIFO queues with
 // a shared buffer free-list. It is the in-process transport for the
-// wire-codec path and the default inner transport of FaultEndpoint.
-// Like Channel it is single-threaded by design — the engine
-// interleaves the domains deterministically.
+// wire-codec path. Like Channel it is single-threaded by design — the
+// engine interleaves the domains deterministically.
 type Queues struct {
 	queues [2]queue
 	free   [][]amba.Word

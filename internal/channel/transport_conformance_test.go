@@ -1,9 +1,9 @@
 // Transport conformance: every Transport implementation — in-memory
-// queues, the fault endpoint wrapper, and a real TCP socket pair —
-// must honor the same contract the engine depends on: per-direction
-// FIFO delivery (zero-length packets included), payload ownership on
-// Send, Release safety, Pending accounting, and a typed ErrChannelDown
-// when no packet can be produced. This file lives in package channel_test so it can exercise
+// queues and a real TCP socket pair — must honor the same contract the
+// engine depends on: per-direction FIFO delivery (zero-length packets
+// included), payload ownership on Send, Release safety, Pending
+// accounting, and a typed ErrChannelDown when no packet can be
+// produced. This file lives in package channel_test so it can exercise
 // tcpchan without an import cycle.
 package channel_test
 
@@ -15,7 +15,6 @@ import (
 	"coemu/internal/amba"
 	"coemu/internal/channel"
 	"coemu/internal/channel/tcpchan"
-	"coemu/internal/faultplan"
 )
 
 // link resolves, for one direction, which endpoint transmits and which
@@ -29,9 +28,6 @@ type conformanceCase struct {
 	// asyncDelivery marks transports whose Pending fills asynchronously
 	// (the TCP pair's wire side).
 	asyncDelivery bool
-	// inexactPending marks transports whose Pending may overcount
-	// logical packets (fault duplication enqueues physical frames).
-	inexactPending bool
 	// emptyRecvBudget bounds how long an empty Recv may take to fail
 	// (the TCP wire side waits out its receive timeout first).
 	emptyRecvBudget time.Duration
@@ -86,20 +82,6 @@ func conformanceCases() []conformanceCase {
 			open: func(t *testing.T) link { return same(channel.NewQueues()) },
 		},
 		{
-			name: "fault-endpoint-clean",
-			open: func(t *testing.T) link {
-				return same(channel.NewFaultEndpoint(channel.NewQueues(), nil, 1))
-			},
-		},
-		{
-			name: "fault-endpoint-duplicating",
-			open: func(t *testing.T) link {
-				plan := &faultplan.ChannelFault{Duplicate: 0.5, Delay: 0.2, MaxDelayUS: 3}
-				return same(channel.NewFaultEndpoint(channel.NewQueues(), plan, 7))
-			},
-			inexactPending: true,
-		},
-		{
 			name:            "tcp-pair",
 			open:            func(t *testing.T) link { return tcpPair(t) },
 			asyncDelivery:   true,
@@ -148,13 +130,7 @@ func TestTransportConformance(t *testing.T) {
 							t.Fatalf("%v send %d: %v", d, i, err)
 						}
 					}
-					got := waitPending(t, rx, d, n, tc.asyncDelivery)
-					switch {
-					case tc.inexactPending:
-						if got < n {
-							t.Fatalf("%v pending = %d, want >= %d", d, got, n)
-						}
-					case got != n:
+					if got := waitPending(t, rx, d, n, tc.asyncDelivery); got != n {
 						t.Fatalf("%v pending = %d, want %d", d, got, n)
 					}
 					for i := 0; i < n; i++ {
@@ -173,7 +149,7 @@ func TestTransportConformance(t *testing.T) {
 						}
 						rx.Release(pkt)
 					}
-					if !tc.inexactPending && rx.Pending(d) != 0 {
+					if rx.Pending(d) != 0 {
 						t.Fatalf("%v pending after drain = %d", d, rx.Pending(d))
 					}
 				}

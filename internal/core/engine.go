@@ -46,7 +46,6 @@ import (
 	"coemu/internal/amba"
 	"coemu/internal/channel"
 	"coemu/internal/device"
-	"coemu/internal/faultplan"
 	"coemu/internal/predict"
 	"coemu/internal/rollback"
 	"coemu/internal/stats"
@@ -143,16 +142,6 @@ type Config struct {
 	// granularity (a cancel lands within one batch instead of one
 	// cycle). 0 selects DefaultCycleBatch; 1 disables batching.
 	CycleBatch int
-	// ChannelFaults, when non-nil, wraps the transport with seeded
-	// fault injection (delay jitter, duplication, bit corruption — see
-	// faultplan.ChannelFault); without a Transport it wraps a fresh
-	// channel.Queues, since faults only make sense on materialized
-	// packets. Injection is host-side only — a run that survives its
-	// faults produces the bit-identical report of a fault-free run;
-	// corruption surfaces as a channel.ErrFrameCorrupt run error.
-	ChannelFaults *faultplan.ChannelFault
-	// ChannelFaultSeed seeds the channel fault injection stream.
-	ChannelFaultSeed uint64
 	// Transport, when non-nil, carries every channel access as a packet
 	// through the amba wire codec (pack on send, unpack on receive).
 	// nil selects the accounting path: the engine is both endpoints,
@@ -291,8 +280,7 @@ type Engine struct {
 	domains [2]*Domain
 	ch      *channel.Channel
 	// tr is the transport every codec-path packet travels through:
-	// Config.Transport, wrapped in the fault endpoint under
-	// Config.ChannelFaults. nil selects the accounting path, which
+	// Config.Transport. nil selects the accounting path, which
 	// materializes no packets at all. Transports carry bits only; the
 	// engine charges all channel economics through e.ch explicitly, so
 	// stats and ledger are identical across transports.
@@ -430,20 +418,9 @@ func NewEngine(d Design, cfg Config) (*Engine, error) {
 	if cfg.CycleBatch < 1 {
 		return nil, fmt.Errorf("core: cycle batch %d < 1 (0 selects the default, 1 disables batching)", cfg.CycleBatch)
 	}
-	if cfg.ChannelFaults != nil {
-		if err := (&faultplan.Plan{Channel: cfg.ChannelFaults}).Validate(); err != nil {
-			return nil, err
-		}
-	}
 	e := &Engine{cfg: cfg, lob: NewLOB(cfg.LOBDepth)}
 	e.ch = channel.New(*cfg.Stack, &e.ledger)
 	e.tr = cfg.Transport
-	if cfg.ChannelFaults != nil {
-		if e.tr == nil {
-			e.tr = channel.NewQueues()
-		}
-		e.tr = channel.NewFaultEndpoint(e.tr, cfg.ChannelFaults, cfg.ChannelFaultSeed)
-	}
 	e.domains[SimDomain] = buildDomain(d, SimDomain, simCyc, *cfg.SimCost, cfg.Mode.mayLead(SimDomain))
 	e.domains[AccDomain] = buildDomain(d, AccDomain, accCyc, *cfg.AccCost, cfg.Mode.mayLead(AccDomain))
 	if cfg.Accuracy < 1 {

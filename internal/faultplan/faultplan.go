@@ -1,21 +1,20 @@
 // Package faultplan defines seeded, deterministic fault-injection
-// plans for chaos-testing the co-emulation stack. A plan is a small
-// JSON document naming fault probabilities at three layers — the
-// simulator–accelerator channel, the job-service workers, and the
-// persistent result store — plus one seed that makes every injected
-// fault reproducible.
+// plans for chaos-testing the co-emulation daemon. A plan is a small
+// JSON document naming fault probabilities at two layers — the
+// job-service workers and the persistent result store — plus one seed
+// that makes every injected fault reproducible. `coemud -fault-plan`
+// arms one daemon-wide.
 //
 // Plans are host-side test harness configuration, never part of a
-// run's semantics: a spec's canonical hash ignores them, and a run
-// that survives its faults must produce bit-identical results to the
-// same run with no plan at all. All injection is off by default; a nil
-// plan (or nil per-layer section) injects nothing.
+// run's semantics: a run that survives its faults must produce
+// bit-identical results to the same run with no plan at all. All
+// injection is off by default; a nil plan (or nil per-layer section)
+// injects nothing.
 //
 // Grammar (all fields optional, probabilities in [0,1]):
 //
 //	{
 //	  "seed": 42,
-//	  "channel": {"corrupt": 0.001, "duplicate": 0.25, "delay": 0.1, "max_delay_us": 200},
 //	  "service": {"worker_panic": 0.2, "slow_run": 0.2, "slow_delay_ms": 50},
 //	  "store":   {"write_error": 0.1, "torn_write": 0.1}
 //	}
@@ -35,33 +34,10 @@ type Plan struct {
 	// their own sub-streams from it (see Mix), so the same plan injects
 	// the same faults at the same points run after run.
 	Seed uint64 `json:"seed,omitempty"`
-	// Channel configures channel-endpoint faults; nil disables them.
-	Channel *ChannelFault `json:"channel,omitempty"`
 	// Service configures service-worker faults; nil disables them.
 	Service *ServiceFault `json:"service,omitempty"`
 	// Store configures result-store write faults; nil disables them.
 	Store *StoreFault `json:"store,omitempty"`
-}
-
-// ChannelFault configures fault injection at the channel endpoints:
-// per-frame probabilities applied to every packed packet crossing the
-// wire path.
-type ChannelFault struct {
-	// Corrupt is the per-frame probability of flipping one random bit
-	// of the framed packet. Corruption is detected by the frame
-	// checksum on receive and surfaced as a clean engine error.
-	Corrupt float64 `json:"corrupt,omitempty"`
-	// Duplicate is the per-frame probability of delivering the frame
-	// twice. Duplicates are detected by frame sequence numbers and
-	// dropped by the receiver.
-	Duplicate float64 `json:"duplicate,omitempty"`
-	// Delay is the per-frame probability of sleeping the sending host
-	// thread for a random duration up to MaxDelayUS. Delay is host
-	// jitter only — the modeled channel cost is unaffected.
-	Delay float64 `json:"delay,omitempty"`
-	// MaxDelayUS bounds the injected per-frame host delay, in
-	// microseconds. 0 disables delay injection even if Delay > 0.
-	MaxDelayUS int `json:"max_delay_us,omitempty"`
 }
 
 // ServiceFault configures fault injection in the job-service workers.
@@ -121,14 +97,6 @@ func (p *Plan) Validate() error {
 	if p == nil {
 		return nil
 	}
-	if c := p.Channel; c != nil {
-		if err := probs("channel", "corrupt", c.Corrupt, "duplicate", c.Duplicate, "delay", c.Delay); err != nil {
-			return err
-		}
-		if c.MaxDelayUS < 0 {
-			return fmt.Errorf("faultplan: channel.max_delay_us must be >= 0, got %d", c.MaxDelayUS)
-		}
-	}
 	if s := p.Service; s != nil {
 		if err := probs("service", "worker_panic", s.WorkerPanic, "slow_run", s.SlowRun); err != nil {
 			return err
@@ -158,8 +126,8 @@ func probs(section string, pairs ...any) error {
 }
 
 // Mix derives a sub-stream seed from a plan seed and a salt (a layer
-// tag, a job sequence number) with a splitmix64 finalizer, so layers
-// and retries draw independent fault sequences from one plan seed.
+// tag) with a splitmix64 finalizer, so layers draw independent fault
+// sequences from one plan seed.
 func Mix(seed, salt uint64) uint64 {
 	x := seed + 0x9e3779b97f4a7c15*(salt+1)
 	x ^= x >> 30

@@ -10,7 +10,6 @@ import (
 func TestParseFullPlan(t *testing.T) {
 	doc := `{
 		"seed": 42,
-		"channel": {"corrupt": 0.001, "duplicate": 0.25, "delay": 0.1, "max_delay_us": 200},
 		"service": {"worker_panic": 0.2, "slow_run": 0.2, "slow_delay_ms": 50},
 		"store": {"write_error": 0.1, "torn_write": 0.1}
 	}`
@@ -20,9 +19,6 @@ func TestParseFullPlan(t *testing.T) {
 	}
 	if p.Seed != 42 {
 		t.Fatalf("seed = %d, want 42", p.Seed)
-	}
-	if p.Channel == nil || p.Channel.Duplicate != 0.25 || p.Channel.MaxDelayUS != 200 {
-		t.Fatalf("channel section = %+v", p.Channel)
 	}
 	if p.Service == nil || p.Service.WorkerPanic != 0.2 || p.Service.SlowDelayMS != 50 {
 		t.Fatalf("service section = %+v", p.Service)
@@ -37,7 +33,7 @@ func TestParseEmptyPlanIsValid(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if p.Channel != nil || p.Service != nil || p.Store != nil {
+	if p.Service != nil || p.Store != nil {
 		t.Fatalf("empty plan grew sections: %+v", p)
 	}
 }
@@ -46,13 +42,14 @@ func TestParseRejectsBadInput(t *testing.T) {
 	cases := []struct {
 		name, doc, want string
 	}{
-		{"unknown field", `{"channel": {"corupt": 0.5}}`, "unknown field"},
-		{"probability above one", `{"channel": {"corrupt": 1.5}}`, "probability"},
+		{"unknown field", `{"store": {"write_eror": 0.5}}`, "unknown field"},
+		{"probability above one", `{"service": {"slow_run": 1.5}}`, "probability"},
 		{"negative probability", `{"service": {"worker_panic": -0.1}}`, "probability"},
-		{"negative delay", `{"channel": {"delay": 0.5, "max_delay_us": -1}}`, "max_delay_us"},
 		{"negative slow delay", `{"service": {"slow_run": 0.5, "slow_delay_ms": -3}}`, "slow_delay_ms"},
 		{"store probability", `{"store": {"write_error": 2}}`, "probability"},
 		{"not json", `{`, "faultplan"},
+		// A section removed from the schema fails strict decoding by name.
+		{"removed channel section", `{"channel": {"corrupt": 0.5}}`, `"channel"`},
 	}
 	for _, tc := range cases {
 		if _, err := Parse([]byte(tc.doc)); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -139,63 +139,3 @@ func TestClientCancelStillReportsCanceled(t *testing.T) {
 		t.Fatalf("job_timeouts = %d, want 0", got)
 	}
 }
-
-func TestServiceChannelFaultsPreserveResults(t *testing.T) {
-	// A service-level channel plan that the protocol absorbs
-	// (duplicates only) must yield byte-identical results to a
-	// fault-free service.
-	clean := newTestService(t, Options{Workers: 1})
-	jc, err := clean.Submit(testSpec(t, 4000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := jc.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	chaotic := newTestService(t, Options{
-		Workers: 1,
-		Faults:  &faultplan.Plan{Seed: 8, Channel: &faultplan.ChannelFault{Duplicate: 1}},
-	})
-	jf, err := chaotic.Submit(testSpec(t, 4000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := jf.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got.JSON) != string(want.JSON) {
-		t.Fatalf("faulted service result differs from clean service:\nfaulted: %s\nclean:   %s", got.JSON, want.JSON)
-	}
-}
-
-func TestRetriedJobDrawsFreshChannelFaults(t *testing.T) {
-	// Per-job fault seeds: two jobs for the same spec (same hash) must
-	// draw different fault sequences, so a client retry of a corrupted
-	// run can succeed. Pin it at the seed-derivation level.
-	svc := newTestService(t, Options{
-		Workers: 1,
-		Faults:  &faultplan.Plan{Seed: 8, Channel: &faultplan.ChannelFault{Corrupt: 0.5}},
-	})
-	a := &Job{seq: 1, spec: testSpec(t, 100)}
-	b := &Job{seq: 2, spec: testSpec(t, 100)}
-	_, seedA := svc.jobChannelFaults(a)
-	_, seedB := svc.jobChannelFaults(b)
-	if seedA == seedB {
-		t.Fatalf("jobs with distinct seqs share fault seed %#x", seedA)
-	}
-}
-
-func TestSpecLevelPlanWinsOverServicePlan(t *testing.T) {
-	svc := newTestService(t, Options{
-		Workers: 1,
-		Faults:  &faultplan.Plan{Seed: 8, Channel: &faultplan.ChannelFault{Corrupt: 1}},
-	})
-	sp := testSpec(t, 100)
-	sp.Run.FaultPlan = &faultplan.Plan{Seed: 1, Channel: &faultplan.ChannelFault{Duplicate: 1}}
-	if chf, _ := svc.jobChannelFaults(&Job{seq: 1, spec: sp}); chf != nil {
-		t.Fatalf("service plan %+v overrides the spec's own plan", chf)
-	}
-}

@@ -88,9 +88,8 @@ type Options struct {
 	Logf func(format string, args ...any)
 	// Faults, when non-nil, injects chaos-testing faults per its
 	// probabilities: the service section drives worker panics and slow
-	// runs, and the channel section rides into every engine run whose
-	// spec does not carry its own plan. The store section is consumed
-	// by store.Open, not here. Nil injects nothing.
+	// runs. The store section is consumed by store.Open, not here. Nil
+	// injects nothing.
 	Faults *faultplan.Plan
 	// Metrics, when non-nil, receives latency and engine-protocol
 	// observations from every job (see NewMetrics). Nil disables
@@ -118,7 +117,6 @@ func (o Options) withDefaults() Options {
 // service's mutex; read it through Info and Wait.
 type Job struct {
 	svc  *Service
-	seq  int64
 	hash string
 	spec *spec.Spec
 
@@ -190,7 +188,6 @@ type Service struct {
 
 	mu       sync.Mutex
 	closed   bool
-	seq      int64
 	inflight map[string]*Job // canonical hash -> queued/running job
 
 	// Cumulative counters surfaced by Counters.
@@ -376,7 +373,7 @@ func (s *Service) submit(sp *spec.Spec, class chan *Job) (*Job, error) {
 		return s.newCachedJobLocked(sp, hash, stored, true), nil
 	}
 
-	job := s.newJobLocked(sp, hash)
+	job := s.newJob(sp, hash)
 	job.pendingRefs++
 	select {
 	case class <- job:
@@ -412,7 +409,7 @@ func (s *Service) submitFastLocked(sp *spec.Spec, hash string, recheck bool) (*J
 // newCachedJobLocked registers a job born terminal: its result came
 // from the memory cache or the persistent store. Caller holds s.mu.
 func (s *Service) newCachedJobLocked(sp *spec.Spec, hash string, res *Result, fromStore bool) *Job {
-	job := s.newJobLocked(sp, hash)
+	job := s.newJob(sp, hash)
 	job.status = StatusDone
 	job.result = res
 	job.cached = true
@@ -423,12 +420,10 @@ func (s *Service) newCachedJobLocked(sp *spec.Spec, hash string, res *Result, fr
 	return job
 }
 
-// newJobLocked allocates a job. Caller holds s.mu.
-func (s *Service) newJobLocked(sp *spec.Spec, hash string) *Job {
-	s.seq++
+// newJob allocates a queued job.
+func (s *Service) newJob(sp *spec.Spec, hash string) *Job {
 	job := &Job{
 		svc:       s,
-		seq:       s.seq,
 		hash:      hash,
 		spec:      sp,
 		status:    StatusQueued,
@@ -653,8 +648,7 @@ func (s *Service) executeJob(job *Job, timeout time.Duration) (rep *core.Report,
 			panic("faultplan: injected worker panic")
 		}
 	}
-	chf, seed := s.jobChannelFaults(job)
-	return runSpec(ctx, job.spec, chf, seed)
+	return runSpec(ctx, job.spec)
 }
 
 // noteFaultInjected counts one service-layer fault actually fired by
@@ -678,23 +672,6 @@ func (s *Service) faultHit(p float64) bool {
 	s.frngMu.Lock()
 	defer s.frngMu.Unlock()
 	return s.frng.Bool(p)
-}
-
-// jobChannelFaults returns the channel faults to apply to one job's
-// engine run: the spec's own plan wins (Compile applies it; returning
-// nil here leaves it in place), otherwise the service-level plan's
-// channel section with a per-job seed — each retry of a fated point is
-// a new job with a new seq, so it draws a fresh fault sequence instead
-// of failing forever.
-func (s *Service) jobChannelFaults(job *Job) (*faultplan.ChannelFault, uint64) {
-	fp := s.opts.Faults
-	if fp == nil || fp.Channel == nil {
-		return nil, 0
-	}
-	if jp := job.spec.Run.FaultPlan; jp != nil && jp.Channel != nil {
-		return nil, 0
-	}
-	return fp.Channel, faultplan.Mix(fp.Seed, uint64(job.seq))
 }
 
 // logf forwards to the configured warning logger, if any.
@@ -723,18 +700,11 @@ func (s *Service) finishLocked(job *Job, st Status, res *Result, err error) {
 	close(job.done)
 }
 
-// runSpec compiles and executes a spec under ctx. chf, when non-nil,
-// is a service-level channel fault plan applied to the engine (a
-// spec-level plan was already compiled in and is never overridden —
-// jobChannelFaults returns nil for those specs).
-func runSpec(ctx context.Context, sp *spec.Spec, chf *faultplan.ChannelFault, seed uint64) (*core.Report, error) {
+// runSpec compiles and executes a spec under ctx.
+func runSpec(ctx context.Context, sp *spec.Spec) (*core.Report, error) {
 	d, cfg, err := sp.Compile()
 	if err != nil {
 		return nil, err
-	}
-	if chf != nil && cfg.ChannelFaults == nil {
-		cfg.ChannelFaults = chf
-		cfg.ChannelFaultSeed = seed
 	}
 	e, err := core.NewEngine(d, cfg)
 	if err != nil {

@@ -64,13 +64,5 @@ func (s *Spec) Compile() (core.Design, core.Config, error) {
 		Adaptive:      n.Run.Adaptive,
 		CheckProtocol: n.Run.CheckProtocol,
 	}
-	// The channel section of a spec-level fault plan rides into the
-	// engine config; the service and store sections are consumed by
-	// their own layers. CanonicalHash strips the whole plan, so chaos
-	// runs share cache entries with plain runs.
-	if fp := n.Run.FaultPlan; fp != nil && fp.Channel != nil {
-		cfg.ChannelFaults = fp.Channel
-		cfg.ChannelFaultSeed = fp.Seed
-	}
 	return d, cfg, nil
 }

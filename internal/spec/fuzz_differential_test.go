@@ -93,14 +93,12 @@ func FuzzRemoteDifferential(f *testing.F) {
 			return // invalid documents may be rejected freely
 		}
 		// Host-side guardrails. Cycles are capped for speed; the timeout
-		// and fault plan are cleared so the differential compares the
-		// transports, not the chaos layer (remote_chaos_test.go owns
-		// that) or a wall-clock deadline racing two schedulers.
+		// is cleared so the differential compares the transports, not a
+		// wall-clock deadline racing two schedulers.
 		if sp.Run.Cycles > fuzzCycleCap {
 			sp.Run.Cycles = fuzzCycleCap
 		}
 		sp.Run.Timeout = ""
-		sp.Run.FaultPlan = nil
 
 		d, cfg, err := sp.Compile()
 		if err != nil {

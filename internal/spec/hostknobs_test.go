@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"coemu/internal/faultplan"
 )
 
 // withRun returns streamSpecJSON with extra fields merged into "run".
@@ -46,31 +44,6 @@ func TestTimeoutValidationAndParse(t *testing.T) {
 	}
 }
 
-func TestFaultPlanValidationAndCompile(t *testing.T) {
-	raw := withRun(t, map[string]any{"fault_plan": map[string]any{
-		"seed":    9,
-		"channel": map[string]any{"duplicate": 0.5},
-	}})
-	s, err := Parse(raw)
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	_, cfg, err := s.Compile()
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	if cfg.ChannelFaults == nil || cfg.ChannelFaults.Duplicate != 0.5 || cfg.ChannelFaultSeed != 9 {
-		t.Fatalf("compiled channel faults = %+v seed %d", cfg.ChannelFaults, cfg.ChannelFaultSeed)
-	}
-
-	bad := withRun(t, map[string]any{"fault_plan": map[string]any{
-		"channel": map[string]any{"corrupt": 2.0},
-	}})
-	if _, err := Parse(bad); err == nil || !strings.Contains(err.Error(), "fault_plan") {
-		t.Fatalf("bad plan: err = %v, want fault_plan error", err)
-	}
-}
-
 func TestHostKnobsDoNotSplitCanonicalHash(t *testing.T) {
 	base := parseOK(t, streamSpecJSON)
 	want, err := base.CanonicalHash()
@@ -79,8 +52,7 @@ func TestHostKnobsDoNotSplitCanonicalHash(t *testing.T) {
 	}
 	variants := []map[string]any{
 		{"timeout": "45s"},
-		{"fault_plan": map[string]any{"seed": 3, "channel": map[string]any{"duplicate": 1.0}}},
-		{"timeout": "1m", "fault_plan": map[string]any{"service": map[string]any{"worker_panic": 0.5}}},
+		{"timeout": "1m"},
 	}
 	for i, extra := range variants {
 		s, err := Parse(withRun(t, extra))
@@ -98,10 +70,7 @@ func TestHostKnobsDoNotSplitCanonicalHash(t *testing.T) {
 }
 
 func TestNormalizedKeepsHostKnobs(t *testing.T) {
-	s, err := Parse(withRun(t, map[string]any{
-		"timeout":    "10s",
-		"fault_plan": map[string]any{"store": map[string]any{"write_error": 0.25}},
-	}))
+	s, err := Parse(withRun(t, map[string]any{"timeout": "10s"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,23 +80,5 @@ func TestNormalizedKeepsHostKnobs(t *testing.T) {
 	}
 	if n.Run.Timeout != "10s" {
 		t.Fatalf("Normalized dropped timeout: %q", n.Run.Timeout)
-	}
-	if n.Run.FaultPlan == nil || n.Run.FaultPlan.Store == nil || n.Run.FaultPlan.Store.WriteError != 0.25 {
-		t.Fatalf("Normalized dropped fault plan: %+v", n.Run.FaultPlan)
-	}
-}
-
-func TestFaultPlanRejectsUnknownFields(t *testing.T) {
-	// The plan is decoded as part of the spec; spec-level
-	// DisallowUnknownFields must reach into it.
-	raw := withRun(t, map[string]any{"fault_plan": map[string]any{
-		"channel": map[string]any{"corupt": 0.5},
-	}})
-	if _, err := Parse(raw); err == nil {
-		t.Fatal("accepted fault plan with unknown field")
-	}
-	// And standalone parsing agrees.
-	if _, err := faultplan.Parse([]byte(`{"channel": {"corupt": 0.5}}`)); err == nil {
-		t.Fatal("faultplan.Parse accepted unknown field")
 	}
 }

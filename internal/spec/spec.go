@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"coemu/internal/core"
-	"coemu/internal/faultplan"
 )
 
 // Addr is a bus address. It unmarshals from either a JSON number or a
@@ -185,11 +184,6 @@ type Run struct {
 	// execution, not the modeled run, so it is a host-side knob:
 	// excluded from the canonical hash like CycleBatch.
 	Timeout string `json:"timeout,omitempty"`
-	// FaultPlan configures seeded chaos-testing fault injection for
-	// this run (see faultplan). Host-side test harness configuration:
-	// excluded from the canonical hash — a run that survives its
-	// faults produces bit-identical results to the plan-free run.
-	FaultPlan *faultplan.Plan `json:"fault_plan,omitempty"`
 }
 
 // Spec is a complete declarative co-emulation run.
@@ -359,9 +353,6 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("spec: run.timeout %q must be positive", r.Timeout)
 		}
 	}
-	if err := r.FaultPlan.Validate(); err != nil {
-		return fmt.Errorf("spec: run.fault_plan: %w", err)
-	}
 	return nil
 }
 
@@ -452,13 +443,10 @@ func (s *Spec) CanonicalHash() (string, error) {
 	// cache. It hashes as its canonical default (it has been part of
 	// the canonical encoding since it existed).
 	n.Run.CycleBatch = core.DefaultCycleBatch
-	// Timeout and FaultPlan are host-side too: a deadline bounds host
-	// execution without touching modeled results, and fault injection
-	// is a chaos harness whose surviving runs are bit-identical to
-	// fault-free ones. Both hash as absent so a chaos-tested or
+	// Timeout is host-side too: a deadline bounds host execution
+	// without touching modeled results, so it hashes as absent and a
 	// deadline-bounded run shares its cache entry with the plain run.
 	n.Run.Timeout = ""
-	n.Run.FaultPlan = nil
 	b, err := json.Marshal(n)
 	if err != nil {
 		return "", fmt.Errorf("spec: canonical encode: %w", err)

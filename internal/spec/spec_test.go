@@ -119,6 +119,9 @@ func TestParseRejects(t *testing.T) {
 		{"stale keep_trace", func(m map[string]any) {
 			m["run"].(map[string]any)["keep_trace"] = true
 		}, "keep_trace"},
+		{"stale fault_plan", func(m map[string]any) {
+			m["run"].(map[string]any)["fault_plan"] = map[string]any{"seed": 1}
+		}, "fault_plan"},
 		{"sim_speed overflows cycle time", func(m map[string]any) {
 			m["run"].(map[string]any)["sim_speed"] = 1e-11
 		}, "sim_speed"},

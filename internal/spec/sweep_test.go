@@ -195,6 +195,7 @@ func TestSweepRejectsStaleRunFields(t *testing.T) {
 	for _, field := range []string{
 		"workers", "delta_cadence", "trace", "trace_ring", "measured_latency",
 		"predict_idle", "predict_burst_starts", "paper_strict", "adaptive_threshold", "keep_trace",
+		"fault_plan",
 	} {
 		axis := fmt.Sprintf(`{"axes": [{"field": "run.%s", "values": [1, 2]}]}`, field)
 		ss, err := ParseSweep([]byte(sweepDoc(axis)))

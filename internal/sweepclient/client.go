@@ -25,9 +25,10 @@
 //     end to end).
 //
 // Per-point failures reported by the daemon (an injected worker panic,
-// a run timeout) are also retried: the daemon draws fresh fault seeds
-// per job, so a retry is not doomed to repeat the fault. Only when the
-// retry budget is exhausted does a point keep its error line.
+// a run timeout) are also retried: each fault decision is a fresh draw
+// from the daemon's fault stream, so a retry is not doomed to repeat
+// the fault. Only when the retry budget is exhausted does a point keep
+// its error line.
 package sweepclient
 
 import (

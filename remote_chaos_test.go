@@ -2,46 +2,19 @@ package coemu_test
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"testing"
-
-	"coemu/internal/channel"
-	"coemu/internal/faultplan"
-	"coemu/internal/remote"
-	"coemu/internal/spec"
 )
 
-// Chaos over sockets: the cross-process split must absorb everything
-// the in-process chaos suite absorbs, plus the failure modes only a
-// real network has. Two fault surfaces compose here:
-//
-//   - wire faults (the test proxy in remote_proxy_test.go): frames
-//     corrupted, held back or duplicated between the two sockets, and
-//     connections cut. tcpchan heals them below the engine: a damaged
-//     frame kills the connection, a copy is dropped, and the resume
-//     handshake replays the window — the modeled run never sees them;
-//   - modeled faults (spec fault_plan.channel): the FaultEndpoint
-//     chaos layer riding above the transport, mirrored identically in
-//     both processes by the shared spec seed — survivable plans are
-//     absorbed, corruption surfaces as the same typed error in both
-//     mirrors.
+// Chaos over sockets: the cross-process split must absorb the failure
+// modes only a real network has. The test proxy in remote_proxy_test.go
+// corrupts, holds back or duplicates frames between the two sockets,
+// and cuts connections. tcpchan heals them below the engine: a damaged
+// frame kills the connection, a copy is dropped, and the resume
+// handshake replays the window — the modeled run never sees them.
 //
 // Every surviving run must stay byte-identical to the fault-free
 // in-process run, including across mid-run connection cuts healed by
 // reconnect and resume.
-
-// chaosVariant is remoteVariant for the chaos suite, with an optional
-// modeled channel fault plan attached to the spec (so both mirrors
-// derive the identical fault schedule from the handshake meta).
-func chaosVariant(t *testing.T, sp *spec.Spec, cf *faultplan.ChannelFault, seed uint64) *spec.Spec {
-	t.Helper()
-	v := remoteVariant(t, sp, 1)
-	if cf != nil {
-		v.Run.FaultPlan = &faultplan.Plan{Seed: seed, Channel: cf}
-	}
-	return v
-}
 
 // TestChaosRemoteWireFaultsBitIdentical corrupts, duplicates and holds
 // back data frames in both directions through the test proxy. The
@@ -49,10 +22,10 @@ func chaosVariant(t *testing.T, sp *spec.Spec, cf *faultplan.ChannelFault, seed 
 // the clean in-process run, the proxy's counts prove the faults fired,
 // and a run that saw corrupt frames healed them by reconnecting.
 func TestChaosRemoteWireFaultsBitIdentical(t *testing.T) {
-	wire := &faultplan.ChannelFault{Corrupt: 0.02, Duplicate: 0.05, Delay: 0.02, MaxDelayUS: 30}
+	wire := &wireFaults{Corrupt: 0.02, Duplicate: 0.05, Delay: 0.02, MaxDelayUS: 30}
 	for name, sp := range exampleSpecs(t) {
 		t.Run(name, func(t *testing.T) {
-			v := chaosVariant(t, sp, nil, 0)
+			v := remoteVariant(t, sp, 1)
 			want, _ := runSpec(t, v, nil)
 			res, n := pairVia(t, v, proxyPlan{Faults: wire, Seed: [2]uint64{1001, 2002}})
 			if res.ClientErr != nil || res.ServerErr != nil {
@@ -77,60 +50,13 @@ func TestChaosRemoteWireFaultsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestChaosRemoteModeledFaultsBitIdentical runs the in-process chaos
-// suite's survivable plan — every modeled frame duplicated, some
-// delayed — through the spec's fault_plan over a real socket. Both
-// mirrors derive the same fault schedule from the handshake meta, so
-// the runs stay bit-identical to the fault-free baseline.
-func TestChaosRemoteModeledFaultsBitIdentical(t *testing.T) {
-	plan := &faultplan.ChannelFault{Duplicate: 1, Delay: 0.01, MaxDelayUS: 5}
-	for name, sp := range exampleSpecs(t) {
-		t.Run(name, func(t *testing.T) {
-			clean := chaosVariant(t, sp, nil, 0)
-			want, _ := runSpec(t, clean, nil)
-			v := chaosVariant(t, sp, plan, 7)
-			res, err := remote.Pair(context.Background(), v, remote.RunOptions{}, remote.ServeOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.ClientErr != nil || res.ServerErr != nil {
-				t.Fatalf("modeled faults broke the run: client %v, server %v", res.ClientErr, res.ServerErr)
-			}
-			if !bytes.Equal(res.Client.View, want) || !bytes.Equal(res.ServerView, want) {
-				t.Errorf("report diverged under modeled faults\nclient: %s\nserver: %s\nclean:  %s",
-					res.Client.View, res.ServerView, want)
-			}
-		})
-	}
-}
-
-// TestChaosRemoteCorruptionSurfacesBothMirrors forces modeled frame
-// corruption and requires the identical typed error in both processes:
-// a FaultEndpoint bit flip is injected identically by both mirrors, so
-// both must fail with channel.ErrFrameCorrupt — clean symmetric
-// failure, not divergence or hang.
-func TestChaosRemoteCorruptionSurfacesBothMirrors(t *testing.T) {
-	sp := exampleSpecs(t)["quickstart"]
-	v := chaosVariant(t, sp, &faultplan.ChannelFault{Corrupt: 1}, 0)
-	res, err := remote.Pair(context.Background(), v, remote.RunOptions{}, remote.ServeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(res.ClientErr, channel.ErrFrameCorrupt) {
-		t.Errorf("client err = %v, want channel.ErrFrameCorrupt", res.ClientErr)
-	}
-	if !errors.Is(res.ServerErr, channel.ErrFrameCorrupt) {
-		t.Errorf("server err = %v, want channel.ErrFrameCorrupt", res.ServerErr)
-	}
-}
-
 // TestChaosRemoteKillMidRunBitIdentical cuts the TCP connection twice
 // while the run is in flight. The client transport must redial, resume
 // via the handshake's expect position, replay its retransmission
 // window, and finish with the byte-identical report.
 func TestChaosRemoteKillMidRunBitIdentical(t *testing.T) {
 	sp := exampleSpecs(t)["dma-stream"]
-	v := chaosVariant(t, sp, nil, 0)
+	v := remoteVariant(t, sp, 1)
 	want, _ := runSpec(t, v, nil)
 
 	// Cut by frame progress, not by wall clock: the capped run sends

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"coemu/internal/channel/tcpchan"
-	"coemu/internal/faultplan"
 	"coemu/internal/remote"
 	"coemu/internal/rng"
 	"coemu/internal/spec"
@@ -27,20 +26,29 @@ import (
 // proxyPlan is what a wireProxy does to the frames it forwards.
 type proxyPlan struct {
 	// Latency releases each frame this long after it arrived, in order,
-	// so a round trip through the proxy costs 2·Latency more.
+	// so a round trip through the proxy costs 2·Latency more. A latency
+	// shorter than the host's sleep granularity lasts that granularity
+	// instead (about 1.1 ms on the 2-vCPU host of PERFORMANCE.md), so
+	// BenchmarkRemoteChannel's rtt=200us rows measure the timer.
 	Latency time.Duration
 	// Chunk, when positive, writes each frame in pieces of at most
 	// Chunk bytes.
 	Chunk int
-	// Faults flips one body bit of a data frame (Corrupt), sends it
-	// twice (Duplicate) or holds it back, and every frame behind it, for
-	// up to MaxDelayUS (Delay). Seed seeds the client-to-host and
-	// host-to-client draws.
-	Faults *faultplan.ChannelFault
+	// Faults damages, copies or holds back data frames. Seed seeds the
+	// client-to-host and host-to-client draws.
+	Faults *wireFaults
 	Seed   [2]uint64
 	// CutAt lists counts of client data frames forwarded at which the
 	// proxy closes both legs of the connection.
 	CutAt []int64
+}
+
+// wireFaults are per-data-frame probabilities: flip one body bit
+// (Corrupt), send the frame twice (Duplicate), or hold it back, and
+// every frame behind it, for up to MaxDelayUS microseconds (Delay).
+type wireFaults struct {
+	Corrupt, Duplicate, Delay float64
+	MaxDelayUS                int
 }
 
 // proxyCounts is what a wireProxy did.
