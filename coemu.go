@@ -194,7 +194,7 @@ func NewJitterMemory(name string, base, spread int, seed uint64) *ip.JitterMemor
 
 // NewRetryMemory creates a memory that RETRYs the first attempt of every
 // retryEvery-th beat.
-func NewRetryMemory(name string, waits, retryEvery int) *ip.RetryMemory {
+func NewRetryMemory(name string, waits, retryEvery int) *ip.Memory {
 	return ip.NewRetryMemory(name, waits, retryEvery)
 }
 

@@ -85,7 +85,7 @@ func buildDomain(d Design, id DomainID, cycleCost time.Duration, costModel rollb
 		}
 	}
 
-	waitProfiles := make(map[int][2]int)
+	timings := make(map[int]ip.SlaveTiming)
 	var remoteIRQ uint32
 	remoteSplit := false
 	for _, ss := range d.Slaves {
@@ -108,7 +108,7 @@ func buildDomain(d Design, id DomainID, cycleCost time.Duration, costModel rollb
 			}
 		} else {
 			idx := dom.bus.MapExternalSlave(ss.Name, ss.Region)
-			waitProfiles[idx] = [2]int{ss.WaitFirst, ss.WaitNext}
+			timings[idx] = ip.NewSlaveTiming(ss.WaitFirst, ss.WaitNext, ip.Cadence{})
 			remoteIRQ |= ss.IRQMask
 			if ss.SplitCapable {
 				remoteSplit = true
@@ -116,7 +116,7 @@ func buildDomain(d Design, id DomainID, cycleCost time.Duration, costModel rollb
 		}
 	}
 
-	dom.pred = newRemotePredictor(dom.bus, d.OwnsDefault == id, waitProfiles)
+	dom.pred = newRemotePredictor(dom.bus, d.OwnsDefault == id, timings)
 	dom.pred.setRemoteIRQMask(remoteIRQ)
 	if remoteSplit {
 		dom.pred.setRemoteSplitMask((1 << uint(dom.bus.Masters())) - 1)

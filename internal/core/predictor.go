@@ -5,6 +5,7 @@ import (
 
 	"coemu/internal/amba"
 	"coemu/internal/bus"
+	"coemu/internal/ip"
 	"coemu/internal/predict"
 )
 
@@ -21,8 +22,9 @@ import (
 //     beats left (one tracker per remote master),
 //   - responses of a remote active slave: the second cycle of a
 //     two-cycle ERROR, RETRY or SPLIT response once its first cycle is
-//     seen (predict.SecondCycle), otherwise the producer-consumer wait
-//     model (one per remote slave, configured with its nominal profile),
+//     seen (predict.SecondCycle), otherwise the slave's own timing
+//     automaton (one ip.SlaveTiming per remote slave, configured with
+//     its nominal wait profile),
 //   - default-slave replies (when owned remotely): the first cycle of
 //     its two-cycle ERROR, a constant,
 //   - read data and remote write data: never predicted — PredictInto
@@ -46,13 +48,13 @@ type remotePredictor struct {
 
 	req predict.RequestModel
 	irq predict.LastValue
-	// trackers/waits are dense slices of values indexed by global
+	// trackers/timings are dense slices of values indexed by global
 	// master/slave number, so a lookup is array indexing and a snapshot
 	// is a copy. Only the remote masters' and remote slaves' slots are
 	// ever observed; a local master's slot stays a fresh tracker, which
 	// bounds no idle stretch and which SkipIdle leaves as it is.
 	trackers []predict.BurstTracker // per remote master
-	waits    []predict.WaitModel    // per remote slave
+	timings  []ip.SlaveTiming       // per remote slave
 
 	lastValid bool
 	lastFull  amba.CycleState
@@ -65,19 +67,19 @@ type remotePredictor struct {
 var defaultSlaveFirst = amba.SlaveReply{Ready: false, Resp: amba.RespError}
 
 // newRemotePredictor builds the composite for a domain whose half-bus is
-// b. waitProfiles maps global slave indexes of *remote* slaves to their
-// nominal (first, next) wait profile; every remote slave has one.
-func newRemotePredictor(b *bus.Bus, ownsDefault bool, waitProfiles map[int][2]int) *remotePredictor {
+// b. timings maps global slave indexes of *remote* slaves to the timing
+// automaton of their nominal profile; every remote slave has one.
+func newRemotePredictor(b *bus.Bus, ownsDefault bool, timings map[int]ip.SlaveTiming) *remotePredictor {
 	p := &remotePredictor{
 		b:             b,
 		remoteReqMask: ^b.LocalReqMask() & ((1 << uint(b.Masters())) - 1),
 		ownsDefault:   ownsDefault,
 		trackers:      make([]predict.BurstTracker, b.Masters()),
-		waits:         make([]predict.WaitModel, b.Slaves()),
+		timings:       make([]ip.SlaveTiming, b.Slaves()),
 	}
 	p.req = predict.NewRequestModel(p.remoteReqMask)
-	for idx, prof := range waitProfiles {
-		p.waits[idx] = predict.NewWaitModel(prof[0], prof[1])
+	for idx, t := range timings {
+		p.timings[idx] = t
 	}
 	return p
 }
@@ -162,7 +164,7 @@ func (p *remotePredictor) PredictInto(dst *amba.PartialState) DeclineReason {
 		*out = amba.PartialState{}
 		return DeclineReadData
 	default:
-		out.Reply = amba.SlaveReply{Ready: p.waits[dpSlave].Predict(), Resp: amba.RespOkay}
+		out.Reply = p.timings[dpSlave].Reply()
 	}
 	return DeclineNone
 }
@@ -195,7 +197,7 @@ func (p *remotePredictor) Observe(full *amba.CycleState, remote *amba.PartialSta
 	// the NEXT cycle. The reply just observed belongs to the cycle that
 	// ended; use the data phase stashed before the commit.
 	if p.pendingDPValid && p.pendingDPSlave != bus.DefaultSlaveIndex && !p.b.SlaveLocal(p.pendingDPSlave) {
-		p.waits[p.pendingDPSlave].Observe(full.Reply.Ready)
+		p.timings[p.pendingDPSlave].Observe(full.Reply.Ready)
 	}
 
 	p.lastValid = true
@@ -245,7 +247,7 @@ func (p *remotePredictor) PredictStableFor() int64 {
 // SkipIdle advances the predictor across n committed idle cycles in
 // one step, bit-identically to n Observe calls with the constant idle
 // contribution the stretch repeats: the IRQ last-value predictor and
-// the wait models are already at fixed points, the last-seen full
+// the slave timings are already at fixed points, the last-seen full
 // state is unchanged, the request model's low runs accumulate idle
 // time, and the granted remote master's burst tracker drops its burst
 // context. Callers must have proven the stretch
@@ -258,12 +260,12 @@ func (p *remotePredictor) SkipIdle(n int64) {
 
 // predictorSnap freezes a remotePredictor as a set of value copies: the
 // request model and the IRQ last-value predictor inline, the trackers
-// and wait models in slices recycled across saves.
+// and slave timings in slices recycled across saves.
 type predictorSnap struct {
 	Req      predict.RequestModel
 	IRQ      predict.LastValue
 	Trackers []predict.BurstTracker
-	Waits    []predict.WaitModel
+	Timings  []ip.SlaveTiming
 	LastV    bool
 	LastFull amba.CycleState
 	Pending  pendingDP
@@ -277,13 +279,13 @@ func (p *remotePredictor) SaveInto(prev any) any {
 	if !ok {
 		s = &predictorSnap{
 			Trackers: make([]predict.BurstTracker, len(p.trackers)),
-			Waits:    make([]predict.WaitModel, len(p.waits)),
+			Timings:  make([]ip.SlaveTiming, len(p.timings)),
 		}
 	}
 	s.Req = p.req
 	s.IRQ = p.irq
 	copy(s.Trackers, p.trackers)
-	copy(s.Waits, p.waits)
+	copy(s.Timings, p.timings)
 	s.LastV = p.lastValid
 	s.LastFull = p.lastFull
 	s.Pending = p.pendingDP
@@ -299,7 +301,7 @@ func (p *remotePredictor) Restore(v any) {
 	p.req = s.Req
 	p.irq = s.IRQ
 	copy(p.trackers, s.Trackers)
-	copy(p.waits, s.Waits)
+	copy(p.timings, s.Timings)
 	p.lastValid = s.LastV
 	p.lastFull = s.LastFull
 	p.pendingDP = s.Pending

@@ -104,7 +104,7 @@ func TestLeaderPredictionPure(t *testing.T) {
 // TestPredictorSnapshotRoundTripsRequestModel: the request model's
 // low-run history and announced falls, the remote masters' burst
 // trackers (a dropped burst context included) and the remote slaves'
-// wait models are value copies in the predictor snapshot. A restore
+// timing automata are value copies in the predictor snapshot. A restore
 // brings back exactly the saved models, and a recycled save allocates
 // nothing.
 func TestPredictorSnapshotRoundTripsRequestModel(t *testing.T) {
@@ -113,7 +113,7 @@ func TestPredictorSnapshotRoundTripsRequestModel(t *testing.T) {
 	b.AddMaster(ip.NewTrafficMaster("cpu", workload.NewSequence(), 0))
 	b.AddExternalMaster("c")
 	mem := b.MapExternalSlave("mem", bus.Region{Lo: 0, Hi: 0x1000})
-	p := newRemotePredictor(b, true, map[int][2]int{mem: {3, 1}})
+	p := newRemotePredictor(b, true, map[int]ip.SlaveTiming{mem: ip.NewSlaveTiming(3, 1, ip.Cadence{})})
 	var full amba.CycleState
 	observe := func(req uint32, n int) {
 		for i := 0; i < n; i++ {
@@ -131,7 +131,7 @@ func TestPredictorSnapshotRoundTripsRequestModel(t *testing.T) {
 	// has waited once of its three wait states.
 	ap := amba.AddrPhase{Addr: 0x100, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: amba.BurstIncr4, Write: true}
 	p.trackers[2].Observe(ap)
-	p.waits[mem].Observe(false)
+	p.timings[mem].Observe(false)
 	// Master 0 requested for a SINGLE and lost the grant on it: its fall
 	// is announced and its burst context dropped.
 	observe(1<<0, 1)
@@ -144,25 +144,25 @@ func TestPredictorSnapshotRoundTripsRequestModel(t *testing.T) {
 	if p.req.Predict()&1 != 0 || p.trackers[0] == (predict.BurstTracker{}) {
 		t.Fatal("no fall announced or no burst context dropped; the check proves little")
 	}
-	want, wantTrackers, wantWait := p.req, [2]predict.BurstTracker{p.trackers[0], p.trackers[2]}, p.waits[mem]
+	want, wantTrackers, wantWait := p.req, [2]predict.BurstTracker{p.trackers[0], p.trackers[2]}, p.timings[mem]
 	s := p.SaveInto(nil)
 	observe(1<<0|1<<2, 3)
 	observe(0, 9)
 	next, _ := p.trackers[2].Predict()
 	p.trackers[2].Observe(next)
 	p.trackers[0].Observe(ap)
-	p.waits[mem].Observe(false)
-	p.waits[mem].Observe(true)
-	if p.req == want || p.trackers[0] == wantTrackers[0] || p.trackers[2] == wantTrackers[1] || p.waits[mem] == wantWait {
+	p.timings[mem].Observe(false)
+	p.timings[mem].Observe(true)
+	if p.req == want || p.trackers[0] == wantTrackers[0] || p.trackers[2] == wantTrackers[1] || p.timings[mem] == wantWait {
 		t.Fatal("the observations after the save left a model unchanged; the check proves little")
 	}
 	p.Restore(s)
 	if p.req != want || p.req.Predict()&1 != 0 {
 		t.Fatalf("restored request model %+v, saved %+v", p.req, want)
 	}
-	if got := [2]predict.BurstTracker{p.trackers[0], p.trackers[2]}; got != wantTrackers || p.waits[mem] != wantWait {
-		t.Fatalf("restored trackers %+v and wait model %+v, saved %+v and %+v",
-			got, p.waits[mem], wantTrackers, wantWait)
+	if got := [2]predict.BurstTracker{p.trackers[0], p.trackers[2]}; got != wantTrackers || p.timings[mem] != wantWait {
+		t.Fatalf("restored trackers %+v and slave timing %+v, saved %+v and %+v",
+			got, p.timings[mem], wantTrackers, wantWait)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { s = p.SaveInto(s) }); allocs != 0 {
 		t.Fatalf("recycled predictor save allocates %v times", allocs)

@@ -29,18 +29,19 @@ type memPage struct {
 	stamp uint64
 }
 
-// Memory is a byte-addressable memory slave with a configurable,
-// deterministic wait-state profile: the first beat it ever serves costs
-// firstWait wait cycles, every later beat costs nextWait (see inBurst).
-// With both zero it behaves as a zero-wait SRAM.
+// Memory is a byte-addressable memory slave whose HREADY and HRESP come
+// from a SlaveTiming: a deterministic wait-state profile (the first beat
+// it ever serves costs firstWait wait cycles, every later beat costs
+// nextWait) and, for the RETRY and SPLIT variants, a two-cycle response
+// cadence. With both waits zero and no cadence it behaves as a
+// zero-wait SRAM.
 //
-// Deterministic wait profiles are what makes slave responses
-// "predictable" in the paper's sense: the leader-side response predictor
-// runs the same producer-consumer model and stays at 100 % accuracy.
+// Deterministic timing is what makes slave responses "predictable" in
+// the paper's sense: the leader-side response predictor runs the same
+// automaton and stays at 100 % accuracy.
 type Memory struct {
-	name      string
-	firstWait int
-	nextWait  int
+	name   string
+	timing SlaveTiming
 
 	pages map[amba.Addr]*memPage // key: addr >> pageShift
 	// lastKey/lastPage cache the most recent page lookup: a burst or
@@ -51,13 +52,8 @@ type Memory struct {
 	lastKey  amba.Addr
 	lastPage *memPage
 
-	waitLeft int
-	// inBurst is sticky: the first completed beat sets it and nothing
-	// clears it, so firstWait applies only to the first beat the memory
-	// ever serves. predict.WaitModel mirrors this rule.
-	inBurst bool
-	reads   int64
-	writes  int64
+	reads  int64
+	writes int64
 
 	// Page stash: instead of deep-copying the pages on every save
 	// (O(footprint)), copy-on-write stash the prior content of each
@@ -81,15 +77,17 @@ var _ bus.Slave = (*Memory)(nil)
 
 // NewMemory creates a memory slave.
 func NewMemory(name string, firstWait, nextWait int) *Memory {
+	return newMemory(name, firstWait, nextWait, Cadence{})
+}
+
+func newMemory(name string, firstWait, nextWait int, c Cadence) *Memory {
 	if firstWait < 0 || nextWait < 0 {
 		panic("ip: negative wait states")
 	}
 	return &Memory{
-		name:      name,
-		firstWait: firstWait,
-		nextWait:  nextWait,
-		pages:     make(map[amba.Addr]*memPage),
-		waitLeft:  -1,
+		name:   name,
+		timing: NewSlaveTiming(firstWait, nextWait, c),
+		pages:  make(map[amba.Addr]*memPage),
 	}
 }
 
@@ -183,27 +181,15 @@ func (s *Memory) stash(a amba.Addr, p *memPage) {
 	p.stamp = s.saveSeq
 }
 
-// waits returns the wait-state budget for a new beat.
-func (s *Memory) waits() int {
-	if s.inBurst {
-		return s.nextWait
-	}
-	return s.firstWait
-}
-
 // Respond implements bus.Slave. The reply is a function of the slave's
 // own state only (never of write data), which is what makes leader-side
 // response prediction sound.
 func (s *Memory) Respond(ap amba.AddrPhase) amba.SlaveReply {
-	if s.waitLeft < 0 {
-		s.waitLeft = s.waits()
-	}
-	if s.waitLeft > 0 {
-		s.waitLeft--
-		return amba.SlaveReply{Ready: false, Resp: amba.RespOkay}
+	reply := s.timing.Reply()
+	if !reply.Ready || reply.Resp != amba.RespOkay {
+		return reply
 	}
 	// Beat completes this cycle.
-	reply := amba.SlaveReply{Ready: true, Resp: amba.RespOkay}
 	if ap.Write {
 		s.writes++
 	} else {
@@ -239,21 +225,15 @@ func (s *Memory) recycleUndo() {
 }
 
 // Commit implements bus.Slave.
-func (s *Memory) Commit(ready bool) {
-	if ready {
-		s.waitLeft = -1
-		s.inBurst = true
-	}
-}
+func (s *Memory) Commit(ready bool) { s.timing.Observe(ready) }
 
 // memorySnap freezes a Memory's registers; Seq pins the snapshot to
 // the save interval whose page stash holds the memory content.
 type memorySnap struct {
-	Seq      uint64
-	WaitLeft int
-	InBurst  bool
-	Reads    int64
-	Writes   int64
+	Seq    uint64
+	Timing SlaveTiming
+	Reads  int64
+	Writes int64
 }
 
 // SaveInto implements rollback.Snapshotter. The save is O(1) — it
@@ -266,7 +246,7 @@ func (s *Memory) SaveInto(prev any) any {
 	}
 	s.recycleUndo()
 	s.saveSeq++
-	*snap = memorySnap{Seq: s.saveSeq, WaitLeft: s.waitLeft, InBurst: s.inBurst, Reads: s.reads, Writes: s.writes}
+	*snap = memorySnap{Seq: s.saveSeq, Timing: s.timing, Reads: s.reads, Writes: s.writes}
 	return snap
 }
 
@@ -290,8 +270,7 @@ func (s *Memory) Restore(v any) {
 		*s.pages[u.key] = *u.old
 	}
 	s.recycleUndo()
-	s.waitLeft = snap.WaitLeft
-	s.inBurst = snap.InBurst
+	s.timing = snap.Timing
 	s.reads = snap.Reads
 	s.writes = snap.Writes
 }
@@ -319,8 +298,8 @@ func NewJitterMemory(name string, base, spread int, seed uint64) *JitterMemory {
 
 // Respond implements bus.Slave, rolling fresh jitter for each new beat.
 func (j *JitterMemory) Respond(ap amba.AddrPhase) amba.SlaveReply {
-	if j.waitLeft < 0 {
-		j.waitLeft = j.firstWait + j.rng.Intn(j.spread+1)
+	if t := &j.timing; t.st.WaitLeft < 0 {
+		t.st.WaitLeft = t.first + j.rng.Intn(j.spread+1)
 	}
 	return j.Memory.Respond(ap)
 }
@@ -416,80 +395,29 @@ func (e *ErrorSlave) Restore(v any) {
 	e.errors = s.Errors
 }
 
-// RetryMemory wraps a Memory and issues a two-cycle RETRY for the first
-// attempt of every retryEvery-th beat, forcing masters through the
-// retry/reissue path.
-type RetryMemory struct {
-	Memory
-	retryEvery int
-	beatCount  int64
-	retryPhase int // 0 none, 1 first RETRY cycle issued
-	retryDone  bool
-	retries    int64
-}
-
-var _ bus.Slave = (*RetryMemory)(nil)
-
-// NewRetryMemory creates a retrying memory; retryEvery must be >= 1.
-func NewRetryMemory(name string, waits, retryEvery int) *RetryMemory {
+// NewRetryMemory creates a memory that issues a two-cycle RETRY for the
+// first attempt of every retryEvery-th beat, forcing masters through
+// the retry/reissue path; retryEvery must be >= 1.
+func NewRetryMemory(name string, waits, retryEvery int) *Memory {
 	if retryEvery < 1 {
 		panic("ip: retryEvery must be >= 1")
 	}
-	r := &RetryMemory{retryEvery: retryEvery}
-	r.Memory = *NewMemory(name, waits, waits)
-	return r
-}
-
-// Retries returns how many RETRY sequences were issued.
-func (r *RetryMemory) Retries() int64 { return r.retries }
-
-// Respond implements bus.Slave.
-func (r *RetryMemory) Respond(ap amba.AddrPhase) amba.SlaveReply {
-	if r.retryPhase == 1 {
-		return amba.SlaveReply{Ready: true, Resp: amba.RespRetry}
-	}
-	if !r.retryDone && (r.beatCount+1)%int64(r.retryEvery) == 0 {
-		r.retries++
-		r.retryPhase = 1
-		return amba.SlaveReply{Ready: false, Resp: amba.RespRetry}
-	}
-	return r.Memory.Respond(ap)
-}
-
-// Commit implements bus.Slave.
-func (r *RetryMemory) Commit(ready bool) {
-	if r.retryPhase == 1 {
-		if ready {
-			// RETRY sequence finished; the retried beat will come back
-			// and must then be accepted.
-			r.retryPhase = 0
-			r.retryDone = true
-		}
-		return
-	}
-	if ready {
-		r.beatCount++
-		r.retryDone = false
-	}
-	r.Memory.Commit(ready)
+	return newMemory(name, waits, waits, RetryEvery(retryEvery))
 }
 
 // SplitMemory is a memory that answers every splitEvery-th beat with a
 // two-cycle SPLIT response, releasing the split-masked master via its
 // HSPLITx line releaseAfter cycles later — modeling a slave that parks
-// long-latency requests and frees the bus meanwhile (AHB §3.12).
+// long-latency requests and frees the bus meanwhile (AHB §3.12). The
+// Memory's SlaveTiming drives the SPLITs; SplitMemory keeps the
+// release.
 type SplitMemory struct {
 	Memory
-	splitEvery   int
 	releaseAfter int
 
-	beatCount     int64
-	phase         int // 0 none, 1 first SPLIT cycle issued
-	splitDone     bool
 	pendingMaster int
 	countdown     int // -1 idle
 	release       uint32
-	splits        int64
 }
 
 var (
@@ -507,41 +435,11 @@ func NewSplitMemory(name string, waits, splitEvery, releaseAfter int) *SplitMemo
 	if releaseAfter < 0 {
 		panic("ip: negative releaseAfter")
 	}
-	s := &SplitMemory{splitEvery: splitEvery, releaseAfter: releaseAfter, countdown: -1}
-	s.Memory = *NewMemory(name, waits, waits)
-	return s
-}
-
-// Splits returns how many SPLIT responses were issued.
-func (s *SplitMemory) Splits() int64 { return s.splits }
-
-// Respond implements bus.Slave.
-func (s *SplitMemory) Respond(ap amba.AddrPhase) amba.SlaveReply {
-	if s.phase == 1 {
-		return amba.SlaveReply{Ready: true, Resp: amba.RespSplit}
+	return &SplitMemory{
+		Memory:       *newMemory(name, waits, waits, SplitEvery(splitEvery)),
+		releaseAfter: releaseAfter,
+		countdown:    -1,
 	}
-	if !s.splitDone && (s.beatCount+1)%int64(s.splitEvery) == 0 {
-		s.splits++
-		s.phase = 1
-		return amba.SlaveReply{Ready: false, Resp: amba.RespSplit}
-	}
-	return s.Memory.Respond(ap)
-}
-
-// Commit implements bus.Slave.
-func (s *SplitMemory) Commit(ready bool) {
-	if s.phase == 1 {
-		if ready {
-			s.phase = 0
-			s.splitDone = true
-		}
-		return
-	}
-	if ready {
-		s.beatCount++
-		s.splitDone = false
-	}
-	s.Memory.Commit(ready)
 }
 
 // NotifySplit implements bus.SplitNotifiee: remember whom to release.
@@ -593,16 +491,12 @@ func (s *SplitMemory) SplitRelease() uint32 {
 	return r
 }
 
-// splitSnap composes the memory snapshot with split bookkeeping.
+// splitSnap composes the memory snapshot with the release bookkeeping.
 type splitSnap struct {
 	Mem           any
-	BeatCount     int64
-	Phase         int
-	SplitDone     bool
 	PendingMaster int
 	Countdown     int
 	Release       uint32
-	Splits        int64
 }
 
 // SaveInto implements rollback.Snapshotter (wrappers must
@@ -613,13 +507,9 @@ func (s *SplitMemory) SaveInto(prev any) any {
 		snap = new(splitSnap)
 	}
 	snap.Mem = s.Memory.SaveInto(snap.Mem)
-	snap.BeatCount = s.beatCount
-	snap.Phase = s.phase
-	snap.SplitDone = s.splitDone
 	snap.PendingMaster = s.pendingMaster
 	snap.Countdown = s.countdown
 	snap.Release = s.release
-	snap.Splits = s.splits
 	return snap
 }
 
@@ -630,48 +520,7 @@ func (s *SplitMemory) Restore(v any) {
 		panic(fmt.Sprintf("ip: split memory: bad snapshot %T", v))
 	}
 	s.Memory.Restore(snap.Mem)
-	s.beatCount = snap.BeatCount
-	s.phase = snap.Phase
-	s.splitDone = snap.SplitDone
 	s.pendingMaster = snap.PendingMaster
 	s.countdown = snap.Countdown
 	s.release = snap.Release
-	s.splits = snap.Splits
-}
-
-// retrySnap composes the memory snapshot with retry bookkeeping.
-type retrySnap struct {
-	Mem        any
-	BeatCount  int64
-	RetryPhase int
-	RetryDone  bool
-	Retries    int64
-}
-
-// SaveInto implements rollback.Snapshotter (wrappers must
-// override the embedded Memory's SaveInto; see JitterMemory.SaveInto).
-func (r *RetryMemory) SaveInto(prev any) any {
-	s, ok := prev.(*retrySnap)
-	if !ok {
-		s = new(retrySnap)
-	}
-	s.Mem = r.Memory.SaveInto(s.Mem)
-	s.BeatCount = r.beatCount
-	s.RetryPhase = r.retryPhase
-	s.RetryDone = r.retryDone
-	s.Retries = r.retries
-	return s
-}
-
-// Restore implements rollback.Snapshotter.
-func (r *RetryMemory) Restore(v any) {
-	s, ok := v.(*retrySnap)
-	if !ok {
-		panic(fmt.Sprintf("ip: retry memory: bad snapshot %T", v))
-	}
-	r.Memory.Restore(s.Mem)
-	r.beatCount = s.BeatCount
-	r.retryPhase = s.RetryPhase
-	r.retryDone = s.RetryDone
-	r.retries = s.Retries
 }

@@ -40,9 +40,6 @@ func TestSplitMemoryCompletesTransfer(t *testing.T) {
 
 	trace, bl := runSplit(t, b, []*SplitMemory{mem}, 120)
 
-	if mem.Splits() == 0 {
-		t.Fatal("no SPLIT responses issued")
-	}
 	if !m.Idle() {
 		t.Fatal("master did not finish")
 	}
@@ -57,17 +54,17 @@ func TestSplitMemoryCompletesTransfer(t *testing.T) {
 	}
 	// The split window must contain idle cycles where the master was
 	// masked (it drives IDLE despite owning the grant).
-	sawSplit := false
+	splits := 0
 	for _, cs := range trace {
-		if cs.Reply.Resp == amba.RespSplit {
-			sawSplit = true
+		if cs.Reply.Resp == amba.RespSplit && !cs.Reply.Ready {
+			splits++
 		}
 		if cs.Split != 0 && cs.Split&1 == 0 {
 			t.Fatalf("split release for wrong master: %x", cs.Split)
 		}
 	}
-	if !sawSplit {
-		t.Fatal("SPLIT never visible on the bus")
+	if splits == 0 {
+		t.Fatal("no SPLIT responses issued")
 	}
 }
 

@@ -12,11 +12,12 @@ import (
 	"coemu/internal/workload"
 )
 
-// The wait model is the leader's copy of a remote memory slave's wait
-// countdown. These tests drive an ip.Memory through its bus.Slave
-// methods, exactly as the bus does, next to a WaitModel with the same
-// profile fed the way the engine feeds it: Predict before the cycle,
-// Observe after it.
+// The leader's wait model of a remote memory slave is the slave's own
+// timing automaton, ip.SlaveTiming. These tests drive an ip.Memory, a
+// RETRY memory or an ip.SplitMemory through its bus.Slave methods,
+// exactly as the bus does, next to a second automaton with the same
+// profile fed the way the engine feeds it: Reply before the cycle,
+// Observe with the cycle's HREADY after it.
 
 // xfer is one transfer of a mirror schedule: a burst of beats, then
 // gap idle cycles in which no beat is addressed to the memory.
@@ -26,39 +27,59 @@ type xfer struct {
 	gap   int
 }
 
-// checkMirror runs sched against a memory and a wait model with profile
-// (first, next). On every data-phase cycle Predict must equal the
-// memory's HREADY, give the same answer when asked again, and leave the
-// model's value unchanged.
-func checkMirror(t testing.TB, first, next int, sched []xfer) {
+// timingSlave builds a slave of the given kind (0 memory, 1 RETRY, 2
+// SPLIT) and the automaton that mirrors it. The RETRY and SPLIT slaves
+// wait first cycles on every beat; next applies to the memory only.
+func timingSlave(kind, first, next, every int) (bus.Slave, ip.SlaveTiming) {
+	switch kind {
+	case 1:
+		return ip.NewRetryMemory("retry", first, every), ip.NewSlaveTiming(first, first, ip.RetryEvery(every))
+	case 2:
+		return ip.NewSplitMemory("split", first, every, 2), ip.NewSlaveTiming(first, first, ip.SplitEvery(every))
+	}
+	return ip.NewMemory("mem", first, next), ip.NewSlaveTiming(first, next, ip.Cadence{})
+}
+
+// checkMirror runs sched against slave and a mirror automaton fed only
+// each data-phase cycle's HREADY. A beat that gets RETRY or SPLIT is
+// presented again on the next cycle, as its master reissues it. On
+// every data-phase cycle the mirror's Reply must equal the slave's
+// HREADY and HRESP, give the same answer when asked again, and leave
+// the mirror's value unchanged. It returns the number of two-cycle
+// responses checked.
+func checkMirror(t testing.TB, slave bus.Slave, mirror ip.SlaveTiming, sched []xfer) int {
 	t.Helper()
-	mem := ip.NewMemory("mem", first, next)
-	wm := predict.NewWaitModel(first, next)
 	addr := amba.Addr(0x100)
-	cycle := 0
+	cycle, responses := 0, 0
 	for i, x := range sched {
 		ap := amba.AddrPhase{Addr: addr, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: x.burst, Write: x.write}
 		for beat := 0; beat < x.burst.Beats(); beat++ {
-			for ready := false; !ready; cycle++ {
-				before := wm
-				pred := wm.Predict()
-				if again := wm.Predict(); again != pred {
-					t.Fatalf("cycle %d: Predict gave %v, then %v", cycle, pred, again)
+			for done := false; !done; cycle++ {
+				if cycle > 64*len(sched)+1000 {
+					t.Fatalf("%s: transfer %d beat %d still pending after %d cycles", slave.Name(), i, beat, cycle)
 				}
-				if wm != before {
-					t.Fatalf("cycle %d: Predict moved the model state from %+v to %+v", cycle, before, wm)
+				before := mirror
+				pred := mirror.Reply()
+				if again := mirror.Reply(); again != pred {
+					t.Fatalf("cycle %d: Reply gave %v, then %v", cycle, pred, again)
 				}
-				reply := mem.Respond(ap)
-				ready = reply.Ready
-				if pred != ready {
-					t.Fatalf("profile (%d,%d), transfer %d (%v write=%v), beat %d, cycle %d: predicted HREADY %v, memory drove %v",
-						first, next, i, x.burst, x.write, beat, cycle, pred, ready)
+				if mirror != before {
+					t.Fatalf("cycle %d: Reply moved the automaton from %+v to %+v", cycle, before, mirror)
 				}
-				if ready && ap.Write {
-					mem.WriteCommit(ap, amba.Word(cycle))
+				reply := slave.Respond(ap)
+				if pred.Ready != reply.Ready || pred.Resp != reply.Resp {
+					t.Fatalf("%s, transfer %d (%v write=%v), beat %d, cycle %d: predicted %v, slave drove %v",
+						slave.Name(), i, x.burst, x.write, beat, cycle, pred, reply)
 				}
-				mem.Commit(ready)
-				wm.Observe(ready)
+				if !reply.Ready && reply.Resp != amba.RespOkay {
+					responses++
+				}
+				done = reply.Ready && reply.Resp == amba.RespOkay
+				if done && ap.Write {
+					slave.WriteCommit(ap, amba.Word(cycle))
+				}
+				slave.Commit(reply.Ready)
+				mirror.Observe(reply.Ready)
 			}
 			ap.Trans = amba.TransSeq
 			ap.Addr = amba.NextAddr(ap.Addr, ap.Size, ap.Burst)
@@ -66,47 +87,130 @@ func checkMirror(t testing.TB, first, next int, sched []xfer) {
 		addr = ap.Addr
 		cycle += x.gap
 	}
+	return responses
+}
+
+// mirrorSched mixes single beats and bursts of both directions, back to
+// back and with gaps.
+var mirrorSched = []xfer{
+	{amba.BurstSingle, true, 0},
+	{amba.BurstSingle, false, 2},
+	{amba.BurstIncr4, true, 0},
+	{amba.BurstIncr4, true, 1},
+	{amba.BurstIncr8, false, 0},
+	{amba.BurstIncr8, true, 3},
+	{amba.BurstSingle, true, 1},
+	{amba.BurstIncr4, false, 0},
+	{amba.BurstIncr8, true, 0},
 }
 
 func TestWaitModelMatchesMemory(t *testing.T) {
-	sched := []xfer{
-		{amba.BurstSingle, true, 0},
-		{amba.BurstSingle, false, 2},
-		{amba.BurstIncr4, true, 0},
-		{amba.BurstIncr4, true, 1},
-		{amba.BurstIncr8, false, 0},
-		{amba.BurstIncr8, true, 3},
-		{amba.BurstSingle, true, 1},
-		{amba.BurstIncr4, false, 0},
-		{amba.BurstIncr8, true, 0},
-	}
 	for first := 0; first <= 3; first++ {
 		for next := 0; next <= 3; next++ {
 			t.Run(fmt.Sprintf("first=%d_next=%d", first, next), func(t *testing.T) {
-				checkMirror(t, first, next, sched)
+				slave, mirror := timingSlave(0, first, next, 0)
+				checkMirror(t, slave, mirror, mirrorSched)
 			})
 		}
 	}
 }
 
-// FuzzWaitModelMirror decodes a profile and a transfer schedule from
-// the fuzzer's bytes and runs the mirror oracle over them.
+// TestSlaveTimingMatchesRetryAndSplit runs the schedule against RETRY
+// and SPLIT memories at every period 1-5 and wait states 0-2: the
+// mirror predicts the first cycle of every two-cycle response as well
+// as the second.
+func TestSlaveTimingMatchesRetryAndSplit(t *testing.T) {
+	beats := 0
+	for _, x := range mirrorSched {
+		beats += x.burst.Beats()
+	}
+	for kind := 1; kind <= 2; kind++ {
+		for every := 1; every <= 5; every++ {
+			for waits := 0; waits <= 2; waits++ {
+				slave, mirror := timingSlave(kind, waits, waits, every)
+				if got := checkMirror(t, slave, mirror, mirrorSched); got != beats/every {
+					t.Fatalf("%s every %d, waits %d: %d two-cycle responses checked, want %d",
+						slave.Name(), every, waits, got, beats/every)
+				}
+			}
+		}
+	}
+}
+
+// FuzzWaitModelMirror decodes a slave and a transfer schedule from the
+// fuzzer's bytes and runs the mirror oracle over them: the first two
+// bytes give the wait states (bits 0-1) and, in their upper bits, the
+// slave kind (memory, RETRY or SPLIT) and the cadence's period (1-5);
+// each later byte is one transfer.
 func FuzzWaitModelMirror(f *testing.F) {
 	f.Add([]byte{2, 1, 0x01, 0x0a, 0x06, 0x13})
 	f.Add([]byte{0, 3, 0x02, 0x02, 0x1c})
 	f.Add([]byte{3, 0, 0x00, 0x18, 0x05})
+	f.Add([]byte{0x05, 0x0c, 0x01, 0x0a, 0x06, 0x13, 0x02})
+	f.Add([]byte{0x08, 0x00, 0x02, 0x1c, 0x05, 0x01})
+	f.Add([]byte{0x0a, 0x11, 0x18, 0x01, 0x06, 0x0e})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) < 2 {
 			return
 		}
 		first, next := int(b[0]%4), int(b[1]%4)
+		kind, every := int(b[0]>>2)%3, 1+int(b[1]>>2)%5
 		bursts := [4]amba.Burst{amba.BurstSingle, amba.BurstIncr4, amba.BurstIncr8, amba.BurstSingle}
 		sched := make([]xfer, 0, len(b)-2)
 		for _, c := range b[2:] {
 			sched = append(sched, xfer{burst: bursts[c&3], write: c&4 != 0, gap: int(c>>3) & 3})
 		}
-		checkMirror(t, first, next, sched)
+		slave, mirror := timingSlave(kind, first, next, every)
+		checkMirror(t, slave, mirror, sched)
 	})
+}
+
+// step runs one data-phase cycle the way the engine does: predict,
+// then observe the outcome (here the prediction itself, as on a
+// run-ahead cycle).
+func step(w *ip.SlaveTiming) bool {
+	ready := w.Reply().Ready
+	w.Observe(ready)
+	return ready
+}
+
+func TestWaitModelMirrorsMemoryProfile(t *testing.T) {
+	w := ip.NewSlaveTiming(2, 1, ip.Cadence{})
+	// First beat: 2 waits then ready; next beat: 1 wait then ready.
+	want := []bool{false, false, true, false, true, false, true}
+	for i, r := range want {
+		if got := step(&w); got != r {
+			t.Fatalf("cycle %d: predicted ready=%v, want %v", i, got, r)
+		}
+	}
+}
+
+func TestWaitModelObserveRealigns(t *testing.T) {
+	w := ip.NewSlaveTiming(0, 0, ip.Cadence{})
+	// Model expects ready immediately, but the real slave waited twice.
+	w.Observe(false)
+	w.Observe(false)
+	w.Observe(true)
+	// After the beat completes, the model starts the next beat cleanly.
+	if !w.Reply().Ready {
+		t.Fatal("zero-wait model must predict ready on a fresh beat")
+	}
+}
+
+func TestWaitModelSnapshot(t *testing.T) {
+	w := ip.NewSlaveTiming(3, 1, ip.Cadence{})
+	step(&w) // one wait cycle into the first beat
+	s := w
+	// Two more waits, the first beat completes, then a 1-wait beat.
+	want := []bool{false, false, true, false, true}
+	for pass := 0; pass < 2; pass++ {
+		for i, r := range want {
+			if got := step(&w); got != r {
+				t.Fatalf("pass %d, cycle %d: predicted ready=%v, want %v", pass, i, got, r)
+			}
+		}
+		w = s
+	}
 }
 
 // A master that loses the grant with beats left rebuilds the remainder

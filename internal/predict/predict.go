@@ -4,8 +4,6 @@
 //     ("their values either increase linearly over time or remain
 //     constant throughout a single burst transaction"), including the
 //     INCR remainder a master rebuilds after losing the grant mid-burst,
-//   - responses of the active bus slave: a producer-consumer wait-state
-//     model,
 //   - arbitration requests: last-value prediction, plus the rise of a
 //     line whose last two low runs were equally long (a master that
 //     requests the bus after a fixed gap) and the fall on the cycle
@@ -15,7 +13,9 @@
 //
 // plus a fault injector used by the evaluation harness to pin prediction
 // accuracy to an exact probability, the way the paper's Table 2 and
-// Figure 4 sweep it.
+// Figure 4 sweep it. The active slave's wait states and RETRY/SPLIT
+// cadence need no predictor of their own: the leader runs the slave's
+// timing automaton, ip.SlaveTiming, on the cycles it observes.
 //
 // Read data and write data are deliberately absent: the paper classifies
 // them as non-predictable, and the scheme instead chooses the data
@@ -334,69 +334,6 @@ func (t *BurstTracker) IdleStableFor() int64 {
 func (t *BurstTracker) SkipIdle() {
 	t.st.Valid = false
 	t.st.Cut, t.st.Rebuilt = false, false
-}
-
-// WaitModel predicts a slave's HREADY sequence with the same
-// producer-consumer wait machinery the deterministic memory slaves run:
-// the first beat the slave ever serves costs First wait states, every
-// later beat costs Next (ip.Memory's burst affinity is sticky). Predict
-// only reads the countdown; Observe, once per data-phase cycle, is the
-// one call that advances it, so each wait cycle is counted once and the
-// model stays aligned with reality on conservative cycles and during
-// roll-forth.
-type WaitModel struct {
-	First, Next int
-
-	st waitState
-}
-
-type waitState struct {
-	InBurst  bool
-	WaitLeft int // -1 = no beat in progress
-}
-
-// NewWaitModel creates a wait model mirroring a slave with the given
-// deterministic profile.
-func NewWaitModel(first, next int) WaitModel {
-	return WaitModel{First: first, Next: next, st: waitState{WaitLeft: -1}}
-}
-
-// budget returns the wait states of a fresh beat.
-func (w *WaitModel) budget() int {
-	if w.st.InBurst {
-		return w.Next
-	}
-	return w.First
-}
-
-// begin initializes the countdown for a new beat if none is in progress.
-func (w *WaitModel) begin() {
-	if w.st.WaitLeft < 0 {
-		w.st.WaitLeft = w.budget()
-	}
-}
-
-// Predict returns the predicted HREADY for the beat currently in the
-// data phase: ready once its countdown has run out. It is pure.
-func (w *WaitModel) Predict() bool {
-	if w.st.WaitLeft < 0 {
-		return w.budget() == 0
-	}
-	return w.st.WaitLeft == 0
-}
-
-// Observe advances the model by one data-phase cycle with its actual
-// HREADY.
-func (w *WaitModel) Observe(ready bool) {
-	w.begin()
-	if ready {
-		w.st.WaitLeft = -1
-		w.st.InBurst = true
-		return
-	}
-	if w.st.WaitLeft > 0 {
-		w.st.WaitLeft--
-	}
 }
 
 // SecondCycle predicts the reply that follows r. An ERROR, RETRY or

@@ -220,54 +220,6 @@ func TestSecondCycle(t *testing.T) {
 	}
 }
 
-// step runs one data-phase cycle the way the engine does: predict,
-// then observe the outcome (here the prediction itself, as on a
-// run-ahead cycle).
-func step(w *WaitModel) bool {
-	ready := w.Predict()
-	w.Observe(ready)
-	return ready
-}
-
-func TestWaitModelMirrorsMemoryProfile(t *testing.T) {
-	w := NewWaitModel(2, 1)
-	// First beat: 2 waits then ready; next beat: 1 wait then ready.
-	want := []bool{false, false, true, false, true, false, true}
-	for i, r := range want {
-		if got := step(&w); got != r {
-			t.Fatalf("cycle %d: predicted ready=%v, want %v", i, got, r)
-		}
-	}
-}
-
-func TestWaitModelObserveRealigns(t *testing.T) {
-	w := NewWaitModel(0, 0)
-	// Model expects ready immediately, but the real slave waited twice.
-	w.Observe(false)
-	w.Observe(false)
-	w.Observe(true)
-	// After the beat completes, the model starts the next beat cleanly.
-	if !w.Predict() {
-		t.Fatal("zero-wait model must predict ready on a fresh beat")
-	}
-}
-
-func TestWaitModelSnapshot(t *testing.T) {
-	w := NewWaitModel(3, 1)
-	step(&w) // one wait cycle into the first beat
-	s := w
-	// Two more waits, the first beat completes, then a 1-wait beat.
-	want := []bool{false, false, true, false, true}
-	for pass := 0; pass < 2; pass++ {
-		for i, r := range want {
-			if got := step(&w); got != r {
-				t.Fatalf("pass %d, cycle %d: predicted ready=%v, want %v", pass, i, got, r)
-			}
-		}
-		w = s
-	}
-}
-
 func TestFaultInjectorExtremes(t *testing.T) {
 	f := NewFaultInjector(1, 1)
 	for i := 0; i < 1000; i++ {
