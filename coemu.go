@@ -93,6 +93,9 @@ type (
 	Generator = ip.Generator
 	// Xfer is one generated bus transaction.
 	Xfer = ip.Xfer
+	// Cadence is a slave's two-cycle RETRY or SPLIT cadence, declared
+	// on its SlaveSpec (RetryEvery, SplitEvery).
+	Cadence = ip.Cadence
 	// Window is an address range for workload generators.
 	Window = workload.Window
 	// CycleState is the per-cycle MSABS record (full bus state).
@@ -193,17 +196,28 @@ func NewJitterMemory(name string, base, spread int, seed uint64) *ip.JitterMemor
 }
 
 // NewRetryMemory creates a memory that RETRYs the first attempt of every
-// retryEvery-th beat.
+// retryEvery-th beat. Declare RetryEvery(retryEvery) as its SlaveSpec's
+// Cadence, so the leader predicts the RETRYs.
 func NewRetryMemory(name string, waits, retryEvery int) *ip.Memory {
 	return ip.NewRetryMemory(name, waits, retryEvery)
 }
 
 // NewSplitMemory creates a memory that answers every splitEvery-th beat
 // with a SPLIT response, releasing the parked master via its HSPLITx
-// line releaseAfter cycles later. Declare SplitCapable on its SlaveSpec.
+// line releaseAfter cycles later. Declare SplitEvery(splitEvery) as its
+// SlaveSpec's Cadence: that marks it as a SPLIT source and lets the
+// leader predict the SPLITs.
 func NewSplitMemory(name string, waits, splitEvery, releaseAfter int) *ip.SplitMemory {
 	return ip.NewSplitMemory(name, waits, splitEvery, releaseAfter)
 }
+
+// RetryEvery is the cadence of a slave that RETRYs the first attempt of
+// every n-th beat.
+func RetryEvery(n int) Cadence { return ip.RetryEvery(n) }
+
+// SplitEvery is the cadence of a slave that SPLITs the first attempt of
+// every n-th beat.
+func SplitEvery(n int) Cadence { return ip.SplitEvery(n) }
 
 // NewErrorSlave creates a slave answering every beat with a two-cycle
 // ERROR.

@@ -23,4 +23,8 @@ package core
 //     master that lost the grant on its final beat is granted again,
 //     and the second cycle of a remote slave's two-cycle ERROR, RETRY
 //     or SPLIT response.
-const ModelRevision = 5
+//   - 6: the leader predicts a remote slave's RETRY/SPLIT cadence: it
+//     runs the slave's timing automaton (ip.SlaveTiming), configured
+//     from the slave's static profile, so the first cycle of a beat
+//     whose turn has come is {HREADY low, RETRY/SPLIT}.
+const ModelRevision = 6

@@ -427,9 +427,10 @@ func TestEquivalenceRetrySlave(t *testing.T) {
 func TestEquivalenceSplitSlave(t *testing.T) {
 	// A SPLIT-capable memory in the simulator, written by an RTL master
 	// in the accelerator. SPLIT responses and HSPLITx release pulses
-	// cross the domain boundary; the leader's wait model knows nothing
-	// about them, so every split costs rollbacks — and the trace must
-	// still be cycle-exact.
+	// cross the domain boundary; the design declares the SPLIT kind but
+	// not its cadence, so the leader's copy of the slave's timing knows
+	// nothing about the splits, every split costs rollbacks — and the
+	// trace must still be cycle-exact.
 	d := Design{
 		Masters: []MasterSpec{{
 			Name: "dma", Domain: AccDomain,
@@ -440,9 +441,9 @@ func TestEquivalenceSplitSlave(t *testing.T) {
 		}},
 		Slaves: []SlaveSpec{{
 			Name: "smem", Domain: SimDomain,
-			Region:       bus.Region{Lo: 0, Hi: 0x8000},
-			New:          func() bus.Slave { return ip.NewSplitMemory("smem", 0, 5, 6) },
-			SplitCapable: true,
+			Region:  bus.Region{Lo: 0, Hi: 0x8000},
+			New:     func() bus.Slave { return ip.NewSplitMemory("smem", 0, 5, 6) },
+			Cadence: ip.Cadence{Resp: amba.RespSplit},
 		}},
 	}
 	for _, mode := range []Mode{Conservative, ALS, Auto} {
@@ -477,9 +478,9 @@ func TestEquivalenceSplitContention(t *testing.T) {
 		Slaves: []SlaveSpec{
 			{
 				Name: "smem", Domain: SimDomain,
-				Region:       bus.Region{Lo: 0, Hi: 0x8000},
-				New:          func() bus.Slave { return ip.NewSplitMemory("smem", 0, 3, 8) },
-				SplitCapable: true,
+				Region:  bus.Region{Lo: 0, Hi: 0x8000},
+				New:     func() bus.Slave { return ip.NewSplitMemory("smem", 0, 3, 8) },
+				Cadence: ip.SplitEvery(3),
 			},
 			{
 				Name: "sram", Domain: AccDomain,
@@ -496,10 +497,10 @@ func TestEquivalenceSplitContention(t *testing.T) {
 func TestSplitCapableFlagValidated(t *testing.T) {
 	d := streamDesign(AccDomain, SimDomain, 0, 0)
 	// Lies about split capability: the slave is a plain Memory.
-	d.Slaves[0].SplitCapable = true
+	d.Slaves[0].Cadence = ip.SplitEvery(4)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("SplitCapable mismatch must panic at build")
+			t.Fatal("a SPLIT cadence on a slave that cannot split must panic at build")
 		}
 	}()
 	_, _ = NewEngine(d, Config{})

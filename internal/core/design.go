@@ -56,22 +56,29 @@ type SlaveSpec struct {
 	// New constructs the slave.
 	New func() bus.Slave
 	// WaitFirst/WaitNext declare the slave's nominal deterministic wait
-	// profile, which configures the remote-side response predictor. For
-	// slaves whose real latency differs (jittery memories), the profile
-	// is the predictor's best guess and mispredictions ensue — exactly
-	// the experiment the paper's accuracy axis abstracts.
+	// profile and Cadence its two-cycle RETRY or SPLIT cadence (the
+	// zero value: none). Together they configure the remote-side
+	// response predictor, which runs the slave's timing automaton
+	// (ip.SlaveTiming) on them. For slaves whose real timing differs
+	// (jittery memories), the profile is the predictor's best guess and
+	// mispredictions ensue — exactly the experiment the paper's
+	// accuracy axis abstracts.
 	WaitFirst, WaitNext int
+	Cadence             ip.Cadence
 	// IRQMask declares interrupt lines the slave owns (it must
 	// implement bus.IRQSource if non-zero).
 	IRQMask uint32
-	// SplitCapable declares that the slave issues SPLIT responses (it
-	// must implement bus.SplitSource). The flag exists because each
-	// half-bus must know whether the *remote* domain drives HSPLITx
-	// lines without instantiating the remote slave.
-	SplitCapable bool
 	// Vars is the rollback-variable weight (0 uses a small default).
 	Vars int
 }
+
+// splitCapable reports whether the slave issues SPLIT responses: its
+// cadence is a SPLIT one (ip.SplitEvery, or Resp alone for a slave
+// whose cadence the predictor is not told). Such a slave must implement
+// bus.SplitSource, and each half-bus learns from it whether the
+// *remote* domain drives HSPLITx lines without instantiating the
+// remote slave.
+func (s SlaveSpec) splitCapable() bool { return s.Cadence.Resp == amba.RespSplit }
 
 // Design is a complete co-emulated SoC description: components, their
 // domain placement, and the address map.

@@ -91,9 +91,9 @@ func buildDomain(d Design, id DomainID, cycleCost time.Duration, costModel rollb
 	for _, ss := range d.Slaves {
 		if ss.Domain == id {
 			s := ss.New()
-			if _, isSplit := s.(bus.SplitSource); isSplit != ss.SplitCapable {
-				panic(fmt.Sprintf("core: slave %q: SplitCapable=%v but implementation says %v",
-					ss.Name, ss.SplitCapable, isSplit))
+			if _, isSplit := s.(bus.SplitSource); isSplit != ss.splitCapable() {
+				panic(fmt.Sprintf("core: slave %q: SPLIT cadence declared %v but implementation says %v",
+					ss.Name, ss.splitCapable(), isSplit))
 			}
 			dom.bus.MapSlave(s, ss.Region, ss.IRQMask)
 			if snap, ok := s.(rollback.Snapshotter); ok {
@@ -108,9 +108,9 @@ func buildDomain(d Design, id DomainID, cycleCost time.Duration, costModel rollb
 			}
 		} else {
 			idx := dom.bus.MapExternalSlave(ss.Name, ss.Region)
-			timings[idx] = ip.NewSlaveTiming(ss.WaitFirst, ss.WaitNext, ip.Cadence{})
+			timings[idx] = ip.NewSlaveTiming(ss.WaitFirst, ss.WaitNext, ss.Cadence)
 			remoteIRQ |= ss.IRQMask
-			if ss.SplitCapable {
+			if ss.splitCapable() {
 				remoteSplit = true
 			}
 		}

@@ -24,7 +24,9 @@ import (
 //     two-cycle ERROR, RETRY or SPLIT response once its first cycle is
 //     seen (predict.SecondCycle), otherwise the slave's own timing
 //     automaton (one ip.SlaveTiming per remote slave, configured with
-//     its nominal wait profile),
+//     its nominal wait profile and RETRY/SPLIT cadence): the wait
+//     states, and {HREADY low, RETRY/SPLIT} on the first cycle of a
+//     beat whose turn has come,
 //   - default-slave replies (when owned remotely): the first cycle of
 //     its two-cycle ERROR, a constant,
 //   - read data and remote write data: never predicted — PredictInto

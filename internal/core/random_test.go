@@ -39,13 +39,14 @@ func randomDesign(seed uint64) Design {
 		func(name string, r *rng.Source) (bus.Slave, SlaveSpec) {
 			k := 2 + r.Intn(5)
 			return nil, SlaveSpec{Name: name,
-				New: func() bus.Slave { return ip.NewRetryMemory(name, 0, k) }}
+				New:     func() bus.Slave { return ip.NewRetryMemory(name, 0, k) },
+				Cadence: ip.RetryEvery(k)}
 		},
 		func(name string, r *rng.Source) (bus.Slave, SlaveSpec) {
 			k, rel := 2+r.Intn(5), r.Intn(8)
 			return nil, SlaveSpec{Name: name,
-				New:          func() bus.Slave { return ip.NewSplitMemory(name, 0, k, rel) },
-				SplitCapable: true}
+				New:     func() bus.Slave { return ip.NewSplitMemory(name, 0, k, rel) },
+				Cadence: ip.SplitEvery(k)}
 		},
 	}
 

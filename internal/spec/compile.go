@@ -6,6 +6,7 @@ import (
 	"coemu/internal/amba"
 	"coemu/internal/bus"
 	"coemu/internal/core"
+	"coemu/internal/ip"
 )
 
 // Compile translates the spec into the engine's native Design and
@@ -32,17 +33,25 @@ func (s *Spec) Compile() (core.Design, core.Config, error) {
 	}
 	for _, sl := range n.Design.Slaves {
 		dom, _ := parseDomain(sl.Domain)
-		kind := slaveKinds[sl.Kind]
+		// Normalization keeps retry_every and split_every only on the
+		// kinds that take them.
+		var cadence ip.Cadence
+		switch {
+		case sl.RetryEvery > 0:
+			cadence = ip.RetryEvery(sl.RetryEvery)
+		case sl.SplitEvery > 0:
+			cadence = ip.SplitEvery(sl.SplitEvery)
+		}
 		d.Slaves = append(d.Slaves, core.SlaveSpec{
-			Name:         sl.Name,
-			Domain:       core.DomainID(dom),
-			Region:       bus.Region{Lo: amba.Addr(sl.Region.Lo), Hi: amba.Addr(sl.Region.Hi)},
-			New:          kind.build(sl),
-			WaitFirst:    sl.WaitFirst,
-			WaitNext:     sl.WaitNext,
-			IRQMask:      sl.IRQMask,
-			SplitCapable: kind.splitCapable,
-			Vars:         sl.Vars,
+			Name:      sl.Name,
+			Domain:    core.DomainID(dom),
+			Region:    bus.Region{Lo: amba.Addr(sl.Region.Lo), Hi: amba.Addr(sl.Region.Hi)},
+			New:       slaveKinds[sl.Kind].build(sl),
+			WaitFirst: sl.WaitFirst,
+			WaitNext:  sl.WaitNext,
+			Cadence:   cadence,
+			IRQMask:   sl.IRQMask,
+			Vars:      sl.Vars,
 		})
 	}
 	ownsDefault, _ := parseDomain(n.Design.OwnsDefault)

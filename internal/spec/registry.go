@@ -34,8 +34,6 @@ type slaveKind struct {
 	validate func(*Slave) error
 	canon    func(Slave) Slave
 	build    func(Slave) func() bus.Slave
-	// splitCapable marks kinds whose slaves issue SPLIT responses.
-	splitCapable bool
 }
 
 var (
@@ -56,10 +54,9 @@ func RegisterGenerator(kind string, validate func(*Generator) error,
 	generatorKinds[kind] = generatorKind{validate, canon, build}
 }
 
-// RegisterSlave adds a slave kind to the registry. splitCapable marks
-// kinds that issue SPLIT responses (they must implement
-// bus.SplitSource). Registering a duplicate kind panics.
-func RegisterSlave(kind string, splitCapable bool, validate func(*Slave) error,
+// RegisterSlave adds a slave kind to the registry. Registering a
+// duplicate kind panics.
+func RegisterSlave(kind string, validate func(*Slave) error,
 	canon func(Slave) Slave, build func(Slave) func() bus.Slave) {
 	if _, dup := slaveKinds[kind]; dup {
 		panic(fmt.Sprintf("spec: slave kind %q registered twice", kind))
@@ -67,7 +64,7 @@ func RegisterSlave(kind string, splitCapable bool, validate func(*Slave) error,
 	if validate == nil || canon == nil || build == nil {
 		panic(fmt.Sprintf("spec: slave kind %q: nil hook", kind))
 	}
-	slaveKinds[kind] = slaveKind{validate, canon, build, splitCapable}
+	slaveKinds[kind] = slaveKind{validate, canon, build}
 }
 
 // GeneratorKinds lists the registered generator kinds, sorted.
@@ -280,7 +277,7 @@ func init() {
 	// model from the component the way closure designs can.
 
 	// sram: ip.NewSRAM — a zero-wait memory.
-	RegisterSlave("sram", false,
+	RegisterSlave("sram",
 		func(s *Slave) error {
 			if s.WaitFirst != 0 || s.WaitNext != 0 {
 				return fmt.Errorf("sram is zero-wait; wait_first/wait_next must be 0")
@@ -296,7 +293,7 @@ func init() {
 		})
 
 	// memory: ip.NewMemory — deterministic wait profile.
-	RegisterSlave("memory", false,
+	RegisterSlave("memory",
 		func(s *Slave) error {
 			if s.WaitFirst < 0 || s.WaitNext < 0 {
 				return fmt.Errorf("negative wait profile")
@@ -315,7 +312,7 @@ func init() {
 
 	// jitter: ip.NewJitterMemory — pseudo-random extra latency the
 	// predictor cannot track.
-	RegisterSlave("jitter", false,
+	RegisterSlave("jitter",
 		func(s *Slave) error {
 			if s.Base < 0 || s.Spread < 0 {
 				return fmt.Errorf("negative base or spread")
@@ -338,7 +335,7 @@ func init() {
 
 	// retry: ip.NewRetryMemory — RETRYs the first attempt of every
 	// retry_every-th beat.
-	RegisterSlave("retry", false,
+	RegisterSlave("retry",
 		func(s *Slave) error {
 			if s.Waits < 0 {
 				return fmt.Errorf("negative waits")
@@ -364,7 +361,7 @@ func init() {
 
 	// split: ip.NewSplitMemory — SPLITs every split_every-th beat,
 	// releasing the parked master release_after cycles later.
-	RegisterSlave("split", true,
+	RegisterSlave("split",
 		func(s *Slave) error {
 			if s.Waits < 0 {
 				return fmt.Errorf("negative waits")
@@ -393,7 +390,7 @@ func init() {
 
 	// error: ip.NewErrorSlave — answers every beat with a two-cycle
 	// ERROR.
-	RegisterSlave("error", false,
+	RegisterSlave("error",
 		func(s *Slave) error { return nil },
 		func(s Slave) Slave {
 			return baseSlave(s)
@@ -405,7 +402,7 @@ func init() {
 
 	// irq: ip.NewIRQPeriph — a register-file peripheral with a
 	// countdown interrupt on the irq_mask line bit.
-	RegisterSlave("irq", false,
+	RegisterSlave("irq",
 		func(s *Slave) error {
 			if s.IRQMask == 0 {
 				return fmt.Errorf("irq peripheral requires a non-zero irq_mask")

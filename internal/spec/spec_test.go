@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"coemu/internal/core"
+	"coemu/internal/ip"
 )
 
 // streamSpecJSON is the canonical ALS configuration (an accelerator
@@ -304,8 +305,12 @@ func TestAllKindsCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Slaves[4].SplitCapable {
-		t.Fatal("split slave not marked SplitCapable")
+	// retry_every and split_every become the predictor's cadence; no
+	// other kind has one.
+	for i, want := range []ip.Cadence{3: ip.RetryEvery(4), 4: ip.SplitEvery(4), 6: {}} {
+		if got := d.Slaves[i].Cadence; got != want {
+			t.Fatalf("slave %s: cadence %+v, want %+v", d.Slaves[i].Name, got, want)
+		}
 	}
 	e, err := core.NewEngine(d, cfg)
 	if err != nil {

@@ -161,10 +161,10 @@ var exampleDesigns = map[string]struct {
 				Slaves: []coemu.SlaveSpec{
 					{
 						Name: "dramc", Domain: coemu.SimDomain,
-						Region:       coemu.Region{Lo: 0, Hi: 0x10000},
-						New:          func() coemu.Slave { return coemu.NewSplitMemory("dramc", 1, 4, 12) },
-						SplitCapable: true,
-						WaitFirst:    1, WaitNext: 1,
+						Region:    coemu.Region{Lo: 0, Hi: 0x10000},
+						New:       func() coemu.Slave { return coemu.NewSplitMemory("dramc", 1, 4, 12) },
+						WaitFirst: 1, WaitNext: 1,
+						Cadence: coemu.SplitEvery(4),
 					},
 					{
 						Name: "sram", Domain: coemu.AccDomain,
