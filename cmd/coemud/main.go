@@ -17,8 +17,9 @@
 //
 //	POST /v1/run              run a spec synchronously; the report is
 //	                          the response body and a Server-Timing
-//	                          header gives the answering job's queue,
-//	                          engine, store and encode milliseconds.
+//	                          header gives the request's admit and the
+//	                          answering job's queue, engine, store and
+//	                          encode milliseconds.
 //	                          Aborting the request cancels the run
 //	                          (unless another client shares it).
 //	POST /v1/sweep            a sweep document (spec + "sweep" grid
@@ -300,6 +301,7 @@ func newMux(svc *service.Service, maxBody int64, sweepMax int) *http.ServeMux {
 	})
 
 	mux.HandleFunc("POST /v1/run", func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
 		sp, ok := readSpec(w, r, maxBody)
 		if !ok {
 			return
@@ -307,6 +309,7 @@ func newMux(svc *service.Service, maxBody int64, sweepMax int) *http.ServeMux {
 		// If this client aborts and nobody else shares the job, the run
 		// is canceled.
 		job, err := svc.Submit(sp)
+		admit := time.Since(start)
 		if err != nil {
 			writeSubmitError(w, err)
 			return
@@ -316,7 +319,7 @@ func newMux(svc *service.Service, maxBody int64, sweepMax int) *http.ServeMux {
 			writeRunError(w, err)
 			return
 		}
-		writeReport(w, res, job.Info())
+		writeReport(w, res, job.Info(), admit)
 	})
 
 	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) {
@@ -410,8 +413,9 @@ func sweepPoints(body []byte, sweepMax int) ([]*spec.Spec, error) {
 // writeReport serves a run result: the stored canonical bytes,
 // re-indented. Using the canonical bytes (rather than re-projecting a
 // report) keeps responses byte-identical across cache hits, store hits
-// and fresh runs. info is the answering job's, for Server-Timing.
-func writeReport(w http.ResponseWriter, res *service.Result, info service.Info) {
+// and fresh runs. info is the answering job's and admit the request's
+// time to its Submit, for Server-Timing.
+func writeReport(w http.ResponseWriter, res *service.Result, info service.Info, admit time.Duration) {
 	start := time.Now()
 	var buf bytes.Buffer
 	if err := json.Indent(&buf, res.JSON, "", "  "); err != nil {
@@ -419,7 +423,7 @@ func writeReport(w http.ResponseWriter, res *service.Result, info service.Info) 
 		return
 	}
 	buf.WriteByte('\n')
-	w.Header().Set("Server-Timing", serverTiming(info, time.Since(start)))
+	w.Header().Set("Server-Timing", serverTiming(info, admit, time.Since(start)))
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	if _, err := w.Write(buf.Bytes()); err != nil {
@@ -428,10 +432,11 @@ func writeReport(w http.ResponseWriter, res *service.Result, info service.Info) 
 }
 
 // serverTiming renders a /v1/run Server-Timing header in
-// milliseconds: the answering job's queue wait, engine run and store
-// write-through ("cache-hit" or "store-hit" instead when no engine
-// ran), then the response encode.
-func serverTiming(info service.Info, encode time.Duration) string {
+// milliseconds: the admission (request read, spec parse, canonical
+// hash, cache and store probes, up to Submit's return), the answering
+// job's queue wait, engine run and store write-through ("cache-hit" or
+// "store-hit" instead when no engine ran), then the response encode.
+func serverTiming(info service.Info, admit, encode time.Duration) string {
 	ms := func(d time.Duration) string {
 		return strconv.FormatFloat(float64(d)/float64(time.Millisecond), 'f', 3, 64)
 	}
@@ -445,7 +450,7 @@ func serverTiming(info service.Info, encode time.Duration) string {
 		head = "queue;dur=" + ms(info.Queue) + ", engine;dur=" + ms(info.Engine) +
 			", store;dur=" + ms(info.StoreWrite)
 	}
-	return head + ", encode;dur=" + ms(encode)
+	return "admit;dur=" + ms(admit) + ", " + head + ", encode;dur=" + ms(encode)
 }
 
 // readRaw reads a bounded request body, reporting HTTP errors itself.

@@ -420,9 +420,10 @@ func parseServerTiming(t *testing.T, h string) ([]string, map[string]float64) {
 }
 
 // TestRunServerTiming reads /v1/run's Server-Timing header for a fresh
-// run (queue, engine, store, encode), a memory-cache repeat and a
-// store hit after a restart, and checks that all three bodies are the
-// canonical report bytes, indented, as before the header existed.
+// run (admit, queue, engine, store, encode), a memory-cache repeat and
+// a store hit after a restart (admit, the hit, encode), and checks that
+// all three bodies are the canonical report bytes, indented, as before
+// the header existed.
 func TestRunServerTiming(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *httptest.Server {
@@ -474,9 +475,9 @@ func TestRunServerTiming(t *testing.T) {
 		restart bool // a second daemon over the same store, cold cache
 		names   []string
 	}{
-		{"fresh run", false, []string{"queue", "engine", "store", "encode"}},
-		{"memory-cache repeat", false, []string{"cache-hit", "encode"}},
-		{"store hit after a restart", true, []string{"store-hit", "encode"}},
+		{"fresh run", false, []string{"admit", "queue", "engine", "store", "encode"}},
+		{"memory-cache repeat", false, []string{"admit", "cache-hit", "encode"}},
+		{"store hit after a restart", true, []string{"admit", "store-hit", "encode"}},
 	} {
 		if c.restart {
 			ts = open()
@@ -486,10 +487,12 @@ func TestRunServerTiming(t *testing.T) {
 		if strings.Join(names, ",") != strings.Join(c.names, ",") {
 			t.Fatalf("%s: Server-Timing %q, want metrics %v", c.label, h, c.names)
 		}
-		if _, ok := durs["encode"]; !ok {
-			t.Fatalf("%s: Server-Timing %q has no encode dur", c.label, h)
+		for _, part := range []string{"admit", "encode"} {
+			if _, ok := durs[part]; !ok {
+				t.Fatalf("%s: Server-Timing %q has no %s dur", c.label, h, part)
+			}
 		}
-		if c.names[0] == "queue" && durs["engine"] <= 0 {
+		if c.names[1] == "queue" && durs["engine"] <= 0 {
 			t.Fatalf("%s: Server-Timing %q reads no engine time", c.label, h)
 		}
 		if !bytes.Equal(body, want.Bytes()) {

@@ -85,7 +85,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("coemu_engine_runs_total = %v after one run, want 1", runs)
 	}
 	for _, name := range []string{
-		"coemu_job_seconds", "coemu_job_queue_seconds",
+		"coemu_job_seconds", "coemu_job_queue_seconds", "coemu_run_queue_seconds",
 		"coemu_engine_committed_cycles_total", "coemu_engine_transitions_total",
 		"coemu_cache_hits_total", "coemu_queue_capacity",
 	} {

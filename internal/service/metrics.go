@@ -21,6 +21,7 @@ import (
 type Metrics struct {
 	jobSeconds        *metrics.Histogram
 	queueSeconds      *metrics.Histogram
+	runQueueSeconds   *metrics.Histogram
 	sweepPointSeconds *metrics.Histogram
 	storeReadSeconds  *metrics.Histogram
 	storeWriteSeconds *metrics.Histogram
@@ -68,7 +69,9 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		jobSeconds: reg.NewHistogram("coemu_job_seconds",
 			"Engine-run wall time per executed job.", latencyBuckets),
 		queueSeconds: reg.NewHistogram("coemu_job_queue_seconds",
-			"Time a job waited in the queue before a worker picked it up.", latencyBuckets),
+			"Time a job, run or sweep point, waited in its queue class before a worker picked it up.", latencyBuckets),
+		runQueueSeconds: reg.NewHistogram("coemu_run_queue_seconds",
+			"Time a run-class job (Submit, as /v1/run) waited in its queue class before a worker picked it up.", latencyBuckets),
 		sweepPointSeconds: reg.NewHistogram("coemu_sweep_point_seconds",
 			"Sweep point latency from submission to settlement.", latencyBuckets),
 		storeReadSeconds: reg.NewHistogram("coemu_store_read_seconds",
@@ -113,12 +116,16 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 	}
 }
 
-// observeQueueWait records the queue dwell of one dequeued job.
-func (m *Metrics) observeQueueWait(d time.Duration) {
+// observeQueueWait records the queue dwell of one dequeued job, and
+// again in the run histogram when the job came from the run class.
+func (m *Metrics) observeQueueWait(d time.Duration, run bool) {
 	if m == nil {
 		return
 	}
 	m.queueSeconds.Observe(d.Seconds())
+	if run {
+		m.runQueueSeconds.Observe(d.Seconds())
+	}
 }
 
 // observeJob records one executed job's engine-run wall time.

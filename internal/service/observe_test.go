@@ -171,12 +171,18 @@ func TestMetricsObservations(t *testing.T) {
 		t.Errorf("committed cycles not aggregated:\n%s", doc)
 	}
 	for _, name := range []string{
-		"coemu_job_seconds", "coemu_job_queue_seconds", "coemu_sweep_point_seconds",
-		"coemu_engine_transitions_total", "coemu_channel_words_total",
+		"coemu_job_seconds", "coemu_job_queue_seconds", "coemu_run_queue_seconds",
+		"coemu_sweep_point_seconds", "coemu_engine_transitions_total", "coemu_channel_words_total",
 	} {
 		if count(name) <= 0 {
 			t.Errorf("family %s has no observations:\n%s", name, doc)
 		}
+	}
+	// Two jobs queued: the run and the sweep's new point (its other
+	// point is the run's cache hit). Only the run feeds the run
+	// histogram.
+	if jobs, runs := count("coemu_job_queue_seconds"), count("coemu_run_queue_seconds"); jobs != 2 || runs != 1 {
+		t.Errorf("queue waits observed: %v jobs, %v runs; want 2 and 1:\n%s", jobs, runs, doc)
 	}
 }
 

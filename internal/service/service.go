@@ -252,7 +252,7 @@ func (s *Service) work() {
 			default:
 			}
 		}
-		s.runJob(job)
+		s.runJob(job, c == classRun)
 	}
 }
 
@@ -554,8 +554,9 @@ func (s *Service) Counters() Counters {
 	return c
 }
 
-// runJob executes one job on a worker.
-func (s *Service) runJob(job *Job) {
+// runJob executes one job on a worker; run reports that it came from
+// the run class.
+func (s *Service) runJob(job *Job, run bool) {
 	s.mu.Lock()
 	if job.status != StatusQueued {
 		s.mu.Unlock()
@@ -570,7 +571,7 @@ func (s *Service) runJob(job *Job) {
 	job.started = time.Now()
 	s.engineRuns++
 	s.mu.Unlock()
-	s.opts.Metrics.observeQueueWait(job.started.Sub(job.submitted))
+	s.opts.Metrics.observeQueueWait(job.started.Sub(job.submitted), run)
 
 	timeout := job.spec.Run.JobTimeout()
 	rep, err := s.executeJob(job, timeout)
