@@ -88,8 +88,9 @@ func (t *SlaveTiming) Reply() amba.SlaveReply {
 }
 
 // Observe advances the automaton by one data-phase cycle with its
-// HREADY. A slave that drove something else than Reply realigns on its
-// next ready cycle.
+// HREADY. An HREADY other than Reply's (a slave whose timing the
+// profile does not describe) never stalls it: a pending countdown or
+// two-cycle response ends at the next ready cycle.
 func (t *SlaveTiming) Observe(ready bool) {
 	switch {
 	case t.st.Second:

@@ -272,9 +272,11 @@ func init() {
 		})
 
 	// Slave kinds. wait_first/wait_next always feed the predictor
-	// profile; kinds whose constructors take wait parameters draw them
-	// from the same fields, so spec files cannot desynchronize the
-	// model from the component the way closure designs can.
+	// profile, and retry_every/split_every its cadence (Compile). The
+	// memory kind's constructor draws its waits from the same fields,
+	// so that spec cannot desynchronize the model from the component;
+	// retry and split take theirs from waits, which the profile must
+	// repeat.
 
 	// sram: ip.NewSRAM — a zero-wait memory.
 	RegisterSlave("sram",

@@ -110,7 +110,8 @@ type Master struct {
 
 // Slave declares one bus slave by registry kind. wait_first/wait_next
 // double as the remote-side response-predictor profile, exactly like
-// coemu.SlaveSpec.WaitFirst/WaitNext.
+// coemu.SlaveSpec.WaitFirst/WaitNext, and retry_every/split_every as its
+// cadence (coemu.SlaveSpec.Cadence).
 type Slave struct {
 	Name   string `json:"name"`
 	Domain string `json:"domain"` // "sim" or "acc"
