@@ -156,7 +156,6 @@ func (d Design) Validate() error {
 type referenceSystem struct {
 	bus     *bus.Bus
 	tickers []sim.Clocked
-	masters []*ip.TrafficMaster
 }
 
 // buildReference constructs the monolithic system.
@@ -166,9 +165,7 @@ func buildReference(d Design) (*referenceSystem, error) {
 	}
 	r := &referenceSystem{bus: bus.New("ref")}
 	for _, ms := range d.Masters {
-		m := ip.NewTrafficMaster(ms.Name, ms.NewGen(), ms.BusyEvery)
-		r.masters = append(r.masters, m)
-		r.bus.AddMaster(m)
+		r.bus.AddMaster(ip.NewTrafficMaster(ms.Name, ms.NewGen(), ms.BusyEvery))
 	}
 	for _, ss := range d.Slaves {
 		s := ss.New()

@@ -25,7 +25,7 @@ type Domain struct {
 	pred *remotePredictor
 	reg  rollback.Registry
 
-	masters []*ip.TrafficMaster // local masters (for stats)
+	masters []*ip.TrafficMaster // local masters (for quiescence)
 	tickers []sim.Clocked
 	clock   sim.Clock
 
@@ -138,9 +138,6 @@ func (d *Domain) Vars() int { return d.reg.Vars() }
 
 // Now returns the number of committed target cycles in this domain.
 func (d *Domain) Now() int64 { return d.clock.Now() }
-
-// Masters returns the domain's local masters.
-func (d *Domain) Masters() []*ip.TrafficMaster { return d.masters }
 
 // EvaluateInto computes the domain's contribution for the upcoming
 // cycle in *dst and charges one cycle of domain time to the ledger. The

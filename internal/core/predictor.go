@@ -15,11 +15,12 @@ import (
 //   - bus requests: last-value, plus the scheduled rise of a line whose
 //     last two low runs were equally long, and the fall on the cycle
 //     after a fixed-length burst's final beat (predict.RequestModel,
-//     told of the final beat by the master's tracker),
+//     told of the final beat by the master's sequencer copy),
 //   - interrupt lines: last-value,
-//   - address/control of a remotely-granted master: burst continuation,
-//     including the INCR rebuild of a burst that lost the grant with
-//     beats left (one tracker per remote master),
+//   - address/control of a remotely-granted master: the master's own
+//     sequencer (one ip.Sequencer copy per remote master, loaded from
+//     the NONSEQ it observes): burst continuation, including the INCR
+//     rebuild of a burst that lost the grant with beats left,
 //   - responses of a remote active slave: the second cycle of a
 //     two-cycle ERROR, RETRY or SPLIT response once its first cycle is
 //     seen (predict.SecondCycle), otherwise the slave's own timing
@@ -50,13 +51,13 @@ type remotePredictor struct {
 
 	req predict.RequestModel
 	irq predict.LastValue
-	// trackers/timings are dense slices of values indexed by global
+	// seqs/timings are dense slices of values indexed by global
 	// master/slave number, so a lookup is array indexing and a snapshot
 	// is a copy. Only the remote masters' and remote slaves' slots are
-	// ever observed; a local master's slot stays a fresh tracker, which
-	// bounds no idle stretch and which SkipIdle leaves as it is.
-	trackers []predict.BurstTracker // per remote master
-	timings  []ip.SlaveTiming       // per remote slave
+	// ever observed; a local master's slot stays an empty sequencer,
+	// which bounds no idle stretch and which SkipIdle leaves as it is.
+	seqs    []ip.Sequencer   // per remote master
+	timings []ip.SlaveTiming // per remote slave
 
 	lastValid bool
 	lastFull  amba.CycleState
@@ -76,7 +77,7 @@ func newRemotePredictor(b *bus.Bus, ownsDefault bool, timings map[int]ip.SlaveTi
 		b:             b,
 		remoteReqMask: ^b.LocalReqMask() & ((1 << uint(b.Masters())) - 1),
 		ownsDefault:   ownsDefault,
-		trackers:      make([]predict.BurstTracker, b.Masters()),
+		seqs:          make([]ip.Sequencer, b.Masters()),
 		timings:       make([]ip.SlaveTiming, b.Slaves()),
 	}
 	p.req = predict.NewRequestModel(p.remoteReqMask)
@@ -130,7 +131,7 @@ func (p *remotePredictor) PredictInto(dst *amba.PartialState) DeclineReason {
 			// Wait state: the remote master holds its address phase.
 			out.AP = p.lastFull.AP
 		} else {
-			ap, ok := p.trackers[grant].Predict()
+			ap, ok := p.seqs[grant].Predict()
 			if !ok {
 				*out = amba.PartialState{}
 				return DeclineBurstStart
@@ -185,13 +186,8 @@ func (p *remotePredictor) Observe(full *amba.CycleState, remote *amba.PartialSta
 	// grant that moves on a ready cycle cuts the master's burst; the
 	// announced fall outlives the cut.
 	if remote.HasAP && full.Reply.Ready {
-		t := &p.trackers[full.Grant]
-		t.Observe(remote.AP)
-		if t.Final() {
+		if p.seqs[full.Grant].Observe(remote.AP, p.b.Grant() == full.Grant) {
 			p.req.Fall(full.Grant)
-		}
-		if p.b.Grant() != full.Grant {
-			t.Cut()
 		}
 	}
 
@@ -209,17 +205,15 @@ func (p *remotePredictor) Observe(full *amba.CycleState, remote *amba.PartialSta
 // pendingDP* stash the data-phase occupancy of the cycle being
 // evaluated, captured before the bus commit advances the pipeline.
 type pendingDP struct {
-	pendingDPValid  bool
-	pendingDPSlave  int
-	pendingDPMaster int
+	pendingDPValid bool
+	pendingDPSlave int
 }
 
 // StashDataPhase records the data-phase occupancy for the cycle about to
 // commit; it must be called before the bus Commit whose Observe follows.
 func (p *remotePredictor) StashDataPhase() {
-	v, _, m, s := p.b.DataPhase()
+	v, _, _, s := p.b.DataPhase()
 	p.pendingDPValid = v
-	p.pendingDPMaster = m
 	p.pendingDPSlave = s
 }
 
@@ -243,7 +237,10 @@ func (p *remotePredictor) PredictStableFor() int64 {
 	if p.lastValid && !p.lastFull.Reply.Ready {
 		return 0
 	}
-	return min(p.req.IdleStableFor(), p.trackers[p.b.Grant()].IdleStableFor())
+	if p.seqs[p.b.Grant()].Loaded() {
+		return 0 // the next idle observation drops the transfer
+	}
+	return p.req.IdleStableFor()
 }
 
 // SkipIdle advances the predictor across n committed idle cycles in
@@ -251,22 +248,22 @@ func (p *remotePredictor) PredictStableFor() int64 {
 // contribution the stretch repeats: the IRQ last-value predictor and
 // the slave timings are already at fixed points, the last-seen full
 // state is unchanged, the request model's low runs accumulate idle
-// time, and the granted remote master's burst tracker drops its burst
-// context. Callers must have proven the stretch
+// time, and the granted remote master's sequencer copy drops its
+// transfer, as one idle observation does. Callers must have proven the stretch
 // (Domain.QuiescentCycles plus PredictStableFor or an entry-run check)
 // before skipping.
 func (p *remotePredictor) SkipIdle(n int64) {
 	p.req.SkipIdle(n)
-	p.trackers[p.b.Grant()].SkipIdle()
+	p.seqs[p.b.Grant()].Drop()
 }
 
 // predictorSnap freezes a remotePredictor as a set of value copies: the
-// request model and the IRQ last-value predictor inline, the trackers
-// and slave timings in slices recycled across saves.
+// request model and the IRQ last-value predictor inline, the sequencer
+// copies and slave timings in slices recycled across saves.
 type predictorSnap struct {
 	Req      predict.RequestModel
 	IRQ      predict.LastValue
-	Trackers []predict.BurstTracker
+	Seqs     []ip.Sequencer
 	Timings  []ip.SlaveTiming
 	LastV    bool
 	LastFull amba.CycleState
@@ -280,13 +277,13 @@ func (p *remotePredictor) SaveInto(prev any) any {
 	s, ok := prev.(*predictorSnap)
 	if !ok {
 		s = &predictorSnap{
-			Trackers: make([]predict.BurstTracker, len(p.trackers)),
-			Timings:  make([]ip.SlaveTiming, len(p.timings)),
+			Seqs:    make([]ip.Sequencer, len(p.seqs)),
+			Timings: make([]ip.SlaveTiming, len(p.timings)),
 		}
 	}
 	s.Req = p.req
 	s.IRQ = p.irq
-	copy(s.Trackers, p.trackers)
+	copy(s.Seqs, p.seqs)
 	copy(s.Timings, p.timings)
 	s.LastV = p.lastValid
 	s.LastFull = p.lastFull
@@ -302,7 +299,7 @@ func (p *remotePredictor) Restore(v any) {
 	}
 	p.req = s.Req
 	p.irq = s.IRQ
-	copy(p.trackers, s.Trackers)
+	copy(p.seqs, s.Seqs)
 	copy(p.timings, s.Timings)
 	p.lastValid = s.LastV
 	p.lastFull = s.LastFull

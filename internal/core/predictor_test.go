@@ -8,7 +8,6 @@ import (
 	"coemu/internal/amba"
 	"coemu/internal/bus"
 	"coemu/internal/ip"
-	"coemu/internal/predict"
 	"coemu/internal/workload"
 )
 
@@ -102,9 +101,9 @@ func TestLeaderPredictionPure(t *testing.T) {
 }
 
 // TestPredictorSnapshotRoundTripsRequestModel: the request model's
-// low-run history and announced falls, the remote masters' burst
-// trackers (a dropped burst context included) and the remote slaves'
-// timing automata are value copies in the predictor snapshot. A restore
+// low-run history and announced falls, the remote masters' sequencer
+// copies (a dropped transfer included) and the remote slaves' timing
+// automata are value copies in the predictor snapshot. A restore
 // brings back exactly the saved models, and a recycled save allocates
 // nothing.
 func TestPredictorSnapshotRoundTripsRequestModel(t *testing.T) {
@@ -130,39 +129,37 @@ func TestPredictorSnapshotRoundTripsRequestModel(t *testing.T) {
 	// Master 2 is one beat into an INCR4 write; the memory's first beat
 	// has waited once of its three wait states.
 	ap := amba.AddrPhase{Addr: 0x100, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: amba.BurstIncr4, Write: true}
-	p.trackers[2].Observe(ap)
+	p.seqs[2].Observe(ap, true)
 	p.timings[mem].Observe(false)
 	// Master 0 requested for a SINGLE and lost the grant on it: its fall
-	// is announced and its burst context dropped.
+	// is announced and its transfer dropped.
 	observe(1<<0, 1)
-	p.trackers[0].Observe(amba.AddrPhase{Addr: 0x200, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: amba.BurstSingle})
-	if !p.trackers[0].Final() {
+	if !p.seqs[0].Observe(amba.AddrPhase{Addr: 0x200, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: amba.BurstSingle}, false) {
 		t.Fatal("a SINGLE's beat is not final")
 	}
 	p.req.Fall(0)
-	p.trackers[0].Cut()
-	if p.req.Predict()&1 != 0 || p.trackers[0] == (predict.BurstTracker{}) {
-		t.Fatal("no fall announced or no burst context dropped; the check proves little")
+	if p.req.Predict()&1 != 0 || p.seqs[0].Loaded() {
+		t.Fatal("no fall announced or no transfer dropped; the check proves little")
 	}
-	want, wantTrackers, wantWait := p.req, [2]predict.BurstTracker{p.trackers[0], p.trackers[2]}, p.timings[mem]
+	want, wantSeqs, wantWait := p.req, [2]ip.Sequencer{p.seqs[0], p.seqs[2]}, p.timings[mem]
 	s := p.SaveInto(nil)
 	observe(1<<0|1<<2, 3)
 	observe(0, 9)
-	next, _ := p.trackers[2].Predict()
-	p.trackers[2].Observe(next)
-	p.trackers[0].Observe(ap)
+	next, _ := p.seqs[2].Predict()
+	p.seqs[2].Observe(next, true)
+	p.seqs[0].Observe(ap, true)
 	p.timings[mem].Observe(false)
 	p.timings[mem].Observe(true)
-	if p.req == want || p.trackers[0] == wantTrackers[0] || p.trackers[2] == wantTrackers[1] || p.timings[mem] == wantWait {
+	if p.req == want || p.seqs[0] == wantSeqs[0] || p.seqs[2] == wantSeqs[1] || p.timings[mem] == wantWait {
 		t.Fatal("the observations after the save left a model unchanged; the check proves little")
 	}
 	p.Restore(s)
 	if p.req != want || p.req.Predict()&1 != 0 {
 		t.Fatalf("restored request model %+v, saved %+v", p.req, want)
 	}
-	if got := [2]predict.BurstTracker{p.trackers[0], p.trackers[2]}; got != wantTrackers || p.timings[mem] != wantWait {
-		t.Fatalf("restored trackers %+v and slave timing %+v, saved %+v and %+v",
-			got, p.timings[mem], wantTrackers, wantWait)
+	if got := [2]ip.Sequencer{p.seqs[0], p.seqs[2]}; got != wantSeqs || p.timings[mem] != wantWait {
+		t.Fatalf("restored sequencer copies %+v and slave timing %+v, saved %+v and %+v",
+			got, p.timings[mem], wantSeqs, wantWait)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { s = p.SaveInto(s) }); allocs != 0 {
 		t.Fatalf("recycled predictor save allocates %v times", allocs)

@@ -47,63 +47,17 @@ type Generator interface {
 	Next() (x Xfer, ok bool)
 }
 
-// activeXfer is the in-flight transfer with its issue bookkeeping. Beat
-// addresses are derived on demand so the state is fully value-typed:
-// snapshots are plain struct copies with nothing to alias.
-type activeXfer struct {
-	Valid     bool
-	X         Xfer
-	Beats     int
-	Issue     int  // next beat index to present on the address phase
-	Restarted bool // remainder reissued as INCR after retry/grant loss
-	BusyFor   int  // beat index a BUSY was already inserted for (-1 none)
-
-	// Memoized beat-address cursor: the addresses of beats MemoIdx and
-	// MemoIdx-1. The per-cycle callers (issue at Issue, data phase at
-	// Issue-1) advance monotonically, so addr stays O(1) amortized per
-	// beat without materializing the burst's address sequence. Purely a
-	// cache of X — value-copied snapshots stay consistent.
-	MemoIdx  int
-	MemoAddr amba.Addr
-	MemoPrev amba.Addr
-}
-
-// addr returns the address of beat i, following the original burst's
-// address sequence (wrap points included) even after an INCR restart.
-func (a *activeXfer) addr(i int) amba.Addr {
-	switch {
-	case i == a.MemoIdx:
-		return a.MemoAddr
-	case i == a.MemoIdx-1 && i >= 0:
-		return a.MemoPrev
-	case i == a.MemoIdx+1:
-		a.MemoPrev = a.MemoAddr
-		a.MemoAddr = amba.NextAddr(a.MemoAddr, a.X.Size, a.X.Burst)
-		a.MemoIdx = i
-		return a.MemoAddr
-	}
-	// Rare (beat reissue after retry or restart): rebuild the cursor by
-	// walking from the burst start.
-	a.MemoIdx, a.MemoAddr, a.MemoPrev = 0, a.X.Addr, a.X.Addr
-	for a.MemoIdx < i {
-		a.MemoPrev = a.MemoAddr
-		a.MemoAddr = amba.NextAddr(a.MemoAddr, a.X.Size, a.X.Burst)
-		a.MemoIdx++
-	}
-	return a.MemoAddr
-}
-
 // masterState is everything a TrafficMaster must roll back.
 type masterState struct {
-	Cur       activeXfer
+	Seq       Sequencer   // the transfer's beat sequence
+	Data      []amba.Word // the transfer's write data (nil for a read)
 	Gap       int
 	Granted   bool // owns the address phase in the upcoming cycle
 	LastReady bool
 	LastAP    amba.AddrPhase
-	DataBeat  int // beat index currently in data phase (-1 none)
+	DataValid bool // the beat accepted last is in its data phase
 	Cancel    bool
 	Masked    bool // split-masked: present IDLE until HSPLITx releases us
-	NeedNS    bool // next issued beat must be NONSEQ
 	Done      bool // generator exhausted
 	Retries   int64
 	Errors    int64
@@ -113,16 +67,18 @@ type masterState struct {
 // TrafficMaster is the AHB bus master used for every workload in the
 // reproduction. It is a full pin-level state machine: bursts, wait-state
 // holds, BUSY insertion, two-cycle RETRY/ERROR handling with beat
-// re-issue, and burst restart after losing the bus mid-burst.
+// re-issue, and burst restart after losing the bus mid-burst. What the
+// protocol fixes about its address phases comes from its Sequencer;
+// what no protocol rule fixes (the generator's next transfer, the gap
+// before it, the write data) is its own.
 //
 // A TrafficMaster placed in the simulation domain plays the role of a
 // transaction-level master; placed in the acceleration domain it plays
 // an RTL block. The cycle behavior is identical by construction — which
 // is exactly the property micro-architectural TLM promises (§1.1).
 type TrafficMaster struct {
-	name      string
-	gen       Generator
-	busyEvery int
+	name string
+	gen  Generator
 
 	st masterState
 }
@@ -136,9 +92,8 @@ func NewTrafficMaster(name string, gen Generator, busyEvery int) *TrafficMaster 
 	if gen == nil {
 		panic("ip: nil generator")
 	}
-	m := &TrafficMaster{name: name, gen: gen, busyEvery: busyEvery}
-	m.st.DataBeat = -1
-	m.st.Cur.BusyFor = -1
+	m := &TrafficMaster{name: name, gen: gen}
+	m.st.Seq = NewSequencer(busyEvery)
 	m.st.LastReady = true
 	m.fetch()
 	return m
@@ -155,7 +110,7 @@ func (m *TrafficMaster) Stats() (beats, retries, errors int64) {
 // Idle reports whether the master has no transfer in flight and no more
 // traffic to issue.
 func (m *TrafficMaster) Idle() bool {
-	return !m.st.Cur.Valid && m.st.Done && m.st.DataBeat < 0
+	return !m.st.Seq.Loaded() && m.st.Done && !m.st.DataValid
 }
 
 // QuiescentCycles reports for how many upcoming cycles the master is
@@ -167,10 +122,10 @@ func (m *TrafficMaster) Idle() bool {
 // master's Drive/Commit rounds without changing behavior. A master
 // that may act on the very next cycle returns 0.
 func (m *TrafficMaster) QuiescentCycles() int64 {
-	if m.st.DataBeat >= 0 || m.st.Cancel || !m.st.LastReady || m.st.Masked {
+	if m.st.DataValid || m.st.Cancel || !m.st.LastReady || m.st.Masked {
 		return 0
 	}
-	if !m.st.Cur.Valid {
+	if !m.st.Seq.Loaded() {
 		if m.st.Done {
 			return math.MaxInt64 // stream exhausted: idle forever
 		}
@@ -186,48 +141,35 @@ func (m *TrafficMaster) QuiescentCycles() int64 {
 // keep n <= QuiescentCycles().
 func (m *TrafficMaster) SkipIdle(n int64) {
 	m.st.LastAP = amba.AddrPhase{}
-	if m.st.Cur.Valid && m.st.Gap > 0 {
+	if m.st.Seq.Loaded() && m.st.Gap > 0 {
 		m.st.Gap -= int(n)
 	}
 }
 
-// fetch pulls the next transfer from the generator.
+// fetch loads the generator's next transfer, or marks the stream done.
 func (m *TrafficMaster) fetch() {
-	if m.st.Done || m.st.Cur.Valid {
-		return
-	}
 	x, ok := m.gen.Next()
 	if !ok {
+		m.st.Seq.Drop()
 		m.st.Done = true
 		return
 	}
-	beats := x.Beats()
-	m.st.Cur = activeXfer{Valid: true, X: x, Beats: beats, BusyFor: -1,
-		MemoAddr: x.Addr, MemoPrev: x.Addr}
-	m.st.Gap = x.Gap
-	m.st.NeedNS = true
-}
-
-// beatWData returns the lane-placed write data of beat i.
-func (m *TrafficMaster) beatWData(i int) amba.Word {
-	x := m.st.Cur.X
-	var raw amba.Word
-	if i < len(x.Data) {
-		raw = x.Data[i]
+	m.st.Seq.Load(amba.AddrPhase{Addr: x.Addr, Write: x.Write, Size: x.Size, Burst: x.Burst, Prot: amba.ProtData}, x.Beats())
+	m.st.Data = nil
+	if x.Write {
+		m.st.Data = x.Data
 	}
-	a := m.st.Cur.addr(i)
-	return ExtractLanes(raw<<laneShift(a, x.Size), a, x.Size)
+	m.st.Gap = x.Gap
 }
 
 // Drive implements bus.Master, writing every field of the bus's drive
 // slot d.
 func (m *TrafficMaster) Drive(d *bus.MasterDrive) {
-	cur := &m.st.Cur
-
-	d.Req = cur.Valid && m.st.Gap == 0 && cur.Issue < cur.Beats
+	d.Req = m.st.Gap == 0 && m.st.Seq.Left()
 	d.WData = 0
-	if m.st.DataBeat >= 0 && cur.Valid && cur.X.Write {
-		d.WData = m.beatWData(m.st.DataBeat)
+	if i, ap := m.st.Seq.Last(); m.st.DataValid && i < len(m.st.Data) {
+		// The write data of the beat in its data phase, on its lanes.
+		d.WData = ExtractLanes(m.st.Data[i]<<laneShift(ap.Addr, ap.Size), ap.Addr, ap.Size)
 	}
 
 	switch {
@@ -242,52 +184,16 @@ func (m *TrafficMaster) Drive(d *bus.MasterDrive) {
 		// slave raises our HSPLITx line.
 		d.AP = amba.AddrPhase{}
 	case m.st.Granted && d.Req:
-		d.AP = m.buildAP()
+		d.AP = m.st.Seq.Next()
 	default:
 		d.AP = amba.AddrPhase{}
 	}
 	m.st.LastAP = d.AP
 }
 
-// buildAP constructs the address phase for the next beat, inserting BUSY
-// cycles per configuration and choosing NONSEQ/SEQ per burst progress.
-func (m *TrafficMaster) buildAP() amba.AddrPhase {
-	cur := &m.st.Cur
-	i := cur.Issue
-	burst := cur.X.Burst
-	if cur.Restarted {
-		burst = amba.BurstIncr
-	}
-	ap := amba.AddrPhase{
-		Addr:  cur.addr(i),
-		Write: cur.X.Write,
-		Size:  cur.X.Size,
-		Burst: burst,
-		Prot:  amba.ProtData,
-	}
-	needNS := m.st.NeedNS
-	if !needNS && cur.Restarted && cur.addr(i) != cur.addr(i-1)+amba.Addr(cur.X.Size.Bytes()) {
-		// Discontinuity in the reissued INCR remainder (a wrap point of
-		// the original burst): a fresh NONSEQ is required.
-		needNS = true
-	}
-	if needNS {
-		ap.Trans = amba.TransNonSeq
-		return ap
-	}
-	if m.busyEvery > 0 && i%m.busyEvery == 0 && cur.BusyFor != i {
-		ap.Trans = amba.TransBusy
-		return ap
-	}
-	ap.Trans = amba.TransSeq
-	return ap
-}
-
 // Commit implements bus.Master.
 func (m *TrafficMaster) Commit(fb bus.MasterFeedback) {
-	cur := &m.st.Cur
-
-	if cur.Valid && m.st.Gap > 0 {
+	if m.st.Seq.Loaded() && m.st.Gap > 0 {
 		m.st.Gap--
 	}
 
@@ -303,65 +209,54 @@ func (m *TrafficMaster) Commit(fb bus.MasterFeedback) {
 		return
 	}
 
-	// The clock edge with HREADY high: phases advance.
-	issuedActive := fb.Granted && m.st.LastAP.Trans.Active()
-	issuedBusy := fb.Granted && m.st.LastAP.Trans == amba.TransBusy
-	completed := m.st.DataBeat
-	newData := -1
-
-	if issuedActive && cur.Valid {
-		newData = cur.Issue
-		cur.Issue++
-		m.st.NeedNS = false
-	}
-	if issuedBusy && cur.Valid {
-		cur.BusyFor = cur.Issue
+	// The clock edge with HREADY high: phases advance. The beat in the
+	// data phase is the transfer's final one when no beats are left
+	// before this edge's address phase is accepted.
+	completed, final := m.st.DataValid, !m.st.Seq.Left()
+	m.st.DataValid = false
+	if fb.Granted {
+		m.st.Seq.Accept(m.st.LastAP.Trans)
+		m.st.DataValid = m.st.LastAP.Trans.Active()
 	}
 
-	if fb.OwnsData && completed >= 0 && cur.Valid {
+	if fb.OwnsData && completed {
 		switch fb.Resp {
 		case amba.RespOkay:
 			m.st.BeatsDone++
-			if completed == cur.Beats-1 {
+			if final {
 				m.finish()
-				newData = -1
 			}
 		case amba.RespError:
 			m.st.Errors++
 			m.finish()
-			newData = -1
 		case amba.RespRetry, amba.RespSplit:
 			// The failed beat must be reissued; the remainder of the
 			// burst restarts as INCR.
 			m.st.Retries++
-			cur.Issue = completed
-			cur.Restarted = true
-			m.st.NeedNS = true
-			newData = -1
+			m.st.Seq.Reissue()
+			m.st.DataValid = false
 		}
 	}
 
-	m.st.DataBeat = newData
 	m.st.Cancel = false
 	m.st.LastReady = true
 	m.st.Granted = fb.GrantNext
 	m.st.Masked = fb.SplitMasked
 
-	if cur.Valid && cur.Issue < cur.Beats && !fb.GrantNext && cur.Issue > 0 {
+	if !fb.GrantNext {
 		// Lost the bus mid-burst: restart the remainder when regranted.
-		cur.Restarted = true
-		m.st.NeedNS = true
+		m.st.Seq.Cut()
 	}
 }
 
-// finish retires the current transfer and prefetches the next.
+// finish retires the current transfer and loads the next.
 func (m *TrafficMaster) finish() {
-	m.st.Cur = activeXfer{BusyFor: -1}
+	m.st.DataValid = false
 	m.fetch()
 }
 
 // masterSnap freezes a TrafficMaster. masterState is fully value-typed
-// apart from Xfer.Data, which generators never mutate after handing the
+// apart from Data, which generators never mutate after handing the
 // transfer out, so a struct copy is a deep copy.
 type masterSnap struct {
 	St masterState

@@ -215,9 +215,10 @@ func TestWaitModelSnapshot(t *testing.T) {
 
 // A master that loses the grant with beats left rebuilds the remainder
 // on its next grant. These tests drive an ip.TrafficMaster through its
-// bus.Master methods, exactly as the bus does, next to a BurstTracker
-// fed the way the leader's predictor feeds it: Observe on ready cycles
-// while the master is granted, and Cut when the grant then moves away.
+// bus.Master methods, exactly as the bus does, next to a copy of its
+// sequencer fed the way the leader's predictor feeds it: Observe on
+// ready cycles while the master is granted, with whether the grant
+// stays.
 
 // rebuildCounts tallies the cycles a rebuild mirror checked.
 type rebuildCounts struct {
@@ -231,10 +232,10 @@ type rebuildCounts struct {
 // master is granted, 'x' a ready cycle after which it is not, and 'w' a
 // wait state (a ready cycle that keeps the grant when no beat is in the
 // data phase). On every cycle Predict must give the same answer twice
-// and leave the tracker's value unchanged; on the regrant cycle
-// and on each beat of a rebuilt remainder it must confidently predict
-// the master's address phase.
-func checkRebuildMirror(t testing.TB, tr *predict.BurstTracker, xfers []ip.Xfer, sched string) rebuildCounts {
+// and leave the copy's value unchanged; on the regrant cycle and on
+// each beat of a rebuilt remainder it must confidently predict the
+// master's address phase.
+func checkRebuildMirror(t testing.TB, tr *ip.Sequencer, xfers []ip.Xfer, sched string) rebuildCounts {
 	t.Helper()
 	m := ip.NewTrafficMaster("m", workload.NewSequence(xfers...), 0)
 	var n rebuildCounts
@@ -250,7 +251,7 @@ func checkRebuildMirror(t testing.TB, tr *predict.BurstTracker, xfers []ip.Xfer,
 			t.Fatalf("cycle %d: Predict gave %v (%v), then %v (%v)", cycle, pred, ok, again, okAgain)
 		}
 		if *tr != before {
-			t.Fatalf("cycle %d: Predict moved the tracker state from %+v to %+v", cycle, before, *tr)
+			t.Fatalf("cycle %d: Predict moved the sequencer copy from %+v to %+v", cycle, before, *tr)
 		}
 
 		var d bus.MasterDrive
@@ -277,10 +278,7 @@ func checkRebuildMirror(t testing.TB, tr *predict.BurstTracker, xfers []ip.Xfer,
 		}
 		m.Commit(bus.MasterFeedback{Granted: granted, GrantNext: grantNext, Ready: ready, OwnsData: dataValid, Resp: amba.RespOkay})
 		if granted && ready {
-			tr.Observe(d.AP)
-			if !grantNext {
-				tr.Cut()
-			}
+			tr.Observe(d.AP, grantNext)
 		}
 
 		if ready {
@@ -321,7 +319,7 @@ func TestBurstRebuildMirror(t *testing.T) {
 				if burst.Wrapping() {
 					x.Addr += amba.Addr(amba.WrapBoundaryBytes(burst, amba.Size32) - 2*4)
 				}
-				n := checkRebuildMirror(t, &predict.BurstTracker{}, []ip.Xfer{x, x}, sched)
+				n := checkRebuildMirror(t, &ip.Sequencer{}, []ip.Xfer{x, x}, sched)
 				if n.regrants != 2 {
 					t.Fatalf("%d regrant cycles checked, want 2 (%+v)", n.regrants, n)
 				}
@@ -348,7 +346,7 @@ func FuzzBurstRebuildMirror(f *testing.F) {
 		if len(b) < 2 {
 			return
 		}
-		tr := &predict.BurstTracker{}
+		tr := &ip.Sequencer{}
 		nx := 1 + int(b[1]%4)
 		b = b[2:]
 		if len(b) < 2*nx {
@@ -382,10 +380,10 @@ func FuzzBurstRebuildMirror(f *testing.F) {
 // A master drops its request on the cycle after the ready cycle that
 // accepts its fixed-length burst's final address phase. These tests
 // drive an ip.TrafficMaster through its bus.Master methods next to a
-// BurstTracker and a RequestModel fed the way the leader's predictor
-// feeds them: the request line every cycle; on a ready cycle while the
-// master is granted, its address phase, then Fall when that was a
-// fixed-length burst's final beat, then Cut when the grant moves away.
+// copy of its sequencer and a RequestModel fed the way the leader's
+// predictor feeds them: the request line every cycle; on a ready cycle
+// while the master is granted, its address phase and whether the grant
+// stays, then Fall when that was a fixed-length burst's final beat.
 
 // fallCounts tallies the cycles a request-fall mirror checked.
 type fallCounts struct {
@@ -400,7 +398,7 @@ type fallCounts struct {
 // phase and returns two ready cycles later. On the boundary cycle after
 // each final address phase, the predicted request line must equal the
 // master's HBUSREQ (low) for a fixed-length burst, and keep its last
-// value (high) for an INCR burst, whose length the tracker cannot know.
+// value (high) for an INCR burst, whose length the copy cannot know.
 // On every cycle the master is granted after a ready one, a confident
 // address-phase prediction must equal the master's address phase,
 // unless it continues an INCR burst (a guess at its length). On every
@@ -408,7 +406,7 @@ type fallCounts struct {
 func checkRequestFall(t testing.TB, xfers []ip.Xfer, cuts []bool, waits int) fallCounts {
 	t.Helper()
 	m := ip.NewTrafficMaster("m", workload.NewSequence(xfers...), 0)
-	var tr predict.BurstTracker
+	var tr ip.Sequencer
 	req := predict.NewRequestModel(1)
 	var n fallCounts
 	granted, lastReady := true, true
@@ -452,7 +450,7 @@ func checkRequestFall(t testing.TB, xfers []ip.Xfer, cuts []bool, waits int) fal
 		}
 		last := xi
 		if issued == 0 {
-			last = xi - 1 // the transfer whose beats the tracker saw last
+			last = xi - 1 // the transfer whose beats the copy saw last
 		}
 		guess := last >= 0 && xfers[last].Burst.Beats() == 0
 		if granted && lastReady && !guess {
@@ -486,14 +484,8 @@ func checkRequestFall(t testing.TB, xfers []ip.Xfer, cuts []bool, waits int) fal
 			line = 1
 		}
 		req.Observe(line)
-		if granted && ready {
-			tr.Observe(d.AP)
-			if tr.Final() {
-				req.Fall(0)
-			}
-			if !grantNext {
-				tr.Cut()
-			}
+		if granted && ready && tr.Observe(d.AP, grantNext) {
+			req.Fall(0)
 		}
 
 		boundary = false

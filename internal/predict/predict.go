@@ -1,9 +1,5 @@
 // Package predict implements the signal predictors of the paper's §3:
 //
-//   - address/control of the active bus master: burst continuation
-//     ("their values either increase linearly over time or remain
-//     constant throughout a single burst transaction"), including the
-//     INCR remainder a master rebuilds after losing the grant mid-burst,
 //   - arbitration requests: last-value prediction, plus the rise of a
 //     line whose last two low runs were equally long (a master that
 //     requests the bus after a fixed gap) and the fall on the cycle
@@ -13,9 +9,16 @@
 //
 // plus a fault injector used by the evaluation harness to pin prediction
 // accuracy to an exact probability, the way the paper's Table 2 and
-// Figure 4 sweep it. The active slave's wait states and RETRY/SPLIT
-// cadence need no predictor of their own: the leader runs the slave's
-// timing automaton, ip.SlaveTiming, on the cycles it observes.
+// Figure 4 sweep it. Two behaviours need no predictor of their own,
+// because the leader runs the component's own automaton on the cycles
+// it observes. The active master's address/control, burst continuation
+// ("their values either increase linearly over time or remain constant
+// throughout a single burst transaction"), including the INCR remainder
+// a master rebuilds after losing the grant mid-burst, comes from a copy
+// of the master's sequencer, ip.Sequencer, loaded from the NONSEQ it
+// observes; that copy also marks the final beat that RequestModel.Fall
+// announces. The active slave's wait states and RETRY/SPLIT cadence
+// come from the slave's timing automaton, ip.SlaveTiming.
 //
 // Read data and write data are deliberately absent: the paper classifies
 // them as non-predictable, and the scheme instead chooses the data
@@ -113,7 +116,8 @@ func (r *RequestModel) Predict() uint32 {
 
 // Fall announces that master i's line is low on the next cycle:
 // ip.TrafficMaster drops HBUSREQ on the cycle after the ready cycle that
-// accepts a fixed-length burst's final address phase. The next Observe
+// accepts a fixed-length burst's final address phase, which its
+// sequencer copy's Observe reports. The next Observe
 // ends the announcement, and the line's last value takes over.
 func (r *RequestModel) Fall(i int) {
 	r.st.Fall |= r.mask & (1 << uint(i))
@@ -174,166 +178,6 @@ func (r *RequestModel) SkipIdle(n int64) {
 		}
 	}
 	r.st.Last, r.st.Fall = 0, 0
-}
-
-// BurstTracker predicts the address/control signals of a remote bus
-// master by extrapolating its current burst. A prediction is only
-// offered mid-burst and on the cycle after a fixed-length burst's final
-// beat (IDLE); for an idle master the tracker declines, because the
-// start-of-burst values must genuinely cross the channel. Final reports
-// that final beat, after which the master also drops its request.
-//
-// A master that loses the grant with beats left rebuilds the remainder
-// when it is granted again (ip.TrafficMaster's restart): an INCR burst
-// that opens with a NONSEQ at the next beat's address, follows the
-// original burst's addresses and keeps its beat count, and takes a
-// fresh NONSEQ at a WRAP burst's wrap point. The caller reports the
-// grant loss with Cut; the tracker then predicts the rebuild and treats
-// it as the same burst. A master that loses the grant on its final beat
-// has nothing to rebuild: its next grant starts a new burst, so Cut
-// drops the burst context and the tracker declines there.
-//
-// The zero value is a tracker that has seen nothing.
-type BurstTracker struct {
-	st burstState
-}
-
-type burstState struct {
-	Valid     bool
-	Last      amba.AddrPhase
-	Remaining int // beats after Last; -1 = INCR (unbounded)
-	// Seq is the burst whose address sequence the beats follow: the
-	// burst's own type, kept through a rebuild that drives INCR.
-	Seq amba.Burst
-	// Cut: the burst lost the grant with beats left, so its next beat
-	// is the NONSEQ that rebuilds the remainder.
-	Cut bool
-	// Rebuilt: the burst's remainder is being reissued as INCR.
-	Rebuilt bool
-}
-
-// Observe feeds the actual address phase driven by the tracked master on
-// a cycle whose HREADY was high (phases only advance on ready cycles;
-// during wait states the held value carries no new information).
-func (t *BurstTracker) Observe(ap amba.AddrPhase) {
-	switch ap.Trans {
-	case amba.TransNonSeq:
-		if (t.st.Cut || t.st.Rebuilt) && t.midBurst() && ap == t.nextBeat() {
-			// The rebuild of a cut burst, or its fresh NONSEQ at a wrap
-			// point: the same burst goes on.
-			t.st.Rebuilt = true
-			t.advance(ap)
-			return
-		}
-		t.st.Cut, t.st.Rebuilt = false, false
-		t.st.Seq = ap.Burst
-		t.st.Valid = true
-		t.st.Last = ap
-		if beats := ap.Burst.Beats(); beats > 0 {
-			t.st.Remaining = beats - 1
-		} else {
-			t.st.Remaining = -1
-		}
-	case amba.TransSeq:
-		t.advance(ap)
-	case amba.TransBusy:
-		// The burst is paused; nothing advances.
-	case amba.TransIdle:
-		t.SkipIdle()
-	}
-}
-
-// advance records ap as the burst's next beat.
-func (t *BurstTracker) advance(ap amba.AddrPhase) {
-	t.st.Cut = false
-	t.st.Last = ap
-	if t.st.Remaining > 0 {
-		t.st.Remaining--
-	}
-}
-
-// midBurst reports whether the tracked burst has beats left.
-func (t *BurstTracker) midBurst() bool {
-	return t.st.Valid && t.st.Last.Trans.Active() && t.st.Remaining != 0
-}
-
-// nextBeat returns the beat that follows Last in a burst with beats
-// left.
-func (t *BurstTracker) nextBeat() amba.AddrPhase {
-	next := t.st.Last
-	next.Addr = amba.NextAddr(next.Addr, next.Size, t.st.Seq)
-	switch {
-	case t.st.Cut:
-		next.Trans = amba.TransNonSeq
-		next.Burst = amba.BurstIncr
-	case t.st.Rebuilt && next.Addr != t.st.Last.Addr+amba.Addr(next.Size.Bytes()):
-		next.Trans = amba.TransNonSeq // a WRAP burst's wrap point
-	default:
-		next.Trans = amba.TransSeq
-	}
-	return next
-}
-
-// Cut reports that the tracked master lost the grant on the ready cycle
-// just observed. A burst with beats left is rebuilt on the next grant,
-// which Predict then offers. Otherwise the next grant starts a new
-// burst, so Cut drops the burst context exactly as one idle observation
-// does.
-func (t *BurstTracker) Cut() {
-	if t.midBurst() {
-		t.st.Cut = true
-	} else {
-		t.SkipIdle()
-	}
-}
-
-// Final reports whether the beat last observed was the final beat of a
-// fixed-length burst (SINGLE, INCR4/8/16, WRAP4/8/16, or a rebuilt
-// remainder of one). An INCR burst's length is unknown, so it never has
-// a final beat.
-func (t *BurstTracker) Final() bool {
-	return t.st.Valid && t.st.Last.Trans.Active() && t.st.Remaining == 0
-}
-
-// Predict returns the predicted next address phase and whether a
-// confident prediction exists. Mid-burst it predicts the SEQ successor,
-// or the NONSEQ that rebuilds a cut burst or restarts a rebuilt one at
-// its wrap point. After the final beat of a fixed-length burst it
-// predicts IDLE. For an idle master it declines.
-func (t *BurstTracker) Predict() (amba.AddrPhase, bool) {
-	if !t.st.Valid || !t.st.Last.Trans.Active() {
-		return amba.AddrPhase{}, false
-	}
-	if t.st.Remaining == 0 {
-		// Fixed-length burst exhausted: the only legal continuations
-		// are IDLE or a new NONSEQ, and IDLE is the call for the
-		// boundary cycle.
-		return amba.AddrPhase{}, true
-	}
-	return t.nextBeat(), true
-}
-
-// IdleStableFor reports for how many further idle-observed cycles the
-// tracker's Predict outcome (both the predicted value and the
-// confident/declined verdict) is guaranteed not to change: 0 while the
-// last ready cycle carried a beat (the next idle observation ends the
-// burst), and Unbounded once the master is idle, because idle
-// observations leave an idle tracker as it is.
-func (t *BurstTracker) IdleStableFor() int64 {
-	if t.st.Valid && t.st.Last.Trans.Active() {
-		return 0
-	}
-	return Unbounded
-}
-
-// SkipIdle applies any positive number of idle observations in one
-// step: it drops the burst context, exactly as one Observe with an IDLE
-// address phase does, and further idle observations change nothing.
-// Used by the engine's predicted-quiescence batching; callers
-// single-step the cycle that wakes the master.
-func (t *BurstTracker) SkipIdle() {
-	t.st.Valid = false
-	t.st.Cut, t.st.Rebuilt = false, false
 }
 
 // SecondCycle predicts the reply that follows r. An ERROR, RETRY or

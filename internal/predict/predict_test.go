@@ -23,183 +23,6 @@ func TestLastValue(t *testing.T) {
 	}
 }
 
-func TestBurstTrackerPredictsSeqChain(t *testing.T) {
-	var b BurstTracker
-	ap := amba.AddrPhase{Addr: 0x100, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: amba.BurstIncr4, Write: true}
-	b.Observe(ap)
-	for i := 1; i < 4; i++ {
-		pred, ok := b.Predict()
-		if !ok {
-			t.Fatalf("no prediction at beat %d", i)
-		}
-		want := amba.Addr(0x100 + 4*i)
-		if pred.Trans != amba.TransSeq || pred.Addr != want {
-			t.Fatalf("beat %d predicted %v, want SEQ@%x", i, pred, want)
-		}
-		if !pred.Write || pred.Burst != amba.BurstIncr4 {
-			t.Fatalf("control not held: %v", pred)
-		}
-		b.Observe(pred)
-	}
-	// Burst exhausted: tracker predicts IDLE.
-	pred, ok := b.Predict()
-	if !ok || !pred.Idle() {
-		t.Fatalf("after burst end: pred=%v ok=%v, want IDLE", pred, ok)
-	}
-}
-
-func TestBurstTrackerWrap(t *testing.T) {
-	var b BurstTracker
-	b.Observe(amba.AddrPhase{Addr: 0x3c, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: amba.BurstWrap4})
-	pred, ok := b.Predict()
-	if !ok || pred.Addr != 0x30 {
-		t.Fatalf("wrap prediction %v ok=%v, want 0x30", pred, ok)
-	}
-}
-
-func TestBurstTrackerDeclinesWithoutContext(t *testing.T) {
-	var b BurstTracker
-	if _, ok := b.Predict(); ok {
-		t.Fatal("fresh tracker must decline")
-	}
-	b.Observe(amba.AddrPhase{}) // IDLE
-	if _, ok := b.Predict(); ok {
-		t.Fatal("idle master must decline")
-	}
-}
-
-// observeBurst feeds a full fixed burst starting at addr.
-func observeBurst(t *BurstTracker, addr amba.Addr, burst amba.Burst) {
-	ap := amba.AddrPhase{Addr: addr, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: burst, Write: true}
-	t.Observe(ap)
-	for i := 1; i < burst.Beats(); i++ {
-		ap.Trans = amba.TransSeq
-		ap.Addr = amba.NextAddr(ap.Addr, ap.Size, ap.Burst)
-		t.Observe(ap)
-	}
-}
-
-func TestPredictStartsDisabledStaysPaperFaithful(t *testing.T) {
-	var tr BurstTracker
-	observeBurst(&tr, 0x100, amba.BurstIncr8)
-	observeBurst(&tr, 0x120, amba.BurstIncr8)
-	ap, ok := tr.Predict()
-	if !ok || !ap.Idle() {
-		t.Fatalf("paper-faithful tracker must predict IDLE at burst end, got %v ok=%v", ap, ok)
-	}
-	tr.Observe(amba.AddrPhase{})
-	if _, ok := tr.Predict(); ok {
-		t.Fatal("paper-faithful tracker must decline for an idle master")
-	}
-}
-
-func TestBurstTrackerIncrUnbounded(t *testing.T) {
-	var b BurstTracker
-	b.Observe(amba.AddrPhase{Addr: 0x0, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: amba.BurstIncr})
-	for i := 1; i <= 20; i++ {
-		pred, ok := b.Predict()
-		if !ok || pred.Addr != amba.Addr(4*i) {
-			t.Fatalf("INCR beat %d: %v ok=%v", i, pred, ok)
-		}
-		b.Observe(pred)
-	}
-}
-
-// TestBurstTrackerFinal: Final holds from the observed final beat of a
-// fixed-length burst until the next observation, and never for an INCR
-// burst or mid-burst.
-func TestBurstTrackerFinal(t *testing.T) {
-	for _, burst := range []amba.Burst{amba.BurstSingle, amba.BurstIncr4, amba.BurstWrap8, amba.BurstIncr16} {
-		var b BurstTracker
-		ap := amba.AddrPhase{Addr: 0x40, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: burst}
-		for beat := 1; beat <= burst.Beats(); beat++ {
-			b.Observe(ap)
-			if got, want := b.Final(), beat == burst.Beats(); got != want {
-				t.Fatalf("%v beat %d: Final %v, want %v", burst, beat, got, want)
-			}
-			ap, _ = b.Predict()
-		}
-		b.Observe(amba.AddrPhase{})
-		if b.Final() {
-			t.Fatalf("%v: Final after an IDLE", burst)
-		}
-	}
-	var b BurstTracker
-	ap := amba.AddrPhase{Addr: 0x40, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: amba.BurstIncr}
-	for beat := 0; beat < 20; beat++ {
-		b.Observe(ap)
-		if b.Final() {
-			t.Fatalf("INCR beat %d: Final", beat)
-		}
-		ap, _ = b.Predict()
-	}
-}
-
-// TestBurstTrackerCutOnFinalBeat: a master that loses the grant on its
-// final beat starts a new burst when it is granted again, so Cut drops
-// the burst context exactly as one idle observation does, and the
-// tracker declines instead of predicting IDLE. A cut with beats left
-// keeps predicting the rebuild.
-func TestBurstTrackerCutOnFinalBeat(t *testing.T) {
-	var b BurstTracker
-	observeBurst(&b, 0x100, amba.BurstIncr4)
-	idle := b
-	idle.Observe(amba.AddrPhase{})
-	b.Cut()
-	if b != idle {
-		t.Fatalf("Cut on the final beat left %+v, one idle observation %+v", b.st, idle.st)
-	}
-	if ap, ok := b.Predict(); ok {
-		t.Fatalf("regrant after a cut on the final beat: predicted %v, want a decline", ap)
-	}
-
-	b = BurstTracker{}
-	b.Observe(amba.AddrPhase{Addr: 0x100, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: amba.BurstIncr4})
-	b.Cut()
-	if ap, ok := b.Predict(); !ok || ap.Trans != amba.TransNonSeq || ap.Addr != 0x104 || ap.Burst != amba.BurstIncr {
-		t.Fatalf("regrant after a cut with beats left: predicted %v (confident %v), want the INCR rebuild at 0x104", ap, ok)
-	}
-}
-
-// TestBurstTrackerSnapshot: a struct copy is a snapshot, mid-burst, at
-// a final beat (a pending request fall) and after a cut on the final
-// beat (a dropped context), and taking one allocates nothing.
-func TestBurstTrackerSnapshot(t *testing.T) {
-	var b BurstTracker
-	b.Observe(amba.AddrPhase{Addr: 0x10, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: amba.BurstIncr8})
-	s := b
-	p1, _ := b.Predict()
-	b.Observe(p1)
-	b = s
-	p2, _ := b.Predict()
-	if p1 != p2 {
-		t.Fatal("snapshot replay diverged")
-	}
-
-	var final BurstTracker
-	observeBurst(&final, 0x100, amba.BurstWrap4)
-	dropped := final
-	dropped.Cut()
-	for name, want := range map[string]BurstTracker{"final beat": final, "dropped context": dropped} {
-		b = want
-		s = b
-		b.Observe(amba.AddrPhase{Addr: 0x200, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: amba.BurstIncr4})
-		if b == want {
-			t.Fatalf("%s: the observation after the save left the tracker unchanged; the check proves little", name)
-		}
-		b = s
-		if b != want || b.Final() != want.Final() {
-			t.Fatalf("%s: restored %+v, saved %+v", name, b.st, want.st)
-		}
-		if allocs := testing.AllocsPerRun(100, func() { s = b }); allocs != 0 {
-			t.Fatalf("%s: a tracker snapshot allocates %v times", name, allocs)
-		}
-	}
-	if !final.Final() || dropped.Final() {
-		t.Fatalf("Final: %v at the final beat, %v after the cut; want true and false", final.Final(), dropped.Final())
-	}
-}
-
 // TestSecondCycle: only the first cycle of a non-OKAY response (HREADY
 // low) has a predicted successor, the same response with HREADY high
 // and no read data.

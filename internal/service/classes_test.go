@@ -40,25 +40,42 @@ func (s *Service) pointsQueued() int { return len(s.points) }
 // with a sweep larger than the queue in flight, the point class is full
 // and the service reads saturated, yet a run is admitted to its own
 // class, starts after at most one point per worker, and completes
-// while the sweep still has points to run.
+// while the sweep still has points to run. The count of points ahead
+// of the run is taken from the run's admission: a blocking run holds
+// the only worker while the point class fills and the run is admitted,
+// so no job starts between the engine-run count read before Submit and
+// the admission. Once the blocker is canceled the worker, whose last
+// job was a run, takes one point, and then the run.
 func TestQueueClassRunAdmittedBehindFullPoints(t *testing.T) {
 	const workers, depth, npoints = 1, 8, 20
 	svc := newTestService(t, Options{Workers: workers, QueueDepth: depth})
+	blocker, err := svc.Submit(testSpec(t, int64(1)<<40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	abandon, cancelBlocker := context.WithCancel(context.Background())
+	defer cancelBlocker()
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := blocker.Wait(abandon)
+		blocked <- err
+	}()
+	waitFor(t, "the blocker to start", func() bool { return svc.Counters().EngineRuns == 1 })
+
 	sw, err := svc.StartSweepPoints(context.Background(), distinctPoints(t, npoints, 5000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A worker's dequeue empties one slot until the parked sweep refills
-	// it, so each reading is retried until the backlog shows in it.
 	waitFor(t, "the point class to fill", func() bool { return svc.pointsQueued() == depth })
-	waitFor(t, "Saturated to read the point backlog", svc.Saturated)
-	waitFor(t, "QueueDepth to read the point backlog", func() bool {
-		pending, _ := svc.QueueDepth()
-		return pending >= depth
-	})
+	if !svc.Saturated() {
+		t.Fatal("a full point class does not read saturated")
+	}
+	if pending, _ := svc.QueueDepth(); pending < depth {
+		t.Fatalf("QueueDepth reads %d pending, want the point backlog of %d", pending, depth)
+	}
 
 	svc.mu.Lock()
-	before := svc.engineRuns
+	admitted := svc.engineRuns
 	svc.mu.Unlock()
 	job, err := svc.Submit(testSpec(t, 100000))
 	if err != nil {
@@ -66,6 +83,10 @@ func TestQueueClassRunAdmittedBehindFullPoints(t *testing.T) {
 	}
 	if _, capacity := svc.QueueDepth(); capacity != 2*depth {
 		t.Fatalf("QueueDepth capacity %d, want both classes' %d", capacity, 2*depth)
+	}
+	cancelBlocker()
+	if err := <-blocked; err == nil {
+		t.Fatal("the blocker completed; it was meant to hold the worker until canceled")
 	}
 	// While the run holds the only worker no other job can start, so
 	// the engine-run count read then is the count at its start.
@@ -79,8 +100,8 @@ func TestQueueClassRunAdmittedBehindFullPoints(t *testing.T) {
 		atStart = svc.engineRuns
 		return job.status == StatusRunning
 	})
-	if ahead := atStart - before - 1; ahead > workers {
-		t.Fatalf("%d points started between the run's submission and its start, want at most %d (one per worker)", ahead, workers)
+	if ahead := atStart - admitted - 1; ahead > workers {
+		t.Fatalf("%d points started between the run's admission and its start, want at most %d (one per worker)", ahead, workers)
 	}
 
 	res, err := job.Wait(context.Background())
@@ -90,7 +111,7 @@ func TestQueueClassRunAdmittedBehindFullPoints(t *testing.T) {
 	if res.Report.Cycles != 100000 {
 		t.Fatalf("run committed %d cycles", res.Report.Cycles)
 	}
-	if n := svc.Counters().EngineRuns; n >= 1+npoints {
+	if n := svc.Counters().EngineRuns; n >= 2+npoints {
 		t.Fatalf("%d engine runs when the run completed: every point had started, want the run done before the sweep's last point", n)
 	}
 	results := collect(t, sw)

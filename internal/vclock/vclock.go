@@ -137,14 +137,6 @@ func (l *Ledger) Snapshot() Ledger {
 	return *l
 }
 
-// AddFrom accumulates every bucket of other into l.
-func (l *Ledger) AddFrom(other *Ledger) {
-	for i := range l.buckets {
-		l.buckets[i] += other.buckets[i]
-		l.charges[i] += other.charges[i]
-	}
-}
-
 // PerCycle reports the average modeled time per target cycle for category
 // c given that cycles target cycles were committed. It returns 0 when
 // cycles is 0.

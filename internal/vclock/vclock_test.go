@@ -65,19 +65,13 @@ func TestLedgerPerCycleAndPerf(t *testing.T) {
 	}
 }
 
-func TestLedgerResetSnapshotAddFrom(t *testing.T) {
+func TestLedgerResetSnapshot(t *testing.T) {
 	var l Ledger
 	l.Charge(Acc, time.Second)
 	snap := l.Snapshot()
 	l.Charge(Acc, time.Second)
 	if snap.Get(Acc) != time.Second {
 		t.Error("snapshot aliased the ledger")
-	}
-	var m Ledger
-	m.Charge(Store, time.Millisecond)
-	l.AddFrom(&m)
-	if l.Get(Store) != time.Millisecond {
-		t.Error("AddFrom missed Store")
 	}
 	l.Reset()
 	if l.Total() != 0 {
