@@ -93,7 +93,7 @@ func NewTrafficMaster(name string, gen Generator, busyEvery int) *TrafficMaster 
 		panic("ip: nil generator")
 	}
 	m := &TrafficMaster{name: name, gen: gen}
-	m.st.Seq = NewSequencer(busyEvery)
+	m.st.Seq = Sequencer{busyEvery: busyEvery}
 	m.st.LastReady = true
 	m.fetch()
 	return m
@@ -154,7 +154,7 @@ func (m *TrafficMaster) fetch() {
 		m.st.Done = true
 		return
 	}
-	m.st.Seq.Load(amba.AddrPhase{Addr: x.Addr, Write: x.Write, Size: x.Size, Burst: x.Burst, Prot: amba.ProtData}, x.Beats())
+	m.st.Seq.load(amba.AddrPhase{Addr: x.Addr, Write: x.Write, Size: x.Size, Burst: x.Burst, Prot: amba.ProtData}, x.Beats())
 	m.st.Data = nil
 	if x.Write {
 		m.st.Data = x.Data
@@ -165,9 +165,9 @@ func (m *TrafficMaster) fetch() {
 // Drive implements bus.Master, writing every field of the bus's drive
 // slot d.
 func (m *TrafficMaster) Drive(d *bus.MasterDrive) {
-	d.Req = m.st.Gap == 0 && m.st.Seq.Left()
+	d.Req = m.st.Gap == 0 && m.st.Seq.left()
 	d.WData = 0
-	if i, ap := m.st.Seq.Last(); m.st.DataValid && i < len(m.st.Data) {
+	if i, ap := m.st.Seq.last(); m.st.DataValid && i < len(m.st.Data) {
 		// The write data of the beat in its data phase, on its lanes.
 		d.WData = ExtractLanes(m.st.Data[i]<<laneShift(ap.Addr, ap.Size), ap.Addr, ap.Size)
 	}
@@ -184,7 +184,7 @@ func (m *TrafficMaster) Drive(d *bus.MasterDrive) {
 		// slave raises our HSPLITx line.
 		d.AP = amba.AddrPhase{}
 	case m.st.Granted && d.Req:
-		d.AP = m.st.Seq.Next()
+		d.AP = m.st.Seq.next()
 	default:
 		d.AP = amba.AddrPhase{}
 	}
@@ -212,10 +212,10 @@ func (m *TrafficMaster) Commit(fb bus.MasterFeedback) {
 	// The clock edge with HREADY high: phases advance. The beat in the
 	// data phase is the transfer's final one when no beats are left
 	// before this edge's address phase is accepted.
-	completed, final := m.st.DataValid, !m.st.Seq.Left()
+	completed, final := m.st.DataValid, !m.st.Seq.left()
 	m.st.DataValid = false
 	if fb.Granted {
-		m.st.Seq.Accept(m.st.LastAP.Trans)
+		m.st.Seq.accept(m.st.LastAP.Trans)
 		m.st.DataValid = m.st.LastAP.Trans.Active()
 	}
 
@@ -233,7 +233,7 @@ func (m *TrafficMaster) Commit(fb bus.MasterFeedback) {
 			// The failed beat must be reissued; the remainder of the
 			// burst restarts as INCR.
 			m.st.Retries++
-			m.st.Seq.Reissue()
+			m.st.Seq.reissue()
 			m.st.DataValid = false
 		}
 	}
@@ -245,7 +245,7 @@ func (m *TrafficMaster) Commit(fb bus.MasterFeedback) {
 
 	if !fb.GrantNext {
 		// Lost the bus mid-burst: restart the remainder when regranted.
-		m.st.Seq.Cut()
+		m.st.Seq.cut()
 	}
 }
 

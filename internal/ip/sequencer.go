@@ -11,17 +11,20 @@ import (
 // master drives once its transfer has begun. It holds the transfer's
 // first address phase and beat count, the index and address of the next
 // beat, and the address of the beat before it. From these it chooses
-// NONSEQ, SEQ or BUSY (Next), and it rebuilds the remainder of a
-// transfer whose beat got RETRY or SPLIT (Reissue) or whose master lost
-// the grant with beats left (Cut): the remainder is reissued as INCR
-// with the same beat count, following the original burst's addresses,
-// from a fresh NONSEQ, and with a fresh NONSEQ at each wrap point of a
-// WRAP burst. "Beats left" is the master's request.
+// NONSEQ, SEQ or BUSY for the next beat, and it rebuilds the remainder
+// of a transfer whose beat got RETRY or SPLIT, or whose master lost the
+// grant with beats left: the remainder is reissued as INCR with the
+// same beat count, following the original burst's addresses, from a
+// fresh NONSEQ, and with a fresh NONSEQ at each wrap point of a WRAP
+// burst. "Beats left" is the master's request.
 //
 // ip.TrafficMaster drives its address phases from one, and the leader's
-// predictor runs a copy per remote master, fed by Observe. It is a
-// plain value, so a struct copy is its snapshot.
+// predictor runs a copy per remote master, fed by Observe. The zero
+// value has no transfer loaded and no BUSY cadence. It is a plain
+// value, so a struct copy is its snapshot.
 type Sequencer struct {
+	// busyEvery > 0 inserts one BUSY cycle before every busyEvery-th
+	// beat of a burst; the zero value has no BUSY cadence.
 	busyEvery int
 
 	st seqState
@@ -46,14 +49,9 @@ type seqState struct {
 // the protocol does not fix.
 const unbounded = math.MaxInt
 
-// NewSequencer creates a sequencer with no transfer loaded. busyEvery
-// > 0 inserts one BUSY cycle before every busyEvery-th beat of a burst;
-// 0 disables it.
-func NewSequencer(busyEvery int) Sequencer { return Sequencer{busyEvery: busyEvery} }
-
-// Load starts a transfer of beats beats whose first address phase is
+// load starts a transfer of beats beats whose first address phase is
 // first (its Trans aside).
-func (s *Sequencer) Load(first amba.AddrPhase, beats int) {
+func (s *Sequencer) load(first amba.AddrPhase, beats int) {
 	wrap := ^amba.Addr(0)
 	if b := amba.WrapBoundaryBytes(first.Burst, first.Size); b > 0 {
 		wrap = amba.Addr(b - 1)
@@ -67,23 +65,24 @@ func (s *Sequencer) Drop() { s.st = seqState{} }
 // Loaded reports whether a transfer is loaded.
 func (s *Sequencer) Loaded() bool { return s.st.Beats > 0 }
 
-// Left reports whether the transfer has beats left to issue: a master
+// left reports whether the transfer has beats left to issue: a master
 // requests the bus while it does.
-func (s *Sequencer) Left() bool { return s.st.Issue < s.st.Beats }
+func (s *Sequencer) left() bool { return s.st.Issue < s.st.Beats }
 
-// Last returns the index and address phase (its Trans and Burst aside)
+// last returns the index and address phase (its Trans and Burst aside)
 // of the beat accepted last.
-func (s *Sequencer) Last() (int, amba.AddrPhase) {
+func (s *Sequencer) last() (int, amba.AddrPhase) {
 	ap := s.st.First
 	ap.Addr = s.st.Prev
 	return s.st.Issue - 1, ap
 }
 
-// Next returns the next beat's address phase: NONSEQ at the start of
+// next returns the next beat's address phase: NONSEQ at the start of
 // the transfer, of a reissued remainder and at a wrap point of one (an
-// INCR burst's addresses never wrap), a BUSY before every busyEvery-th
-// beat, SEQ otherwise. It is pure.
-func (s *Sequencer) Next() amba.AddrPhase {
+// INCR transfer's own addresses never wrap, so only a reissued WRAP
+// remainder has one), a BUSY before every busyEvery-th beat, SEQ
+// otherwise. It is pure.
+func (s *Sequencer) next() amba.AddrPhase {
 	ap := s.st.First
 	ap.Addr = s.st.Addr
 	switch {
@@ -97,11 +96,11 @@ func (s *Sequencer) Next() amba.AddrPhase {
 	return ap
 }
 
-// Accept records that the address phase Next gave, with HTRANS trans,
+// accept records that the address phase next gave, with HTRANS trans,
 // was accepted on a ready cycle: an active beat moves the cursor on
 // along the original burst's addresses (amba.NextAddr), and a BUSY is
 // not inserted twice before the same beat.
-func (s *Sequencer) Accept(trans amba.Trans) {
+func (s *Sequencer) accept(trans amba.Trans) {
 	switch {
 	case trans.Active():
 		a := s.st.Addr
@@ -114,18 +113,18 @@ func (s *Sequencer) Accept(trans amba.Trans) {
 	}
 }
 
-// Reissue steps back to the beat accepted last, which got RETRY or
+// reissue steps back to the beat accepted last, which got RETRY or
 // SPLIT, and reissues the remainder from it.
-func (s *Sequencer) Reissue() {
+func (s *Sequencer) reissue() {
 	s.st.Issue--
 	s.st.Addr = s.st.Prev
 	s.restart()
 }
 
-// Cut records a grant lost on a ready cycle: a transfer that has begun
+// cut records a grant lost on a ready cycle: a transfer that has begun
 // and has beats left reissues its remainder when it is granted again.
-func (s *Sequencer) Cut() {
-	if s.st.Issue > 0 && s.Left() {
+func (s *Sequencer) cut() {
+	if s.st.Issue > 0 && s.left() {
 		s.restart()
 	}
 }
@@ -152,25 +151,25 @@ func (s *Sequencer) restart() {
 func (s *Sequencer) Observe(ap amba.AddrPhase, granted bool) (final bool) {
 	switch ap.Trans {
 	case amba.TransNonSeq:
-		if !s.Left() || ap != s.Next() {
+		if !s.left() || ap != s.next() {
 			beats := ap.Burst.Beats()
 			if beats == 0 {
 				beats = unbounded
 			}
-			s.Load(ap, beats)
+			s.load(ap, beats)
 		}
-		s.Accept(ap.Trans)
+		s.accept(ap.Trans)
 	case amba.TransSeq:
-		if s.Left() {
-			s.Accept(ap.Trans)
+		if s.left() {
+			s.accept(ap.Trans)
 		}
 	case amba.TransIdle:
 		s.Drop()
 	}
-	final = s.Loaded() && !s.Left()
+	final = s.Loaded() && !s.left()
 	if !granted {
-		if s.Left() {
-			s.Cut()
+		if s.left() {
+			s.cut()
 		} else {
 			s.Drop()
 		}
@@ -187,8 +186,8 @@ func (s *Sequencer) Predict() (amba.AddrPhase, bool) {
 	switch {
 	case !s.Loaded():
 		return amba.AddrPhase{}, false
-	case !s.Left():
+	case !s.left():
 		return amba.AddrPhase{}, true
 	}
-	return s.Next(), true
+	return s.next(), true
 }

@@ -181,8 +181,8 @@ func TestSequencerCopySnapshot(t *testing.T) {
 			t.Fatalf("%s: a sequencer snapshot allocates %v times", name, allocs)
 		}
 	}
-	if !final.Loaded() || final.Left() || dropped.Loaded() {
-		t.Fatalf("final beat: loaded %v with beats left %v; dropped: loaded %v", final.Loaded(), final.Left(), dropped.Loaded())
+	if !final.Loaded() || final.left() || dropped.Loaded() {
+		t.Fatalf("final beat: loaded %v with beats left %v; dropped: loaded %v", final.Loaded(), final.left(), dropped.Loaded())
 	}
 }
 
