@@ -249,9 +249,9 @@ func (p *remotePredictor) PredictStableFor() int64 {
 // the slave timings are already at fixed points, the last-seen full
 // state is unchanged, the request model's low runs accumulate idle
 // time, and the granted remote master's sequencer copy drops its
-// transfer, as one idle observation does. Callers must have proven the stretch
-// (Domain.QuiescentCycles plus PredictStableFor or an entry-run check)
-// before skipping.
+// transfer, as one idle observation does. Callers must have proven the
+// stretch (Domain.QuiescentCycles plus PredictStableFor or an
+// entry-run check) before skipping.
 func (p *remotePredictor) SkipIdle(n int64) {
 	p.req.SkipIdle(n)
 	p.seqs[p.b.Grant()].Drop()
