@@ -34,10 +34,12 @@ type seqState struct {
 	// First is the transfer's first address phase; its Burst turns INCR
 	// once the remainder is reissued.
 	First amba.AddrPhase
-	Beats int       // the beat count; 0: no transfer loaded
+	Beats int       // the beat count (unbounded: an observed INCR); 0: none loaded
 	Issue int       // beats accepted, the index of the next beat
 	Addr  amba.Addr // the next beat's address
-	Prev  amba.Addr // the address of beat Issue-1
+	// Prev is the address of beat Issue-1; after a reissue it repeats
+	// Addr, since the reissued beat opens with a NONSEQ.
+	Prev amba.Addr
 	// Wrap masks the address bits a beat advances in the original
 	// burst: all of them, or in a WRAP burst those below its boundary.
 	Wrap   amba.Addr
@@ -143,11 +145,13 @@ func (s *Sequencer) restart() {
 // Observe feeds the copy the address phase its master drove on a ready
 // cycle while granted, and whether the master keeps the grant. A NONSEQ
 // that is not the copy's next beat loads a new transfer, its length
-// from the burst type (INCR unbounded); an active beat is accepted; an
-// IDLE drops the transfer, and so does a grant lost with no beats left,
-// since the next grant starts a new transfer. Observe reports whether
-// ap was the final beat of a fixed-length transfer, after which the
-// master drops its request.
+// from the burst type (INCR unbounded), and the beat is accepted, as is
+// a SEQ while beats are left; a BUSY changes nothing. An IDLE drops the
+// transfer, and so does a grant lost with no beats left, since the
+// next grant starts a new transfer; a grant lost with beats left makes
+// the remainder's rebuild the next beat. Observe reports whether ap was
+// the final beat of a fixed-length transfer, after which the master
+// drops its request.
 func (s *Sequencer) Observe(ap amba.AddrPhase, granted bool) (final bool) {
 	switch ap.Trans {
 	case amba.TransNonSeq:
