@@ -8,9 +8,10 @@ import (
 
 // The leader's copy of a remote master's sequencer: zero-valued (no
 // BUSY cadence), fed only what the master drives on ready cycles while
-// granted. ip.TrafficMaster's own use of the type is checked by the
-// master tests and, beside a copy, by the mirror tests and fuzzers in
-// internal/predict.
+// granted. Its burst continuation, declines and idle drop are checked
+// in internal/predict (burst_test.go); ip.TrafficMaster's own use of
+// the type is checked by the master tests and, beside a copy, by the
+// mirror tests and fuzzers there.
 
 // observeBurst feeds a copy a whole fixed-length burst starting at addr,
 // the master keeping the grant.
@@ -21,70 +22,6 @@ func observeBurst(s *Sequencer, addr amba.Addr, burst amba.Burst) {
 		ap.Trans = amba.TransSeq
 		ap.Addr = amba.NextAddr(ap.Addr, ap.Size, ap.Burst)
 		s.Observe(ap, true)
-	}
-}
-
-// TestSequencerCopyPredictsBurst: from an observed NONSEQ the copy
-// predicts the SEQ chain with the control held, IDLE after a
-// fixed-length burst's final beat, a WRAP burst's wrap, and an INCR
-// burst without end.
-func TestSequencerCopyPredictsBurst(t *testing.T) {
-	var s Sequencer
-	s.Observe(amba.AddrPhase{Addr: 0x100, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: amba.BurstIncr4, Write: true}, true)
-	for i := 1; i < 4; i++ {
-		pred, ok := s.Predict()
-		if !ok {
-			t.Fatalf("no prediction at beat %d", i)
-		}
-		if want := amba.Addr(0x100 + 4*i); pred.Trans != amba.TransSeq || pred.Addr != want {
-			t.Fatalf("beat %d predicted %v, want SEQ@%x", i, pred, want)
-		}
-		if !pred.Write || pred.Burst != amba.BurstIncr4 {
-			t.Fatalf("control not held: %v", pred)
-		}
-		s.Observe(pred, true)
-	}
-	if pred, ok := s.Predict(); !ok || !pred.Idle() {
-		t.Fatalf("after the burst's end: predicted %v (confident %v), want IDLE", pred, ok)
-	}
-
-	s = Sequencer{}
-	s.Observe(amba.AddrPhase{Addr: 0x3c, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: amba.BurstWrap4}, true)
-	if pred, ok := s.Predict(); !ok || pred.Addr != 0x30 {
-		t.Fatalf("wrap prediction %v (confident %v), want 0x30", pred, ok)
-	}
-
-	s = Sequencer{}
-	s.Observe(amba.AddrPhase{Trans: amba.TransNonSeq, Size: amba.Size32, Burst: amba.BurstIncr}, true)
-	for i := 1; i <= 20; i++ {
-		pred, ok := s.Predict()
-		if !ok || pred.Addr != amba.Addr(4*i) {
-			t.Fatalf("INCR beat %d: %v (confident %v)", i, pred, ok)
-		}
-		s.Observe(pred, true)
-	}
-}
-
-// TestSequencerCopyDeclines: a copy with no transfer loaded declines,
-// fresh and after an IDLE, because the start of a burst must cross the
-// channel; back-to-back bursts still end in a predicted IDLE.
-func TestSequencerCopyDeclines(t *testing.T) {
-	var s Sequencer
-	if _, ok := s.Predict(); ok {
-		t.Fatal("a fresh copy must decline")
-	}
-	s.Observe(amba.AddrPhase{}, true)
-	if _, ok := s.Predict(); ok {
-		t.Fatal("an idle master must decline")
-	}
-	observeBurst(&s, 0x100, amba.BurstIncr8)
-	observeBurst(&s, 0x120, amba.BurstIncr8)
-	if ap, ok := s.Predict(); !ok || !ap.Idle() {
-		t.Fatalf("after the second burst: predicted %v (confident %v), want IDLE", ap, ok)
-	}
-	s.Observe(amba.AddrPhase{}, true)
-	if _, ok := s.Predict(); ok {
-		t.Fatal("an idle master must decline after its bursts")
 	}
 }
 
@@ -183,50 +120,5 @@ func TestSequencerCopySnapshot(t *testing.T) {
 	}
 	if !final.Loaded() || final.left() || dropped.Loaded() {
 		t.Fatalf("final beat: loaded %v with beats left %v; dropped: loaded %v", final.Loaded(), final.left(), dropped.Loaded())
-	}
-}
-
-// TestSequencerCopyDropMatchesIdleObserves pins the batch contract the
-// predictor's SkipIdle relies on: Drop leaves the copy bit-identical to
-// any positive number of IDLE observations, from an idle copy and from
-// the boundary cycle after a burst's final beat. Loaded, the
-// predictor's idle horizon, holds from a burst's NONSEQ through the
-// boundary cycle after its final beat, and ends at the IDLE after it.
-func TestSequencerCopyDropMatchesIdleObserves(t *testing.T) {
-	for _, seedIdle := range []bool{true, false} {
-		for _, n := range []int{1, 17} {
-			var seq, bat Sequencer
-			for _, s := range []*Sequencer{&seq, &bat} {
-				observeBurst(s, 0x1000, amba.BurstIncr4)
-				if seedIdle {
-					s.Observe(amba.AddrPhase{}, true)
-				}
-			}
-			for i := 0; i < n; i++ {
-				seq.Observe(amba.AddrPhase{}, true)
-			}
-			bat.Drop()
-			if seq != bat {
-				t.Errorf("seed idle %v, n=%d: Drop diverged: observed %+v, dropped %+v", seedIdle, n, seq.st, bat.st)
-			}
-		}
-	}
-
-	var s Sequencer
-	if s.Loaded() {
-		t.Fatal("a fresh copy is loaded")
-	}
-	s.Observe(amba.AddrPhase{Addr: 0x1000, Trans: amba.TransNonSeq, Size: amba.Size32, Burst: amba.BurstIncr4}, true)
-	if !s.Loaded() {
-		t.Fatal("mid-burst: not loaded")
-	}
-	s = Sequencer{}
-	observeBurst(&s, 0x1000, amba.BurstIncr4)
-	if !s.Loaded() {
-		t.Fatal("after the final beat: not loaded")
-	}
-	s.Observe(amba.AddrPhase{}, true)
-	if s.Loaded() {
-		t.Fatal("idle: still loaded")
 	}
 }
